@@ -2,8 +2,7 @@
 
 Subcommands: validate | trace | classify | portrait | verify.
 Exit codes: 0 success, 2 configuration error, 3 runtime numerical failure,
-4 verification failure.  The CONNEXION_THREADS environment variable caps
-the worker count used by portrait rendering.
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -32,17 +30,6 @@ from .svg import RenderWindow, render_scene
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
-
-
-def worker_count() -> int:
-    env = os.environ.get("CONNEXION_THREADS")
-    cap = os.cpu_count() or 1
-    if env:
-        try:
-            cap = max(1, min(cap, int(env)))
-        except ValueError:
-            pass
-    return cap
 
 
 # -- configuration -------------------------------------------------------------
@@ -109,9 +96,12 @@ def main():
 
 _config_opt = click.option("--config", "config_path", required=True,
                            type=click.Path(), help="Scene configuration (JSON).")
-_seed_opt = click.option("--seed", type=int, default=0, show_default=True)
+_seed_opt = click.option("--seed", type=int, default=0, show_default=True,
+                         help="Random seed; only portrait and verify "
+                              "teichmuller use it.")
 _budget_opt = click.option("--budget-steps", type=int, default=None,
-                           help="Cap on accepted integrator steps.")
+                           help="Cap on integrator step attempts, accepted "
+                                "or rejected.")
 
 
 @main.command()
@@ -192,7 +182,7 @@ def classify_cmd(config_path, seed, budget_steps):
     budget = ClassifyBudget(
         t_max=float(bcfg.get("t_max", 200.0)),
         max_steps=budget_steps or int(bcfg.get("steps", 1_000_000)),
-        max_seconds=float(bcfg.get("seconds", 30.0)))
+        max_seconds=float(bcfg["seconds"]) if "seconds" in bcfg else None)
     for i, (z, v) in enumerate(initials):
         try:
             verdict = classify(conn, (z, v), budget)
@@ -228,15 +218,12 @@ def portrait(config_path, svg_path, seed, budget_steps):
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             seeds.append((z, cmath.exp(1j * theta)))
 
-    def run(seed_state):
+    trajectories = []
+    for seed_state in seeds:
         try:
-            return trace(conn, seed_state, t_max, opts)
+            trajectories.append(trace(conn, seed_state, t_max, opts))
         except errors.ConnexionError:
-            return None
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(run, seeds))
-    trajectories = [t for t in results if t is not None]
+            continue
     if not trajectories:
         click.echo("numerical failure: no trajectory completed", err=True)
         sys.exit(EXIT_NUMERICAL)
@@ -248,7 +235,8 @@ def portrait(config_path, svg_path, seed, budget_steps):
 @main.command()
 @click.argument("which", type=click.Choice(["local", "teichmuller", "saddles"]))
 @click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Optional scene; defaults to the built-in suite.")
+              help="Optional scene, only validated; the suites always run "
+                   "on their built-in connections.")
 @_seed_opt
 @_budget_opt
 def verify(which, config_path, seed, budget_steps):
@@ -282,8 +270,10 @@ def _verify_local(seed):
         err = float(np.max(np.abs(zs - zc)))
         out.append((f"closed-form rho={rho}", err <= 1e-8, f"sup err {err:.3g}"))
         clen = critical_length(rho, 1.0)
-        from scipy.integrate import quad as _quad
-        quad = float(_quad(lambda s: s ** rho, 0.0, 1.0)[0])
+        # int_0^1 s^rho ds = int_0^1 2 u^(2 rho + 1) du (s = u^2), smooth in u;
+        # Gauss-Legendre mapped from [-1, 1] to [0, 1]
+        x, w = np.polynomial.legendre.leggauss(16)
+        quad = float(np.sum(w * (0.5 * (x + 1.0)) ** (2.0 * rho + 1.0)))
         ok = abs(quad - clen) <= 1e-6 * max(1.0, clen)
         out.append((f"critical-length rho={rho}", ok,
                     f"formula {clen:.9g} quadrature {quad:.9g}"))

@@ -85,9 +85,8 @@ class LoopPath:
 class FuchsianConnection:
     """Immutable pole set; all operations on it are pure."""
 
-    poles: tuple  # of PoleSpec, infinity pole explicit (unless residue 0 and minimal)
+    poles: tuple  # of PoleSpec, infinity pole explicit
     switch_radius: float = 10.0
-    real_periods: bool = True
     _finite: tuple = field(default=(), repr=False)
 
     @property
@@ -139,16 +138,14 @@ def is_real_residues(conn: FuchsianConnection, tol: float = SUM_TOL) -> bool:
 
 
 def build_connection(poles, switch_radius: float = 10.0,
-                     allow_complex: bool = False,
-                     minimal: bool = False) -> FuchsianConnection:
+                     allow_complex: bool = False) -> FuchsianConnection:
     """Validate a pole list and return a connection.
 
     If the pole at infinity is absent its residue is implied by the sum
-    identity; it is materialized explicitly unless that residue is exactly 0
-    and ``minimal`` is requested.
+    identity; it is always materialized explicitly.
     """
     specs = [p if isinstance(p, PoleSpec) else PoleSpec(*p) for p in poles]
-    if not specs and not minimal:
+    if not specs:
         # a connection with no poles at all cannot satisfy the sum identity
         raise errors.SumMismatch("a pole-free connection is impossible on the sphere")
 
@@ -176,15 +173,9 @@ def build_connection(poles, switch_radius: float = 10.0,
     else:
         inf_res = complex(RESIDUE_SUM) - finite_sum
 
-    all_poles = list(specs)
-    if not (minimal and inf_res == 0):
-        all_poles.append(PoleSpec(SpherePoint.inf(), inf_res))
-    if not all_poles:
-        raise errors.SumMismatch("a pole-free connection is impossible on the sphere")
-
-    real = all(abs(p.residue.imag) <= SUM_TOL for p in all_poles)
+    all_poles = specs + [PoleSpec(SpherePoint.inf(), inf_res)]
     return FuchsianConnection(tuple(all_poles), float(switch_radius),
-                              real_periods=real, _finite=tuple(specs))
+                              _finite=tuple(specs))
 
 
 def local_rep(conn: FuchsianConnection, chart: str, point: complex) -> complex:

@@ -30,6 +30,9 @@ from .connection import (FuchsianConnection, INFINITY, STANDARD, SpherePoint,
 POLE_FLOOR = 1e-6
 _MACH_EPS = math.ulp(1.0)
 PATH_CLEARANCE = 1e-9
+C_NOISE = 1.5      # drift allowance in units of the per-step cancellation
+                   # noise near poles
+H_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,10 @@ class IntegratorOptions:
     rtol: float = 1e-12
     atol: float = 1e-14
     c_budget: float = 1e-11      # relative first-integral drift per unit time
-    c_noise: float = 1.5         # drift allowance in units of the per-step
-                                 # cancellation noise near poles
     pole_floor: float = POLE_FLOOR
-    switch_radius: float | None = None   # None: take it from the connection
-    switching: bool = True
     max_steps: int = 1_000_000
     max_seconds: float | None = None
     h0: float = 1e-3
-    h_max: float = 5.0
 
 
 @dataclass
@@ -283,8 +281,6 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     else:
         K = 0j
 
-    switch_radius = opts.switch_radius if opts.switch_radius is not None else conn.switch_radius
-
     traj = Trajectory(conn=conn)
     t = 0.0
     s_g = 0.0
@@ -305,7 +301,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             traj.termination = "time_budget"
             break
         steps += 1
-        h = min(h, t_max - t, opts.h_max)
+        h = min(h, t_max - t, H_MAX)
         if h < 1e-14 * max(1.0, abs(t)):
             traj.termination = "step_collapse"
             traj.events.append((t, "step_collapse", {"h": h}))
@@ -340,7 +336,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
         # the stepper.
         noise = _MACH_EPS * max(1.0, abs(z1)) * sum(
             abs(rho) / min(abs(z - pos), abs(z1 - pos)) for pos, rho in poles)
-        allowed = (opts.c_budget * h + opts.c_noise * noise) * c_scale
+        allowed = (opts.c_budget * h + C_NOISE * noise) * c_scale
         err = max(err, abs(c1 - c) / allowed)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
@@ -374,17 +370,16 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
         traj.samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
 
         # chart switching with hysteresis
-        if opts.switching:
-            if chart == STANDARD and abs(z) > switch_radius:
-                z, v, K = _to_infinity(z, v, K)
-                chart = INFINITY
-                poles = conn.chart_poles(chart)
-                traj.events.append((t, "chart_switch", {"to": chart}))
-            elif chart == INFINITY and abs(z) > 1.5 / switch_radius:
-                z, v, K = _to_standard(z, v, K)
-                chart = STANDARD
-                poles = conn.chart_poles(chart)
-                traj.events.append((t, "chart_switch", {"to": chart}))
+        if chart == STANDARD and abs(z) > conn.switch_radius:
+            z, v, K = _to_infinity(z, v, K)
+            chart = INFINITY
+            poles = conn.chart_poles(chart)
+            traj.events.append((t, "chart_switch", {"to": chart}))
+        elif chart == INFINITY and abs(z) > 1.5 / conn.switch_radius:
+            z, v, K = _to_standard(z, v, K)
+            chart = STANDARD
+            poles = conn.chart_poles(chart)
+            traj.events.append((t, "chart_switch", {"to": chart}))
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
 
@@ -520,41 +515,45 @@ class IntersectionRecord:
     transversal: bool
 
 
-def _seg_intersect(p0, p1, q0, q1):
-    """Parameters (s, u) in [0,1]^2 where segments cross, or None."""
-    d1 = p1 - p0
-    d2 = q1 - q0
-    den = d1.real * d2.imag - d1.imag * d2.real
-    if den == 0:
-        return None
-    r = q0 - p0
-    s = (r.real * d2.imag - r.imag * d2.real) / den
-    u = (r.real * d1.imag - r.imag * d1.real) / den
-    if 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0:
-        return s, u
-    return None
+def _boxes(pts):
+    a, b = pts[:-1], pts[1:]
+    return (np.minimum(a.real, b.real), np.maximum(a.real, b.real),
+            np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag))
 
 
-def _polyline_pairs(pts):
-    """Candidate crossing segment pairs, by vectorized bounding-box overlap.
-    Yields (i, j) with j > i + 1 whose segment boxes intersect."""
-    n = len(pts) - 1
-    if n < 2:
-        return
-    p = np.asarray(pts)
-    a, b = p[:-1], p[1:]
-    xmin, xmax = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
-    ymin, ymax = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
-    for i0 in range(0, n, 512):
-        i1 = min(i0 + 512, n)
-        ovl = ((xmin[i0:i1, None] <= xmax[None, :])
-               & (xmax[i0:i1, None] >= xmin[None, :])
-               & (ymin[i0:i1, None] <= ymax[None, :])
-               & (ymax[i0:i1, None] >= ymin[None, :]))
-        ii, jj = np.nonzero(ovl)
-        ii += i0
-        keep = jj > ii + 1
-        yield from zip(ii[keep].tolist(), jj[keep].tolist())
+def segment_crossings(p, q):
+    """Crossing segment pairs of the polylines ``p`` and ``q``.
+
+    Returns arrays ``(i, j, s, u, den)`` in lexicographic ``(i, j)`` order:
+    segment i of ``p`` meets segment j of ``q`` at
+    ``p[i] + s (p[i+1] - p[i]) = q[j] + u (q[j+1] - q[j])`` with s and u in
+    [0, 1], and ``den`` is the cross product of the two directions.
+    Parallel pairs (``den == 0``) are never reported.  Candidates are
+    filtered by bounding-box overlap, 512 rows of ``p`` at a time.
+    """
+    p = np.asarray(p, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    pxmin, pxmax, pymin, pymax = _boxes(p)
+    qxmin, qxmax, qymin, qymax = _boxes(q)
+    parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 3]
+    for i0 in range(0, len(p) - 1, 512):
+        rows = slice(i0, i0 + 512)
+        # x-overlap on the whole block, y-overlap on its survivors only
+        i, j = np.nonzero((pxmin[rows, None] <= qxmax)
+                          & (pxmax[rows, None] >= qxmin))
+        i += i0
+        yo = (pymin[i] <= qymax[j]) & (pymax[i] >= qymin[j])
+        i, j = i[yo], j[yo]
+        d1, d2 = p[i + 1] - p[i], q[j + 1] - q[j]
+        den = d1.real * d2.imag - d1.imag * d2.real
+        nz = den != 0
+        i, j, d1, d2, den = i[nz], j[nz], d1[nz], d2[nz], den[nz]
+        r = q[j] - p[i]
+        s = (r.real * d2.imag - r.imag * d2.real) / den
+        u = (r.real * d1.imag - r.imag * d1.real) / den
+        hit = (0.0 <= s) & (s <= 1.0) & (0.0 <= u) & (u <= 1.0)
+        parts.append((i[hit], j[hit], s[hit], u[hit], den[hit]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _decimate(pts, ts, max_segments):
@@ -574,11 +573,10 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
         return []
     pts, ts = _decimate(traj.support_std(), traj.times, 4000)
     out = []
-    for i, j in _polyline_pairs(pts):
-        hit = _seg_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1])
-        if hit is None:
+    hits = segment_crossings(pts, pts)
+    for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
+        if j <= i + 1:
             continue
-        s, u = hit
         t1 = ts[i] + s * (ts[i + 1] - ts[i])
         t2 = ts[j] + u * (ts[j + 1] - ts[j])
         rec = _refine_crossing(traj, traj, t1, t2)
@@ -595,23 +593,18 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
 
 
 def cross_intersections(a: Trajectory, b: Trajectory, max_count: int = 64) -> list:
-    """Crossings between two trajectories (brute-force segment scan)."""
-    pa, pb = a.support_std(), b.support_std()
+    """Crossings between two trajectories, in segment order."""
     ta, tb = a.times, b.times
     out = []
-    for i in range(len(pa) - 1):
-        for j in range(len(pb) - 1):
-            hit = _seg_intersect(pa[i], pa[i + 1], pb[j], pb[j + 1])
-            if hit is None:
-                continue
-            s, u = hit
-            t1 = ta[i] + s * (ta[i + 1] - ta[i])
-            t2 = tb[j] + u * (tb[j + 1] - tb[j])
-            rec = _refine_crossing(a, b, t1, t2)
-            if rec is not None:
-                out.append(IntersectionRecord(rec[0], rec[1], rec[2], rec[3]))
-                if len(out) >= max_count:
-                    return out
+    hits = segment_crossings(a.support_std(), b.support_std())
+    for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
+        t1 = ta[i] + s * (ta[i + 1] - ta[i])
+        t2 = tb[j] + u * (tb[j + 1] - tb[j])
+        rec = _refine_crossing(a, b, t1, t2)
+        if rec is not None:
+            out.append(IntersectionRecord(*rec))
+            if len(out) >= max_count:
+                break
     return out
 
 

@@ -45,11 +45,6 @@ class StartAtPole(ConnexionError):
     pass
 
 
-class StepCollapse(ConnexionError):
-    """Step size underflow; normally logged as an event, raised only when the
-    integrator cannot even take a first step."""
-
-
 class PathThroughPole(ConnexionError):
     pass
 

@@ -77,7 +77,6 @@ class AdaptedChart:
     rho: float
     radius: float              # in the ambient chart coordinate, around center
     series: tuple              # coefficients of K(zeta); w = zeta * K(zeta)
-    taylor_c: tuple            # coefficients c_j of e^F
     ambient: str               # which sphere chart the series lives in
     center: complex            # pole coordinate in the ambient chart
     residual: float            # pullback residual achieved at `radius`
@@ -88,9 +87,6 @@ class AdaptedChart:
 
     def w_coeffs(self):
         return (0j,) + self.series
-
-    def contains(self, u: complex) -> bool:
-        return abs(u - self.center) < self.radius
 
     def to_w(self, u: complex) -> complex:
         """Adapted coordinate of an ambient chart point."""
@@ -108,10 +104,6 @@ class AdaptedChart:
     def push_state(self, u: complex, v: complex):
         """(position, velocity) in the adapted coordinate."""
         return self.to_w(u), self.dw(u) * v
-
-    def w_radius(self) -> float:
-        """Approximate radius of the chart in the adapted coordinate."""
-        return self.radius * abs(self.series[0])
 
     def report(self) -> dict:
         return {"radius": self.radius, "order": self.order,
@@ -175,8 +167,8 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
     for _ in range(60):
         resid = _pullback_residual(rho, center, conn, ambient, K, r)
         if resid <= RESIDUAL_TOL:
-            chart = AdaptedChart(pole, rho, r, tuple(K), tuple(c),
-                                 ambient, center, resid)
+            chart = AdaptedChart(pole, rho, r, tuple(K), ambient, center,
+                                 resid)
             break
         r *= 0.8
     if chart is None:

@@ -24,7 +24,7 @@ from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection, is_real_residues)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
                      first_integral, g_length, metric_density,
-                     self_intersections, trace)
+                     segment_crossings, self_intersections, trace)
 from .localchart import adapted_chart
 
 RECURRENCE_TOL = 1e-8
@@ -35,7 +35,7 @@ TWO_PI = 2.0 * math.pi
 class ClassifyBudget:
     t_max: float = 200.0
     max_steps: int = 1_000_000
-    max_seconds: float = 30.0
+    max_seconds: float | None = None
 
     def options(self) -> IntegratorOptions:
         return IntegratorOptions(max_steps=self.max_steps,
@@ -167,22 +167,10 @@ def section_crossings(traj: Trajectory, section: TransversalSection,
     """Parameters along the section where the sampled trajectory crosses it
     transversally."""
     pts = np.asarray(traj.support_std())
-    a, b = complex(section.p0), complex(section.p1)
-    d = b - a
-    hits = []
-    for p, q in zip(pts[:-1], pts[1:]):
-        e = q - p
-        den = e.real * d.imag - e.imag * d.real
-        if den == 0:
-            continue
-        r = a - p
-        s = (r.real * d.imag - r.imag * d.real) / den
-        u = (r.real * e.imag - r.imag * e.real) / den
-        if 0.0 <= s < 1.0 and 0.0 <= u <= 1.0:
-            sin_angle = abs(den) / (abs(e) * abs(d))
-            if sin_angle >= min_angle:
-                hits.append(u)
-    return sorted(hits)
+    seg = np.array([section.p0, section.p1], dtype=complex)
+    i, _, s, u, den = segment_crossings(pts, seg)
+    sin_angle = np.abs(den) / (np.abs(pts[i + 1] - pts[i]) * abs(seg[1] - seg[0]))
+    return sorted(u[(s < 1.0) & (sin_angle >= min_angle)].tolist())
 
 
 def transversal_analysis(traj, section: TransversalSection) -> dict:
@@ -274,7 +262,7 @@ def classify(conn: FuchsianConnection, initial,
         return OmegaVerdict("ConvergesToPole",
                             {"pole": pole, "t_hit": None, "traj": traj})
 
-    crossings = _self_crossings(traj)
+    crossings = self_intersections(traj, max_count=4)
     simple = len(crossings) == 0
 
     foreign = _foreign_accumulation(traj, simple)
@@ -321,13 +309,6 @@ def _tail_convergence(traj: Trajectory):
                 all(b <= a * 1.001 for a, b in zip(ds[:-1], ds[1:])):
             return p.location
     return None
-
-
-def _self_crossings(traj: Trajectory):
-    try:
-        return self_intersections(traj, max_count=4)
-    except Exception:
-        return []
 
 
 def _foreign_accumulation(traj: Trajectory, simple: bool):
@@ -448,19 +429,20 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
 
     lo = min(offsets)
     hi = max(offsets)
-    width = _normal_width(conn, z0, nrm, lo, hi)
+    width = _segment_length(conn, z0, nrm, lo, hi, 2001)
     order = np.argsort(offsets)
     return RingDomainReport([offsets[i] for i in order],
                             [lengths[i] for i in order],
                             [points[i] for i in order], width, boundary)
 
 
-def _normal_width(conn, z0, nrm, lo, hi, n=2001):
-    """Metric length of the straight segment z0 + [lo,hi]*nrm."""
+def _segment_length(conn, z0, direction, lo, hi, n):
+    """Metric length of the straight segment z0 + [lo, hi] * direction, by the
+    trapezoid rule on n equally spaced points."""
     ss = np.linspace(lo, hi, n)
-    vals = np.array([metric_density(conn, z0 + s * nrm) for s in ss])
-    return float(np.trapezoid(vals, ss)) if hasattr(np, "trapezoid") \
-        else float(np.trapz(vals, ss))
+    vals = np.array([metric_density(conn, z0 + s * direction) for s in ss])
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return float(trapezoid(vals, ss))
 
 
 # -- saddle connections --------------------------------------------------------
@@ -490,6 +472,9 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
         except (errors.ResonantOrLow, errors.SeriesDivergence):
             continue
         r0 = launch_radius_frac * chart.radius
+        # metric length of the radial stub between the pole and the launch
+        # circle, the same for every critical ray
+        stub = _segment_length(conn, chart.center, 1.0, 1e-9, r0, 400)
         for k in range(n_grid):
             phi = TWO_PI * k / n_grid
             state = _critical_launch(chart, r0, phi)
@@ -505,8 +490,8 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                        if kk == "pole_approach")
             if (not end.infinite) and abs(end.z - p.location.z) < 1e-9:
                 continue            # returned to its own pole
-            length = tr.samples[-1].s_g + _stub_length(conn, chart, r0)
-            found.append(SaddleConnection(p.location, end, phi, tr, length))
+            found.append(SaddleConnection(p.location, end, phi, tr,
+                                          tr.samples[-1].s_g + stub))
     return _dedup_saddles(found)
 
 
@@ -531,15 +516,6 @@ def _critical_launch(chart, r0, phi):
         return None
     return GeodesicState("standard" if chart.ambient == "standard" else "infinity",
                          u, vw / dv)
-
-
-def _stub_length(conn, chart, r0):
-    """Metric length of the missing radial stub between the pole and the
-    launch circle (same for every critical ray)."""
-    ss = np.linspace(1e-9, r0, 400)
-    vals = np.array([metric_density(conn, chart.center + s) for s in ss])
-    return float(np.trapezoid(vals, ss)) if hasattr(np, "trapezoid") \
-        else float(np.trapz(vals, ss))
 
 
 def _dedup_saddles(found):
@@ -575,8 +551,7 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
     count accumulation-on-foreign-periodic / accumulation-on-saddle-graph
     verdicts among trajectories simple within budget; both counts are
     expected to be zero."""
-    budget = budget or ClassifyBudget(t_max=60.0, max_steps=60_000,
-                                      max_seconds=2.0)
+    budget = budget or ClassifyBudget(t_max=60.0, max_steps=60_000)
     rng = np.random.default_rng(seed)
     lines = []
     anomalies = []

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import errors
 from .connection import (FuchsianConnection, LoopPath, SpherePoint,
@@ -330,10 +329,8 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
         lo = ts[max(0, k - 1)]
         hi = ts[min(len(ts) - 1, k + 1)]
         if hi > lo:
-            res = minimize_scalar(
-                lambda t: abs(tr.interpolate(t)[0] - z1) ** 2,
-                bounds=(lo, hi), method="bounded", options={"xatol": 1e-14})
-            return math.sqrt(float(res.fun)), tr, float(res.x)
+            t, f = _golden(lambda t: abs(tr.interpolate(t)[0] - z1) ** 2, lo, hi)
+            return math.sqrt(f), tr, t
         return float(d[k]), tr, tr.samples[k].t
 
     best = min((miss(TWO_PI * k / n_grid) for k in range(n_grid)),
@@ -341,29 +338,14 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     if best[0] > abs(z1 - z0):
         raise errors.NotFound("no launch direction approaches the target")
     theta0 = cmath.phase(best[1].samples[0].state.v)
-    # golden-section refine around the best grid direction
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
     span = TWO_PI / n_grid
-    a, b = theta0 - span, theta0 + span
     cache = {}
 
     def m(th):
-        if th not in cache:
-            cache[th] = miss(th)
+        cache[th] = miss(th)
         return cache[th][0]
 
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    for _ in range(80):
-        if m(x1) < m(x2):
-            b, x2 = x2, x1
-            x1 = b - gr * (b - a)
-        else:
-            a, x1 = x1, x2
-            x2 = a + gr * (b - a)
-        if b - a < 1e-14:
-            break
-    theta = x1 if m(x1) < m(x2) else x2
+    theta, _ = _golden(m, theta0 - span, theta0 + span)
     d, tr, t_hit = cache[theta]
     if d > miss_tol * max(1.0, abs(z1)):
         raise errors.NotFound(f"best miss distance {d:g} above tolerance")
@@ -374,9 +356,20 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     return arc
 
 
-def _truncate(traj: Trajectory, t_stop: float) -> Trajectory:
-    keep = [s for s in traj.samples if s.t <= t_stop + 1e-12]
-    out = Trajectory(conn=traj.conn, samples=keep,
-                     events=[e for e in traj.events if e[0] <= t_stop],
-                     termination="t_max")
-    return out
+def _golden(f, a, b):
+    """Golden-section search for a minimum of ``f`` on [a, b]: (x, f(x))."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(80):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gr * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gr * (b - a)
+            f2 = f(x2)
+        if b - a < 1e-14:
+            break
+    return (x1, f1) if f1 < f2 else (x2, f2)

@@ -87,8 +87,7 @@ class SvgBuilder:
 
 
 def render_scene(conn: FuchsianConnection, trajectories,
-                 window: RenderWindow | None = None,
-                 show_inset: bool = True) -> str:
+                 window: RenderWindow | None = None) -> str:
     """Phase portrait: pole markers with residue labels, trajectory curves,
     and an inset w-chart panel for the neighborhood of infinity."""
     window = window or RenderWindow()
@@ -106,8 +105,7 @@ def render_scene(conn: FuchsianConnection, trajectories,
             svg.circle(pos, 3.5, "#000000")
             svg.text(pos, f"ρ={res.real:g}")
 
-    if show_inset:
-        _infinity_inset(svg, conn, trajectories)
+    _infinity_inset(svg, conn, trajectories)
     return svg.document()
 
 

@@ -123,6 +123,14 @@ class TestPortrait:
         assert docs[0] == docs[1]
 
 
+class TestImport:
+    def test_cli_import_leaves_out_scipy(self):
+        code = "import connexion.cli, sys; assert 'scipy' not in sys.modules"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+
+
 class TestVerify:
     @pytest.mark.parametrize("which", ["local", "teichmuller", "saddles"])
     def test_suites_pass(self, which):

@@ -12,7 +12,10 @@ from connexion import (IntegratorOptions, SpherePoint, build_connection,
                        continue_K, first_integral, g_length, metric_density,
                        self_intersections, trace, trajectory_to_csv)
 from connexion import errors
-from connexion.engine import CSV_HEADER, cross_intersections
+from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
+                              TrajectorySample, cross_intersections,
+                              segment_crossings)
+from connexion.omega import TransversalSection, section_crossings
 
 from conftest import single_pole
 
@@ -160,3 +163,92 @@ class TestIntersections:
         traj = trace(conn, (1.0, v0), 50.0)
         recs = self_intersections(traj)
         assert len(recs) >= 3
+
+
+def _brute_crossings(p, q):
+    """Scalar reference for segment_crossings: every pair, in (i, j) order."""
+    out = []
+    for i in range(len(p) - 1):
+        for j in range(len(q) - 1):
+            d1, d2 = p[i + 1] - p[i], q[j + 1] - q[j]
+            den = d1.real * d2.imag - d1.imag * d2.real
+            if den == 0:
+                continue
+            r = q[j] - p[i]
+            s = (r.real * d2.imag - r.imag * d2.real) / den
+            u = (r.real * d1.imag - r.imag * d1.real) / den
+            if 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0:
+                out.append((i, j, s, u, den))
+    return out
+
+
+def _polyline_trajectory(conn, pts):
+    samples = [TrajectorySample(float(k), GeodesicState("standard", z, 1.0), 0.0)
+               for k, z in enumerate(pts)]
+    return Trajectory(conn=conn, samples=samples)
+
+
+class TestSegmentCrossings:
+    def test_matches_brute_force_on_random_polylines(self):
+        rng = np.random.default_rng(5)
+        # more than 512 segments in p, so the kernel runs several row chunks
+        p = [complex(z) for z in np.cumsum(rng.normal(0, 0.3, 1200)
+                                           + 1j * rng.normal(0, 0.3, 1200))]
+        q = [complex(z) for z in np.cumsum(rng.normal(0, 0.5, 300)
+                                           + 1j * rng.normal(0, 0.5, 300))]
+        # segment 300 of q repeats segment 0 of p, segment 302 is a shifted
+        # parallel copy of it: both pairs are parallel and never reported
+        q += [p[0], p[1], p[0] + 0.5 * (p[1] - p[0]) + 1e-3j,
+              p[1] + 0.5 * (p[1] - p[0]) + 1e-3j]
+        want = _brute_crossings(p, q)
+        got = list(zip(*(x.tolist() for x in segment_crossings(p, q))))
+        assert len(want) > 50
+        assert got == want
+        assert not any(i == 0 and j in (300, 302) for i, j, *_ in got)
+
+    def test_parallel_segments_never_cross(self):
+        p = [0j, 1 + 0j]
+        for q in ([0.5 + 0j, 1.5 + 0j], [0.2 + 0j, 0.8 + 0j], [0.5j, 1 + 0.5j]):
+            assert all(x.size == 0 for x in segment_crossings(p, q))
+
+    def test_short_polylines(self):
+        for p, q in (([], [0j, 1 + 0j]), ([1j], [0j, 1 + 0j]), ([0j, 1j], [2j])):
+            assert all(x.size == 0 for x in segment_crossings(p, q))
+
+    def test_section_through_sample_vertex_counted_once(self, trivial_conn):
+        traj = _polyline_trajectory(trivial_conn, [-1 - 0.5j, 0.25 + 0j, 1 + 1j])
+        hits = section_crossings(traj, TransversalSection(-1 + 0j, 1 + 0j))
+        assert hits == [0.625]
+        assert type(hits[0]) is float
+
+    def test_section_matches_brute_force(self, trivial_conn):
+        rng = np.random.default_rng(7)
+        pts = [complex(z) for z in np.cumsum(rng.normal(0, 0.2, 2000)
+                                             + 1j * rng.normal(0, 0.2, 2000))]
+        traj = _polyline_trajectory(trivial_conn, pts)
+        sec = TransversalSection(pts[0] - 2 - 1j, pts[0] + 2 + 1j)
+        d = sec.p1 - sec.p0
+        want = sorted(
+            u for i, _, s, u, den in _brute_crossings(pts, [sec.p0, sec.p1])
+            if s < 1.0 and abs(den) / (abs(pts[i + 1] - pts[i]) * abs(d)) >= 1e-3)
+        assert len(want) > 5
+        assert section_crossings(traj, sec) == want
+
+    def test_max_count_keeps_segment_order(self, circle_conn):
+        # three turns of the unit circle cross the radial ray z = 0.5 e^t at
+        # z = 1 once per turn, at t = 3 pi / 2 + 2 pi k
+        circle = trace(circle_conn, (1j, -1.0), 6 * math.pi)
+        ray = trace(circle_conn, (0.5, 0.5), 1.0)
+        full = cross_intersections(circle, ray)
+        assert [round((r.t_i - 1.5 * math.pi) / (2 * math.pi), 9) for r in full] \
+            == [0.0, 1.0, 2.0]
+        for k in (1, 2):
+            assert cross_intersections(circle, ray, max_count=k) == full[:k]
+
+    def test_self_max_count_takes_first_pairs(self):
+        conn = single_pole(-0.9)
+        v0 = cmath.exp(1j * (math.pi - math.asin(0.5)))
+        traj = trace(conn, (1.0, v0), 50.0)
+        full = self_intersections(traj)
+        assert len(full) == 3
+        assert self_intersections(traj, max_count=2) == full[:2]
