@@ -11,6 +11,14 @@ trajectory (branch chosen by continuity), which yields
 
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
 escaping past the switch radius continue in the infinity chart.
+
+The stepper is written out for speed, and its results are bit-identical to
+the textbook form: the Butcher-tableau loop over the stages, with f(z) and K
+evaluated pole by pole.  Floating-point addition is not associative, so an
+edit to ``_dp_step`` or to the pole pass of ``trace`` must keep the tableau's
+operation order: each stage adds the terms (h*a)*k left to right starting
+from z (or v), and the weighted sums start from the integer 0, as ``sum()``
+does.  ``tests/test_engine.py`` checks ``_dp_step`` against the loop.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .connection import (FuchsianConnection, INFINITY, STANDARD, SpherePoint,
 POLE_FLOOR = 1e-6
 _MACH_EPS = math.ulp(1.0)
 PATH_CLEARANCE = 1e-9
+_HALF_PI = math.pi / 2
 C_NOISE = 1.5      # drift allowance in units of the per-step cancellation
                    # noise near poles
 H_MAX = 5.0
@@ -150,13 +159,6 @@ def _hermite(z0, v0, z1, v1, h, th):
 
 # -- local representation and primitive continuation ---------------------------
 
-def _f_eval(poles, z):
-    acc = 0j
-    for pos, res in poles:
-        acc += res / (z - pos)
-    return acc
-
-
 def _dK_segment(poles, a, b, depth=0):
     """Continuation increment of K = int f dz along the chord [a, b].
 
@@ -214,40 +216,75 @@ def metric_density(conn: FuchsianConnection, z: complex) -> float:
 
 
 # -- Dormand-Prince 5(4) -------------------------------------------------------
+# The tableau, zero entries left out; the stages keep the loop's operation
+# order (module docstring).
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def _rhs(poles, z, v):
-    return v, -_f_eval(poles, z) * v * v
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+# the seventh stage row equals the fifth-order weights (b2 = b7 = 0)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def _dp_step(poles, z, v, h):
-    kz = [0j] * 7
-    kv = [0j] * 7
-    kz[0], kv[0] = _rhs(poles, z, v)
-    for i in range(1, 7):
-        az = z
-        av = v
-        for j, a in enumerate(_DP_A[i]):
-            if a:
-                az += h * a * kz[j]
-                av += h * a * kv[j]
-        kz[i], kv[i] = _rhs(poles, az, av)
-    z1 = z + h * sum(b * k for b, k in zip(_DP_B5, kz) if b)
-    v1 = v + h * sum(b * k for b, k in zip(_DP_B5, kv) if b)
-    ez = h * sum(e * k for e, k in zip(_DP_E, kz) if e)
-    ev = h * sum(e * k for e, k in zip(_DP_E, kv) if e)
+    """One step of (z' = v, v' = -f(z) v^2), f(z) = sum rho / (z - p):
+    the fifth-order (z1, v1) and the embedded error estimates (ez, ev)."""
+    f = 0j
+    for p, r in poles:
+        f += r / (z - p)
+    k1z, k1v = v, -f * v * v
+    a1 = h * _A21
+    az, av = z + a1 * k1z, v + a1 * k1v
+    f = 0j
+    for p, r in poles:
+        f += r / (az - p)
+    k2z, k2v = av, -f * av * av
+    a1, a2 = h * _A31, h * _A32
+    az = z + a1 * k1z + a2 * k2z
+    av = v + a1 * k1v + a2 * k2v
+    f = 0j
+    for p, r in poles:
+        f += r / (az - p)
+    k3z, k3v = av, -f * av * av
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    az = z + a1 * k1z + a2 * k2z + a3 * k3z
+    av = v + a1 * k1v + a2 * k2v + a3 * k3v
+    f = 0j
+    for p, r in poles:
+        f += r / (az - p)
+    k4z, k4v = av, -f * av * av
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    az = z + a1 * k1z + a2 * k2z + a3 * k3z + a4 * k4z
+    av = v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v
+    f = 0j
+    for p, r in poles:
+        f += r / (az - p)
+    k5z, k5v = av, -f * av * av
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    az = z + a1 * k1z + a2 * k2z + a3 * k3z + a4 * k4z + a5 * k5z
+    av = v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v + a5 * k5v
+    f = 0j
+    for p, r in poles:
+        f += r / (az - p)
+    k6z, k6v = av, -f * av * av
+    a1, a3, a4, a5, a6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    az = z + a1 * k1z + a3 * k3z + a4 * k4z + a5 * k5z + a6 * k6z
+    av = v + a1 * k1v + a3 * k3v + a4 * k4v + a5 * k5v + a6 * k6v
+    f = 0j
+    for p, r in poles:
+        f += r / (az - p)
+    k7z, k7v = av, -f * av * av
+    z1 = z + h * (0 + _B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+    v1 = v + h * (0 + _B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    ez = h * (0 + _E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
+              + _E7 * k7z)
+    ev = h * (0 + _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
+              + _E7 * k7v)
     return z1, v1, ez, ev
 
 
@@ -282,24 +319,39 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
         K = 0j
 
     traj = Trajectory(conn=conn)
+    samples = traj.samples
     t = 0.0
     s_g = 0.0
     c = v * cmath.exp(K)
     c_scale = abs(c)
-    traj.samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
+    samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
 
+    rtol, atol, c_budget = opts.rtol, opts.atol, opts.c_budget
+    floor, max_steps, max_seconds = opts.pole_floor, opts.max_steps, opts.max_seconds
     h = min(opts.h0, t_max)
     steps = 0
     started = _time.monotonic()
     collapsed = False
+    table = None
 
     while t < t_max:
-        if steps >= opts.max_steps:
+        if steps >= max_steps:
             traj.termination = "max_steps"
             break
-        if opts.max_seconds is not None and _time.monotonic() - started > opts.max_seconds:
+        if max_seconds is not None and _time.monotonic() - started > max_seconds:
             traj.termination = "time_budget"
             break
+        if table is None:
+            # per-chart constants, built at the start and after a chart
+            # switch: the pole table (p, rho, |rho|, Re rho), the log of the
+            # chart's density constant and the arclength density d0 at z
+            poles = conn.chart_poles(chart)
+            table = [(pos, res, abs(res), res.real) for pos, res in poles]
+            log_c = math.log(conn.chart_density_const(chart)) if chart == INFINITY else 0.0
+            acc = log_c
+            for pos, _res, _ares, rre in table:
+                acc += rre * math.log(abs(z - pos))
+            d0 = abs(v) * math.exp(acc)
         steps += 1
         h = min(h, t_max - t, H_MAX)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -309,8 +361,8 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             break
 
         z1, v1, ez, ev = _dp_step(poles, z, v, h)
-        err = max(abs(ez) / (opts.atol + opts.rtol * max(abs(z), abs(z1))),
-                  abs(ev) / (opts.atol + opts.rtol * max(abs(v), abs(v1))))
+        err = max(abs(ez) / (atol + rtol * max(abs(z), abs(z1))),
+                  abs(ev) / (atol + rtol * max(abs(v), abs(v1))))
         if err > 1.0 or not (math.isfinite(z1.real) and math.isfinite(v1.real)):
             if not math.isfinite(err):
                 h *= 0.1
@@ -318,14 +370,57 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
                 h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        # continue K along the step chord and fold the first-integral drift
-        # into the error controller as a rate (budget per unit time), so the
-        # total drift over the trace stays below c_budget * t_max
-        try:
-            dK = _dK_segment(poles, z, z1)
-        except errors.PathThroughPole:
+        # One pass over the poles.  It continues K along the step chord with
+        # the checks of _dK_segment (which takes over when the chord must be
+        # split), sums the cancellation noise, tests whether the chord comes
+        # within the pole floor, and sums log|z1 - p| for the density at z1.
+        # The projection parameter -(da.seg)/L2 equals _dK_segment's
+        # ((p - z).seg)/L2 bit for bit.
+        seg = z1 - z
+        L2 = abs(seg) ** 2
+        dK = 0j
+        noise = 0.0
+        acc = log_c
+        split = blocked = near = False
+        for pos, res, ares, rre in table:
+            da = z - pos
+            db = z1 - pos
+            ra = abs(da)
+            rb = abs(db)
+            if ra <= PATH_CLEARANCE or rb <= PATH_CLEARANCE:
+                blocked = True
+                break
+            dc = ra      # distance from the pole to the chord
+            if L2 > 0:
+                tp = -(da.real * seg.real + da.imag * seg.imag) / L2
+                if 0.0 < tp < 1.0:
+                    dc = abs(z + tp * seg - pos)
+                    if dc <= PATH_CLEARANCE and not split:
+                        blocked = True
+                        break
+                elif tp >= 1.0:
+                    dc = abs(z + seg - pos)
+            if not split:
+                q = db / da
+                if abs(cmath.phase(q)) >= _HALF_PI:
+                    split = True
+                else:
+                    dK += res * cmath.log(q)
+            noise += ares / min(ra, rb)
+            near = near or rb < floor or dc < floor
+            acc += rre * math.log(rb)
+        if split and not blocked:
+            try:
+                dK = _dK_segment(poles, z, z1)
+            except errors.PathThroughPole:
+                blocked = True
+        if blocked:
             h *= 0.5
             continue
+
+        # fold the first-integral drift into the error controller as a rate
+        # (budget per unit time), so the total drift over the trace stays
+        # below c_budget * t_max
         K1 = K + dK
         c1 = v1 * cmath.exp(K1)
         # Allowance: a rate term (caps accumulated drift on long traces at
@@ -334,29 +429,30 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
         # eps*|z|/d of relative accuracy to cancellation in z - p; that part
         # of the drift is h-independent, so rejecting below it only stalls
         # the stepper.
-        noise = _MACH_EPS * max(1.0, abs(z1)) * sum(
-            abs(rho) / min(abs(z - pos), abs(z1 - pos)) for pos, rho in poles)
-        allowed = (opts.c_budget * h + C_NOISE * noise) * c_scale
+        noise = _MACH_EPS * max(1.0, abs(z1)) * noise
+        allowed = (c_budget * h + C_NOISE * noise) * c_scale
         err = max(err, abs(c1 - c) / allowed)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
         # accepted: arclength increment by Simpson with a Hermite midpoint
+        d1 = abs(v1) * math.exp(acc)
         zm, vm = _hermite(z, v, z1, v1, h, 0.5)
-        d0 = abs(v) * _chart_density(conn, chart, z)
-        dm = abs(vm) * _chart_density(conn, chart, zm)
-        d1 = abs(v1) * _chart_density(conn, chart, z1)
+        acc = log_c
+        for pos, _res, _ares, rre in table:
+            acc += rre * math.log(abs(zm - pos))
+        dm = abs(vm) * math.exp(acc)
         ds = h / 6.0 * (d0 + 4.0 * dm + d1)
 
         # pole-floor crossing inside the accepted step
-        hit = _pole_hit(poles, z, v, h, z1, opts.pole_floor)
+        hit = _pole_hit(poles, z, v, h, floor) if near else None
         if hit is not None:
             hh, zh, vh = hit
             t_hit = t + hh
             dK_h = _dK_segment(poles, z, zh)
             s_hit = s_g + ds * (hh / h)  # linear share; diagnostic only
-            traj.samples.append(TrajectorySample(
+            samples.append(TrajectorySample(
                 t_hit, GeodesicState(chart, zh, vh, K + dK_h), s_hit))
             pole = _nearest_pole(conn, chart, zh)
             traj.events.append((t_hit, "pole_approach", {"pole": pole}))
@@ -365,49 +461,37 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             break
 
         t += h
-        z, v, K, c = z1, v1, K1, c1
+        z, v, K, c, d0 = z1, v1, K1, c1, d1
         s_g += ds
-        traj.samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
+        samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
 
         # chart switching with hysteresis
         if chart == STANDARD and abs(z) > conn.switch_radius:
             z, v, K = _to_infinity(z, v, K)
             chart = INFINITY
-            poles = conn.chart_poles(chart)
+            table = None
             traj.events.append((t, "chart_switch", {"to": chart}))
         elif chart == INFINITY and abs(z) > 1.5 / conn.switch_radius:
             z, v, K = _to_standard(z, v, K)
             chart = STANDARD
-            poles = conn.chart_poles(chart)
+            table = None
             traj.events.append((t, "chart_switch", {"to": chart}))
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
 
     if not collapsed and t >= t_max:
         traj.termination = "t_max"
-    traj.events.append((traj.samples[-1].t, "terminated", {"reason": traj.termination}))
+    traj.events.append((samples[-1].t, "terminated", {"reason": traj.termination}))
     return traj
 
 
-def _chart_density(conn, chart, u):
-    """Metric length element per |du| in the given chart coordinate."""
-    acc = math.log(conn.chart_density_const(chart)) if chart == INFINITY else 0.0
-    for pos, res in conn.chart_poles(chart):
-        acc += res.real * math.log(abs(u - pos))
-    return math.exp(acc)
-
-
-def _pole_hit(poles, z0, v0, h, z1, floor):
+def _pole_hit(poles, z0, v0, h, floor):
     """Entry of the step arc into a pole floor: (sub-step, z, v) or None.
+    Called only for steps whose chord comes within the floor of a pole.
 
     Refinement re-runs the integrator step at partial sizes so the located
     state keeps the step's accuracy (a Hermite fit degrades near the pole).
     """
-    suspect = any(abs(z1 - pos) < floor or _chord_close(z0, z1, pos, floor)
-                  for pos, _res in poles)
-    if not suspect:
-        return None
-
     def dist(hh):
         if hh <= 0:
             return min(abs(z0 - pos) for pos, _ in poles), z0, v0
@@ -434,16 +518,6 @@ def _pole_hit(poles, z0, v0, h, z1, floor):
             lo = mid
     _, zh, vh = dist(lo)
     return lo, zh, vh
-
-
-def _chord_close(z0, z1, pos, floor):
-    seg = z1 - z0
-    L2 = abs(seg) ** 2
-    if L2 == 0:
-        return abs(z0 - pos) < floor
-    t = ((pos - z0).real * seg.real + (pos - z0).imag * seg.imag) / L2
-    t = max(0.0, min(1.0, t))
-    return abs(z0 + t * seg - pos) < floor
 
 
 def _nearest_pole(conn, chart, u) -> SpherePoint:
@@ -566,6 +640,19 @@ def _decimate(pts, ts, max_segments):
     return [pts[i] for i in idx], [ts[i] for i in idx]
 
 
+def _forward_crossings(pts):
+    """Crossing segment pairs (i, j, s, u) of one polyline with j > i + 1, in
+    lexicographic order.  Rows are scanned 512 at a time against the
+    segments from i0 + 2 on, and lazily: a caller that stops early leaves
+    the later blocks unscanned."""
+    for i0 in range(0, len(pts) - 1, 512):
+        i, j, s, u, _ = segment_crossings(pts[i0:i0 + 513], pts[i0 + 2:])
+        i += i0
+        j += i0 + 2
+        keep = j > i + 1
+        yield from zip(*(x[keep].tolist() for x in (i, j, s, u)))
+
+
 def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     """Transversal self-crossings of the sampled trajectory, refined on the
     Hermite interpolant to ~1e-12."""
@@ -573,10 +660,7 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
         return []
     pts, ts = _decimate(traj.support_std(), traj.times, 4000)
     out = []
-    hits = segment_crossings(pts, pts)
-    for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
-        if j <= i + 1:
-            continue
+    for i, j, s, u in _forward_crossings(np.asarray(pts, dtype=complex)):
         t1 = ts[i] + s * (ts[i + 1] - ts[i])
         t2 = ts[j] + u * (ts[j + 1] - ts[j])
         rec = _refine_crossing(traj, traj, t1, t2)

@@ -97,24 +97,22 @@ class DirectionClass:
 def detect_period(traj: Trajectory, tol: float = RECURRENCE_TOL):
     """Smallest recurrence time T with |z(T)-z0| + |vhat(T)-vhat0| < tol.
 
-    Candidates come from the sampled dense output; each candidate is then
-    refined by re-integrating up to the candidate time, because the cubic
-    dense output is less accurate than the recurrence tolerance.
+    Candidates come from the stored samples; each candidate is then refined
+    by re-integrating up to the candidate time, because the recurrence falls
+    between samples, where the cubic dense output is less accurate than the
+    recurrence tolerance.
     """
-    z0, v0 = traj.interpolate(traj.samples[0].t)
+    first = traj.samples[0]
+    z0, v0 = first.z_std, first.v_std
     vh0 = v0 / abs(v0)
-
-    def mismatch(t):
-        z, v = traj.interpolate(t)
-        return abs(z - z0) + abs(v / abs(v) - vh0)
-
-    ts = traj.times
     scale = max(abs(z0), 1.0)
     window = 0.0
-    for t in ts[1:]:
+    for s in traj.samples[1:]:
+        t = s.t
         if t < 1e-6 or t <= window:
             continue
-        if mismatch(t) > 0.05 * scale:
+        z, v = s.z_std, s.v_std
+        if abs(z - z0) + abs(v / abs(v) - vh0) > 0.05 * scale:
             continue
         T = _refine_period(traj, t, z0, vh0, tol)
         if T is not None:

@@ -339,14 +339,21 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
         raise errors.NotFound("no launch direction approaches the target")
     theta0 = cmath.phase(best[1].samples[0].state.v)
     span = TWO_PI / n_grid
-    cache = {}
+    # the search returns an angle whose miss is the smallest it evaluated,
+    # so only the results at such angles are kept
+    lowest = {}
 
     def m(th):
-        cache[th] = miss(th)
-        return cache[th][0]
+        r = miss(th)
+        d = next(iter(lowest.values()))[0] if lowest else math.inf
+        if r[0] < d:
+            lowest.clear()
+        if r[0] <= d:
+            lowest[th] = r
+        return r[0]
 
     theta, _ = _golden(m, theta0 - span, theta0 + span)
-    d, tr, t_hit = cache[theta]
+    d, tr, t_hit = lowest[theta]
     if d > miss_tol * max(1.0, abs(z1)):
         raise errors.NotFound(f"best miss distance {d:g} above tolerance")
     # re-trace to the hit time so the arc ends exactly on a sample

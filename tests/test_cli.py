@@ -10,13 +10,8 @@ import pytest
 CLI = [sys.executable, "-m", "connexion.cli"]
 
 
-def run(*args, env_extra=None):
-    import os
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env)
+def run(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def write_config(tmp_path, name, cfg):
@@ -116,8 +111,7 @@ class TestPortrait:
         for i in (1, 2):
             svg = tmp_path / f"p{i}.svg"
             r = run("portrait", "--config", str(scenes_dir / "twogon.json"),
-                    "--svg", str(svg), "--seed", "7",
-                    env_extra={"CONNEXION_THREADS": "2"})
+                    "--svg", str(svg), "--seed", "7")
             assert r.returncode == 0, r.stderr
             docs.append(svg.read_bytes())
         assert docs[0] == docs[1]

@@ -11,7 +11,7 @@ import pytest
 from connexion import (IntegratorOptions, SpherePoint, build_connection,
                        continue_K, first_integral, g_length, metric_density,
                        self_intersections, trace, trajectory_to_csv)
-from connexion import errors
+from connexion import engine, errors
 from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
                               TrajectorySample, cross_intersections,
                               segment_crossings)
@@ -252,3 +252,120 @@ class TestSegmentCrossings:
         full = self_intersections(traj)
         assert len(full) == 3
         assert self_intersections(traj, max_count=2) == full[:2]
+
+
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+         -1 / 40)
+
+
+def _tableau_step(poles, z, v, h):
+    """Reference Dormand-Prince step: the generic loop over the tableau."""
+    def rhs(z, v):
+        f = 0j
+        for pos, res in poles:
+            f += res / (z - pos)
+        return v, -f * v * v
+
+    kz, kv = [0j] * 7, [0j] * 7
+    kz[0], kv[0] = rhs(z, v)
+    for i in range(1, 7):
+        az, av = z, v
+        for j, a in enumerate(_DP_A[i]):
+            if a:
+                az += h * a * kz[j]
+                av += h * a * kv[j]
+        kz[i], kv[i] = rhs(az, av)
+    z1 = z + h * sum(b * k for b, k in zip(_DP_B5, kz) if b)
+    v1 = v + h * sum(b * k for b, k in zip(_DP_B5, kv) if b)
+    ez = h * sum(e * k for e, k in zip(_DP_E, kz) if e)
+    ev = h * sum(e * k for e, k in zip(_DP_E, kv) if e)
+    return z1, v1, ez, ev
+
+
+def _self_reference(traj, max_count):
+    """The full symmetric scan: every pair of segments in both orders, pairs
+    with j <= i + 1 skipped."""
+    pts, ts = engine._decimate(traj.support_std(), traj.times, 4000)
+    out = []
+    hits = segment_crossings(pts, pts)
+    for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
+        if j <= i + 1:
+            continue
+        rec = engine._refine_crossing(traj, traj, ts[i] + s * (ts[i + 1] - ts[i]),
+                                      ts[j] + u * (ts[j + 1] - ts[j]))
+        if rec is None or rec[1] - rec[0] < 1e-9:
+            continue
+        out.append(engine.IntersectionRecord(*rec))
+        if len(out) >= max_count:
+            break
+    out.sort(key=lambda r: (r.t_i, r.t_j))
+    return out
+
+
+class TestFastPath:
+    def test_dp_step_matches_tableau_loop(self):
+        rng = np.random.default_rng(11)
+        for n_poles in (1, 2, 3, 4):
+            for _ in range(5):
+                pos = rng.normal(0, 1.5, n_poles) + 1j * rng.normal(0, 1.5, n_poles)
+                conn = build_connection(
+                    [(SpherePoint.of(complex(p)), float(r))
+                     for p, r in zip(pos, rng.uniform(-0.95, 0.9, n_poles))])
+                for chart in ("standard", "infinity"):
+                    poles = conn.chart_poles(chart)
+                    for _ in range(20):
+                        z = complex(*rng.normal(0, 2.0, 2))
+                        v = complex(*rng.normal(0, 1.0, 2))
+                        h = float(10.0 ** rng.uniform(-5, 0))
+                        assert engine._dp_step(poles, z, v, h) \
+                            == _tableau_step(poles, z, v, h)
+
+    def test_self_intersections_match_full_scan(self, trivial_conn):
+        rng = np.random.default_rng(13)
+        for n in (40, 700, 1500):
+            # a random walk with centred-difference velocities: its Hermite
+            # interpolant follows the polyline, so crossings refine
+            steps = rng.normal(0, 0.3, n) + 1j * rng.normal(0, 0.3, n)
+            for k in range(0, n - 3, 512):
+                # segments k and k + 2 cross, at the first row of each block
+                steps[k + 1:k + 4] = 2.0, -1.0 + 1j, -2j
+            pts = np.cumsum(steps)
+            full = segment_crossings(pts, pts)
+            keep = full[1] > full[0] + 1
+            got = list(engine._forward_crossings(pts))
+            assert got == list(zip(*(x[keep].tolist() for x in full[:4])))
+            assert {(k, k + 2) for k in range(0, n - 3, 512)} <= {g[:2] for g in got}
+            vel = np.gradient(pts)
+            traj = Trajectory(conn=trivial_conn, samples=[
+                TrajectorySample(float(k), GeodesicState("standard", complex(z),
+                                                         complex(v)), 0.0)
+                for k, (z, v) in enumerate(zip(pts, vel))])
+            # the last count is no cap: every block of rows is scanned
+            for max_count in (1, 4, 64, n * n):
+                want = _self_reference(traj, max_count)
+                assert want
+                assert self_intersections(traj, max_count=max_count) == want
+        assert len(want) > 1000
+
+    def test_split_chord_continues_K_like_continue_K(self):
+        # loose tolerances let one step jump past a weak pole: its chord
+        # subtends more than pi/2 there, so K is continued on split chords
+        conn = build_connection([(SpherePoint.of(0.0), -1e-6),
+                                 (SpherePoint.of(2 + 1j), -0.5)])
+        opts = IntegratorOptions(rtol=1e-6, atol=1e-6, c_budget=1e-6)
+        traj = trace(conn, (-1 + 1e-3j, 1.0), 3.0, opts)
+        zs = traj.support_std()
+        assert traj.termination == "t_max"
+        assert any(abs(cmath.phase(b / a)) >= math.pi / 2 for a, b in zip(zs, zs[1:]))
+        assert [s.state.k_phase for s in traj.samples] == continue_K(conn, zs)
