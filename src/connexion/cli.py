@@ -97,8 +97,8 @@ def main():
 _config_opt = click.option("--config", "config_path", required=True,
                            type=click.Path(), help="Scene configuration (JSON).")
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True,
-                         help="Random seed; only portrait and verify "
-                              "teichmuller use it.")
+                         help="Random seed of the portrait launch directions "
+                              "and the verify teichmuller polygons.")
 _budget_opt = click.option("--budget-steps", type=int, default=None,
                            help="Cap on integrator step attempts, accepted "
                                 "or rejected.")
@@ -123,9 +123,8 @@ def validate(config_path):
               help="CSV output path.")
 @click.option("--svg", "svg_path", type=click.Path(), default=None,
               help="SVG output path.")
-@_seed_opt
 @_budget_opt
-def trace_cmd(config_path, out_path, svg_path, seed, budget_steps):
+def trace_cmd(config_path, out_path, svg_path, budget_steps):
     """Trace the configured geodesics; write CSV and/or SVG."""
     cfg = load_config(config_path)
     conn, initials = build_scene(cfg)
@@ -170,9 +169,8 @@ def _indexed_path(path, i):
 
 @main.command(name="classify")
 @_config_opt
-@_seed_opt
 @_budget_opt
-def classify_cmd(config_path, seed, budget_steps):
+def classify_cmd(config_path, budget_steps):
     """Classify the omega-limit set of each configured geodesic."""
     cfg = load_config(config_path)
     conn, initials = build_scene(cfg)
@@ -238,8 +236,7 @@ def portrait(config_path, svg_path, seed, budget_steps):
               help="Optional scene, only validated; the suites always run "
                    "on their built-in connections.")
 @_seed_opt
-@_budget_opt
-def verify(which, config_path, seed, budget_steps):
+def verify(which, config_path, seed):
     """Run a verification suite; exit 4 on any failing check."""
     if config_path is not None:
         build_scene(load_config(config_path))   # config errors still exit 2

@@ -12,6 +12,11 @@ trajectory (branch chosen by continuity), which yields
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
 escaping past the switch radius continue in the infinity chart.
 
+With ``certify=True`` a trace also stops, with termination
+``"pole_certified"``, as soon as an accepted state passes the fall
+certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
+are then the first samples of the trace without the flag.
+
 The stepper is written out for speed, and its results are bit-identical to
 the textbook form: the Butcher-tableau loop over the stages, with f(z) and K
 evaluated pole by pole.  Floating-point addition is not associative, so an
@@ -34,6 +39,7 @@ import numpy as np
 from . import errors
 from .connection import (FuchsianConnection, INFINITY, STANDARD, SpherePoint,
                          is_real_residues)
+from .localchart import adapted_chart
 
 POLE_FLOOR = 1e-6
 _MACH_EPS = math.ulp(1.0)
@@ -291,8 +297,13 @@ def _dp_step(poles, z, v, h):
 # -- the tracer ----------------------------------------------------------------
 
 def trace(conn: FuchsianConnection, initial, t_max: float,
-          opts: IntegratorOptions | None = None) -> Trajectory:
-    """Integrate the geodesic through ``initial`` up to time ``t_max``."""
+          opts: IntegratorOptions | None = None, *,
+          certify: bool = False) -> Trajectory:
+    """Integrate the geodesic through ``initial`` up to time ``t_max``.
+
+    With ``certify`` the trace ends early once it is certified to fall into
+    a pole of residue < -1 (module docstring).
+    """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     opts = opts or IntegratorOptions()
@@ -333,6 +344,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     started = _time.monotonic()
     collapsed = False
     table = None
+    falls = _fall_charts(conn) if certify else ()
 
     while t < t_max:
         if steps >= max_steps:
@@ -428,8 +440,9 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
         # branch-continued log terms.  Near a pole the increment of K loses
         # eps*|z|/d of relative accuracy to cancellation in z - p; that part
         # of the drift is h-independent, so rejecting below it only stalls
-        # the stepper.
-        noise = _MACH_EPS * max(1.0, abs(z1)) * noise
+        # the stepper.  The 2 eps floor is the rounding of c = v exp(K)
+        # itself, which a weak pole's |rho|/d term does not cover.
+        noise = _MACH_EPS * (max(1.0, abs(z1)) * noise + 2.0)
         allowed = (c_budget * h + C_NOISE * noise) * c_scale
         err = max(err, abs(c1 - c) / allowed)
         if err > 1.0:
@@ -464,6 +477,13 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
         z, v, K, c, d0 = z1, v1, K1, c1, d1
         s_g += ds
         samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
+
+        cert = _fall_certificate(falls, chart, z, v) if falls else None
+        if cert is not None:
+            traj.events.append((t, "pole_certified", cert))
+            traj.termination = "pole_certified"
+            collapsed = True
+            break
 
         # chart switching with hysteresis
         if chart == STANDARD and abs(z) > conn.switch_radius:
@@ -518,6 +538,32 @@ def _pole_hit(poles, z0, v0, h, floor):
             lo = mid
     _, zh, vh = dist(lo)
     return lo, zh, vh
+
+
+def _fall_charts(conn):
+    """(chart, w_in) for each pole of residue < -1 that has an adapted chart."""
+    out = []
+    for p in conn.poles:
+        if p.residue.real < -1.0:
+            try:
+                chart = adapted_chart(conn, p.location)
+            except (errors.ResonantOrLow, errors.SeriesDivergence):
+                continue
+            out.append((chart, chart.inscribed_w()))
+    return out
+
+
+def _fall_certificate(falls, chart, z, v):
+    """Payload of the first fall certificate the state (z, v) of ``chart``
+    passes, or None.  A pole at infinity is tested while the trace is still
+    in the standard chart, so the state is carried into each pole's own
+    ambient chart."""
+    for fc, w_in in falls:
+        u, vu = (z, v) if fc.ambient == chart else (1.0 / z, -v / z ** 2)
+        cert = fc.falls_in(w_in, u, vu)
+        if cert is not None:
+            return {"pole": fc.pole, **cert}
+    return None
 
 
 def _nearest_pole(conn, chart, u) -> SpherePoint:

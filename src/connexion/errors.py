@@ -60,7 +60,8 @@ class ZeroVelocity(ConnexionError):
 # -- adapted charts and local theory ------------------------------------------
 
 class ResonantOrLow(ConnexionError):
-    """Residue <= -1: no adapted chart in the scope of the local theory."""
+    """Resonant residue rho in {-1, -2, ...}: the adapted-chart series
+    divides by j + rho + 1 = 0, so there is no adapted chart."""
 
 
 class SeriesDivergence(ConnexionError):

@@ -1,14 +1,19 @@
 """Local theory around a Fuchsian pole with real residue.
 
-Around a pole with residue rho > -1 there is an adapted coordinate w in
-which the connection form is exactly rho dw/w.  In that coordinate the
-geodesics have the closed form
+Around a pole with non-resonant residue rho (any rho > -1, and rho < -1
+except the integers) there is an adapted coordinate w in which the
+connection form is exactly rho dw/w.  In that coordinate the geodesics have
+the closed form
 
     z(t) = e^{i alpha} (a t + b)^{1/(rho+1)}        (rho != -1)
     z(t) = r e^{i (a t + b)}                         (rho == -1)
 
-and all the local metric geometry (critical rays, chart diameter, crossing
-predicates) is explicit.  The adapted coordinate is constructed as a
+so W = w^{rho+1} moves on a straight line.  For rho > -1 all the local
+metric geometry (critical rays, chart diameter, crossing predicates) is
+explicit.  For rho < -1 the pole sits at |W| = infinity: a geodesic whose
+W-line has passed its closest approach to 0 has |w| decreasing from then on,
+so once it is inside the chart it stays there and tends to the pole
+(``AdaptedChart.falls_in``).  The adapted coordinate is constructed as a
 truncated power series with a constructive radius: the radius is shrunk
 until the pulled-back connection form matches rho dw/w on a test grid.
 """
@@ -27,6 +32,8 @@ from .connection import (INFINITY, STANDARD, FuchsianConnection, SpherePoint)
 RESIDUAL_TOL = 1e-8
 CRITICAL_TOL = 1e-9
 DEFAULT_N = 24
+FALL_ETA = 0.05    # descent margin of the fall certificate:
+                   # Re(w'/w) < -FALL_ETA |w'/w|
 
 
 # -- power-series helpers (coefficient lists, index = power) -------------------
@@ -109,6 +116,32 @@ class AdaptedChart:
         return {"radius": self.radius, "order": self.order,
                 "residual": self.residual}
 
+    def inscribed_w(self, n: int = 64) -> float:
+        """Radius w_in of the w-disc inscribed in the image of
+        |zeta| < 0.9 radius, the circle the residual is checked on: the
+        minimum of |w| over n points of that circle."""
+        zeta = 0.9 * self.radius * np.exp(2j * np.pi * np.arange(n) / n)
+        return float(np.min(np.abs(zeta * np.polyval(self.series[::-1], zeta))))
+
+    def falls_in(self, w_in: float, u: complex, v: complex):
+        """Fall certificate of a rho < -1 chart for the ambient state (u, v).
+
+        The state passes when |w| < w_in and Re(w'/w) < -FALL_ETA |w'/w|:
+        it lies in the validated region and |w| decreases, so its W-line is
+        past its closest approach and the geodesic tends to the pole without
+        leaving the disc.  Returns the figures next to their thresholds,
+        ``{"abs_w": (|w|, w_in), "descent": (Re(w'/w)/|w'/w|, -FALL_ETA)}``,
+        or None.  The series is evaluated only within 0.9 radius.
+        """
+        if not abs(u - self.center) < 0.9 * self.radius:
+            return None
+        w, dw = self.push_state(u, v)
+        q = dw / w
+        if abs(w) < w_in and q.real < -FALL_ETA * abs(q):
+            return {"abs_w": (abs(w), w_in),
+                    "descent": (q.real / abs(q), -FALL_ETA)}
+        return None
+
 
 def _ambient_for(conn: FuchsianConnection, pole: SpherePoint):
     if pole.infinite:
@@ -125,16 +158,18 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
 
         w = zeta * ( sum_j c_j zeta^j / (j + rho + 1) )^{1/(rho+1)},
 
-    pinned to the positive real value 1/(rho+1)^{1/(rho+1)} at zeta = 0.
-    The radius starts at half the distance to the nearest other pole and is
-    shrunk geometrically until the pullback residual passes on a grid.
+    with w/zeta pinned to the positive real value |1/(rho+1)|^{1/(rho+1)}
+    at zeta = 0.  The divisors j + rho + 1 vanish only for the resonant
+    residues rho = -1, -2, ..., which are refused.  The radius starts at half
+    the distance to the nearest other pole and is shrunk geometrically until
+    the pullback residual passes on a grid.
     """
     if N < 4:
         raise ValueError("N must be at least 4")
     ambient, center = _ambient_for(conn, pole)
     rho = conn.residue_at(pole).real
-    if rho <= -1.0:
-        raise errors.ResonantOrLow(f"residue {rho} <= -1: no adapted chart")
+    if rho <= -1.0 and abs(rho - round(rho)) <= 1e-9:
+        raise errors.ResonantOrLow(f"residue {rho} is resonant: no adapted chart")
 
     others = [(pos, res) for pos, res in conn.chart_poles(ambient)
               if abs(pos - center) > 1e-12]
@@ -154,10 +189,10 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
     c = _ser_exp(F)
 
     G = [cj / (j + rho + 1.0) for j, cj in enumerate(c)]
-    G0 = G[0]  # = 1/(rho+1), real positive
+    G0 = G[0]  # = 1/(rho+1), real, negative for rho < -1
     L = _ser_log1([g / G0 for g in G])
     K = _ser_exp([l / (rho + 1.0) for l in L])
-    K0 = G0.real ** (1.0 / (rho + 1.0))
+    K0 = abs(G0) ** (1.0 / (rho + 1.0))
     K = [K0 * k for k in K]
 
     dists = [abs(pos - center) for pos, _ in others]

@@ -3,8 +3,13 @@
 For real residues a forward-maximal geodesic can (1) fall into a pole,
 (2) close up periodically, (3) accumulate on a transversally Cantor-like
 set, (4) accumulate on a saddle-connection graph, or (5) fill a region.
-Only (1) and (2) are decidable from finite data; the remaining verdicts are
-evidence grades built from crossing statistics on a transversal section.
+Only (1) and (2) are decidable from finite data.  A fall into a pole of
+residue > -1 is seen when the trace reaches the pole floor; a fall into a
+non-resonant residue < -1 pole takes infinite time and is certified by the
+local model (``AdaptedChart.falls_in``), with the ``_tail_convergence``
+heuristic left for resonant poles and traces the certificate does not reach
+within budget.  The remaining verdicts are evidence grades built from
+crossing statistics on a transversal section.
 Two further tags — accumulation on a periodic orbit the geodesic never
 joins, and accumulation on a saddle graph while staying simple — are
 expected to be empirically absent for real residues; the exclusion audit
@@ -244,12 +249,17 @@ def box_dimension(xs: np.ndarray) -> float:
 def classify(conn: FuchsianConnection, initial,
              budget: ClassifyBudget | None = None) -> OmegaVerdict:
     budget = budget or ClassifyBudget()
-    traj = trace(conn, initial, budget.t_max, budget.options())
+    traj = trace(conn, initial, budget.t_max, budget.options(), certify=True)
 
     if traj.termination == "pole_approach":
         pole = next(p["pole"] for t, k, p in traj.events if k == "pole_approach")
         return OmegaVerdict("ConvergesToPole",
                             {"pole": pole, "t_hit": traj.t_end, "traj": traj})
+    if traj.termination == "pole_certified":
+        t, _, cert = next(e for e in traj.events if e[1] == "pole_certified")
+        return OmegaVerdict("ConvergesToPole",
+                            {**cert, "t_hit": None, "certified": True,
+                             "t_cert": t, "traj": traj})
 
     T = detect_period(traj)
     if T is not None:
@@ -258,7 +268,8 @@ def classify(conn: FuchsianConnection, initial,
     pole = _tail_convergence(traj)
     if pole is not None:
         return OmegaVerdict("ConvergesToPole",
-                            {"pole": pole, "t_hit": None, "traj": traj})
+                            {"pole": pole, "t_hit": None, "certified": False,
+                             "traj": traj})
 
     crossings = self_intersections(traj, max_count=4)
     simple = len(crossings) == 0
@@ -289,8 +300,10 @@ def _tail_convergence(traj: Trajectory):
     """Convergence toward a pole the integrator never reaches within t_max.
 
     Poles with residue <= -1 sit at infinite metric distance, so a geodesic
-    falling into one terminates only by time budget; detect it from a
-    monotonically shrinking chart distance over the tail of the trace.
+    falling into one never reaches the pole floor.  ``classify`` certifies
+    such falls for non-resonant residues < -1; this heuristic covers the
+    resonant poles (rho = -1, -2, ...) and the traces not certified within
+    budget, from a monotonically shrinking chart distance over the tail.
     """
     samples = traj.samples
     if len(samples) < 40:
@@ -554,6 +567,7 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
     lines = []
     anomalies = []
     counts: dict = {}
+    certified = 0
     for i in range(n_configs):
         conn = random_connection(rng)
         while True:
@@ -563,6 +577,7 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
         v0 = cmath.exp(1j * rng.uniform(0.0, TWO_PI))
         verdict = classify(conn, (z0, v0), budget)
         counts[verdict.tag] = counts.get(verdict.tag, 0) + 1
+        certified += bool(verdict.details.get("certified"))
         line = f"config={i} seed={seed} verdict={verdict}"
         if verdict.tag in ("AccumulatesOnForeignPeriodic",
                            "AccumulatesOnSaddleGraph"):
@@ -570,6 +585,7 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
             line += " ANOMALY"
         lines.append(line)
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    lines.append(f"total={n_configs} anomalies={len(anomalies)} {summary}")
+    lines.append(f"total={n_configs} anomalies={len(anomalies)} "
+                 f"certified={certified} {summary}")
     return {"lines": lines, "anomalies": anomalies, "counts": counts,
             "text": "\n".join(lines) + "\n"}

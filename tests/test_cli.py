@@ -73,7 +73,7 @@ class TestTrace:
             out = tmp_path / f"a{i}.csv"
             svg = tmp_path / f"a{i}.svg"
             r = run("trace", "--config", str(scenes_dir / "selfcross.json"),
-                    "--out", str(out), "--svg", str(svg), "--seed", "5")
+                    "--out", str(out), "--svg", str(svg))
             assert r.returncode == 0, r.stderr
             outs.append((out.read_bytes(), svg.read_bytes()))
         assert outs[0] == outs[1]
@@ -83,6 +83,12 @@ class TestTrace:
                 "--budget-steps", "3")
         assert r.returncode == 3
         assert "numerical failure" in r.stderr
+
+    def test_seed_option_removed(self, scenes_dir):
+        r = run("trace", "--config", str(scenes_dir / "circle.json"),
+                "--seed", "5")
+        assert r.returncode == 2
+        assert "--seed" in r.stderr
 
     def test_no_initial_conditions_exits_2(self, tmp_path):
         cfg = {"connection": {"poles": [{"re": 0.0, "im": 0.0,
@@ -132,6 +138,11 @@ class TestVerify:
         assert r.returncode == 0, r.stdout + r.stderr
         assert "FAIL" not in r.stdout
         assert "all checks passed" in r.stdout
+
+    def test_budget_steps_option_removed(self):
+        r = run("verify", "local", "--budget-steps", "1")
+        assert r.returncode == 2
+        assert "--budget-steps" in r.stderr
 
     def test_bad_config_still_exits_2(self, tmp_path):
         r = run("verify", "local", "--config",

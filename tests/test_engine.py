@@ -50,6 +50,15 @@ class TestBasicTracing:
         assert traj.termination == "pole_approach"
         assert traj.t_end == pytest.approx(2.0 / 3.0, abs=1e-6)
 
+    def test_passes_close_to_weak_pole(self):
+        # the first-integral allowance must cover the rounding of c itself:
+        # a rho = -1e-6 pole adds almost no cancellation noise, and without
+        # that floor the step collapsed about 1e-4 from the pole at t ~ 1
+        conn = build_connection([(SpherePoint.of(0.0), -1e-6)])
+        traj = trace(conn, (-1.0 + 1e-4j, 1.0), 3.0)
+        assert traj.termination == "t_max"
+        assert first_integral(traj)[1] < 1e-11
+
 
 class TestFirstIntegral:
     def test_drift_small_on_circle(self, circle_conn):

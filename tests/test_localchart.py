@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from connexion import (DirectionInterval, SpherePoint, build_connection,
                        adapted_chart, closed_form_path, critical_length,
                        diameter_bound, entry_direction, is_critical,
-                       local_params, must_cross, self_intersection_radius)
+                       local_params, must_cross, self_intersection_radius,
+                       trace)
 from connexion import errors
+from connexion.localchart import FALL_ETA
 
 from conftest import single_pole
 
@@ -43,6 +45,91 @@ class TestAdaptedChart:
         chart = adapted_chart(single_pole(1.0), SpherePoint.of(0.0))
         rep = chart.report()
         assert {"radius", "order", "residual"} <= set(rep)
+
+    def test_residue_below_minus_one_with_second_pole(self):
+        conn = build_connection([(SpherePoint.of(0.0), -1.5),
+                                 (SpherePoint.of(1.0), 0.3)])
+        chart = adapted_chart(conn, SpherePoint.of(0.0))
+        assert chart.residual <= 1e-8
+        assert 0 < chart.radius <= 0.5
+        # w/zeta is pinned to the positive real |1/(rho+1)|^{1/(rho+1)}
+        assert chart.series[0] == pytest.approx(2.0 ** -2.0, rel=1e-14)
+
+    def test_resonant_residue_rejected(self):
+        with pytest.raises(errors.ResonantOrLow):
+            adapted_chart(single_pole(-2.0), SpherePoint.of(0.0))
+
+
+def first_certified_index(traj, chart, w_in):
+    """Index of the first sample after the start that lies in the disc
+    |w| < w_in and moves inward with margin, or None."""
+    for i, s in enumerate(traj.samples[1:], 1):
+        u = s.z_std - chart.center
+        if abs(u) >= 0.9 * chart.radius:
+            continue
+        w, dw = chart.push_state(s.z_std, s.v_std)
+        q = dw / w
+        if abs(w) < w_in and q.real < -FALL_ETA * abs(q):
+            return i
+    return None
+
+
+class TestFallCertificate:
+    @pytest.mark.parametrize("z0, v0, t_max", [
+        (6.0, -1.0 + 0.2j, 30.0),                     # inward from outside
+        (2.0, cmath.exp(1j * (math.pi / 2 - 0.02)), 30.0),  # outward, turns
+        (1.0, 1.0, 1.5),                              # radially outward
+    ])
+    def test_exact_chart_certifies_first_inward_sample(self, z0, v0, t_max):
+        # one pole of residue -1.5: w = z / 4 exactly, so the disc is
+        # |z| < 0.9 radius and |w| decreases exactly when Re(v/z) < 0
+        conn = single_pole(-1.5)
+        chart = adapted_chart(conn, SpherePoint.of(0.0))
+        w_in = chart.inscribed_w()
+        assert chart.residual == 0.0
+        assert w_in == pytest.approx(0.9 * chart.radius / 4.0, rel=1e-12)
+        full = trace(conn, (z0, v0), t_max)
+        cert = trace(conn, (z0, v0), t_max, certify=True)
+        k = first_certified_index(full, chart, w_in)
+        if k is None:
+            assert cert.termination == full.termination != "pole_certified"
+            assert cert.samples == full.samples
+            return
+        assert cert.termination == "pole_certified"
+        assert cert.samples == full.samples[:k + 1]
+        t, kind, payload = cert.events[-2]
+        assert (t, kind) == (cert.t_end, "pole_certified")
+        assert payload["pole"] == SpherePoint.of(0.0)
+        z, v = cert.samples[-1].z_std, cert.samples[-1].v_std
+        assert payload["abs_w"] == (pytest.approx(abs(z) / 4.0), w_in)
+        assert payload["descent"] == (
+            pytest.approx((v / z).real / abs(v / z)), -FALL_ETA)
+
+    def test_outward_state_is_certified_only_after_turning(self):
+        conn = single_pole(-1.5)
+        z0, v0 = 2.0, cmath.exp(1j * (math.pi / 2 - 0.02))
+        cert = trace(conn, (z0, v0), 30.0, certify=True)
+        full = trace(conn, (z0, v0), 30.0)
+        turn = max(full.samples, key=lambda s: abs(s.z_std)).t
+        assert cert.termination == "pole_certified"
+        assert cert.t_end > turn
+
+    def test_second_pole_chart_certifies_first_sample_in_disc(self):
+        conn = build_connection([(SpherePoint.of(0.0), -1.5),
+                                 (SpherePoint.of(1.0), 0.3)])
+        chart = adapted_chart(conn, SpherePoint.of(0.0))
+        w_in = chart.inscribed_w()
+        ic = (-0.8 + 0.1j, 1.0 + 0.25j)
+        full = trace(conn, ic, 20.0)
+        cert = trace(conn, ic, 20.0, certify=True)
+        k = first_certified_index(full, chart, w_in)
+        assert k is not None
+        # the first in-chart sample lies outside the inscribed w-disc
+        first_in = next(i for i, s in enumerate(full.samples)
+                        if abs(s.z_std) < 0.9 * chart.radius)
+        assert first_in < k
+        assert cert.termination == "pole_certified"
+        assert cert.samples == full.samples[:k + 1]
 
 
 class TestLocalParams:

@@ -2,6 +2,7 @@
 ring domains, saddle connections."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
                        detect_period, ring_domain_probe,
                        saddle_connection_search, trace, transversal_analysis)
 from connexion import errors
+from connexion.localchart import FALL_ETA
 from connexion.omega import (DirectionClass, TransversalSection,
-                             exclusion_audit, random_connection,
-                             section_crossings)
+                             _tail_convergence, exclusion_audit,
+                             random_connection, section_crossings)
 
 from conftest import single_pole
 
@@ -142,6 +144,71 @@ class TestSaddleConnections:
         assert abs(seg.length - math.pi / 2.0) < 1e-3
 
 
+def audit_draws(seed, n):
+    """The configurations and initial states exclusion_audit(n, seed) draws."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        conn = random_connection(rng)
+        while True:
+            z0 = complex(*rng.normal(0.0, 2.0, 2))
+            if all(abs(z0 - pos) > 0.05 for pos, _ in conn.chart_poles("standard")):
+                break
+        out.append((conn, (z0, np.exp(1j * rng.uniform(0.0, 2 * math.pi)))))
+    return out
+
+
+AUDIT_BUDGET = ClassifyBudget(t_max=60.0, max_steps=60_000)
+
+
+class TestCertifiedConvergence:
+    def test_certified_trace_is_prefix_of_full_trace(self):
+        draws = audit_draws(7, 20)
+        n_cert = 0
+        for conn, ic in draws:
+            full = trace(conn, ic, 60.0, AUDIT_BUDGET.options())
+            cert = trace(conn, ic, 60.0, AUDIT_BUDGET.options(), certify=True)
+            assert cert.samples == full.samples[:len(cert.samples)]
+            if cert.termination == "pole_certified":
+                n_cert += 1
+                assert len(cert.samples) < len(full.samples)
+            else:
+                assert cert.termination == full.termination
+                assert len(cert.samples) == len(full.samples)
+        assert n_cert > 0
+
+    def test_certified_pole_agrees_with_tail_heuristic(self):
+        both = 0
+        for conn, ic in audit_draws(0, 40):
+            verdict = classify(conn, ic, AUDIT_BUDGET)
+            if not verdict.details.get("certified"):
+                continue
+            full = trace(conn, ic, 60.0, AUDIT_BUDGET.options())
+            pole = _tail_convergence(full)
+            if pole is not None:
+                both += 1
+                assert pole == verdict.details["pole"]
+        assert both > 0
+
+    def test_evidence_trail(self):
+        seen = set()
+        for conn, ic in audit_draws(0, 40):
+            v = classify(conn, ic, AUDIT_BUDGET)
+            if v.tag != "ConvergesToPole" or v.details["t_hit"] is not None:
+                continue
+            d = v.details
+            seen.add(d["certified"])
+            assert str(v) == f"ConvergesToPole({d['pole']})"
+            if not d["certified"]:
+                continue
+            assert d["t_cert"] == d["traj"].t_end
+            abs_w, w_in = d["abs_w"]
+            descent, bound = d["descent"]
+            assert abs_w < w_in
+            assert bound == -FALL_ETA and -1.0 <= descent < bound
+        assert seen == {True, False}
+
+
 class TestExclusionAudit:
     def test_small_audit_shape(self):
         rep = exclusion_audit(n_configs=5, seed=3)
@@ -149,6 +216,8 @@ class TestExclusionAudit:
         assert rep["anomalies"] == []
         assert sum(rep["counts"].values()) == 5
         assert rep["text"].endswith("\n")
+        certified = int(re.search(r" certified=(\d+) ", rep["lines"][-1])[1])
+        assert 0 <= certified <= rep["counts"].get("ConvergesToPole", 0)
 
     def test_random_connection_valid(self):
         rng = np.random.default_rng(0)
