@@ -2,22 +2,21 @@
 
 from .connection import (FuchsianConnection, LoopPath, PoleSpec, SpherePoint,
                          build_connection, connection_from_dict,
-                         connection_to_dict, from_k_differential,
-                         is_real_residues, local_rep, monodromy_of_loop,
-                         winding_number)
+                         connection_to_dict, from_k_differential, local_rep,
+                         monodromy_of_loop, winding_number)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     TrajectorySample, continue_K, first_integral, g_length,
+                     TrajectorySample, continue_K, first_integral,
                      metric_density, self_intersections, trace,
                      trajectory_to_csv)
 from .localchart import (AdaptedChart, DirectionInterval, LocalGeodesicParams,
                          adapted_chart, chi, closed_form_path, critical_length,
                          diameter_bound, entry_direction, is_critical,
                          local_params, must_cross, self_intersection_radius)
-from .omega import (ClassifyBudget, DirectionClass, OmegaVerdict,
-                       RingDomainReport, SaddleConnection, TransversalSection,
-                       box_dimension, classify, crossing_statistics,
-                       detect_period, exclusion_audit, ring_domain_probe,
-                       saddle_connection_search, transversal_analysis)
+from .omega import (ClassifyBudget, OmegaVerdict, RingDomainReport,
+                    SaddleConnection, TransversalSection, box_dimension,
+                    classify, crossing_statistics, detect_period,
+                    exclusion_audit, ring_domain_probe,
+                    saddle_connection_search, transversal_analysis)
 from .polygons import (GeodesicPolygon, PartTopology, PolygonVertex, Side,
                        chart_polygon, check_chart_polygon,
                        check_general_formula, check_p1_formula, connect_unique,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import errors
 from .omega import ClassifyBudget, classify, saddle_connection_search
-from .connection import (FuchsianConnection, SpherePoint, connection_from_dict)
+from .connection import SpherePoint, connection_from_dict
 from .engine import (IntegratorOptions, trace, trajectory_to_csv)
 from .localchart import (adapted_chart, closed_form_path, critical_length,
                          local_params)
@@ -110,9 +110,9 @@ def validate(config_path):
     """Validate a scene configuration."""
     cfg = load_config(config_path)
     conn, initials = build_scene(cfg)
-    total = sum(p.residue.real for p in conn.poles)
+    total = sum(p.residue for p in conn.poles)
     click.echo(f"ok: {len(conn.finite_poles)} finite pole(s), "
-               f"residue at infinity {conn.infinity_residue.real:g}, "
+               f"residue at infinity {conn.infinity_residue:g}, "
                f"total {total:g}")
     click.echo(f"ok: {len(initials)} initial condition(s)")
 

@@ -60,11 +60,7 @@ class SpherePoint:
 @dataclass(frozen=True)
 class PoleSpec:
     location: SpherePoint
-    residue: complex  # real in all metric contexts; complex only behind a flag
-
-    @property
-    def rho(self) -> float:
-        return self.residue.real if isinstance(self.residue, complex) else float(self.residue)
+    residue: float
 
 
 @dataclass(frozen=True)
@@ -94,13 +90,13 @@ class FuchsianConnection:
         return self._finite
 
     @property
-    def infinity_residue(self) -> complex:
+    def infinity_residue(self) -> float:
         for p in self.poles:
             if p.location.infinite:
                 return p.residue
-        return complex(RESIDUE_SUM) - sum((p.residue for p in self._finite), 0j)
+        return RESIDUE_SUM - sum(p.residue for p in self._finite)
 
-    def residue_at(self, loc: SpherePoint) -> complex:
+    def residue_at(self, loc: SpherePoint) -> float:
         if loc.infinite:
             return self.infinity_residue
         for p in self._finite:
@@ -121,61 +117,48 @@ class FuchsianConnection:
                 out.append((1.0 / p.location.z, p.residue))
         return out
 
-    def chart_density_const(self, chart: str) -> float:
-        """Multiplier so that density(chart) * |du| equals the global metric
-        length element normalized in the standard chart."""
-        if chart == STANDARD:
-            return 1.0
-        acc = 0.0
-        for p in self._finite:
-            if p.location.z != 0:
-                acc += p.rho * math.log(abs(p.location.z))
-        return math.exp(acc)
 
-
-def is_real_residues(conn: FuchsianConnection, tol: float = SUM_TOL) -> bool:
-    return all(abs(p.residue.imag) <= tol for p in conn.poles)
-
-
-def build_connection(poles, switch_radius: float = 10.0,
-                     allow_complex: bool = False) -> FuchsianConnection:
+def build_connection(poles, switch_radius: float = 10.0) -> FuchsianConnection:
     """Validate a pole list and return a connection.
 
-    If the pole at infinity is absent its residue is implied by the sum
-    identity; it is always materialized explicitly.
+    Residues must be real: a complex residue is refused here, and every
+    residue is stored as a float.  If the pole at infinity is absent its
+    residue is implied by the sum identity; it is always materialized
+    explicitly.
     """
     specs = [p if isinstance(p, PoleSpec) else PoleSpec(*p) for p in poles]
     if not specs:
         # a connection with no poles at all cannot satisfy the sum identity
         raise errors.SumMismatch("a pole-free connection is impossible on the sphere")
 
-    finite = [p for p in specs if not p.location.infinite]
-    at_inf = [p for p in specs if p.location.infinite]
+    reals = []
+    for p in specs:
+        r = complex(p.residue)
+        if abs(r.imag) > SUM_TOL:
+            raise errors.NonRealResidue(f"residue {p.residue} is not real")
+        reals.append(PoleSpec(p.location, r.real))
+    finite = [p for p in reals if not p.location.infinite]
+    at_inf = [p for p in reals if p.location.infinite]
     if len(at_inf) > 1:
         raise errors.DuplicatePole("infinity listed twice")
     for i, p in enumerate(finite):
         for q in finite[i + 1:]:
             if abs(p.location.z - q.location.z) <= POLE_EVAL_TOL:
                 raise errors.DuplicatePole(f"poles coincide at {p.location}")
-    if not allow_complex:
-        for p in specs:
-            if abs(complex(p.residue).imag) > SUM_TOL:
-                raise errors.NonRealResidue(f"residue {p.residue} is not real")
 
-    specs = [PoleSpec(p.location, complex(p.residue)) for p in finite]
-    finite_sum = sum((p.residue for p in specs), 0j)
+    finite_sum = sum(p.residue for p in finite)
     if at_inf:
-        inf_res = complex(at_inf[0].residue)
+        inf_res = at_inf[0].residue
         total = finite_sum + inf_res
         if abs(total - RESIDUE_SUM) > SUM_TOL:
             raise errors.SumMismatch(
                 f"residues sum to {total}, the sphere requires {RESIDUE_SUM}")
     else:
-        inf_res = complex(RESIDUE_SUM) - finite_sum
+        inf_res = RESIDUE_SUM - finite_sum
 
-    all_poles = specs + [PoleSpec(SpherePoint.inf(), inf_res)]
+    all_poles = finite + [PoleSpec(SpherePoint.inf(), inf_res)]
     return FuchsianConnection(tuple(all_poles), float(switch_radius),
-                              _finite=tuple(specs))
+                              _finite=tuple(finite))
 
 
 def local_rep(conn: FuchsianConnection, chart: str, point: complex) -> complex:
@@ -215,7 +198,7 @@ def winding_number(loop: LoopPath, point: complex) -> int:
 
 
 def monodromy_of_loop(conn: FuchsianConnection, loop: LoopPath) -> complex:
-    """exp(2*pi*i * sum_j winding_j * rho_j); unit modulus iff residues real."""
+    """exp(2*pi*i * sum_j winding_j * rho_j), of unit modulus."""
     acc = 0j
     for pos, res in conn.chart_poles(STANDARD):
         w = winding_number(loop, pos)
@@ -243,7 +226,7 @@ def from_k_differential(numerator_roots, denominator_roots, k: int,
         for b, _ in roots[i + 1:]:
             if abs(a - b) <= POLE_EVAL_TOL:
                 raise errors.DuplicateRoot(f"repeated root {a}")
-    poles = [PoleSpec(SpherePoint.of(a), complex(m / k)) for a, m in roots]
+    poles = [PoleSpec(SpherePoint.of(a), m / k) for a, m in roots]
     return build_connection(poles, switch_radius=switch_radius)
 
 
@@ -253,10 +236,10 @@ def connection_to_dict(conn: FuchsianConnection) -> dict:
     out = []
     for p in conn.poles:
         if p.location.infinite:
-            out.append({"inf": True, "residue": p.rho})
+            out.append({"inf": True, "residue": p.residue})
         else:
             out.append({"re": p.location.z.real, "im": p.location.z.imag,
-                        "residue": p.rho})
+                        "residue": p.residue})
     return {"poles": out}
 
 

@@ -3,11 +3,14 @@
 The geodesic equation in a chart is  z'' + f(z) z'^2 = 0, integrated as the
 first-order system (z' = v, v' = -f(z) v^2) with an embedded Dormand-Prince
 5(4) pair.  Alongside the state we continue the primitive K of f dz along the
-trajectory (branch chosen by continuity), which yields
+trajectory (branch chosen by continuity), which yields the first integral
+c = v * exp(K), constant on exact geodesics and used as a per-step error
+monitor.
 
-  * the first integral c = v * exp(K), constant on exact geodesics and used
-    as a per-step error monitor, and
-  * the flat-metric speed |v| * exp(Re K), integrated into the arclength s_g.
+The residues are real, so a geodesic moves at constant speed in the flat
+metric |dz| prod_j |z - p_j|^{rho_j}: its arclength is s_g = speed * t, with
+the speed metric_density(z) |v| taken once at the start state (standard
+chart).
 
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
 escaping past the switch radius continue in the infinity chart.
@@ -37,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .connection import (FuchsianConnection, INFINITY, STANDARD, SpherePoint,
-                         is_real_residues)
+from .connection import FuchsianConnection, INFINITY, STANDARD, SpherePoint
 from .localchart import adapted_chart
 
 POLE_FLOOR = 1e-6
@@ -217,7 +219,7 @@ def metric_density(conn: FuchsianConnection, z: complex) -> float:
     """prod_j |z - p_j|^{rho_j} in the standard chart."""
     acc = 0.0
     for pos, res in conn.chart_poles(STANDARD):
-        acc += res.real * math.log(abs(z - pos))
+        acc += res * math.log(abs(z - pos))
     return math.exp(acc)
 
 
@@ -332,10 +334,12 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     traj = Trajectory(conn=conn)
     samples = traj.samples
     t = 0.0
-    s_g = 0.0
     c = v * cmath.exp(K)
     c_scale = abs(c)
-    samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
+    samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), 0.0))
+    # the metric speed, constant along the geodesic; not |c|, because a
+    # GeodesicState may carry any branch of K (saddle launches have K = 0)
+    speed = metric_density(conn, samples[0].z_std) * abs(samples[0].v_std)
 
     rtol, atol, c_budget = opts.rtol, opts.atol, opts.c_budget
     floor, max_steps, max_seconds = opts.pole_floor, opts.max_steps, opts.max_seconds
@@ -354,16 +358,10 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             traj.termination = "time_budget"
             break
         if table is None:
-            # per-chart constants, built at the start and after a chart
-            # switch: the pole table (p, rho, |rho|, Re rho), the log of the
-            # chart's density constant and the arclength density d0 at z
+            # the pole table (p, rho, |rho|), built at the start and after a
+            # chart switch
             poles = conn.chart_poles(chart)
-            table = [(pos, res, abs(res), res.real) for pos, res in poles]
-            log_c = math.log(conn.chart_density_const(chart)) if chart == INFINITY else 0.0
-            acc = log_c
-            for pos, _res, _ares, rre in table:
-                acc += rre * math.log(abs(z - pos))
-            d0 = abs(v) * math.exp(acc)
+            table = [(pos, res, abs(res)) for pos, res in poles]
         steps += 1
         h = min(h, t_max - t, H_MAX)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -384,17 +382,15 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
 
         # One pass over the poles.  It continues K along the step chord with
         # the checks of _dK_segment (which takes over when the chord must be
-        # split), sums the cancellation noise, tests whether the chord comes
-        # within the pole floor, and sums log|z1 - p| for the density at z1.
-        # The projection parameter -(da.seg)/L2 equals _dK_segment's
-        # ((p - z).seg)/L2 bit for bit.
+        # split), sums the cancellation noise and tests whether the chord
+        # comes within the pole floor.  The projection parameter
+        # -(da.seg)/L2 equals _dK_segment's ((p - z).seg)/L2 bit for bit.
         seg = z1 - z
         L2 = abs(seg) ** 2
         dK = 0j
         noise = 0.0
-        acc = log_c
         split = blocked = near = False
-        for pos, res, ares, rre in table:
+        for pos, res, ares in table:
             da = z - pos
             db = z1 - pos
             ra = abs(da)
@@ -420,7 +416,6 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
                     dK += res * cmath.log(q)
             noise += ares / min(ra, rb)
             near = near or rb < floor or dc < floor
-            acc += rre * math.log(rb)
         if split and not blocked:
             try:
                 dK = _dK_segment(poles, z, z1)
@@ -449,24 +444,14 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        # accepted: arclength increment by Simpson with a Hermite midpoint
-        d1 = abs(v1) * math.exp(acc)
-        zm, vm = _hermite(z, v, z1, v1, h, 0.5)
-        acc = log_c
-        for pos, _res, _ares, rre in table:
-            acc += rre * math.log(abs(zm - pos))
-        dm = abs(vm) * math.exp(acc)
-        ds = h / 6.0 * (d0 + 4.0 * dm + d1)
-
         # pole-floor crossing inside the accepted step
         hit = _pole_hit(poles, z, v, h, floor) if near else None
         if hit is not None:
             hh, zh, vh = hit
             t_hit = t + hh
             dK_h = _dK_segment(poles, z, zh)
-            s_hit = s_g + ds * (hh / h)  # linear share; diagnostic only
             samples.append(TrajectorySample(
-                t_hit, GeodesicState(chart, zh, vh, K + dK_h), s_hit))
+                t_hit, GeodesicState(chart, zh, vh, K + dK_h), speed * t_hit))
             pole = _nearest_pole(conn, chart, zh)
             traj.events.append((t_hit, "pole_approach", {"pole": pole}))
             traj.termination = "pole_approach"
@@ -474,9 +459,9 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             break
 
         t += h
-        z, v, K, c, d0 = z1, v1, K1, c1, d1
-        s_g += ds
-        samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), s_g))
+        z, v, K, c = z1, v1, K1, c1
+        samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K),
+                                        speed * t))
 
         cert = _fall_certificate(falls, chart, z, v) if falls else None
         if cert is not None:
@@ -544,7 +529,7 @@ def _fall_charts(conn):
     """(chart, w_in) for each pole of residue < -1 that has an adapted chart."""
     out = []
     for p in conn.poles:
-        if p.residue.real < -1.0:
+        if p.residue < -1.0:
             try:
                 chart = adapted_chart(conn, p.location)
             except (errors.ResonantOrLow, errors.SeriesDivergence):
@@ -600,29 +585,6 @@ def first_integral(traj: Trajectory):
     scale = abs(c0)
     drift = max(abs(s.c - c0) for s in traj.samples) / scale
     return c0, drift
-
-
-def g_length(traj: Trajectory, t_a: float, t_b: float) -> float:
-    """Flat-metric length of the arc between t_a and t_b, by quadrature of
-    prod |z - p_j|^{rho_j} |z'| over the stored samples."""
-    if not is_real_residues(traj.conn):
-        raise errors.NonRealResidues("metric length needs real residues")
-    if t_a >= t_b:
-        raise ValueError("need t_a < t_b")
-
-    def speed(t):
-        z, v = traj.interpolate(t)
-        return metric_density(traj.conn, z) * abs(v)
-
-    ts = [t for t in traj.times if t_a < t < t_b]
-    knots = [t_a] + ts + [t_b]
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b - a <= 0:
-            continue
-        m = 0.5 * (a + b)
-        total += (b - a) / 6.0 * (speed(a) + 4.0 * speed(m) + speed(b))
-    return total
 
 
 # -- self-intersections --------------------------------------------------------

@@ -20,7 +20,7 @@ class DuplicatePole(ConnexionError):
 
 
 class NonRealResidue(ConnexionError):
-    pass
+    """A residue with a nonzero imaginary part; residues must be real."""
 
 
 class EvalAtPole(ConnexionError):
@@ -49,10 +49,6 @@ class PathThroughPole(ConnexionError):
     pass
 
 
-class NonRealResidues(ConnexionError):
-    """Metric operations refuse connections with complex residues."""
-
-
 class ZeroVelocity(ConnexionError):
     pass
 
@@ -65,7 +61,9 @@ class ResonantOrLow(ConnexionError):
 
 
 class SeriesDivergence(ConnexionError):
-    """Pullback residual test failed at every candidate radius."""
+    """No usable adapted-chart series: its constant |1/(rho+1)|^(1/(rho+1))
+    is not a normal float (rho too close to -1), or the pullback residual
+    test failed at every candidate radius."""
 
 
 class AtPole(ConnexionError):

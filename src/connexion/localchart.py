@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,14 +161,15 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
 
     with w/zeta pinned to the positive real value |1/(rho+1)|^{1/(rho+1)}
     at zeta = 0.  The divisors j + rho + 1 vanish only for the resonant
-    residues rho = -1, -2, ..., which are refused.  The radius starts at half
-    the distance to the nearest other pole and is shrunk geometrically until
-    the pullback residual passes on a grid.
+    residues rho = -1, -2, ..., which are refused; so are residues so close
+    to -1 that the pin is not a normal float (``SeriesDivergence``).  The
+    radius starts at half the distance to the nearest other pole and is
+    shrunk geometrically until the pullback residual passes on a grid.
     """
     if N < 4:
         raise ValueError("N must be at least 4")
     ambient, center = _ambient_for(conn, pole)
-    rho = conn.residue_at(pole).real
+    rho = conn.residue_at(pole)
     if rho <= -1.0 and abs(rho - round(rho)) <= 1e-9:
         raise errors.ResonantOrLow(f"residue {rho} is resonant: no adapted chart")
 
@@ -192,15 +194,27 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
     G0 = G[0]  # = 1/(rho+1), real, negative for rho < -1
     L = _ser_log1([g / G0 for g in G])
     K = _ser_exp([l / (rho + 1.0) for l in L])
-    K0 = abs(G0) ** (1.0 / (rho + 1.0))
+    # the pin overflows or underflows for rho close to -1
+    try:
+        K0 = abs(G0) ** (1.0 / (rho + 1.0))
+    except OverflowError:
+        K0 = math.inf
+    if not sys.float_info.min <= K0 < math.inf:
+        raise errors.SeriesDivergence(
+            f"constant |1/(rho+1)|^(1/(rho+1)) = {K0} for residue {rho} "
+            "is not a normal float")
     K = [K0 * k for k in K]
+    wc = [0j] + K
+    dw = _ser_diff(wc)
+    ddw = _ser_diff(dw)
+    poles = conn.chart_poles(ambient)
 
     dists = [abs(pos - center) for pos, _ in others]
     r0 = min(dists) / 2.0 if dists else conn.switch_radius / 2.0
     chart = None
     r = r0
     for _ in range(60):
-        resid = _pullback_residual(rho, center, conn, ambient, K, r)
+        resid = _pullback_residual(rho, center, poles, wc, dw, ddw, r)
         if resid <= RESIDUAL_TOL:
             chart = AdaptedChart(pole, rho, r, tuple(K), ambient, center,
                                  resid)
@@ -212,17 +226,15 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
     return chart
 
 
-def _pullback_residual(rho, center, conn, ambient, K, r):
-    """max over a circle grid of | f(zeta) - rho w'/w - w''/w' |."""
-    wc = [0j] + list(K)
-    dw = _ser_diff(wc)
-    ddw = _ser_diff(dw)
+def _pullback_residual(rho, center, poles, wc, dw, ddw, r):
+    """max over a circle grid of | f(zeta) - rho w'/w - w''/w' |, for the
+    chart w with coefficients ``wc`` and derivatives ``dw``, ``ddw``."""
     worst = 0.0
     for k in range(16):
         zeta = 0.9 * r * cmath.exp(2j * math.pi * (k + 0.37) / 16)
         u = center + zeta
         f = 0j
-        for pos, res in conn.chart_poles(ambient):
+        for pos, res in poles:
             f += res / (u - pos)
         w = _ser_eval(wc, zeta)
         w1 = _ser_eval(dw, zeta)

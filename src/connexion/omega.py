@@ -26,10 +26,10 @@ import numpy as np
 
 from . import errors
 from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
-                         build_connection, is_real_residues)
+                         build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     first_integral, g_length, metric_density,
-                     segment_crossings, self_intersections, trace)
+                     first_integral, metric_density, segment_crossings,
+                     self_intersections, trace)
 from .localchart import adapted_chart
 
 RECURRENCE_TOL = 1e-8
@@ -67,34 +67,6 @@ class OmegaVerdict:
         if self.tag == "Periodic":
             return f"Periodic(T={self.details.get('period'):.9g})"
         return self.tag
-
-
-@dataclass(frozen=True)
-class DirectionClass:
-    """Direction of a geodesic: arg of the first integral, compared modulo
-    the subgroup generated by the residue periods 2*pi*rho_j."""
-    angle: float
-    residues: tuple
-
-    @staticmethod
-    def of(traj: Trajectory) -> "DirectionClass":
-        c0, _ = first_integral(traj)
-        res = tuple(sorted(set(round(p.rho, 12) for p in traj.conn.poles)))
-        return DirectionClass(cmath.phase(c0) % TWO_PI, res)
-
-    def matches(self, other: "DirectionClass", tol: float = 1e-9,
-                max_coeff: int = 6) -> bool:
-        diff = (self.angle - other.angle) % TWO_PI
-        gens = [TWO_PI * r for r in self.residues]
-        combos = [0.0]
-        for g in gens[:3]:          # small integer combinations
-            combos = [c + n * g for c in combos
-                      for n in range(-max_coeff, max_coeff + 1)]
-        for c in combos:
-            d = (diff - c) % TWO_PI
-            if min(d, TWO_PI - d) <= tol:
-                return True
-        return False
 
 
 # -- periodicity ---------------------------------------------------------------
@@ -310,7 +282,7 @@ def _tail_convergence(traj: Trajectory):
         return None
     tail = samples[int(0.75 * len(samples)):]
     for p in traj.conn.poles:
-        if p.residue.real > -1.0:
+        if p.residue > -1.0:
             continue
         if p.location.infinite:
             ds = [1.0 / max(abs(s.z_std), 1e-300) for s in tail]
@@ -402,8 +374,6 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
     """March transversally from a periodic leaf, re-seeding periodic traces
     until periodicity fails; measures the metric width spanned and each
     leaf's metric length."""
-    if not is_real_residues(conn):
-        raise errors.NonRealResidues("ring domains need real residues")
     T0 = detect_period(periodic)
     if T0 is None:
         raise errors.SeedNotPeriodic("seed trajectory is not periodic")
@@ -475,7 +445,7 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
     found = []
     opts = IntegratorOptions()
     for p in conn.poles:
-        rho = p.residue.real
+        rho = p.residue
         if rho <= -1.0 or p.location.infinite:
             continue
         try:

@@ -9,17 +9,17 @@ difference of their ray arguments in the adapted coordinate.
 With those conventions the internal angles v_j, the vertex residues rho_j
 (zero at regular vertices) and the residues enclosed by the boundary satisfy
 
-    sum_j (pi - (rho_j + 1) v_j) = 2 pi (2 - m_f - 2 genus + sum Re enclosed)
+    sum_j (pi - (rho_j + 1) v_j) = 2 pi (2 - m_f - 2 genus + sum enclosed)
 
 on a surface part with m_f free boundary components; on the sphere with a
-disc part this reduces to  sum_j (pi - (rho_j+1) v_j) = 2 pi (1 + sum Re).
+disc part this reduces to sum_j (pi - (rho_j+1) v_j) = 2 pi (1 + sum enclosed).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def check_chart_polygon(chart_or_rho, polygon: GeodesicPolygon,
 def check_p1_formula(conn: FuchsianConnection, polygon: GeodesicPolygon,
                      enclosed=None, charts: dict | None = None) -> float:
     """Residual of the sphere identity
-    sum_j (pi - (rho_j+1) v_j) = 2 pi (1 + sum Re enclosed residues).
+    sum_j (pi - (rho_j+1) v_j) = 2 pi (1 + sum of enclosed residues).
 
     ``enclosed`` lists the enclosed poles explicitly (SpherePoint); when
     omitted they are found by winding number of the boundary."""
@@ -204,7 +204,7 @@ def check_p1_formula(conn: FuchsianConnection, polygon: GeodesicPolygon,
     lhs = sum(math.pi - (vx.rho + 1.0) * v
               for vx, v in zip(polygon.vertices, angles))
     if enclosed is not None:
-        total = sum(conn.residue_at(p).real for p in enclosed)
+        total = sum(conn.residue_at(p) for p in enclosed)
     else:
         total = _enclosed_residue_sum(conn, polygon)
     return abs(lhs - TWO_PI * (1.0 + total))
@@ -218,7 +218,7 @@ def _enclosed_residue_sum(conn: FuchsianConnection, polygon: GeodesicPolygon) ->
     for pos, res in conn.chart_poles("standard"):
         if any((not l.infinite) and abs(l.z - pos) < 1e-9 for l in vertex_locs):
             continue
-        total += winding_number(loop, pos) * res.real
+        total += winding_number(loop, pos) * res
     return total
 
 
@@ -235,12 +235,11 @@ class PartTopology:
 
 def check_general_formula(topology: PartTopology, vertices) -> float:
     """Residual of
-    sum_j (pi - (rho_j+1) v_j) = 2 pi (2 - m_f - 2 genus + sum Re enclosed);
+    sum_j (pi - (rho_j+1) v_j) = 2 pi (2 - m_f - 2 genus + sum enclosed);
     ``vertices`` is a list of (rho_j, v_j) pairs."""
     lhs = sum(math.pi - (rho + 1.0) * v for rho, v in vertices)
     rhs = TWO_PI * (2.0 - topology.m_f - 2.0 * topology.genus_filling
-                    + sum(r.real if isinstance(r, complex) else r
-                          for r in topology.enclosed_residues))
+                    + sum(topology.enclosed_residues))
     return abs(lhs - rhs)
 
 

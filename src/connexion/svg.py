@@ -7,7 +7,6 @@ panel drawn in the w = 1/z coordinate instead of distorting the projection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .connection import FuchsianConnection
@@ -103,7 +102,7 @@ def render_scene(conn: FuchsianConnection, trajectories,
     for pos, res in conn.chart_poles("standard"):
         if window.visible(pos):
             svg.circle(pos, 3.5, "#000000")
-            svg.text(pos, f"ρ={res.real:g}")
+            svg.text(pos, f"ρ={res:g}")
 
     _infinity_inset(svg, conn, trajectories)
     return svg.document()
@@ -137,7 +136,7 @@ def _infinity_inset(svg: SvgBuilder, conn, trajectories):
         _flush_inset(svg, run, to_px, color)
     # the pole at infinity sits at w = 0
     cx_, cy_ = to_px(0j)
-    rho = conn.infinity_residue.real
+    rho = conn.infinity_residue
     svg.raw(f'<circle cx="{_f(cx_)}" cy="{_f(cy_)}" r="3.000000" '
             f'stroke="#000000" fill="none"/>')
     svg.raw(f'<text x="{_f(cx_ + 5)}" y="{_f(cy_ - 5)}" font-size="10" '

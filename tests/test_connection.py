@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from connexion import (LoopPath, PoleSpec, SpherePoint, build_connection,
                        connection_from_dict, connection_to_dict,
-                       from_k_differential, is_real_residues, local_rep,
-                       monodromy_of_loop, winding_number)
+                       from_k_differential, local_rep, monodromy_of_loop,
+                       winding_number)
 from connexion import errors
 
 
@@ -55,9 +55,6 @@ class TestResidueSumGate:
     def test_non_real_residue_rejected_by_default(self):
         with pytest.raises(errors.NonRealResidue):
             build_connection([(SpherePoint.of(0.0), 0.5 + 0.1j)])
-        conn = build_connection([(SpherePoint.of(0.0), 0.5 + 0.1j)],
-                                allow_complex=True)
-        assert not is_real_residues(conn)
 
 
 class TestChartPoles:
@@ -125,11 +122,6 @@ class TestMonodromy:
         m = monodromy_of_loop(conn, square_loop(half=2.0))
         assert m == pytest.approx(cmath.exp(2j * math.pi * 0.75))
 
-    def test_nonreal_residue_breaks_unit_modulus(self):
-        conn = build_connection([(SpherePoint.of(0.0), 0.5 + 0.2j)],
-                                allow_complex=True)
-        assert abs(abs(monodromy_of_loop(conn, square_loop())) - 1.0) > 0.1
-
 
 class TestKDifferential:
     def test_linear_quadratic_differential(self):
@@ -164,3 +156,21 @@ class TestSerialization:
             {"poles": [{"re": 0.0, "im": 0.0, "residue": -1.0},
                        {"inf": True, "residue": -1.0}]})
         assert conn.infinity_residue == -1.0 + 0j
+
+
+class TestRealResidues:
+    def test_residues_are_stored_as_float(self):
+        conns = [
+            build_connection([(SpherePoint.of(0.0), 1),
+                              (SpherePoint.of(1.0), 0.5 + 0j),
+                              (SpherePoint.inf(), -3.5)]),
+            build_connection([(SpherePoint.of(2.0), -0.25)]),
+            from_k_differential([(0.0, 1)], [(1.0, 1)], 3),
+            connection_from_dict({"poles": [{"re": 0.0, "residue": 0.5},
+                                            {"inf": True, "residue": -2.5}]}),
+        ]
+        for conn in conns:
+            assert all(type(p.residue) is float for p in conn.poles)
+            assert type(conn.infinity_residue) is float
+            assert all(type(r) is float
+                       for _, r in conn.chart_poles("infinity"))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from connexion import (IntegratorOptions, SpherePoint, build_connection,
-                       continue_K, first_integral, g_length, metric_density,
+                       continue_K, first_integral, metric_density,
                        self_intersections, trace, trajectory_to_csv)
 from connexion import engine, errors
 from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
@@ -102,12 +102,35 @@ class TestMetric:
         # density 1/|z| on the unit circle: one period has length 2*pi
         traj = trace(circle_conn, (1.0, 1j), 2 * math.pi)
         assert traj.samples[-1].s_g == pytest.approx(2 * math.pi, abs=1e-7)
-        assert g_length(traj, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-6)
+        half = trace(circle_conn, (1.0, 1j), math.pi)
+        assert half.samples[-1].s_g == pytest.approx(math.pi, abs=1e-12)
 
     def test_arclength_monotone(self, circle_conn):
         traj = trace(circle_conn, (1.0, 1.0 + 1.0j), 10.0)
         sg = [s.s_g for s in traj.samples]
         assert all(b >= a for a, b in zip(sg[:-1], sg[1:]))
+
+    @staticmethod
+    def assert_constant_speed(traj):
+        """s_g / t equals the metric speed measured at every sample."""
+        for s in traj.samples[1:]:
+            speed = metric_density(traj.conn, s.z_std) * abs(s.v_std)
+            assert s.s_g / s.t == pytest.approx(speed, rel=1e-9)
+
+    def test_arclength_is_speed_times_t_across_chart_switches(self):
+        # the switch scene of the benchmark: three poles, residue -0.6 at
+        # infinity, and a geodesic out past the switch radius and back
+        conn = build_connection([(SpherePoint.of(0.0), -0.5),
+                                 (SpherePoint.of(1.5 + 0.5j), -0.3),
+                                 (SpherePoint.of(-0.7 + 1.2j), -0.6)])
+        traj = trace(conn, (3.0, cmath.exp(0.1j)), 200.0)
+        to = [p["to"] for _, kind, p in traj.events if kind == "chart_switch"]
+        assert "infinity" in to and "standard" in to
+        self.assert_constant_speed(traj)
+        # a trace started in the infinity chart takes its speed there too
+        start = next(s.state for s in traj.samples
+                     if s.state.chart == "infinity")
+        self.assert_constant_speed(trace(conn, start, 20.0))
 
 
 class TestInterpolation:

@@ -59,6 +59,13 @@ class TestAdaptedChart:
         with pytest.raises(errors.ResonantOrLow):
             adapted_chart(single_pole(-2.0), SpherePoint.of(0.0))
 
+    @pytest.mark.parametrize("rho", [-0.995, -1.0028])
+    def test_pin_out_of_float_range_rejected(self, rho):
+        # |1/(rho+1)|^{1/(rho+1)} overflows at -0.995 and underflows to 0
+        # at -1.0028; both are refused before any residual round
+        with pytest.raises(errors.SeriesDivergence, match="normal float"):
+            adapted_chart(single_pole(rho), SpherePoint.of(0.0))
+
 
 def first_certified_index(traj, chart, w_in):
     """Index of the first sample after the start that lies in the disc

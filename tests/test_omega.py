@@ -13,9 +13,9 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
                        saddle_connection_search, trace, transversal_analysis)
 from connexion import errors
 from connexion.localchart import FALL_ETA
-from connexion.omega import (DirectionClass, TransversalSection,
-                             _tail_convergence, exclusion_audit,
-                             random_connection, section_crossings)
+from connexion.omega import (TransversalSection, _tail_convergence,
+                             exclusion_audit, random_connection,
+                             section_crossings)
 
 from conftest import single_pole
 
@@ -65,13 +65,6 @@ class TestClassify:
         v = classify(trivial_conn, (0.0, 1.0), ClassifyBudget(t_max=100.0))
         assert v.tag == "ConvergesToPole"
         assert "inf" in str(v)
-
-
-class TestDirectionClass:
-    def test_same_orbit_matches_itself(self, circle_conn):
-        a = trace(circle_conn, (1.0, 1j), 5.0)
-        b = trace(circle_conn, (1j, -1.0), 5.0)   # same circle, other start
-        assert DirectionClass.of(a).matches(DirectionClass.of(b))
 
 
 class TestTransversalStatistics:
@@ -142,6 +135,35 @@ class TestSaddleConnections:
         seg = next(s for s in sads if s.start_pole.z == -1)
         # metric length of [-1, 1] under |z-1|^{1/2}|z+1|^{1/2}|dz| is pi/2
         assert abs(seg.length - math.pi / 2.0) < 1e-3
+
+    def test_launch_arclength_is_segment_length(self):
+        # a launch starts with K = 0, so |c| is not its metric speed.  On
+        # [-1, 1] the density is sqrt(1 - x^2), with primitive
+        # F(x) = (x sqrt(1 - x^2) + asin x) / 2 and F(1) - F(-1) = pi/2
+        conn = build_connection([(SpherePoint.of(-1.0), 0.5),
+                                 (SpherePoint.of(1.0), 0.5)])
+        sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
+        seg = next(s for s in sads if s.start_pole.z == -1
+                   and not s.end_pole.infinite and s.end_pole.z == 1)
+        samples = seg.trajectory.samples
+        assert samples[0].state.k_phase == 0
+
+        def F(x):
+            return (x * math.sqrt(1.0 - x * x) + math.asin(x)) / 2.0
+
+        x0 = samples[0].z_std.real
+        for s in samples[1:]:
+            assert s.z_std.imag == 0.0
+            assert s.s_g == pytest.approx(F(s.z_std.real) - F(x0), rel=1e-9)
+        assert seg.length == pytest.approx(math.pi / 2.0, rel=1e-6)
+
+    def test_near_resonant_pole_is_skipped(self):
+        # the pin |1/(rho+1)|^{1/(rho+1)} of the rho = -0.995 chart overflows;
+        # the search skips that pole instead of raising OverflowError
+        conn = build_connection([(SpherePoint.of(0.0), -0.995),
+                                 (SpherePoint.of(1.0), 0.5)])
+        sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
+        assert all(s.start_pole == SpherePoint.of(1.0) for s in sads)
 
 
 def audit_draws(seed, n):
