@@ -159,7 +159,7 @@ def trace_cmd(config_path, out_path, svg_path, budget_steps):
         click.echo(f"wrote SVG: {svg_path}")
     for i, traj in enumerate(trajectories):
         click.echo(f"trace {i}: termination={traj.termination} "
-                   f"t_end={traj.t_end:.9g} samples={len(traj.samples)}")
+                   f"t_end={traj.t_end:.9g} samples={len(traj)}")
 
 
 def _indexed_path(path, i):
@@ -262,7 +262,7 @@ def _verify_local(seed):
         par = local_params(rho, 1.0, z0, v0)
         traj = trace(conn, (z0, v0), 0.6)
         ts = np.array(traj.times)
-        zs = np.array([s.z_std for s in traj.samples])
+        zs = np.array(traj.support_std())
         zc = closed_form_path(par, ts)
         err = float(np.max(np.abs(zs - zc)))
         out.append((f"closed-form rho={rho}", err <= 1e-8, f"sup err {err:.3g}"))

@@ -15,6 +15,13 @@ chart).
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
 escaping past the switch radius continue in the infinity chart.
 
+A ``Trajectory`` is stored as columns: t, s_g, and z, v and K in the chart
+each row was integrated in, with the chart kept as the row indices where it
+switches.  Standard-chart z and v are derived once per trajectory, for the
+infinity-chart rows only.  ``Trajectory.samples`` builds TrajectorySample
+objects on each read, for tests and external callers; the package itself
+never reads it.
+
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
 certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
@@ -35,7 +42,7 @@ import bisect
 import cmath
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,30 +109,75 @@ class IntegratorOptions:
     h0: float = 1e-3
 
 
-@dataclass
 class Trajectory:
-    conn: FuchsianConnection
-    samples: list = field(default_factory=list)
-    events: list = field(default_factory=list)   # (t, kind, payload)
-    termination: str = "t_max"
+    """A traced geodesic, stored as columns (module docstring).
 
-    _times_cache: list | None = field(default=None, repr=False, compare=False)
+    Row k holds ``t[k]``, ``z[k]``, ``v[k]``, ``K[k]`` and ``s_g[k]``; rows
+    are in ``chart0`` up to the first index in ``switches``, and the chart
+    flips at each one.  ``initial`` is what a re-trace from row 0 starts
+    from.  ``Trajectory(conn, samples)`` turns a list of TrajectorySample
+    into columns, keeping its s_g.
+    """
+
+    def __init__(self, conn: FuchsianConnection, samples=None, events=None,
+                 termination: str = "t_max"):
+        self.conn = conn
+        self.events = [] if events is None else events   # (t, kind, payload)
+        self.termination = termination
+        samples = list(samples or ())
+        states = [s.state for s in samples]
+        self.t = [s.t for s in samples]
+        self.z = [st.z for st in states]
+        self.v = [st.v for st in states]
+        self.K = [st.k_phase for st in states]
+        self.s_g = [s.s_g for s in samples]
+        self.initial = states[0] if states else None
+        self.chart0 = states[0].chart if states else STANDARD
+        self.switches = [k for k in range(1, len(states))
+                         if states[k].chart != states[k - 1].chart]
+        self._std = None
+
+    def __len__(self) -> int:
+        return len(self.t)
 
     @property
     def times(self):
-        if self._times_cache is None or len(self._times_cache) != len(self.samples):
-            self._times_cache = [s.t for s in self.samples]
-        return self._times_cache
+        return self.t
 
     @property
     def t_end(self) -> float:
-        return self.samples[-1].t
+        return self.t[-1]
+
+    def _chart(self, k: int) -> str:
+        flipped = bisect.bisect_right(self.switches, k) % 2
+        return (STANDARD, INFINITY)[(self.chart0 == INFINITY) ^ flipped]
+
+    @property
+    def samples(self):
+        return [TrajectorySample(t, GeodesicState(self._chart(k), z, v, K), s)
+                for k, (t, z, v, K, s) in enumerate(
+                    zip(self.t, self.z, self.v, self.K, self.s_g))]
+
+    def std_columns(self):
+        """(z, v) in the standard chart, derived once and shared (do not
+        modify them); the native columns if no row is in the infinity chart."""
+        if self._std is None:
+            zs, vs = self.z, self.v
+            bounds = [0, *self.switches, len(zs)]
+            # the rows from bounds[j] to bounds[j + 1] are in the infinity chart
+            for j in range(self.chart0 == STANDARD, len(bounds) - 1, 2):
+                if zs is self.z:
+                    zs, vs = list(zs), list(vs)
+                for k in range(bounds[j], bounds[j + 1]):
+                    zs[k], vs[k] = _invert(zs[k], vs[k])
+            self._std = zs, vs
+        return self._std
 
     def support_std(self):
-        return [s.z_std for s in self.samples]
+        return self.std_columns()[0]
 
     def _interval(self, t: float) -> int:
-        ts = self.times
+        ts = self.t
         if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
             raise ValueError(f"t={t} outside trajectory span [{ts[0]}, {ts[-1]}]")
         i = bisect.bisect_right(ts, t) - 1
@@ -134,20 +186,22 @@ class Trajectory:
     def interpolate(self, t: float):
         """Cubic-Hermite position and velocity (standard chart) at time t."""
         i = self._interval(t)
-        a, b = self.samples[i], self.samples[i + 1]
-        chart = a.state.chart
-        z0, v0 = a.state.z, a.state.v
-        if b.state.chart == chart:
-            z1, v1 = b.state.z, b.state.v
-        else:  # sample b recorded after a chart switch: convert back
-            z1 = 1.0 / b.state.z
-            v1 = -b.state.v / b.state.z ** 2
-        h = b.t - a.t
-        th = (t - a.t) / h if h else 0.0
+        chart = self._chart(i)
+        z0, v0 = self.z[i], self.v[i]
+        z1, v1 = self.z[i + 1], self.v[i + 1]
+        if self._chart(i + 1) != chart:   # row i+1 follows a chart switch
+            z1, v1 = _invert(z1, v1)
+        h = self.t[i + 1] - self.t[i]
+        th = (t - self.t[i]) / h if h else 0.0
         z, v = _hermite(z0, v0, z1, v1, h, th)
         if chart == INFINITY:
-            z, v = 1.0 / z, -v / z ** 2
+            z, v = _invert(z, v)
         return z, v
+
+
+def _invert(z, v):
+    """(z, v) carried through the chart change w = 1/z (its own inverse)."""
+    return 1.0 / z, -v / z ** 2
 
 
 def _hermite(z0, v0, z1, v1, h, th):
@@ -311,11 +365,9 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     opts = opts or IntegratorOptions()
 
     if isinstance(initial, GeodesicState):
-        chart = initial.chart
-        z, v = initial.z, initial.v
+        chart, z, v = initial.chart, initial.z, initial.v
     else:
-        chart = STANDARD
-        z, v = complex(initial[0]), complex(initial[1])
+        chart, z, v = STANDARD, complex(initial[0]), complex(initial[1])
     if v == 0:
         raise errors.ZeroVelocity("v = 0 does not parametrize a geodesic")
 
@@ -326,27 +378,26 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
 
     if isinstance(initial, GeodesicState):
         K = initial.k_phase
-    elif chart == STANDARD:
-        K = canonical_K(conn, z)
     else:
-        K = 0j
+        K = canonical_K(conn, z)
 
-    traj = Trajectory(conn=conn)
-    samples = traj.samples
+    traj = Trajectory(conn)
+    traj.initial, traj.chart0 = initial, chart
     t = 0.0
+    ts, zs, vs, Ks, sg = [t], [z], [v], [K], [0.0]
+    traj.t, traj.z, traj.v, traj.K, traj.s_g = ts, zs, vs, Ks, sg
     c = v * cmath.exp(K)
     c_scale = abs(c)
-    samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K), 0.0))
     # the metric speed, constant along the geodesic; not |c|, because a
     # GeodesicState may carry any branch of K (saddle launches have K = 0)
-    speed = metric_density(conn, samples[0].z_std) * abs(samples[0].v_std)
+    z_std, v_std = (z, v) if chart == STANDARD else _invert(z, v)
+    speed = metric_density(conn, z_std) * abs(v_std)
 
     rtol, atol, c_budget = opts.rtol, opts.atol, opts.c_budget
     floor, max_steps, max_seconds = opts.pole_floor, opts.max_steps, opts.max_seconds
     h = min(opts.h0, t_max)
     steps = 0
     started = _time.monotonic()
-    collapsed = False
     table = None
     falls = _fall_charts(conn) if certify else ()
 
@@ -358,16 +409,17 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             traj.termination = "time_budget"
             break
         if table is None:
-            # the pole table (p, rho, |rho|), built at the start and after a
-            # chart switch
+            # the pole table (p, rho, |rho|) and the radius past which the
+            # trace leaves the chart, set at the start and after a switch
             poles = conn.chart_poles(chart)
             table = [(pos, res, abs(res)) for pos, res in poles]
+            exit_radius = (conn.switch_radius if chart == STANDARD
+                           else 1.5 / conn.switch_radius)
         steps += 1
         h = min(h, t_max - t, H_MAX)
         if h < 1e-14 * max(1.0, abs(t)):
             traj.termination = "step_collapse"
             traj.events.append((t, "step_collapse", {"h": h}))
-            collapsed = True
             break
 
         z1, v1, ez, ev = _dp_step(poles, z, v, h)
@@ -444,49 +496,46 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        # pole-floor crossing inside the accepted step
+        # a pole-floor crossing inside the accepted step ends the step there
         hit = _pole_hit(poles, z, v, h, floor) if near else None
         if hit is not None:
-            hh, zh, vh = hit
-            t_hit = t + hh
-            dK_h = _dK_segment(poles, z, zh)
-            samples.append(TrajectorySample(
-                t_hit, GeodesicState(chart, zh, vh, K + dK_h), speed * t_hit))
-            pole = _nearest_pole(conn, chart, zh)
-            traj.events.append((t_hit, "pole_approach", {"pole": pole}))
-            traj.termination = "pole_approach"
-            collapsed = True
-            break
+            h, z1, v1 = hit
+            K1 = K + _dK_segment(poles, z, z1)
 
         t += h
         z, v, K, c = z1, v1, K1, c1
-        samples.append(TrajectorySample(t, GeodesicState(chart, z, v, K),
-                                        speed * t))
+        ts.append(t)
+        zs.append(z)
+        vs.append(v)
+        Ks.append(K)
+        sg.append(speed * t)
+
+        if hit is not None:
+            pole = _nearest_pole(conn, chart, z)
+            traj.events.append((t, "pole_approach", {"pole": pole}))
+            traj.termination = "pole_approach"
+            break
 
         cert = _fall_certificate(falls, chart, z, v) if falls else None
         if cert is not None:
             traj.events.append((t, "pole_certified", cert))
             traj.termination = "pole_certified"
-            collapsed = True
             break
 
-        # chart switching with hysteresis
-        if chart == STANDARD and abs(z) > conn.switch_radius:
-            z, v, K = _to_infinity(z, v, K)
-            chart = INFINITY
+        # chart switching with hysteresis; the next row is in the new chart
+        if abs(z) > exit_radius:
+            # keep c = v exp(K) continuous: K_new = K + log(v / v_new)
+            K = K + cmath.log(-z ** 2)
+            z, v = _invert(z, v)
+            chart = INFINITY if chart == STANDARD else STANDARD
             table = None
-            traj.events.append((t, "chart_switch", {"to": chart}))
-        elif chart == INFINITY and abs(z) > 1.5 / conn.switch_radius:
-            z, v, K = _to_standard(z, v, K)
-            chart = STANDARD
-            table = None
+            traj.switches.append(len(ts))
             traj.events.append((t, "chart_switch", {"to": chart}))
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
 
-    if not collapsed and t >= t_max:
-        traj.termination = "t_max"
-    traj.events.append((samples[-1].t, "terminated", {"reason": traj.termination}))
+    # a trace that ran to t_max keeps the termination "t_max"
+    traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))
     return traj
 
 
@@ -544,7 +593,7 @@ def _fall_certificate(falls, chart, z, v):
     in the standard chart, so the state is carried into each pole's own
     ambient chart."""
     for fc, w_in in falls:
-        u, vu = (z, v) if fc.ambient == chart else (1.0 / z, -v / z ** 2)
+        u, vu = (z, v) if fc.ambient == chart else _invert(z, v)
         cert = fc.falls_in(w_in, u, vu)
         if cert is not None:
             return {"pole": fc.pole, **cert}
@@ -562,28 +611,15 @@ def _nearest_pole(conn, chart, u) -> SpherePoint:
     return SpherePoint.of(best)
 
 
-def _to_infinity(z, v, K):
-    w = 1.0 / z
-    vw = -v / z ** 2
-    # keep c = v exp(K) continuous: K_w = K_z + log(v_z / v_w)
-    return w, vw, K + cmath.log(-z ** 2)
-
-
-def _to_standard(w, vw, K):
-    z = 1.0 / w
-    v = -vw / w ** 2
-    return z, v, K + cmath.log(-w ** 2)
-
-
 # -- derived quantities --------------------------------------------------------
 
 def first_integral(traj: Trajectory):
     """(c at t=0, max relative drift of v*exp(K) over the samples)."""
-    if not traj.samples:
+    if not len(traj):
         raise ValueError("empty trajectory")
-    c0 = traj.samples[0].c
+    c0 = traj.v[0] * cmath.exp(traj.K[0])
     scale = abs(c0)
-    drift = max(abs(s.c - c0) for s in traj.samples) / scale
+    drift = max(abs(v * cmath.exp(K) - c0) for v, K in zip(traj.v, traj.K)) / scale
     return c0, drift
 
 
@@ -664,7 +700,7 @@ def _forward_crossings(pts):
 def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     """Transversal self-crossings of the sampled trajectory, refined on the
     Hermite interpolant to ~1e-12."""
-    if len(traj.samples) < 3:
+    if len(traj) < 3:
         return []
     pts, ts = _decimate(traj.support_std(), traj.times, 4000)
     out = []
@@ -702,8 +738,8 @@ def cross_intersections(a: Trajectory, b: Trajectory, max_count: int = 64) -> li
 
 def _refine_crossing(ta: Trajectory, tb: Trajectory, t1, t2, iters=30):
     """Newton refinement of gamma_a(t1) = gamma_b(t2)."""
-    lo1, hi1 = ta.samples[0].t, ta.t_end
-    lo2, hi2 = tb.samples[0].t, tb.t_end
+    lo1, hi1 = ta.t[0], ta.t_end
+    lo2, hi2 = tb.t[0], tb.t_end
     for _ in range(iters):
         z1, v1 = ta.interpolate(t1)
         z2, v2 = tb.interpolate(t2)
@@ -736,8 +772,7 @@ CSV_HEADER = "t,re_z,im_z,re_v,im_v,s_g"
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Rows in the standard chart, floats at 17 significant digits."""
     lines = [CSV_HEADER]
-    for s in traj.samples:
-        z, v = s.z_std, s.v_std
-        lines.append(",".join(f"{x:.17g}" for x in
-                              (s.t, z.real, z.imag, v.real, v.imag, s.s_g)))
+    for t, z, v, s_g in zip(traj.t, *traj.std_columns(), traj.s_g):
+        lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g},"
+                     f"{v.real:.17g},{v.imag:.17g},{s_g:.17g}")
     return "\n".join(lines) + "\n"

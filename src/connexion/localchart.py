@@ -24,6 +24,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,11 +104,13 @@ class AdaptedChart:
             raise errors.OutOfDomain(f"|u - center| = {abs(zeta)} >= radius {self.radius}")
         return zeta * _ser_eval(self.series, zeta)
 
+    @cached_property
+    def _dw_coeffs(self):
+        return _ser_diff(self.w_coeffs())
+
     def dw(self, u: complex) -> complex:
         """d(w)/d(ambient coordinate)."""
-        zeta = u - self.center
-        wc = list(self.w_coeffs())
-        return _ser_eval(_ser_diff(wc), zeta)
+        return _ser_eval(self._dw_coeffs, u - self.center)
 
     def push_state(self, u: complex, v: complex):
         """(position, velocity) in the adapted coordinate."""

@@ -18,6 +18,7 @@ batch-checks exactly that.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ from . import errors
 from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     first_integral, metric_density, segment_crossings,
-                     self_intersections, trace)
+                     metric_density, segment_crossings, self_intersections,
+                     trace)
 from .localchart import adapted_chart
 
 RECURRENCE_TOL = 1e-8
@@ -79,16 +80,16 @@ def detect_period(traj: Trajectory, tol: float = RECURRENCE_TOL):
     between samples, where the cubic dense output is less accurate than the
     recurrence tolerance.
     """
-    first = traj.samples[0]
-    z0, v0 = first.z_std, first.v_std
+    zs, vs = traj.std_columns()
+    z0, v0 = zs[0], vs[0]
     vh0 = v0 / abs(v0)
     scale = max(abs(z0), 1.0)
     window = 0.0
-    for s in traj.samples[1:]:
-        t = s.t
+    for k in range(1, len(traj)):
+        t = traj.t[k]
         if t < 1e-6 or t <= window:
             continue
-        z, v = s.z_std, s.v_std
+        z, v = zs[k], vs[k]
         if abs(z - z0) + abs(v / abs(v) - vh0) > 0.05 * scale:
             continue
         T = _refine_period(traj, t, z0, vh0, tol)
@@ -102,15 +103,13 @@ def detect_period(traj: Trajectory, tol: float = RECURRENCE_TOL):
 def _refine_period(traj: Trajectory, T0: float, z0, vh0, tol):
     """Newton-like refinement of a recurrence time by exact re-integration:
     project the endpoint offset onto the flow direction and step T."""
-    state0 = traj.samples[0].state
     T = T0
     for _ in range(8):
-        sub = trace(traj.conn, state0, T,
-                    IntegratorOptions(max_steps=len(traj.samples) * 40 + 1000))
+        sub = trace(traj.conn, traj.initial, T,
+                    IntegratorOptions(max_steps=len(traj) * 40 + 1000))
         if sub.termination != "t_max":
             return None
-        end = sub.samples[-1]
-        z, v = end.z_std, end.v_std
+        z, v = (col[-1] for col in sub.std_columns())
         delta = (z - z0).real * v.real + (z - z0).imag * v.imag
         dT = -delta / (abs(v) ** 2)
         mism = abs(z - z0) + abs(v / abs(v) - vh0)
@@ -277,17 +276,16 @@ def _tail_convergence(traj: Trajectory):
     resonant poles (rho = -1, -2, ...) and the traces not certified within
     budget, from a monotonically shrinking chart distance over the tail.
     """
-    samples = traj.samples
-    if len(samples) < 40:
+    if len(traj) < 40:
         return None
-    tail = samples[int(0.75 * len(samples)):]
+    tail = traj.support_std()[int(0.75 * len(traj)):]
     for p in traj.conn.poles:
         if p.residue > -1.0:
             continue
         if p.location.infinite:
-            ds = [1.0 / max(abs(s.z_std), 1e-300) for s in tail]
+            ds = [1.0 / max(abs(z), 1e-300) for z in tail]
         else:
-            ds = [abs(s.z_std - p.location.z) for s in tail]
+            ds = [abs(z - p.location.z) for z in tail]
         if ds[-1] < 0.1 and ds[-1] < 0.8 * ds[0] and \
                 all(b <= a * 1.001 for a, b in zip(ds[:-1], ds[1:])):
             return p.location
@@ -302,16 +300,16 @@ def _foreign_accumulation(traj: Trajectory, simple: bool):
     ts = traj.times
     if len(ts) < 200:
         return None
-    tail_start = ts[0] + 0.75 * (ts[-1] - ts[0])
-    tail = [s for s in traj.samples if s.t >= tail_start]
+    # times never decrease: the tail is the rows from the first t >= start
+    k0 = bisect.bisect_left(ts, ts[0] + 0.75 * (ts[-1] - ts[0]))
+    tail, tail_v = (col[k0:] for col in traj.std_columns())
     if len(tail) < 50:
         return None
-    z_t = tail[0].z_std
-    v_t = tail[0].v_std
+    z_t, v_t = tail[0], tail_v[0]
     vh = v_t / abs(v_t)
     best = math.inf
-    for s in tail[5:]:
-        d = abs(s.z_std - z_t) + abs(s.v_std / abs(s.v_std) - vh)
+    for z, v in zip(tail[5:], tail_v[5:]):
+        d = abs(z - z_t) + abs(v / abs(v) - vh)
         best = min(best, d)
     if best < 1e-6 and simple:
         # tail recurs tightly but the global period detector said no:
@@ -323,10 +321,10 @@ def _foreign_accumulation(traj: Trajectory, simple: bool):
     poles = [pos for pos, _ in traj.conn.chart_poles("standard")]
     if simple and poles:
         visits = []
-        for s in tail:
-            ds = [abs(s.z_std - p) for p in poles]
-            k = int(np.argmin(ds))
-            if ds[k] < 1e-3:
+        for z in tail:
+            # the nearest pole, the first one on ties
+            d, k = min((abs(z - p), k) for k, p in enumerate(poles))
+            if d < 1e-3:
                 if not visits or visits[-1] != k:
                     visits.append(k)
         if len(visits) >= 8 and len(set(visits)) >= 2:
@@ -347,7 +345,7 @@ def _best_section(traj: Trajectory):
     _, i_best = max(counts)
     k = i_best * max(1, pts.size // 400)
     z = pts[k]
-    v = traj.samples[k].v_std
+    v = traj.std_columns()[1][k]
     nrm = 1j * v / abs(v)
     delta = 0.3
     return TransversalSection(z - delta * nrm, z + delta * nrm)
@@ -378,12 +376,14 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
     if T0 is None:
         raise errors.SeedNotPeriodic("seed trajectory is not periodic")
     budget = budget or ClassifyBudget(t_max=6.0 * T0)
-    z0, v0 = periodic.interpolate(periodic.samples[0].t)
+    z0, v0 = periodic.interpolate(periodic.t[0])
     vh0 = v0 / abs(v0)
     nrm = 1j * vh0
 
     offsets = [0.0]
-    lengths = [abs(first_integral(periodic)[0]) * T0]
+    # a leaf's length is its period at the trace's constant metric speed,
+    # which is |c| only when the trace starts on the canonical branch of K
+    lengths = [periodic.s_g[-1] / periodic.t_end * T0]
     points = [z0]
     boundary = []
     for sign in (+1.0, -1.0):
@@ -404,7 +404,7 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
                 stopped = ("aperiodic", off)
                 break
             offsets.append(off)
-            lengths.append(abs(first_integral(tr)[0]) * T)
+            lengths.append(tr.s_g[-1] / tr.t_end * T)
             points.append(seed)
         boundary.append({"side": sign, "stopped": stopped})
 
@@ -472,7 +472,7 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
             if (not end.infinite) and abs(end.z - p.location.z) < 1e-9:
                 continue            # returned to its own pole
             found.append(SaddleConnection(p.location, end, phi, tr,
-                                          tr.samples[-1].s_g + stub))
+                                          tr.s_g[-1] + stub))
     return _dedup_saddles(found)
 
 

@@ -66,9 +66,9 @@ class Side:
 
 
 def side_from_trajectory(traj: Trajectory) -> Side:
-    pts = tuple(traj.support_std())
+    zs, vs = traj.std_columns()
     _, drift = first_integral(traj)
-    return Side(pts, traj.samples[0].v_std, traj.samples[-1].v_std, drift)
+    return Side(tuple(zs), vs[0], vs[-1], drift)
 
 
 def side_from_points(points, t_start=None, t_end=None) -> Side:
@@ -330,13 +330,13 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
         if hi > lo:
             t, f = _golden(lambda t: abs(tr.interpolate(t)[0] - z1) ** 2, lo, hi)
             return math.sqrt(f), tr, t
-        return float(d[k]), tr, tr.samples[k].t
+        return float(d[k]), tr, ts[k]
 
     best = min((miss(TWO_PI * k / n_grid) for k in range(n_grid)),
                key=lambda r: r[0])
     if best[0] > abs(z1 - z0):
         raise errors.NotFound("no launch direction approaches the target")
-    theta0 = cmath.phase(best[1].samples[0].state.v)
+    theta0 = cmath.phase(best[1].v[0])
     span = TWO_PI / n_grid
     # the search returns an angle whose miss is the smallest it evaluated,
     # so only the results at such angles are kept

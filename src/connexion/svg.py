@@ -95,7 +95,7 @@ def render_scene(conn: FuchsianConnection, trajectories,
     for i, traj in enumerate(trajectories):
         color = PALETTE[i % len(PALETTE)]
         svg.polyline(traj.support_std(), color)
-        z0 = traj.samples[0].z_std
+        z0 = traj.support_std()[0]
         if window.visible(z0):
             svg.circle(z0, 2.0, color, fill=color)
 

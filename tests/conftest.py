@@ -1,10 +1,15 @@
-"""Shared fixtures: canonical connections and scene paths."""
+"""Shared fixtures: canonical connections, scene paths, audit draws and the
+traces the columnar-storage tests compare."""
 
+import cmath
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from connexion import SpherePoint, build_connection
+from connexion import GeodesicState, SpherePoint, build_connection, trace
+from connexion.omega import random_connection
 
 SCENES = pathlib.Path(__file__).resolve().parents[1] / "scenes"
 
@@ -30,3 +35,60 @@ def trivial_conn():
 def single_pole(rho: float):
     """One finite pole of residue rho at the origin (rest at infinity)."""
     return build_connection([(SpherePoint.of(0.0), rho)])
+
+
+def audit_draws(seed, n):
+    """The configurations and initial states exclusion_audit(n, seed) draws."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        conn = random_connection(rng)
+        while True:
+            z0 = complex(*rng.normal(0.0, 2.0, 2))
+            if all(abs(z0 - pos) > 0.05 for pos, _ in conn.chart_poles("standard")):
+                break
+        out.append((conn, (z0, np.exp(1j * rng.uniform(0.0, 2 * math.pi)))))
+    return out
+
+
+def hexed(x):
+    """``x`` with every float spelt by float.hex, so == compares bits."""
+    if isinstance(x, (complex, np.complexfloating)):
+        return (float(x.real).hex(), float(x.imag).hex())
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [hexed(y) for y in x]
+    if isinstance(x, dict):
+        return {k: hexed(v) for k, v in x.items()}
+    return x
+
+
+SWITCH_POLES = [(SpherePoint.of(0.0), -0.5), (SpherePoint.of(1.5 + 0.5j), -0.3),
+                (SpherePoint.of(-0.7 + 1.2j), -0.6)]
+
+
+@pytest.fixture(scope="session")
+def column_traces():
+    """Traces whose columns are checked against their per-sample view:
+    the benchmark's switch scene (out past the switch radius and back), a
+    fall into a rho = -1.5 pole with and without its certificate, a trace
+    ending at a pole floor, a restart from an infinity-chart state, the unit
+    circle, and the circle |z| = 20 traced wholly in the infinity chart."""
+    switch_conn = build_connection(SWITCH_POLES)
+    switch = trace(switch_conn, (3.0, cmath.exp(0.1j)), 200.0)
+    start = next(s.state for s in switch.samples if s.state.chart == "infinity")
+    circle = build_connection([(SpherePoint.of(0.0), -1.0),
+                               (SpherePoint.inf(), -1.0)])
+    fall_conn = build_connection([(SpherePoint.of(0.0), -1.5),
+                                  (SpherePoint.of(1.0), 0.3)])
+    fall_ic = (-0.8 + 0.1j, 1.0 + 0.25j)
+    return {
+        "switch": switch,
+        "certified": trace(fall_conn, fall_ic, 20.0, certify=True),
+        "fall": trace(fall_conn, fall_ic, 20.0),
+        "pole_approach": trace(single_pole(0.5), (1.0, -1.0), 2.0),
+        "from_infinity": trace(switch_conn, start, 40.0),
+        "circle": trace(circle, (1.0, 1j), 30.0),
+        "outer_circle": trace(circle, GeodesicState("infinity", 0.05, -0.05j), 30.0),
+    }

@@ -1,6 +1,7 @@
 """Geodesic integration: conservation, chart switching, arclength, CSV,
 intersections."""
 
+import bisect
 import cmath
 import io
 import math
@@ -17,7 +18,7 @@ from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
                               segment_crossings)
 from connexion.omega import TransversalSection, section_crossings
 
-from conftest import single_pole
+from conftest import hexed, single_pole
 
 
 class TestBasicTracing:
@@ -401,3 +402,116 @@ class TestFastPath:
         assert traj.termination == "t_max"
         assert any(abs(cmath.phase(b / a)) >= math.pi / 2 for a, b in zip(zs, zs[1:]))
         assert [s.state.k_phase for s in traj.samples] == continue_K(conn, zs)
+
+
+# -- columnar storage -----------------------------------------------------------
+# References written over TrajectorySample objects, as the consumers were
+# before the trajectory became columns; the columnar ones must give the same
+# bits.
+
+def _ref_interpolate(samples, t):
+    ts = [s.t for s in samples]
+    i = max(0, min(bisect.bisect_right(ts, t) - 1, len(ts) - 2))
+    a, b = samples[i], samples[i + 1]
+    chart = a.state.chart
+    z0, v0 = a.state.z, a.state.v
+    if b.state.chart == chart:
+        z1, v1 = b.state.z, b.state.v
+    else:
+        z1 = 1.0 / b.state.z
+        v1 = -b.state.v / b.state.z ** 2
+    h = b.t - a.t
+    th = (t - a.t) / h if h else 0.0
+    z, v = engine._hermite(z0, v0, z1, v1, h, th)
+    if chart == "infinity":
+        z, v = 1.0 / z, -v / z ** 2
+    return z, v
+
+
+def _ref_first_integral(samples):
+    c0 = samples[0].c
+    return c0, max(abs(s.c - c0) for s in samples) / abs(c0)
+
+
+def _ref_csv(samples):
+    lines = [CSV_HEADER]
+    for s in samples:
+        z, v = s.z_std, s.v_std
+        lines.append(",".join(f"{x:.17g}" for x in
+                              (s.t, z.real, z.imag, v.real, v.imag, s.s_g)))
+    return "\n".join(lines) + "\n"
+
+
+COLUMN_TRACES = ("switch", "certified", "fall", "pole_approach",
+                 "from_infinity", "circle", "outer_circle")
+
+
+class TestColumns:
+    @pytest.mark.parametrize("name", COLUMN_TRACES)
+    def test_consumers_match_per_sample_references(self, column_traces, name):
+        traj = column_traces[name]
+        samples = traj.samples
+        assert len(traj) == len(samples)
+        assert hexed(traj.times) == hexed([s.t for s in samples])
+        assert traj.t_end == samples[-1].t
+        zs, vs = traj.std_columns()
+        assert hexed(traj.support_std()) == hexed([s.z_std for s in samples])
+        assert hexed(zs) == hexed([s.z_std for s in samples])
+        assert hexed(vs) == hexed([s.v_std for s in samples])
+        assert hexed(first_integral(traj)) == hexed(_ref_first_integral(samples))
+        # lines, not the whole text: a failing text diff takes minutes
+        assert trajectory_to_csv(traj).splitlines() == _ref_csv(samples).splitlines()
+        # interpolate at and between sample times, around every chart switch
+        # and over the whole span
+        ks = set(range(0, len(samples) - 1, max(1, len(samples) // 120)))
+        for k in traj.switches:
+            ks |= {k - 2, k - 1, k}
+        for k in sorted(k for k in ks if 0 <= k < len(samples) - 1):
+            for t in (samples[k].t, 0.5 * (samples[k].t + samples[k + 1].t)):
+                assert hexed(traj.interpolate(t)) == hexed(_ref_interpolate(samples, t))
+
+    @pytest.mark.parametrize("name", COLUMN_TRACES)
+    def test_chart_switches_follow_the_events(self, column_traces, name):
+        # the rows after each chart_switch event are in the new chart
+        traj = column_traces[name]
+        charts = [s.state.chart for s in traj.samples]
+        flips = [k for k in range(1, len(charts)) if charts[k] != charts[k - 1]]
+        logged = [(traj.times.index(t) + 1, p["to"])
+                  for t, kind, p in traj.events if kind == "chart_switch"]
+        assert [(k, charts[k]) for k in flips] == logged
+        assert charts[0] == ("infinity" if name in ("from_infinity", "outer_circle")
+                             else "standard")
+        # standard-chart positions move by a few percent per step, also
+        # across the switches (a row left uninverted jumps to 1/z)
+        zs = traj.support_std()
+        assert max(abs(b - a) / max(abs(a), abs(b))
+                   for a, b in zip(zs, zs[1:])) < 0.2
+        if name in ("switch", "from_infinity"):
+            assert logged
+
+    @pytest.mark.parametrize("name", COLUMN_TRACES)
+    def test_columns_round_trip_through_samples(self, column_traces, name):
+        traj = column_traces[name]
+        again = Trajectory(conn=traj.conn, samples=traj.samples,
+                           events=traj.events)
+        for col in ("t", "z", "v", "K", "s_g", "switches"):
+            assert hexed(getattr(again, col)) == hexed(getattr(traj, col))
+        assert again.chart0 == traj.chart0
+        assert trajectory_to_csv(again).splitlines() \
+            == trajectory_to_csv(traj).splitlines()
+
+    def test_hand_built_samples_keep_their_arclength(self, column_traces):
+        # s_g here is not speed * t, and the charts change row by row; the
+        # samples come back as given and the CSV carries the given s_g
+        src = column_traces["switch"].samples[150:700]
+        hand = [TrajectorySample(s.t, s.state, math.sqrt(k) + 0.25 * s.t)
+                for k, s in enumerate(src)]
+        hand[3] = TrajectorySample(hand[3].t, GeodesicState(
+            "infinity", *engine._invert(hand[3].z_std, hand[3].v_std),
+            hand[3].state.k_phase), hand[3].s_g)
+        traj = Trajectory(conn=column_traces["switch"].conn, samples=hand)
+        assert traj.samples == hand
+        assert traj.chart0 == "standard"
+        assert traj.switches[:2] == [3, 4]
+        assert trajectory_to_csv(traj).splitlines() == _ref_csv(hand).splitlines()
+        assert hexed(first_integral(traj)) == hexed(_ref_first_integral(hand))

@@ -15,7 +15,7 @@ from connexion import (DirectionInterval, SpherePoint, build_connection,
                        local_params, must_cross, self_intersection_radius,
                        trace)
 from connexion import errors
-from connexion.localchart import FALL_ETA
+from connexion.localchart import FALL_ETA, _ser_diff, _ser_eval
 
 from conftest import single_pole
 
@@ -36,6 +36,19 @@ class TestAdaptedChart:
         chart = adapted_chart(conn, SpherePoint.of(0.0))
         assert chart.residual <= 1e-8
         assert 0 < chart.radius <= 0.5
+
+    def test_dw_is_the_derivative_series(self):
+        # dw evaluates the derivative series built once per chart; it must
+        # equal the series derived from w_coeffs() at every call
+        conn = build_connection([(SpherePoint.of(0.0), -1.5),
+                                 (SpherePoint.of(1.0), 0.3)])
+        chart = adapted_chart(conn, SpherePoint.of(0.0))
+        dw = _ser_diff(list(chart.w_coeffs()))
+        rng = np.random.default_rng(17)
+        r = chart.radius * np.sqrt(rng.uniform(0.0, 1.0, 200))
+        for u in chart.center + r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200)):
+            u = complex(u)
+            assert chart.dw(u) == _ser_eval(dw, u - chart.center)
 
     def test_low_residue_rejected(self, circle_conn):
         with pytest.raises(errors.ResonantOrLow):

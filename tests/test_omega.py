@@ -1,6 +1,7 @@
 """Omega-limit classification, period detection, transversal statistics,
 ring domains, saddle connections."""
 
+import cmath
 import math
 import re
 
@@ -12,12 +13,15 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
                        detect_period, ring_domain_probe,
                        saddle_connection_search, trace, transversal_analysis)
 from connexion import errors
+from connexion.engine import (GeodesicState, IntegratorOptions, Trajectory,
+                              TrajectorySample)
 from connexion.localchart import FALL_ETA
-from connexion.omega import (TransversalSection, _tail_convergence,
+from connexion.omega import (TransversalSection, _best_section,
+                             _foreign_accumulation, _tail_convergence,
                              exclusion_audit, random_connection,
                              section_crossings)
 
-from conftest import single_pole
+from conftest import audit_draws, hexed, single_pole
 
 
 def cantor_points(depth: int) -> np.ndarray:
@@ -117,6 +121,15 @@ class TestRingDomain:
         expect = math.log(max(radii) / min(radii))
         assert abs(rep.width - expect) < 1e-6
 
+    def test_seed_leaf_length_off_the_canonical_branch(self, circle_conn):
+        # K = 0 at z = 2 is not the canonical branch K = -log 2: |c| = 2 is
+        # twice the metric speed, so |c| T would give 4 pi
+        periodic = trace(circle_conn, GeodesicState("standard", 2.0, 2j, 0j), 30.0)
+        rep = ring_domain_probe(circle_conn, periodic, max_leaves_per_side=2)
+        assert rep.leaf_lengths[rep.leaf_offsets.index(0.0)] \
+            == pytest.approx(2 * math.pi, abs=1e-9)
+        assert max(abs(l - 2 * math.pi) for l in rep.leaf_lengths) < 1e-9
+
     def test_non_periodic_seed_rejected(self, circle_conn):
         seed = trace(circle_conn, (1.0, 1.0 + 1.0j), 10.0)
         with pytest.raises(errors.SeedNotPeriodic):
@@ -164,20 +177,6 @@ class TestSaddleConnections:
                                  (SpherePoint.of(1.0), 0.5)])
         sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
         assert all(s.start_pole == SpherePoint.of(1.0) for s in sads)
-
-
-def audit_draws(seed, n):
-    """The configurations and initial states exclusion_audit(n, seed) draws."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        conn = random_connection(rng)
-        while True:
-            z0 = complex(*rng.normal(0.0, 2.0, 2))
-            if all(abs(z0 - pos) > 0.05 for pos, _ in conn.chart_poles("standard")):
-                break
-        out.append((conn, (z0, np.exp(1j * rng.uniform(0.0, 2 * math.pi)))))
-    return out
 
 
 AUDIT_BUDGET = ClassifyBudget(t_max=60.0, max_steps=60_000)
@@ -246,3 +245,180 @@ class TestExclusionAudit:
         for _ in range(10):
             conn = random_connection(rng)
             assert abs(sum(p.residue for p in conn.poles) + 2.0) < 1e-12
+
+
+# -- per-sample references for the columnar detectors --------------------------
+# The detectors as they were written over TrajectorySample objects; the
+# columnar ones must give the same bits.
+
+def _ref_detect_period(traj, tol=1e-8):
+    samples = traj.samples
+    z0, v0 = samples[0].z_std, samples[0].v_std
+    vh0 = v0 / abs(v0)
+    scale = max(abs(z0), 1.0)
+    window = 0.0
+    for s in samples[1:]:
+        if s.t < 1e-6 or s.t <= window:
+            continue
+        z, v = s.z_std, s.v_std
+        if abs(z - z0) + abs(v / abs(v) - vh0) > 0.05 * scale:
+            continue
+        T = _ref_refine_period(traj, samples, s.t, z0, vh0, tol)
+        if T is not None:
+            return T
+        window = s.t + 0.1 * s.t
+    return None
+
+
+def _ref_refine_period(traj, samples, T0, z0, vh0, tol):
+    T = T0
+    for _ in range(8):
+        sub = trace(traj.conn, samples[0].state, T,
+                    IntegratorOptions(max_steps=len(samples) * 40 + 1000))
+        if sub.termination != "t_max":
+            return None
+        end = sub.samples[-1]
+        z, v = end.z_std, end.v_std
+        delta = (z - z0).real * v.real + (z - z0).imag * v.imag
+        dT = -delta / (abs(v) ** 2)
+        mism = abs(z - z0) + abs(v / abs(v) - vh0)
+        if mism < tol and abs(dT) < tol:
+            return T
+        if T + dT <= 1e-6:
+            return None
+        T += dT
+        if abs(dT) < 1e-15 * T:
+            return None if mism >= tol else T
+    return None
+
+
+def _ref_tail_convergence(traj):
+    samples = traj.samples
+    if len(samples) < 40:
+        return None
+    tail = samples[int(0.75 * len(samples)):]
+    for p in traj.conn.poles:
+        if p.residue > -1.0:
+            continue
+        if p.location.infinite:
+            ds = [1.0 / max(abs(s.z_std), 1e-300) for s in tail]
+        else:
+            ds = [abs(s.z_std - p.location.z) for s in tail]
+        if ds[-1] < 0.1 and ds[-1] < 0.8 * ds[0] and \
+                all(b <= a * 1.001 for a, b in zip(ds[:-1], ds[1:])):
+            return p.location
+    return None
+
+
+def _ref_foreign_accumulation(traj, simple):
+    samples = traj.samples
+    ts = [s.t for s in samples]
+    if len(ts) < 200:
+        return None
+    tail_start = ts[0] + 0.75 * (ts[-1] - ts[0])
+    tail = [s for s in samples if s.t >= tail_start]
+    if len(tail) < 50:
+        return None
+    vh = tail[0].v_std / abs(tail[0].v_std)
+    best = math.inf
+    for s in tail[5:]:
+        best = min(best, abs(s.z_std - tail[0].z_std)
+                   + abs(s.v_std / abs(s.v_std) - vh))
+    if best < 1e-6 and simple:
+        return "AccumulatesOnForeignPeriodic", {"tail_recurrence": best}
+    poles = [pos for pos, _ in traj.conn.chart_poles("standard")]
+    if simple and poles:
+        visits = []
+        for s in tail:
+            ds = [abs(s.z_std - p) for p in poles]
+            k = int(np.argmin(ds))
+            if ds[k] < 1e-3 and (not visits or visits[-1] != k):
+                visits.append(k)
+        if len(visits) >= 8 and len(set(visits)) >= 2:
+            return "AccumulatesOnSaddleGraph", {"pole_visits": visits}
+    return None
+
+
+def _ref_best_section(traj):
+    samples = traj.samples
+    pts = np.asarray([s.z_std for s in samples])
+    if pts.size < 50:
+        return None
+    stride = max(1, pts.size // 400)
+    counts = [(np.sum(np.abs(pts - p) < 0.2), i)
+              for i, p in enumerate(pts[::stride])]
+    k = max(counts)[1] * stride
+    nrm = 1j * samples[k].v_std / abs(samples[k].v_std)
+    return pts[k] - 0.3 * nrm, pts[k] + 0.3 * nrm
+
+
+def _verdict(v):
+    if v is None:
+        return None
+    return hexed((v.tag, {k: x for k, x in v.details.items() if k != "traj"}))
+
+
+@pytest.fixture(scope="module")
+def shuttles():
+    """Trajectories built from samples on which _foreign_accumulation fires:
+    a circle sampled 40 times a turn, whose tail recurs to rounding, and a
+    path sampled off the period that shuttles between the poles at +-1."""
+    circle = build_connection([(SpherePoint.of(0.0), -1.0),
+                               (SpherePoint.inf(), -1.0)])
+    ts = [k * 2 * math.pi / 40 for k in range(401)]
+    recurring = [TrajectorySample(t, GeodesicState(
+        "standard", cmath.exp(1j * t), 1j * cmath.exp(1j * t), -1j * t), t)
+        for t in ts]
+    twogon = build_connection([(SpherePoint.of(-1.0), 0.5),
+                               (SpherePoint.of(1.0), 0.5)])
+    ts = [0.0317 * k for k in range(4000)]
+    shuttle = [TrajectorySample(t, GeodesicState(
+        "standard", (1 - 5e-4) * math.cos(t) + 0.01j * math.sin(t),
+        -(1 - 5e-4) * math.sin(t) + 0.01j * math.cos(t)), t) for t in ts]
+    return {"recurring": Trajectory(conn=circle, samples=recurring),
+            "shuttle": Trajectory(conn=twogon, samples=shuttle)}
+
+
+class TestColumnarDetectors:
+    NAMES = ("switch", "certified", "fall", "pole_approach", "from_infinity",
+             "circle", "outer_circle")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_detect_period(self, column_traces, name):
+        traj = column_traces[name]
+        assert hexed(detect_period(traj)) == hexed(_ref_detect_period(traj))
+
+    @pytest.mark.parametrize("name", ("circle", "outer_circle"))
+    def test_detect_period_finds_the_circle(self, column_traces, name):
+        # the outer circle is traced in w = 1/z: the re-traces that refine
+        # its period must start from the same infinity-chart state
+        assert detect_period(column_traces[name]) \
+            == pytest.approx(2 * math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_tail_convergence(self, column_traces, name):
+        traj = column_traces[name]
+        assert _tail_convergence(traj) == _ref_tail_convergence(traj)
+
+    def test_tail_convergence_sees_the_fall(self, column_traces):
+        assert _tail_convergence(column_traces["fall"]) == SpherePoint.of(0.0)
+
+    @pytest.mark.parametrize("name", NAMES + ("recurring", "shuttle"))
+    @pytest.mark.parametrize("simple", (True, False))
+    def test_foreign_accumulation(self, column_traces, shuttles, name, simple):
+        traj = {**column_traces, **shuttles}[name]
+        assert _verdict(_foreign_accumulation(traj, simple)) \
+            == hexed(_ref_foreign_accumulation(traj, simple))
+
+    def test_foreign_accumulation_fires_on_the_shuttles(self, shuttles):
+        # so that the comparisons above cover both of its verdicts
+        for name, tag in (("recurring", "AccumulatesOnForeignPeriodic"),
+                          ("shuttle", "AccumulatesOnSaddleGraph")):
+            assert _foreign_accumulation(shuttles[name], True).tag == tag
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_best_section(self, column_traces, name):
+        traj = column_traces[name]
+        sec = _best_section(traj)
+        got = None if sec is None else (sec.p0, sec.p1)
+        assert hexed(got) == hexed(_ref_best_section(traj))
