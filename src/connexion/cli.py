@@ -19,7 +19,7 @@ import numpy as np
 from . import errors
 from .omega import ClassifyBudget, classify, saddle_connection_search
 from .connection import SpherePoint, connection_from_dict
-from .engine import (IntegratorOptions, trace, trajectory_to_csv)
+from .engine import POLE_FLOOR, IntegratorOptions, trace, trajectory_to_csv
 from .localchart import (adapted_chart, closed_form_path, critical_length,
                          local_params)
 from .polygons import (GeodesicPolygon, PolygonVertex, chart_polygon,
@@ -51,6 +51,9 @@ def _config_fail(msg: str):
 
 
 def build_scene(cfg: dict):
+    if "integrator" in cfg:
+        _config_fail("the integrator section is not supported: the "
+                     "integrator tolerances are fixed (engine.RTOL and others)")
     if "connection" not in cfg or "poles" not in cfg.get("connection", {}):
         _config_fail("missing connection.poles")
     try:
@@ -69,14 +72,11 @@ def build_scene(cfg: dict):
     return conn, initials
 
 
-def integrator_options(cfg: dict, budget_steps: int | None) -> IntegratorOptions:
-    opts = IntegratorOptions()
-    for key in ("rtol", "atol", "c_budget", "pole_floor", "h0"):
-        if key in cfg.get("integrator", {}):
-            setattr(opts, key, float(cfg["integrator"][key]))
-    if budget_steps:
-        opts.max_steps = budget_steps
-    return opts
+def integrator_options(budget_steps: int | None) -> IntegratorOptions:
+    """The default budgets, with ``--budget-steps`` as the step cap if given."""
+    if budget_steps is None:
+        return IntegratorOptions()
+    return IntegratorOptions(max_steps=budget_steps)
 
 
 def render_window(cfg: dict) -> RenderWindow:
@@ -99,7 +99,7 @@ _config_opt = click.option("--config", "config_path", required=True,
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True,
                          help="Random seed of the portrait launch directions "
                               "and the verify teichmuller polygons.")
-_budget_opt = click.option("--budget-steps", type=int, default=None,
+_budget_opt = click.option("--budget-steps", type=click.IntRange(min=1),
                            help="Cap on integrator step attempts, accepted "
                                 "or rejected.")
 
@@ -131,7 +131,7 @@ def trace_cmd(config_path, out_path, svg_path, budget_steps):
     if not initials:
         _config_fail("no initial conditions")
     t_max = float(cfg.get("t_max", 50.0))
-    opts = integrator_options(cfg, budget_steps)
+    opts = integrator_options(budget_steps)
     trajectories = []
     for z, v in initials:
         try:
@@ -203,14 +203,14 @@ def portrait(config_path, svg_path, seed, budget_steps):
     pcfg = cfg.get("portrait", {})
     n = int(pcfg.get("grid", 5))
     t_max = float(cfg.get("t_max", 30.0))
-    opts = integrator_options(cfg, budget_steps)
+    opts = integrator_options(budget_steps)
     rng = np.random.default_rng(seed)
     span = np.linspace(-0.8, 0.8, n) * window.half_width
     seeds = []
     for re in span:
         for im in span:
             z = window.center + complex(re, im)
-            if any(abs(z - pos) < 10 * opts.pole_floor
+            if any(abs(z - pos) < 10 * POLE_FLOOR
                    for pos, _ in conn.chart_poles("standard")):
                 continue
             theta = float(rng.uniform(0.0, 2.0 * math.pi))

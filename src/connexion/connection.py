@@ -28,6 +28,7 @@ RESIDUE_SUM = -2.0
 SUM_TOL = 1e-12
 POLE_EVAL_TOL = 1e-12
 LOOP_CLEARANCE = 1e-9
+SWITCH_RADIUS = 10.0   # |z| past which a trace moves to the w = 1/z chart
 
 STANDARD = "standard"
 INFINITY = "infinity"
@@ -82,7 +83,6 @@ class FuchsianConnection:
     """Immutable pole set; all operations on it are pure."""
 
     poles: tuple  # of PoleSpec, infinity pole explicit
-    switch_radius: float = 10.0
     _finite: tuple = field(default=(), repr=False)
 
     @property
@@ -118,7 +118,7 @@ class FuchsianConnection:
         return out
 
 
-def build_connection(poles, switch_radius: float = 10.0) -> FuchsianConnection:
+def build_connection(poles) -> FuchsianConnection:
     """Validate a pole list and return a connection.
 
     Residues must be real: a complex residue is refused here, and every
@@ -157,8 +157,7 @@ def build_connection(poles, switch_radius: float = 10.0) -> FuchsianConnection:
         inf_res = RESIDUE_SUM - finite_sum
 
     all_poles = finite + [PoleSpec(SpherePoint.inf(), inf_res)]
-    return FuchsianConnection(tuple(all_poles), float(switch_radius),
-                              _finite=tuple(finite))
+    return FuchsianConnection(tuple(all_poles), _finite=tuple(finite))
 
 
 def local_rep(conn: FuchsianConnection, chart: str, point: complex) -> complex:
@@ -207,8 +206,8 @@ def monodromy_of_loop(conn: FuchsianConnection, loop: LoopPath) -> complex:
     return cmath.exp(2j * math.pi * acc)
 
 
-def from_k_differential(numerator_roots, denominator_roots, k: int,
-                        switch_radius: float = 10.0) -> FuchsianConnection:
+def from_k_differential(numerator_roots, denominator_roots,
+                        k: int) -> FuchsianConnection:
     """Connection adapted to q = prod (z - a_i)^{m_i} dz^k.
 
     The induced 1-form is (1/k) dq/q, so each finite root contributes residue
@@ -227,7 +226,7 @@ def from_k_differential(numerator_roots, denominator_roots, k: int,
             if abs(a - b) <= POLE_EVAL_TOL:
                 raise errors.DuplicateRoot(f"repeated root {a}")
     poles = [PoleSpec(SpherePoint.of(a), m / k) for a, m in roots]
-    return build_connection(poles, switch_radius=switch_radius)
+    return build_connection(poles)
 
 
 # -- serialization (schema shared with the CLI) --------------------------------
@@ -243,7 +242,7 @@ def connection_to_dict(conn: FuchsianConnection) -> dict:
     return {"poles": out}
 
 
-def connection_from_dict(data: dict, switch_radius: float = 10.0) -> FuchsianConnection:
+def connection_from_dict(data: dict) -> FuchsianConnection:
     poles = []
     for item in data["poles"]:
         res = float(item["residue"])
@@ -252,4 +251,4 @@ def connection_from_dict(data: dict, switch_radius: float = 10.0) -> FuchsianCon
         else:
             poles.append(PoleSpec(SpherePoint.of(complex(float(item["re"]),
                                                          float(item.get("im", 0.0)))), res))
-    return build_connection(poles, switch_radius=switch_radius)
+    return build_connection(poles)

@@ -13,7 +13,9 @@ the speed metric_density(z) |v| taken once at the start state (standard
 chart).
 
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
-escaping past the switch radius continue in the infinity chart.
+escaping past ``SWITCH_RADIUS`` continue in the infinity chart.  The
+tolerances ``RTOL``, ``ATOL``, ``C_BUDGET``, ``POLE_FLOOR`` and the first
+step ``H0`` are fixed; ``IntegratorOptions`` holds only a trace's budgets.
 
 A ``Trajectory`` is stored as columns: t, s_g, and z, v and K in the chart
 each row was integrated in, with the chart kept as the row indices where it
@@ -47,10 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .connection import FuchsianConnection, INFINITY, STANDARD, SpherePoint
+from .connection import (FuchsianConnection, INFINITY, STANDARD,
+                         SWITCH_RADIUS, SpherePoint)
 from .localchart import adapted_chart
 
+RTOL = 1e-12
+ATOL = 1e-14
+C_BUDGET = 1e-11   # relative first-integral drift per unit time
 POLE_FLOOR = 1e-6
+H0 = 1e-3
 _MACH_EPS = math.ulp(1.0)
 PATH_CLEARANCE = 1e-9
 _HALF_PI = math.pi / 2
@@ -89,24 +96,19 @@ class TrajectorySample:
     def z_std(self) -> complex:
         if self.state.chart == STANDARD:
             return self.state.z
-        return 1.0 / self.state.z
+        return _invert(self.state.z, self.state.v)[0]
 
     @property
     def v_std(self) -> complex:
         if self.state.chart == STANDARD:
             return self.state.v
-        return -self.state.v / self.state.z ** 2
+        return _invert(self.state.z, self.state.v)[1]
 
 
 @dataclass
 class IntegratorOptions:
-    rtol: float = 1e-12
-    atol: float = 1e-14
-    c_budget: float = 1e-11      # relative first-integral drift per unit time
-    pole_floor: float = POLE_FLOOR
     max_steps: int = 1_000_000
     max_seconds: float | None = None
-    h0: float = 1e-3
 
 
 class Trajectory:
@@ -357,6 +359,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
           certify: bool = False) -> Trajectory:
     """Integrate the geodesic through ``initial`` up to time ``t_max``.
 
+    ``opts`` sets the budgets; the tolerances are the module constants.
     With ``certify`` the trace ends early once it is certified to fall into
     a pole of residue < -1 (module docstring).
     """
@@ -373,7 +376,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
 
     poles = conn.chart_poles(chart)
     for pos, _res in poles:
-        if abs(z - pos) <= opts.pole_floor:
+        if abs(z - pos) <= POLE_FLOOR:
             raise errors.StartAtPole(f"initial position within pole floor of {pos}")
 
     if isinstance(initial, GeodesicState):
@@ -393,9 +396,9 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     z_std, v_std = (z, v) if chart == STANDARD else _invert(z, v)
     speed = metric_density(conn, z_std) * abs(v_std)
 
-    rtol, atol, c_budget = opts.rtol, opts.atol, opts.c_budget
-    floor, max_steps, max_seconds = opts.pole_floor, opts.max_steps, opts.max_seconds
-    h = min(opts.h0, t_max)
+    rtol, atol, c_budget, floor = RTOL, ATOL, C_BUDGET, POLE_FLOOR
+    max_steps, max_seconds = opts.max_steps, opts.max_seconds
+    h = min(H0, t_max)
     steps = 0
     started = _time.monotonic()
     table = None
@@ -413,8 +416,8 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             # trace leaves the chart, set at the start and after a switch
             poles = conn.chart_poles(chart)
             table = [(pos, res, abs(res)) for pos, res in poles]
-            exit_radius = (conn.switch_radius if chart == STANDARD
-                           else 1.5 / conn.switch_radius)
+            exit_radius = (SWITCH_RADIUS if chart == STANDARD
+                           else 1.5 / SWITCH_RADIUS)
         steps += 1
         h = min(h, t_max - t, H_MAX)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -736,11 +739,11 @@ def cross_intersections(a: Trajectory, b: Trajectory, max_count: int = 64) -> li
     return out
 
 
-def _refine_crossing(ta: Trajectory, tb: Trajectory, t1, t2, iters=30):
-    """Newton refinement of gamma_a(t1) = gamma_b(t2)."""
+def _refine_crossing(ta: Trajectory, tb: Trajectory, t1, t2):
+    """Newton refinement of gamma_a(t1) = gamma_b(t2), at most 30 steps."""
     lo1, hi1 = ta.t[0], ta.t_end
     lo2, hi2 = tb.t[0], tb.t_end
-    for _ in range(iters):
+    for _ in range(30):
         z1, v1 = ta.interpolate(t1)
         z2, v2 = tb.interpolate(t2)
         F = z1 - z2

@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .connection import (INFINITY, STANDARD, FuchsianConnection, SpherePoint)
+from .connection import (INFINITY, STANDARD, SWITCH_RADIUS,
+                         FuchsianConnection, SpherePoint)
 
 RESIDUAL_TOL = 1e-8
 CRITICAL_TOL = 1e-9
@@ -120,11 +121,11 @@ class AdaptedChart:
         return {"radius": self.radius, "order": self.order,
                 "residual": self.residual}
 
-    def inscribed_w(self, n: int = 64) -> float:
+    def inscribed_w(self) -> float:
         """Radius w_in of the w-disc inscribed in the image of
         |zeta| < 0.9 radius, the circle the residual is checked on: the
-        minimum of |w| over n points of that circle."""
-        zeta = 0.9 * self.radius * np.exp(2j * np.pi * np.arange(n) / n)
+        minimum of |w| over 64 points of that circle."""
+        zeta = 0.9 * self.radius * np.exp(2j * np.pi * np.arange(64) / 64)
         return float(np.min(np.abs(zeta * np.polyval(self.series[::-1], zeta))))
 
     def falls_in(self, w_in: float, u: complex, v: complex):
@@ -153,12 +154,11 @@ def _ambient_for(conn: FuchsianConnection, pole: SpherePoint):
     return STANDARD, pole.z
 
 
-def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
-                  N: int = DEFAULT_N) -> AdaptedChart:
+def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
     """Series construction of the pole-centered coordinate with form rho dw/w.
 
     The holomorphic part of the local representation is expanded around the
-    pole, exponentiated into e^F = sum c_j zeta^j, and
+    pole to order DEFAULT_N, exponentiated into e^F = sum c_j zeta^j, and
 
         w = zeta * ( sum_j c_j zeta^j / (j + rho + 1) )^{1/(rho+1)},
 
@@ -169,8 +169,6 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
     radius starts at half the distance to the nearest other pole and is
     shrunk geometrically until the pullback residual passes on a grid.
     """
-    if N < 4:
-        raise ValueError("N must be at least 4")
     ambient, center = _ambient_for(conn, pole)
     rho = conn.residue_at(pole)
     if rho <= -1.0 and abs(rho - round(rho)) <= 1e-9:
@@ -180,16 +178,16 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
               if abs(pos - center) > 1e-12]
 
     # Taylor of the holomorphic part f_hol(zeta) = sum_j rho_j / (zeta - q_j)
-    f_hol = [0j] * (N + 1)
+    f_hol = [0j] * (DEFAULT_N + 1)
     for pos, res in others:
         q = pos - center
         inv = 1.0 / q
         p = -inv
-        for m in range(N + 1):
+        for m in range(DEFAULT_N + 1):
             f_hol[m] += res * p
             p *= inv
-    F = [0j] * (N + 1)
-    for m in range(1, N + 1):
+    F = [0j] * (DEFAULT_N + 1)
+    for m in range(1, DEFAULT_N + 1):
         F[m] = f_hol[m - 1] / m
     c = _ser_exp(F)
 
@@ -213,7 +211,7 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint,
     poles = conn.chart_poles(ambient)
 
     dists = [abs(pos - center) for pos, _ in others]
-    r0 = min(dists) / 2.0 if dists else conn.switch_radius / 2.0
+    r0 = min(dists) / 2.0 if dists else SWITCH_RADIUS / 2.0
     chart = None
     r = r0
     for _ in range(60):
@@ -286,9 +284,9 @@ class DirectionInterval:
     def length(self) -> float:
         return sum(hi - lo for lo, hi in self.arcs())
 
-    def contains(self, angle: float, tol: float = 1e-12) -> bool:
+    def contains(self, angle: float) -> bool:
         angle = angle % (2.0 * math.pi)
-        return any(lo - tol <= angle <= hi + tol for lo, hi in self.arcs())
+        return any(lo - 1e-12 <= angle <= hi + 1e-12 for lo, hi in self.arcs())
 
 
 def local_params(rho: float, r: float, z0: complex, v0: complex) -> LocalGeodesicParams:
@@ -341,10 +339,10 @@ def closed_form_path(params: LocalGeodesicParams, ts) -> np.ndarray:
     return np.exp(1j * params.alpha) * np.exp(logz)
 
 
-def is_critical(params: LocalGeodesicParams, tol: float = CRITICAL_TOL) -> bool:
+def is_critical(params: LocalGeodesicParams) -> bool:
     """Critical geodesics run along a radius straight into the pole; their b
-    is real (up to tolerance scaled by |b|)."""
-    return abs(params.b.imag) <= tol * max(1.0, abs(params.b))
+    is real (up to CRITICAL_TOL scaled by |b|)."""
+    return abs(params.b.imag) <= CRITICAL_TOL * max(1.0, abs(params.b))
 
 
 def critical_length(rho: float, r: float) -> float:
@@ -406,13 +404,9 @@ def self_intersection_radius(rho: float, r: float) -> float:
 def entry_direction(chart: AdaptedChart, segment) -> float:
     """Direction angle alpha of a geodesic state inside the chart.
 
-    ``segment`` is (position, velocity) in the chart's ambient coordinate,
-    or an object with .z and .v fields.
+    ``segment`` is (position, velocity) in the chart's ambient coordinate.
     """
-    if hasattr(segment, "z"):
-        u, vel = segment.z, segment.v
-    else:
-        u, vel = segment
+    u, vel = segment
     try:
         w, vw = chart.push_state(complex(u), complex(vel))
     except errors.OutOfDomain as exc:

@@ -72,8 +72,9 @@ class OmegaVerdict:
 
 # -- periodicity ---------------------------------------------------------------
 
-def detect_period(traj: Trajectory, tol: float = RECURRENCE_TOL):
-    """Smallest recurrence time T with |z(T)-z0| + |vhat(T)-vhat0| < tol.
+def detect_period(traj: Trajectory):
+    """Smallest recurrence time T with |z(T)-z0| + |vhat(T)-vhat0| below
+    RECURRENCE_TOL.
 
     Candidates come from the stored samples; each candidate is then refined
     by re-integrating up to the candidate time, because the recurrence falls
@@ -92,7 +93,7 @@ def detect_period(traj: Trajectory, tol: float = RECURRENCE_TOL):
         z, v = zs[k], vs[k]
         if abs(z - z0) + abs(v / abs(v) - vh0) > 0.05 * scale:
             continue
-        T = _refine_period(traj, t, z0, vh0, tol)
+        T = _refine_period(traj, t, z0, vh0)
         if T is not None:
             return T
         # skip the rest of this close-approach window before trying again
@@ -100,7 +101,7 @@ def detect_period(traj: Trajectory, tol: float = RECURRENCE_TOL):
     return None
 
 
-def _refine_period(traj: Trajectory, T0: float, z0, vh0, tol):
+def _refine_period(traj: Trajectory, T0: float, z0, vh0):
     """Newton-like refinement of a recurrence time by exact re-integration:
     project the endpoint offset onto the flow direction and step T."""
     T = T0
@@ -113,13 +114,13 @@ def _refine_period(traj: Trajectory, T0: float, z0, vh0, tol):
         delta = (z - z0).real * v.real + (z - z0).imag * v.imag
         dT = -delta / (abs(v) ** 2)
         mism = abs(z - z0) + abs(v / abs(v) - vh0)
-        if mism < tol and abs(dT) < tol:
+        if mism < RECURRENCE_TOL and abs(dT) < RECURRENCE_TOL:
             return T
         if T + dT <= 1e-6:
             return None
         T += dT
         if abs(dT) < 1e-15 * T:
-            return None if mism >= tol else T
+            return None if mism >= RECURRENCE_TOL else T
     return None
 
 
@@ -129,37 +130,28 @@ def _refine_period(traj: Trajectory, T0: float, z0, vh0, tol):
 class TransversalSection:
     p0: complex
     p1: complex
-    crossings: list = field(default_factory=list)   # parameters in [0, 1]
 
     @property
     def length(self) -> float:
         return abs(self.p1 - self.p0)
 
 
-def section_crossings(traj: Trajectory, section: TransversalSection,
-                      min_angle: float = 1e-3) -> list:
+def section_crossings(traj: Trajectory, section: TransversalSection) -> list:
     """Parameters along the section where the sampled trajectory crosses it
-    transversally."""
+    transversally: at an angle whose sine is at least 1e-3."""
     pts = np.asarray(traj.support_std())
     seg = np.array([section.p0, section.p1], dtype=complex)
     i, _, s, u, den = segment_crossings(pts, seg)
     sin_angle = np.abs(den) / (np.abs(pts[i + 1] - pts[i]) * abs(seg[1] - seg[0]))
-    return sorted(u[(s < 1.0) & (sin_angle >= min_angle)].tolist())
+    return sorted(u[(s < 1.0) & (sin_angle >= 1e-3)].tolist())
 
 
-def transversal_analysis(traj, section: TransversalSection) -> dict:
-    """Gap statistics of the crossing set on a transversal section.
-
-    ``traj`` may be None when the section already carries its crossings
-    (synthetic inputs); otherwise crossings are computed first.
-    """
-    xs = list(section.crossings)
-    if traj is not None and not xs:
-        xs = section_crossings(traj, section)
-        section.crossings = xs
+def transversal_analysis(traj: Trajectory, section: TransversalSection) -> dict:
+    """Gap statistics of the trajectory's crossings of a transversal section
+    (``crossing_statistics`` of ``section_crossings``)."""
+    xs = section_crossings(traj, section)
     if len(xs) < 20:
         raise errors.TooFewCrossings(f"{len(xs)} crossings < 20")
-    xs = np.sort(np.asarray(xs, dtype=float))
     return crossing_statistics(xs)
 
 
@@ -367,11 +359,11 @@ class RingDomainReport:
 
 
 def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
-                      step: float = 0.05, max_leaves_per_side: int = 12,
+                      max_leaves_per_side: int = 12,
                       budget: ClassifyBudget | None = None) -> RingDomainReport:
-    """March transversally from a periodic leaf, re-seeding periodic traces
-    until periodicity fails; measures the metric width spanned and each
-    leaf's metric length."""
+    """March transversally from a periodic leaf in steps of 0.05, re-seeding
+    periodic traces until periodicity fails; measures the metric width
+    spanned and each leaf's metric length."""
     T0 = detect_period(periodic)
     if T0 is None:
         raise errors.SeedNotPeriodic("seed trajectory is not periodic")
@@ -389,7 +381,7 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
     for sign in (+1.0, -1.0):
         stopped = None
         for k in range(1, max_leaves_per_side + 1):
-            off = sign * k * step
+            off = sign * k * 0.05
             seed = z0 + off * nrm
             try:
                 tr = trace(conn, (seed, vh0), budget.t_max, budget.options())
@@ -438,10 +430,10 @@ class SaddleConnection:
 
 
 def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
-                             launch_radius_frac: float = 0.05,
                              t_max: float = 40.0) -> list:
     """Launch reversed critical rays from each pole with residue > -1 on an
-    angular grid and keep the launches that land in another pole's funnel."""
+    angular grid, at 0.05 of its adapted-chart radius, and keep the launches
+    that land in another pole's funnel."""
     found = []
     opts = IntegratorOptions()
     for p in conn.poles:
@@ -452,7 +444,7 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
             chart = adapted_chart(conn, p.location)
         except (errors.ResonantOrLow, errors.SeriesDivergence):
             continue
-        r0 = launch_radius_frac * chart.radius
+        r0 = 0.05 * chart.radius
         # metric length of the radial stub between the pole and the launch
         # circle, the same for every critical ray
         stub = _segment_length(conn, chart.center, 1.0, 1e-9, r0, 400)
@@ -479,13 +471,12 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
 def _critical_launch(chart, r0, phi):
     """State on the critical ray with adapted-coordinate argument phi at
     ambient radius r0, moving away from the pole."""
-    # find the ambient point whose adapted coordinate has argument phi
-    target = phi
+    # find the ambient point whose adapted coordinate has argument phi;
     # w(zeta) = zeta*K(zeta) with K(0) real positive, so start at arg phi
-    zeta = r0 * cmath.exp(1j * target)
+    zeta = r0 * cmath.exp(1j * phi)
     for _ in range(30):
         w = chart.to_w(chart.center + zeta)
-        err = (cmath.phase(w) - target + math.pi) % TWO_PI - math.pi
+        err = (cmath.phase(w) - phi + math.pi) % TWO_PI - math.pi
         if abs(err) < 1e-13:
             break
         zeta *= cmath.exp(-1j * err)
@@ -495,8 +486,7 @@ def _critical_launch(chart, r0, phi):
     dv = chart.dw(u)
     if dv == 0:
         return None
-    return GeodesicState("standard" if chart.ambient == "standard" else "infinity",
-                         u, vw / dv)
+    return GeodesicState(chart.ambient, u, vw / dv)
 
 
 def _dedup_saddles(found):

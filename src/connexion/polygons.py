@@ -26,8 +26,7 @@ import numpy as np
 from . import errors
 from .connection import (FuchsianConnection, LoopPath, SpherePoint,
                          winding_number)
-from .engine import (IntegratorOptions, Trajectory, first_integral,
-                     self_intersections, trace)
+from .engine import IntegratorOptions, Trajectory, self_intersections, trace
 from .localchart import AdaptedChart
 
 JUNCTION_TOL = 1e-8
@@ -54,7 +53,6 @@ class Side:
     points: tuple                    # complex positions, standard chart
     t_start: complex                 # tangent leaving points[0]
     t_end: complex                   # tangent arriving at points[-1]
-    fi_drift: float = 0.0            # first-integral drift if traced
 
     @property
     def start(self) -> complex:
@@ -67,8 +65,7 @@ class Side:
 
 def side_from_trajectory(traj: Trajectory) -> Side:
     zs, vs = traj.std_columns()
-    _, drift = first_integral(traj)
-    return Side(tuple(zs), vs[0], vs[-1], drift)
+    return Side(tuple(zs), vs[0], vs[-1])
 
 
 def side_from_points(points, t_start=None, t_end=None) -> Side:
@@ -173,23 +170,17 @@ def _ray_argument(side: Side, vertex: PolygonVertex,
 
 # -- identity residuals --------------------------------------------------------
 
-def check_chart_polygon(chart_or_rho, polygon: GeodesicPolygon,
-                        chart: AdaptedChart | None = None) -> float:
+def check_chart_polygon(rho: float, polygon: GeodesicPolygon) -> float:
     """Residual of the pole-chart identity
     sum_{j>=1} (pi - v_j) = pi + v_0 (rho + 1),
-    for a polygon whose vertex 0 is the chart's pole and all other vertices
-    are regular."""
-    if isinstance(chart_or_rho, AdaptedChart):
-        chart = chart_or_rho
-        rho = chart.rho
-    else:
-        rho = float(chart_or_rho)
+    for a polygon whose vertex 0 is a pole of residue ``rho`` and all other
+    vertices are regular; angles are measured in the ambient coordinate."""
     v0x = polygon.vertices[0]
     if v0x.kind != "pole":
         raise errors.PoleNotVertexZero("vertex 0 must be the pole")
-    angles = polygon.angles({0: chart} if chart is not None else None)
+    angles = polygon.angles()
     lhs = sum(math.pi - v for v in angles[1:])
-    rhs = math.pi + angles[0] * (rho + 1.0)
+    rhs = math.pi + angles[0] * (float(rho) + 1.0)
     return abs(lhs - rhs)
 
 
@@ -245,7 +236,7 @@ def check_general_formula(topology: PartTopology, vertices) -> float:
 
 # -- pure-chart polygon generator ---------------------------------------------
 
-def chart_polygon(rho: float, v0: float, radii, rng=None) -> GeodesicPolygon:
+def chart_polygon(rho: float, v0: float, radii) -> GeodesicPolygon:
     """Build a polygon in the single-pole model chart f = rho/z: two critical
     rays at arguments 0 and v0 joined by a chain of geodesic arcs through the
     given vertex radii.
@@ -301,20 +292,18 @@ def _arc_side(rho, za, Wa, zb, Wb, n=128):
 # -- unique connecting arc -----------------------------------------------------
 
 def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
-                   n_grid: int = 72, t_max: float | None = None,
-                   opts: IntegratorOptions | None = None,
+                   n_grid: int = 72, opts: IntegratorOptions | None = None,
                    miss_tol: float = 1e-7) -> Trajectory:
     """Shooting search for a simple geodesic arc from z0 to z1.
 
-    Scans launch directions on a grid, then golden-section-minimizes the
-    closest-approach distance to z1 over the direction angle.  The returned
-    trajectory is truncated at its closest approach.
+    Scans launch directions on a grid, traced to t = 8 |z1 - z0| + 8, then
+    golden-section-minimizes the closest-approach distance to z1 over the
+    direction angle.  The returned trajectory ends at its closest approach.
     """
     z0, z1 = complex(z0), complex(z1)
     if abs(z0 - z1) < 1e-12:
         raise ValueError("need distinct endpoints")
-    if t_max is None:
-        t_max = 8.0 * abs(z1 - z0) + 8.0
+    t_max = 8.0 * abs(z1 - z0) + 8.0
     opts = opts or IntegratorOptions()
 
     def miss(theta):

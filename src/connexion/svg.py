@@ -44,20 +44,21 @@ class SvgBuilder:
 
     def polyline(self, points, color: str, width: float = 1.2):
         """Emit a trajectory as visible polyline runs."""
+        to_px = self.window.to_px
         run = []
         for z in points:
             if self.window.visible(z):
                 run.append(z)
             else:
-                self._flush(run, color, width)
+                self._flush(run, color, width, to_px)
                 run = []
-        self._flush(run, color, width)
+        self._flush(run, color, width, to_px)
 
-    def _flush(self, run, color, width):
+    def _flush(self, run, color, width, to_px):
         if len(run) < 2:
             return
         coords = " ".join("{},{}".format(_f(x), _f(y))
-                          for x, y in (self.window.to_px(z) for z in run))
+                          for x, y in (to_px(z) for z in run))
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{_f(width)}"/>')
@@ -131,9 +132,9 @@ def _infinity_inset(svg: SvgBuilder, conn, trajectories):
             if w is not None and abs(w) < wmax:
                 run.append(w)
             else:
-                _flush_inset(svg, run, to_px, color)
+                svg._flush(run, color, 1.0, to_px)
                 run = []
-        _flush_inset(svg, run, to_px, color)
+        svg._flush(run, color, 1.0, to_px)
     # the pole at infinity sits at w = 0
     cx_, cy_ = to_px(0j)
     rho = conn.infinity_residue
@@ -142,11 +143,3 @@ def _infinity_inset(svg: SvgBuilder, conn, trajectories):
     svg.raw(f'<text x="{_f(cx_ + 5)}" y="{_f(cy_ - 5)}" font-size="10" '
             f'font-family="monospace" fill="#333333">ρ={rho:g}</text>')
 
-
-def _flush_inset(svg, run, to_px, color):
-    if len(run) < 2:
-        return
-    coords = " ".join("{},{}".format(_f(x), _f(y))
-                      for x, y in (to_px(w) for w in run))
-    svg.raw(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.000000"/>')

@@ -123,6 +123,25 @@ class TestPortrait:
         assert docs[0] == docs[1]
 
 
+class TestRefusedInputs:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["trace", "classify", "portrait"])
+    def test_budget_steps_must_be_positive(self, scenes_dir, tmp_path,
+                                           command, value):
+        svg = ["--svg", str(tmp_path / "p.svg")] if command == "portrait" else []
+        r = run(command, "--config", str(scenes_dir / "circle.json"), *svg,
+                "--budget-steps", value)
+        assert r.returncode == 2
+        assert "--budget-steps" in r.stderr
+
+    def test_integrator_section_exits_2(self, scenes_dir, tmp_path):
+        cfg = json.loads((scenes_dir / "circle.json").read_text())
+        cfg["integrator"] = {"rtol": 1e-6}
+        r = run("trace", "--config", write_config(tmp_path, "tol.json", cfg))
+        assert r.returncode == 2
+        assert "integrator" in r.stderr
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy(self):
         code = "import connexion.cli, sys; assert 'scipy' not in sys.modules"

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from connexion import (IntegratorOptions, SpherePoint, build_connection,
-                       continue_K, first_integral, metric_density,
-                       self_intersections, trace, trajectory_to_csv)
+from connexion import (SpherePoint, build_connection, continue_K,
+                       first_integral, metric_density, self_intersections,
+                       trace, trajectory_to_csv)
 from connexion import engine, errors
 from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
                               TrajectorySample, cross_intersections,
@@ -391,13 +391,14 @@ class TestFastPath:
                 assert self_intersections(traj, max_count=max_count) == want
         assert len(want) > 1000
 
-    def test_split_chord_continues_K_like_continue_K(self):
+    def test_split_chord_continues_K_like_continue_K(self, monkeypatch):
         # loose tolerances let one step jump past a weak pole: its chord
         # subtends more than pi/2 there, so K is continued on split chords
         conn = build_connection([(SpherePoint.of(0.0), -1e-6),
                                  (SpherePoint.of(2 + 1j), -0.5)])
-        opts = IntegratorOptions(rtol=1e-6, atol=1e-6, c_budget=1e-6)
-        traj = trace(conn, (-1 + 1e-3j, 1.0), 3.0, opts)
+        for name in ("RTOL", "ATOL", "C_BUDGET"):
+            monkeypatch.setattr(engine, name, 1e-6)
+        traj = trace(conn, (-1 + 1e-3j, 1.0), 3.0)
         zs = traj.support_std()
         assert traj.termination == "t_max"
         assert any(abs(cmath.phase(b / a)) >= math.pi / 2 for a, b in zip(zs, zs[1:]))
