@@ -50,10 +50,50 @@ def _config_fail(msg: str):
     sys.exit(EXIT_CONFIG)
 
 
+# The keys the CLI reads.  A dict is an object, a tuple lists the keys of
+# each object in a list, None takes any value, and float (int) takes a number
+# (an integer) > 0.
+SCENE_KEYS = {
+    "connection": {"poles": ("re", "im", "residue", "inf")},
+    "initial": ("re", "im", "v_re", "v_im"),
+    "t_max": float,
+    "budget": {"t_max": float, "steps": int, "seconds": float},
+    "window": {"re": None, "im": None, "half_width": float, "size": int},
+    "portrait": {"grid": int},
+}
+
+
+def _check_scene(value, keys, name="the scene"):
+    """Refuse a key that ``keys`` (a SCENE_KEYS entry) lacks, or a value it
+    does not take."""
+    if isinstance(keys, tuple):
+        if not isinstance(value, list):
+            _config_fail(f"{name} must be a list")
+        for i, item in enumerate(value):
+            _check_scene(item, dict.fromkeys(keys), f"{name}[{i}]")
+    elif isinstance(keys, dict):
+        if not isinstance(value, dict):
+            _config_fail(f"{name} must be an object")
+        for key, item in value.items():
+            path = key if name == "the scene" else f"{name}.{key}"
+            if key not in keys:
+                _config_fail(f"unknown key {path}")
+            _check_scene(item, keys[key], path)
+    elif keys is not None:
+        try:
+            ok = keys(value) > 0
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            kind = "a number" if keys is float else "an integer"
+            _config_fail(f"{name} must be {kind} > 0, not {value!r}")
+
+
 def build_scene(cfg: dict):
     if "integrator" in cfg:
         _config_fail("the integrator section is not supported: the "
                      "integrator tolerances are fixed (engine.RTOL and others)")
+    _check_scene(cfg, SCENE_KEYS)
     if "connection" not in cfg or "poles" not in cfg.get("connection", {}):
         _config_fail("missing connection.poles")
     try:

@@ -142,6 +142,74 @@ class TestRefusedInputs:
         assert "integrator" in r.stderr
 
 
+class TestSceneKeys:
+    # a scene key the CLI does not read, or a value out of range, exits 2
+    # with a config error that names the key
+    @pytest.mark.parametrize("command, path, value", [
+        ("trace", "t_mx", 1.0),
+        ("classify", "budget.step", 10),
+        ("trace", "window.zoom", 2),
+        ("portrait", "portrait.size", 3),
+        ("validate", "connection.name", "circle"),
+        ("trace", "t_max", 0),
+        ("portrait", "t_max", 0),
+        ("trace", "t_max", float("nan")),
+        ("trace", "t_max", "long"),
+        ("classify", "budget.t_max", -1),
+        ("classify", "budget.steps", 0),
+        ("classify", "budget.steps", 0.5),
+        ("classify", "budget.seconds", 0),
+        ("portrait", "portrait.grid", 0),
+        ("portrait", "window.half_width", 0),
+        ("trace", "window.size", 0),
+    ])
+    def test_refused_with_the_key_named(self, scenes_dir, tmp_path, command,
+                                        path, value):
+        cfg = json.loads((scenes_dir / "circle.json").read_text())
+        *sections, key = path.split(".")
+        section = cfg
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+        svg = ["--svg", str(tmp_path / "p.svg")] if command == "portrait" else []
+        r = run(command, "--config", write_config(tmp_path, "bad.json", cfg),
+                *svg)
+        assert r.returncode == 2
+        assert "config error" in r.stderr and path in r.stderr
+
+    @pytest.mark.parametrize("section, item, named", [
+        ("poles", {"re": 0.0, "residue": -1.0, "weight": 1}, "poles[0].weight"),
+        ("initial", {"re": 1.0, "v_re": 0.0, "v_im": 1.0, "vre": 1.0},
+         "initial[0].vre"),
+    ])
+    def test_list_items_checked(self, scenes_dir, tmp_path, section, item,
+                                named):
+        cfg = json.loads((scenes_dir / "circle.json").read_text())
+        items = cfg["connection"]["poles"] if section == "poles" else cfg["initial"]
+        items[0] = item
+        r = run("validate", "--config", write_config(tmp_path, "bad.json", cfg))
+        assert r.returncode == 2
+        assert named in r.stderr
+
+    def test_every_read_key_accepted(self, tmp_path):
+        # the portrait scene of the benchmark, with every other key the CLI
+        # reads at its least allowed value
+        cfg = {"connection": {"poles": [
+                   {"re": -1.0, "im": 0.0, "residue": 0.5},
+                   {"re": 1.0, "im": 0.0, "residue": 0.5},
+                   {"inf": True, "residue": -3.0}]},
+               "initial": [{"re": 0.0, "im": 0.5, "v_re": 1.0, "v_im": 0.0}],
+               "t_max": 30.0, "portrait": {"grid": 5},
+               "budget": {"t_max": 1e-3, "steps": 1, "seconds": 1e-3},
+               "window": {"re": 0.0, "im": 0.0, "half_width": 3.0, "size": 640}}
+        path = write_config(tmp_path, "all.json", cfg)
+        r = run("portrait", "--config", path, "--svg", str(tmp_path / "p.svg"))
+        assert r.returncode == 0, r.stderr
+        assert "(25 trajectories)" in r.stdout
+        r = run("classify", "--config", path)
+        assert r.returncode == 0, r.stderr
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy(self):
         code = "import connexion.cli, sys; assert 'scipy' not in sys.modules"
