@@ -63,7 +63,7 @@ SCENE_KEYS = {
 }
 
 
-def _check_scene(value, keys, name="the scene"):
+def _check_scene(value, keys, name=""):
     """Refuse a key that ``keys`` (a SCENE_KEYS entry) lacks, or a value it
     does not take."""
     if isinstance(keys, tuple):
@@ -73,9 +73,9 @@ def _check_scene(value, keys, name="the scene"):
             _check_scene(item, dict.fromkeys(keys), f"{name}[{i}]")
     elif isinstance(keys, dict):
         if not isinstance(value, dict):
-            _config_fail(f"{name} must be an object")
+            _config_fail(f"{name or 'the scene'} must be an object")
         for key, item in value.items():
-            path = key if name == "the scene" else f"{name}.{key}"
+            path = f"{name}.{key}" if name else key
             if key not in keys:
                 _config_fail(f"unknown key {path}")
             _check_scene(item, keys[key], path)
@@ -90,7 +90,7 @@ def _check_scene(value, keys, name="the scene"):
 
 
 def build_scene(cfg: dict):
-    if "integrator" in cfg:
+    if isinstance(cfg, dict) and "integrator" in cfg:
         _config_fail("the integrator section is not supported: the "
                      "integrator tolerances are fixed (engine.RTOL and others)")
     _check_scene(cfg, SCENE_KEYS)

@@ -191,6 +191,12 @@ class TestSceneKeys:
         assert r.returncode == 2
         assert named in r.stderr
 
+    @pytest.mark.parametrize("cfg", [5, [1], {"budget": [1]}])
+    def test_sections_must_be_objects(self, tmp_path, cfg):
+        r = run("validate", "--config", write_config(tmp_path, "bad.json", cfg))
+        assert r.returncode == 2
+        assert "must be an object" in r.stderr
+
     def test_every_read_key_accepted(self, tmp_path):
         # the portrait scene of the benchmark, with every other key the CLI
         # reads at its least allowed value
