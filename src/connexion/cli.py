@@ -20,8 +20,8 @@ from . import errors
 from .omega import ClassifyBudget, classify, saddle_connection_search
 from .connection import SpherePoint, connection_from_dict
 from .engine import POLE_FLOOR, IntegratorOptions, trace, trajectory_to_csv
-from .localchart import (adapted_chart, closed_form_path, critical_length,
-                         local_params)
+from .localchart import (closed_form_path, critical_length, local_params,
+                         pole_chart)
 from .polygons import (GeodesicPolygon, PolygonVertex, chart_polygon,
                        check_chart_polygon, check_p1_formula,
                        side_from_trajectory)
@@ -51,14 +51,15 @@ def _config_fail(msg: str):
 
 
 # The keys the CLI reads.  A dict is an object, a tuple lists the keys of
-# each object in a list, None takes any value, and float (int) takes a number
-# (an integer) > 0.
+# each object in a list, None takes any value, float (int) takes a number
+# (an integer) > 0, and math.isfinite any finite number.
 SCENE_KEYS = {
     "connection": {"poles": ("re", "im", "residue", "inf")},
     "initial": ("re", "im", "v_re", "v_im"),
     "t_max": float,
     "budget": {"t_max": float, "steps": int, "seconds": float},
-    "window": {"re": None, "im": None, "half_width": float, "size": int},
+    "window": {"re": math.isfinite, "im": math.isfinite, "half_width": float,
+               "size": int},
     "portrait": {"grid": int},
 }
 
@@ -85,8 +86,9 @@ def _check_scene(value, keys, name=""):
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            kind = "a number" if keys is float else "an integer"
-            _config_fail(f"{name} must be {kind} > 0, not {value!r}")
+            kind = {float: "a number > 0", int: "an integer > 0"}.get(
+                keys, "a finite number")
+            _config_fail(f"{name} must be {kind}, not {value!r}")
 
 
 def build_scene(cfg: dict):
@@ -361,8 +363,8 @@ def _verify_saddles(seed):
              side_from_trajectory(b.trajectory)],
             [PolygonVertex(SpherePoint.of(-1.0), "pole", 0.5),
              PolygonVertex(SpherePoint.of(1.0), "pole", 0.5)])
-        charts = {0: adapted_chart(conn, SpherePoint.of(-1.0)),
-                  1: adapted_chart(conn, SpherePoint.of(1.0))}
+        charts = {0: pole_chart(conn, SpherePoint.of(-1.0))[0],
+                  1: pole_chart(conn, SpherePoint.of(1.0))[0]}
         res = check_p1_formula(conn, poly, enclosed=[SpherePoint.inf()],
                                charts=charts)
         out.append(("two-gon identity", res <= 1e-3, f"residual {res:.3g}"))

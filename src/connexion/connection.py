@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import errors
 
@@ -84,6 +85,8 @@ class FuchsianConnection:
 
     poles: tuple  # of PoleSpec, infinity pole explicit
     _finite: tuple = field(default=(), repr=False)
+
+    atlas = cached_property(lambda self: {})   # filled by localchart.pole_chart
 
     @property
     def finite_poles(self) -> tuple:

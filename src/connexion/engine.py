@@ -9,8 +9,9 @@ to each stage point along the chord (``_dK``).  The velocity v = z' of each
 row is the step's last stage slope k7 = c exp(-K(z1)), which is the next
 step's first slope (first same as last), so c = v exp(K) holds by
 construction, up to rounding.  A step is rejected when its error norm on z
-exceeds 1, when its chord passes within ``PATH_CLEARANCE`` of a pole, or when
-it is not finite (a stage point on a pole included).
+exceeds 1, when its chord passes within ``PATH_CLEARANCE`` of a pole (measured
+only for poles that can be that close, ``_pole_gap``), or when it is not
+finite (a stage point on a pole included).
 
 The residues are real, so a geodesic moves at constant speed in the flat
 metric |dz| prod_j |z - p_j|^{rho_j}: its arclength is s_g = speed * t, with
@@ -32,7 +33,8 @@ never reads it.
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
 certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
-are then the first samples of the trace without the flag.
+are then the first samples of the trace without the flag.  A pole's chart is
+read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole.
 
 The stepper is written out for speed, and its results are bit-identical to
 the textbook form: the Butcher-tableau loop over the stages, each stage point
@@ -57,7 +59,7 @@ import numpy as np
 from . import errors
 from .connection import (FuchsianConnection, INFINITY, STANDARD,
                          SWITCH_RADIUS, SpherePoint)
-from .localchart import adapted_chart
+from .localchart import pole_chart, pole_disc
 
 RTOL = 1e-12
 ATOL = 1e-14
@@ -245,6 +247,19 @@ def _chord_gap(a, b, pos):
     return min(abs(da), abs(b - pos))
 
 
+def _pole_gap(poles, a, b):
+    """Least distance from the chord [a, b] to a pole within |b - a| +
+    4 POLE_FLOOR of b (inf if none): every chord point lies within |b - a| of
+    b, so no other pole comes within 4 POLE_FLOOR, of which 3 POLE_FLOOR cover
+    the rounding of the distances (a few ulps of coordinates < 1e9)."""
+    reach = abs(b - a) + 4.0 * POLE_FLOOR
+    gap = math.inf
+    for pos, _ in poles:
+        if abs(b - pos) <= reach:
+            gap = min(gap, _chord_gap(a, b, pos))
+    return gap
+
+
 def canonical_K(conn: FuchsianConnection, z: complex) -> complex:
     """Principal-branch K(z) = sum rho_j Log(z - p_j); its real part is the
     single-valued log of the metric density."""
@@ -260,10 +275,8 @@ def continue_K(conn: FuchsianConnection, path) -> list:
     poles = conn.chart_poles(STANDARD)
     out = [canonical_K(conn, pts[0])]
     for a, b in zip(pts[:-1], pts[1:]):
-        for pos, _res in poles:
-            if _chord_gap(a, b, pos) <= PATH_CLEARANCE:
-                raise errors.PathThroughPole(
-                    f"path within {PATH_CLEARANCE} of pole {pos}")
+        if _pole_gap(poles, a, b) <= PATH_CLEARANCE:
+            raise errors.PathThroughPole(f"path within {PATH_CLEARANCE} of a pole")
         out.append(out[-1] + _dK(poles, a, b))
     return out
 
@@ -365,7 +378,8 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     steps = 0
     started = _time.monotonic()
     exit_radius = None
-    falls = _fall_charts(conn) if certify else ()
+    falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
+             if certify and p.residue < -1.0]
 
     while t < t_max:
         if steps >= max_steps:
@@ -400,7 +414,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
 
         # the step chord must clear every pole; one that comes within the
         # pole floor ends the step at the floor
-        gap = min((_chord_gap(z, z1, pos) for pos, _ in poles), default=math.inf)
+        gap = _pole_gap(poles, z, z1)
         if gap <= PATH_CLEARANCE:
             h *= 0.5
             continue
@@ -422,7 +436,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             traj.termination = "pole_approach"
             break
 
-        cert = _fall_certificate(falls, chart, z, v) if falls else None
+        cert = _certified_fall(conn, falls, chart, z, v) if falls else None
         if cert is not None:
             traj.events.append((t, "pole_certified", cert))
             traj.termination = "pole_certified"
@@ -481,29 +495,15 @@ def _pole_hit(poles, z0, v0, h):
     return (lo, *dist(lo)[1])
 
 
-def _fall_charts(conn):
-    """(chart, w_in) for each pole of residue < -1 that has an adapted chart."""
-    out = []
-    for p in conn.poles:
-        if p.residue < -1.0:
-            try:
-                chart = adapted_chart(conn, p.location)
-            except (errors.ResonantOrLow, errors.SeriesDivergence):
-                continue
-            out.append((chart, chart.inscribed_w()))
-    return out
-
-
-def _fall_certificate(falls, chart, z, v):
+def _certified_fall(conn, falls, chart, z, v):
     """Payload of the first fall certificate the state (z, v) of ``chart``
-    passes, or None.  A pole at infinity is tested while the trace is still
-    in the standard chart, so the state is carried into each pole's own
-    ambient chart."""
-    for fc, w_in in falls:
-        u, vu = (z, v) if fc.ambient == chart else _invert(z, v)
-        cert = fc.falls_in(w_in, u, vu)
-        if cert is not None:
-            return {"pole": fc.pole, **cert}
+    passes, or None; ``falls_in`` passes only within 0.9 radius <= 0.9 r0."""
+    for pole, ambient, center, r0 in falls:
+        u, vu = (z, v) if ambient == chart else _invert(z, v)
+        entry = pole_chart(conn, pole) if abs(u - center) < 0.9 * r0 else None
+        cert = entry and entry[0].falls_in(entry[1], u, vu)
+        if cert:
+            return {"pole": pole, **cert}
     return None
 
 

@@ -16,6 +16,8 @@ so once it is inside the chart it stays there and tends to the pole
 (``AdaptedChart.falls_in``).  The adapted coordinate is constructed as a
 truncated power series with a constructive radius: the radius is shrunk
 until the pulled-back connection form matches rho dw/w on a test grid.
+A connection's atlas holds its pole charts: ``pole_chart`` builds a chart,
+or records its refusal, on the first request, and every caller reads it.
 """
 
 from __future__ import annotations
@@ -148,10 +150,25 @@ class AdaptedChart:
         return None
 
 
-def _ambient_for(conn: FuchsianConnection, pole: SpherePoint):
-    if pole.infinite:
-        return INFINITY, 0j
-    return STANDARD, pole.z
+def pole_disc(conn: FuchsianConnection, pole: SpherePoint):
+    """The pole's sphere chart, its coordinate there and r0, the radius
+    ``adapted_chart`` starts from and so a bound on the chart's radius."""
+    ambient, center = (INFINITY, 0j) if pole.infinite else (STANDARD, pole.z)
+    dists = [d for pos, _ in conn.chart_poles(ambient)
+             if (d := abs(pos - center)) > 1e-12]
+    return ambient, center, min(dists) / 2.0 if dists else SWITCH_RADIUS / 2.0
+
+
+def pole_chart(conn: FuchsianConnection, pole: SpherePoint):
+    """The pole's atlas entry, built on the first request: (chart, w_in =
+    chart.inscribed_w()), or None if ``adapted_chart`` refuses the pole."""
+    if pole not in conn.atlas:
+        try:
+            chart = adapted_chart(conn, pole)
+            conn.atlas[pole] = chart, chart.inscribed_w()
+        except (errors.ResonantOrLow, errors.SeriesDivergence):
+            conn.atlas[pole] = None
+    return conn.atlas[pole]
 
 
 def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
@@ -169,7 +186,7 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
     radius starts at half the distance to the nearest other pole and is
     shrunk geometrically until the pullback residual passes on a grid.
     """
-    ambient, center = _ambient_for(conn, pole)
+    ambient, center, r0 = pole_disc(conn, pole)
     rho = conn.residue_at(pole)
     if rho <= -1.0 and abs(rho - round(rho)) <= 1e-9:
         raise errors.ResonantOrLow(f"residue {rho} is resonant: no adapted chart")
@@ -210,21 +227,14 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
     ddw = _ser_diff(dw)
     poles = conn.chart_poles(ambient)
 
-    dists = [abs(pos - center) for pos, _ in others]
-    r0 = min(dists) / 2.0 if dists else SWITCH_RADIUS / 2.0
-    chart = None
     r = r0
     for _ in range(60):
         resid = _pullback_residual(rho, center, poles, wc, dw, ddw, r)
         if resid <= RESIDUAL_TOL:
-            chart = AdaptedChart(pole, rho, r, tuple(K), ambient, center,
-                                 resid)
-            break
+            return AdaptedChart(pole, rho, r, tuple(K), ambient, center, resid)
         r *= 0.8
-    if chart is None:
-        raise errors.SeriesDivergence(
-            f"pullback residual did not reach {RESIDUAL_TOL} at any radius <= {r0}")
-    return chart
+    raise errors.SeriesDivergence(
+        f"pullback residual did not reach {RESIDUAL_TOL} at any radius <= {r0}")
 
 
 def _pullback_residual(rho, center, poles, wc, dw, ddw, r):

@@ -31,7 +31,7 @@ from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
                      metric_density, segment_crossings, self_intersections,
                      trace)
-from .localchart import adapted_chart
+from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
@@ -440,10 +440,10 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
         rho = p.residue
         if rho <= -1.0 or p.location.infinite:
             continue
-        try:
-            chart = adapted_chart(conn, p.location)
-        except (errors.ResonantOrLow, errors.SeriesDivergence):
+        entry = pole_chart(conn, p.location)
+        if entry is None:
             continue
+        chart = entry[0]
         r0 = 0.05 * chart.radius
         # metric length of the radial stub between the pole and the launch
         # circle, the same for every critical ray

@@ -162,6 +162,9 @@ class TestSceneKeys:
         ("portrait", "portrait.grid", 0),
         ("portrait", "window.half_width", 0),
         ("trace", "window.size", 0),
+        ("trace", "window.re", "x"),
+        ("trace", "window.im", float("inf")),
+        ("portrait", "window.im", None),
     ])
     def test_refused_with_the_key_named(self, scenes_dir, tmp_path, command,
                                         path, value):
@@ -171,7 +174,9 @@ class TestSceneKeys:
         for name in sections:
             section = section.setdefault(name, {})
         section[key] = value
-        svg = ["--svg", str(tmp_path / "p.svg")] if command == "portrait" else []
+        # trace renders the window only with --svg
+        svg = (["--svg", str(tmp_path / "p.svg")]
+               if command in ("trace", "portrait") else [])
         r = run(command, "--config", write_config(tmp_path, "bad.json", cfg),
                 *svg)
         assert r.returncode == 2

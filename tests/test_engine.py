@@ -69,9 +69,9 @@ class TestBasicTracing:
         assert traj.termination == "pole_approach"
 
     def test_passes_close_to_weak_pole(self):
-        # the first-integral allowance must cover the rounding of c itself:
-        # a rho = -1e-6 pole adds almost no cancellation noise, and without
-        # that floor the step collapsed about 1e-4 from the pole at t ~ 1
+        # the first-same-as-last core keeps c = v exp(K) to rounding while
+        # the trace passes 1e-4 from a rho = -1e-6 pole at t ~ 1, and the
+        # step does not collapse there
         conn = build_connection([(SpherePoint.of(0.0), -1e-6)])
         traj = trace(conn, (-1.0 + 1e-4j, 1.0), 3.0)
         assert traj.termination == "t_max"

@@ -1,24 +1,36 @@
-"""Hot paths build no per-sample objects.
+"""Hot paths do only the work that can change their result.
 
 A trajectory is stored as columns; ``Trajectory.samples`` builds
 TrajectorySample and GeodesicState objects only for tests and external
 callers.  Here their constructors count calls while the tracer, the
 classifier, the shooting search, the CSV export and the SVG renderer run:
 none of them may build one, apart from a start state the caller builds.
+
+The tracer's pole pass measures a chord's exact distance only to a pole
+that can lie within the pole floor of it, and a pole's adapted chart is
+built once per connection, and only when a caller needs it.  Counting
+wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
+check both.
 """
 
 import cmath
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connexion import (SpherePoint, build_connection, classify, detect_period,
                        render_scene, trace, trajectory_to_csv)
-from connexion.engine import GeodesicState, TrajectorySample
+from connexion import cli, engine, localchart
+from connexion.engine import (PATH_CLEARANCE, POLE_FLOOR, GeodesicState,
+                              TrajectorySample)
+from connexion.localchart import pole_chart, pole_disc
 from connexion.omega import ClassifyBudget
 from connexion.polygons import connect_unique
 
-from conftest import SWITCH_POLES, audit_draws
+from conftest import SWITCH_POLES, audit_draws, single_pole
 
 
 @pytest.fixture
@@ -73,3 +85,118 @@ def test_render_scene(built, circle_conn):
              trace(conn, (0.5 + 0.5j, 1.0), 10.0)]
     assert "polyline" in render_scene(conn, trajs)
     assert not built
+
+
+# -- the pole pass ---------------------------------------------------------------
+
+@pytest.fixture
+def chord_gaps(monkeypatch):
+    """The (a, b, pole) of each exact chord distance the tracer measures."""
+    seen = []
+
+    def counting(a, b, pos, _gap=engine._chord_gap):
+        seen.append((a, b, pos))
+        return _gap(a, b, pos)
+    monkeypatch.setattr(engine, "_chord_gap", counting)
+    return seen
+
+
+def test_circle_measures_no_chord_distance(chord_gaps, circle_conn):
+    trace(circle_conn, (1.0, 1j), 20.0)
+    assert chord_gaps == []
+
+
+def test_grazing_trace_measures_only_the_grazing_step(chord_gaps):
+    # a straight line past a rho = -1e-6 pole at distance 1e-4: one step
+    # ends within its own length (+ 4 POLE_FLOOR) of the pole
+    traj = trace(single_pole(-1e-6), (-1.0 + 1e-4j, 1.0), 3.0)
+    zs = traj.z
+    grazing = [(a, b) for a, b in zip(zs, zs[1:])
+               if abs(b) <= abs(b - a) + 4.0 * POLE_FLOOR]
+    assert traj.termination == "t_max" and len(grazing) == 1
+    assert chord_gaps == [(a, b, 0j) for a, b in grazing]
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_COORD = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@given(a=st.tuples(_COORD, _COORD),
+       length=st.floats(min_value=1e-9, max_value=5.0),
+       heading=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       s=st.one_of(st.just(0.0), st.just(1.0), _UNIT),
+       log_d=st.one_of(st.floats(min_value=-10.0, max_value=-5.0),
+                       st.floats(min_value=-3.0, max_value=1.0)),
+       side=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       far=st.tuples(_COORD, _COORD))
+@settings(max_examples=300, deadline=None)
+def test_bounded_pass_decides_like_every_pole(a, length, heading, s, log_d,
+                                              side, far):
+    # a pole 1e-10 to 1e-5 (or 1e-3 to 10) from the point s of the chord
+    # [a, b], and one more anywhere: the bounded pass must reject the step
+    # and end it at the floor exactly when the exact distances say so
+    a = complex(*a)
+    b = a + length * cmath.exp(1j * heading)
+    near = a + s * (b - a) + 10.0 ** log_d * cmath.exp(1j * side)
+    poles = [(near, -0.5), (complex(*far), 0.3)]
+    exact = min(engine._chord_gap(a, b, pos) for pos, _ in poles)
+    bounded = engine._pole_gap(poles, a, b)
+    assert (bounded <= PATH_CLEARANCE) == (exact <= PATH_CLEARANCE)
+    assert (bounded < POLE_FLOOR) == (exact < POLE_FLOOR)
+
+
+# -- the pole atlas ------------------------------------------------------------
+
+@pytest.fixture
+def chart_builds(monkeypatch):
+    """The poles ``adapted_chart`` is asked to build a chart for."""
+    built = []
+
+    def counting(conn, pole, _build=localchart.adapted_chart):
+        built.append(pole)
+        return _build(conn, pole)
+    monkeypatch.setattr(localchart, "adapted_chart", counting)
+    return built
+
+
+def _came_within_reach(conn, traj):
+    """The residue < -1 poles within 0.9 r0 of a row the certificate is
+    checked on (not the first, nor a pole-floor end), in the pole's chart."""
+    out = set()
+    end = len(traj) - (traj.termination == "pole_approach")
+    for p in conn.poles:
+        if p.residue < -1.0:
+            ambient, center, r0 = pole_disc(conn, p.location)
+            zs = traj.support_std()[1:end]
+            us = [1.0 / z if ambient == "infinity" else z for z in zs]
+            if any(abs(u - center) < 0.9 * r0 for u in us):
+                out.add(p.location)
+    return out
+
+
+def test_classify_builds_only_the_charts_it_reaches(chart_builds):
+    budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
+    unreached = 0
+    for conn, ic in audit_draws(0, 40):
+        chart_builds.clear()
+        verdict = classify(conn, ic, budget)
+        reached = _came_within_reach(conn, verdict.details["traj"])
+        assert sorted(chart_builds, key=repr) == sorted(reached, key=repr)
+        unreached += any(p.residue < -1.0 for p in conn.poles) and not reached
+    assert unreached > 0
+
+
+def test_verify_saddles_builds_each_chart_once(chart_builds):
+    assert all(ok for _, ok, _ in cli._verify_saddles(0))
+    assert chart_builds == [SpherePoint.of(-1.0), SpherePoint.of(1.0)]
+
+
+def test_refused_pole_is_attempted_once(chart_builds):
+    # rho = -2 is resonant: no chart, and the refusal is kept in the atlas
+    conn = single_pole(-2.0)
+    for _ in range(2):
+        trace(conn, (1.0, -1.0 + 0.1j), 5.0, certify=True)
+    assert chart_builds == [SpherePoint.of(0.0)]
+    assert conn.atlas == {SpherePoint.of(0.0): None}
+    assert pole_chart(conn, SpherePoint.of(0.0)) is None
+    assert chart_builds == [SpherePoint.of(0.0)]
