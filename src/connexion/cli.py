@@ -51,8 +51,9 @@ def _config_fail(msg: str):
 
 
 # The keys the CLI reads.  A dict is an object, a tuple lists the keys of
-# each object in a list, None takes any value, float (int) takes a number
-# (an integer) > 0, and math.isfinite any finite number.
+# each object in a list, None takes any value, float (int) takes a JSON
+# number (integer) > 0, and math.isfinite any finite number; a boolean or a
+# string is never a number.
 SCENE_KEYS = {
     "connection": {"poles": ("re", "im", "residue", "inf")},
     "initial": ("re", "im", "v_re", "v_im"),
@@ -81,9 +82,11 @@ def _check_scene(value, keys, name=""):
                 _config_fail(f"unknown key {path}")
             _check_scene(item, keys[key], path)
     elif keys is not None:
+        number = (int,) if keys is int else (int, float)
         try:
-            ok = keys(value) > 0
-        except (TypeError, ValueError, OverflowError):
+            ok = (isinstance(value, number) and not isinstance(value, bool)
+                  and keys(value) > 0)
+        except OverflowError:
             ok = False
         if not ok:
             kind = {float: "a number > 0", int: "an integer > 0"}.get(

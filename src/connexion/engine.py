@@ -28,7 +28,8 @@ each row was integrated in, with the chart kept as the row indices where it
 switches.  Standard-chart z and v are derived once per trajectory, for the
 infinity-chart rows only.  ``Trajectory.samples`` builds TrajectorySample
 objects on each read, for tests and external callers; the package itself
-never reads it.
+never reads it.  ``state_at`` takes one integrator step from the row before a
+time T to the state a re-trace to T ends in; the period search refines with it.
 
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
@@ -119,9 +120,8 @@ class Trajectory:
 
     Row k holds ``t[k]``, ``z[k]``, ``v[k]``, ``K[k]`` and ``s_g[k]``; rows
     are in ``chart0`` up to the first index in ``switches``, and the chart
-    flips at each one.  ``initial`` is what a re-trace from row 0 starts
-    from.  ``Trajectory(conn, samples)`` turns a list of TrajectorySample
-    into columns, keeping its s_g.
+    flips at each one.  ``Trajectory(conn, samples)`` turns a list of
+    TrajectorySample into columns, keeping its s_g.
     """
 
     def __init__(self, conn: FuchsianConnection, samples=None, events=None,
@@ -136,7 +136,6 @@ class Trajectory:
         self.v = [st.v for st in states]
         self.K = [st.k_phase for st in states]
         self.s_g = [s.s_g for s in samples]
-        self.initial = states[0] if states else None
         self.chart0 = states[0].chart if states else STANDARD
         self.switches = [k for k in range(1, len(states))
                          if states[k].chart != states[k - 1].chart]
@@ -364,7 +363,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     K = canonical_K(conn, z) if K is None else K
 
     traj = Trajectory(conn)
-    traj.initial, traj.chart0 = initial, chart
+    traj.chart0 = chart
     t = 0.0
     ts, zs, vs, Ks, sg = [t], [z], [v], [K], [0.0]
     traj.t, traj.z, traj.v, traj.K, traj.s_g = ts, zs, vs, Ks, sg
@@ -493,6 +492,29 @@ def _pole_hit(poles, z0, v0, h):
         else:
             lo = mid
     return (lo, *dist(lo)[1])
+
+
+def state_at(traj: Trajectory, T: float):
+    """Standard-chart (z, v) at time T: one integrator step, as in
+    ``_pole_hit``, of size T - t_k from row k, the last row with t_k <= T,
+    in the chart the trace went on in.  A re-trace to T ends in the same
+    state unless the trace rejected a step just before T.  None where a
+    trace would shrink the step or stop: error norm > 1, a non-finite
+    result, or a chord within ``POLE_FLOOR`` of a pole."""
+    k = max(0, bisect.bisect_right(traj.t, T) - 1)
+    chart, z, v = traj._chart(k + 1), traj.z[k], traj.v[k]
+    if chart != traj._chart(k):   # the trace switched charts after row k
+        z, v = _invert(z, v)
+    poles = traj.conn.chart_poles(chart)
+    try:
+        z1, _, v1, ez = _dp_step(poles, z, v, T - traj.t[k])
+    except (ValueError, OverflowError):   # a stage point on a pole
+        return None
+    err = abs(ez) / (ATOL + RTOL * max(abs(z), abs(z1)))
+    if not (err <= 1.0 and math.isfinite(abs(z1))
+            and _pole_gap(poles, z, z1) >= POLE_FLOOR):
+        return None
+    return (z1, v1) if chart == STANDARD else _invert(z1, v1)
 
 
 def _certified_fall(conn, falls, chart, z, v):

@@ -30,7 +30,7 @@ from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
                      metric_density, segment_crossings, self_intersections,
-                     trace)
+                     state_at, trace)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -76,10 +76,10 @@ def detect_period(traj: Trajectory):
     """Smallest recurrence time T with |z(T)-z0| + |vhat(T)-vhat0| below
     RECURRENCE_TOL.
 
-    Candidates come from the stored samples; each candidate is then refined
-    by re-integrating up to the candidate time, because the recurrence falls
-    between samples, where the cubic dense output is less accurate than the
-    recurrence tolerance.
+    Candidates come from the stored samples; each is refined with states one
+    partial integrator step past the stored row before the candidate time
+    (``engine.state_at``): the recurrence falls between samples, where the
+    cubic dense output is less accurate than the recurrence tolerance.
     """
     zs, vs = traj.std_columns()
     z0, v0 = zs[0], vs[0]
@@ -102,15 +102,14 @@ def detect_period(traj: Trajectory):
 
 
 def _refine_period(traj: Trajectory, T0: float, z0, vh0):
-    """Newton-like refinement of a recurrence time by exact re-integration:
-    project the endpoint offset onto the flow direction and step T."""
+    """Newton-like refinement of a recurrence time: project the offset of
+    the state at T (``state_at``) onto the flow direction and step T."""
     T = T0
     for _ in range(8):
-        sub = trace(traj.conn, traj.initial, T,
-                    IntegratorOptions(max_steps=len(traj) * 40 + 1000))
-        if sub.termination != "t_max":
+        end = state_at(traj, T)
+        if end is None:
             return None
-        z, v = (col[-1] for col in sub.std_columns())
+        z, v = end
         delta = (z - z0).real * v.real + (z - z0).imag * v.imag
         dT = -delta / (abs(v) ** 2)
         mism = abs(z - z0) + abs(v / abs(v) - vh0)

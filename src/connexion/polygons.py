@@ -296,9 +296,12 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
                    miss_tol: float = 1e-7) -> Trajectory:
     """Shooting search for a simple geodesic arc from z0 to z1.
 
-    Scans launch directions on a grid, traced to t = 8 |z1 - z0| + 8, then
-    golden-section-minimizes the closest-approach distance to z1 over the
-    direction angle.  The returned trajectory ends at its closest approach.
+    Scans launch directions on a grid, traced to t = 8 |z1 - z0| + 8.  The
+    signed miss Im((z - z1) conj(v)) / |v| at a trace's closest approach
+    (z, v) to z1 changes sign as the geodesic sweeps across z1: regula falsi
+    (Illinois) on it over the grid interval next to the best grid direction
+    whose ends differ in sign finds the launch angle with the smallest miss.
+    The returned trajectory ends at its closest approach.
     """
     z0, z1 = complex(z0), complex(z1)
     if abs(z0 - z1) < 1e-12:
@@ -307,41 +310,49 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     opts = opts or IntegratorOptions()
 
     def miss(theta):
+        """(miss, signed miss, time) at the closest approach to z1."""
         tr = trace(conn, (z0, cmath.exp(1j * theta)), t_max, opts)
-        pts = np.asarray(tr.support_std())
-        d = np.abs(pts - z1)
+        zs, vs = tr.std_columns()
+        d = np.abs(np.asarray(zs) - z1)
         k = int(np.argmin(d))
         # sample knots can be widely spaced: refine the closest approach
         # on the dense interpolant over the neighboring intervals
         ts = tr.times
-        lo = ts[max(0, k - 1)]
-        hi = ts[min(len(ts) - 1, k + 1)]
+        lo, hi = ts[max(0, k - 1)], ts[min(len(ts) - 1, k + 1)]
         if hi > lo:
             t, f = _golden(lambda t: abs(tr.interpolate(t)[0] - z1) ** 2, lo, hi)
-            return math.sqrt(f), tr, t
-        return float(d[k]), tr, ts[k]
+            d, (z, v) = math.sqrt(f), tr.interpolate(t)
+        else:
+            t, d, z, v = ts[k], float(d[k]), zs[k], vs[k]
+        return d, ((z - z1) * v.conjugate()).imag / abs(v), t
 
-    best = min((miss(TWO_PI * k / n_grid) for k in range(n_grid)),
-               key=lambda r: r[0])
+    grid = [miss(TWO_PI * k / n_grid) for k in range(n_grid)]
+    kb = min(range(n_grid), key=lambda k: grid[k][0])
+    best = (grid[kb][0], TWO_PI * kb / n_grid, grid[kb][2])
     if best[0] > abs(z1 - z0):
         raise errors.NotFound("no launch direction approaches the target")
-    theta0 = cmath.phase(best[1].v[0])
-    span = TWO_PI / n_grid
-    # the search returns an angle whose miss is the smallest it evaluated,
-    # so only the results at such angles are kept
-    lowest = {}
-
-    def m(th):
-        r = miss(th)
-        d = next(iter(lowest.values()))[0] if lowest else math.inf
-        if r[0] < d:
-            lowest.clear()
-        if r[0] <= d:
-            lowest[th] = r
-        return r[0]
-
-    theta, _ = _golden(m, theta0 - span, theta0 + span)
-    d, tr, t_hit = lowest[theta]
+    a, fa = best[1], grid[kb][1]
+    brackets = [(grid[j % n_grid][0], j) for j in (kb - 1, kb + 1)
+                if grid[j % n_grid][1] * fa <= 0.0]
+    if not brackets:
+        raise errors.NotFound("no sign change next to the best direction")
+    j = min(brackets)[1]
+    b, fb = TWO_PI * j / n_grid, grid[j % n_grid][1]
+    # b is the latest angle; a is halved when kept twice in a row
+    for _ in range(80):
+        if abs(b - a) < 1e-14:
+            break
+        theta = b - fb * (b - a) / (fb - fa)
+        d, s, t = miss(theta)
+        best = min(best, (d, theta, t))
+        if s == 0.0:
+            break
+        if (s < 0.0) == (fb < 0.0):
+            fa *= 0.5
+        else:
+            a, fa = b, fb
+        b, fb = theta, s
+    d, theta, t_hit = best
     if d > miss_tol * max(1.0, abs(z1)):
         raise errors.NotFound(f"best miss distance {d:g} above tolerance")
     # re-trace to the hit time so the arc ends exactly on a sample

@@ -165,6 +165,16 @@ class TestSceneKeys:
         ("trace", "window.re", "x"),
         ("trace", "window.im", float("inf")),
         ("portrait", "window.im", None),
+        # booleans and strings are not numbers, and integer keys take only
+        # JSON integers
+        ("trace", "t_max", True),
+        ("trace", "t_max", "5"),
+        ("trace", "window.re", True),
+        ("portrait", "window.half_width", True),
+        ("classify", "budget.steps", 2.7),
+        ("classify", "budget.steps", True),
+        ("trace", "window.size", 640.0),
+        ("portrait", "portrait.grid", 5.0),
     ])
     def test_refused_with_the_key_named(self, scenes_dir, tmp_path, command,
                                         path, value):

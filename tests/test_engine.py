@@ -454,6 +454,74 @@ class TestFastPath:
         assert [s.state.k_phase for s in traj.samples] == continue_K(conn, zs)
 
 
+
+@pytest.fixture(scope="module")
+def bench_traces(column_traces):
+    """The benchmark's circle, three-pole and switch geodesics (unrotated;
+    the circle and three-pole traces shortened), with their starts."""
+    circle = build_connection([(SpherePoint.of(0.0), -1.0),
+                               (SpherePoint.inf(), -1.0)])
+    z0 = 1.1 * cmath.exp(0.3j)
+    three = column_traces["switch"].conn
+    starts = {"circle": (circle, (z0, 1j * z0), 8 * math.pi),
+              "three_pole": (three, (0.8 + 0.9j, cmath.exp(0.3j)), 30.0)}
+    out = {name: (trace(*args), args[1]) for name, args in starts.items()}
+    out["switch"] = (column_traces["switch"], (3.0, cmath.exp(0.1j)))
+    return out
+
+
+def _state_at_like_retrace(traj, start, T):
+    """Check ``state_at`` at T against the last row of a re-trace to T from
+    ``start``: within 1e-12 relative, and bit for bit when the re-trace's
+    rows before T are the stored rows.  Returns whether they were."""
+    ref = trace(traj.conn, start, T)
+    assert ref.termination == "t_max" and ref.t[-1] == T
+    z_ref, v_ref = (col[-1] for col in ref.std_columns())
+    z, v = engine.state_at(traj, T)
+    tol = 1e-12 * max(1.0, abs(z_ref))
+    assert abs(z - z_ref) <= tol and abs(v - v_ref) <= tol
+    rows = len(ref) - 1
+    same = ((ref.t[:rows], ref.z[:rows], ref.v[:rows])
+            == (traj.t[:rows], traj.z[:rows], traj.v[:rows]))
+    if same:
+        assert hexed((z, v)) == hexed((z_ref, v_ref))
+    return same
+
+
+class TestPartialStep:
+    """``state_at`` against the last row of a re-trace to the same time."""
+
+    def test_matches_retrace(self, bench_traces):
+        rng = np.random.default_rng(12)
+        exact = 0
+        for name, n in (("circle", 67), ("three_pole", 67), ("switch", 66)):
+            traj, start = bench_traces[name]
+            times = list(rng.uniform(0.0, traj.t_end, n))
+            # two times in each step that ends in a chart switch
+            times[:2 * len(traj.switches)] = [
+                rng.uniform(traj.t[k - 1], traj.t[k])
+                for k in traj.switches for _ in range(2)]
+            exact += sum(_state_at_like_retrace(traj, start, T) for T in times)
+        assert len(bench_traces["switch"][0].switches) == 6 and exact > 150
+
+    def test_switch_after_the_last_row(self, bench_traces):
+        # a trace that ends on the row past the switch radius records the
+        # switch at len(traj); the step after it is taken in the new chart
+        full, start = bench_traces["switch"]
+        k = full.switches[0]
+        cut = trace(full.conn, start, full.t[k - 1])
+        assert cut.switches == [len(cut)]
+        for T in np.linspace(full.t[k - 1], full.t[k], 5)[1:]:
+            _state_at_like_retrace(cut, start, float(T))
+
+    def test_none_past_a_pole_floor(self, column_traces):
+        # the re-trace would stop at the floor: no state past it, however
+        # short the step
+        traj = column_traces["pole_approach"]
+        assert traj.termination == "pole_approach"
+        for dt in (1e-12, 1e-3):
+            assert engine.state_at(traj, traj.t_end + dt) is None
+
 # -- columnar storage -----------------------------------------------------------
 # References written over TrajectorySample objects, as the consumers were
 # before the trajectory became columns; the columnar ones must give the same

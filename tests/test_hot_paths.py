@@ -11,6 +11,11 @@ that can lie within the pole floor of it, and a pole's adapted chart is
 built once per connection, and only when a caller needs it.  Counting
 wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
 check both.
+
+The period search refines a recurrence time by partial steps from the
+stored rows, and the shooting search finds its launch angle by regula falsi
+on the signed miss: a wrapper around the ``trace`` that ``omega`` and
+``polygons`` call counts the traces they start.
 """
 
 import cmath
@@ -23,11 +28,11 @@ from hypothesis import strategies as st
 
 from connexion import (SpherePoint, build_connection, classify, detect_period,
                        render_scene, trace, trajectory_to_csv)
-from connexion import cli, engine, localchart
+from connexion import cli, engine, localchart, omega, polygons
 from connexion.engine import (PATH_CLEARANCE, POLE_FLOOR, GeodesicState,
                               TrajectorySample)
 from connexion.localchart import pole_chart, pole_disc
-from connexion.omega import ClassifyBudget
+from connexion.omega import ClassifyBudget, ring_domain_probe
 from connexion.polygons import connect_unique
 
 from conftest import SWITCH_POLES, audit_draws, single_pole
@@ -58,7 +63,7 @@ def test_trace_and_csv(built, circle_conn):
 
 
 def test_caller_start_state_is_the_only_one(built, circle_conn):
-    # detect_period re-traces from the caller's start state, not a copy
+    # detect_period steps from the stored rows and builds no state
     traj = trace(circle_conn, GeodesicState("standard", 2.0, 2j, 0j), 20.0)
     assert detect_period(traj) is not None
     assert built == {"GeodesicState": 1}
@@ -200,3 +205,38 @@ def test_refused_pole_is_attempted_once(chart_builds):
     assert conn.atlas == {SpherePoint.of(0.0): None}
     assert pole_chart(conn, SpherePoint.of(0.0)) is None
     assert chart_builds == [SpherePoint.of(0.0)]
+
+
+# -- refinement without re-integration -------------------------------------------
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The t_max of each trace that omega and polygons start."""
+    seen = []
+    for mod in (omega, polygons):
+        def counting(conn, initial, t_max, *args, _trace=mod.trace, **kw):
+            seen.append(t_max)
+            return _trace(conn, initial, t_max, *args, **kw)
+        monkeypatch.setattr(mod, "trace", counting)
+    return seen
+
+
+def test_period_and_ring_retrace_nothing(traces, circle_conn):
+    seed = trace(circle_conn, (1.0, 1j), 30.0)
+    assert detect_period(seed) == pytest.approx(2 * math.pi, abs=1e-6)
+    assert traces == []
+    budget = ClassifyBudget(t_max=12 * math.pi, max_steps=1_000_000)
+    rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=5,
+                            budget=budget)
+    # one trace per leaf beside the seed, each to the budget's horizon
+    assert rep.n_leaves == 11
+    assert traces == [budget.t_max] * 10
+
+
+@pytest.mark.parametrize("pair", ["flat", "curved"])
+def test_connect_unique_traces(traces, trivial_conn, pair):
+    # a 72-direction grid, a few regula falsi steps and the final arc
+    conn, z0, z1 = {"flat": (trivial_conn, 0j, 2.0 * cmath.exp(0.7j)),
+                    "curved": (single_pole(0.5), 1.0, 1j)}[pair]
+    connect_unique(conn, z0, z1)
+    assert 72 < len(traces) <= 72 + 20

@@ -1,5 +1,6 @@
 """Geodesic polygons and angle--residue identities."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 from connexion import (GeodesicPolygon, PartTopology, PolygonVertex,
                        SpherePoint, adapted_chart, build_connection,
                        chart_polygon, check_chart_polygon,
-                       check_general_formula, check_p1_formula, trace)
-from connexion.polygons import (connect_unique, measure_internal_angle,
-                                side_from_points, side_from_trajectory)
+                       check_general_formula, check_p1_formula,
+                       self_intersections, trace)
+from connexion import errors
+from connexion.omega import random_connection
+from connexion.polygons import (_golden, connect_unique,
+                                measure_internal_angle, side_from_points,
+                                side_from_trajectory)
 
 from conftest import single_pole
 
@@ -134,3 +139,82 @@ class TestConnectUnique:
         worst = max(worst,
                     abs(a.samples[-1].z_std - b.samples[-1].z_std))
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("problem", ["flat", "curved"] + list(range(6)))
+    def test_matches_golden_section_reference(self, trivial_conn, problem):
+        # the arc ends where the golden-section angle search's arc ends, or
+        # both searches raise the same error
+        if problem == "flat":
+            conn, z0, z1 = trivial_conn, 0j, 2.0 * cmath.exp(0.7j)
+        elif problem == "curved":
+            conn, z0, z1 = single_pole(0.5), 1.0, 1j
+        else:
+            conn, z0, z1 = _random_problem(problem)
+        outcomes = []
+        for search in (connect_unique, _ref_connect_unique):
+            try:
+                outcomes.append(search(conn, z0, z1).support_std()[-1])
+            except errors.ConnexionError as exc:
+                outcomes.append(type(exc))
+        new, ref = outcomes
+        if isinstance(ref, complex):
+            assert isinstance(new, complex) and abs(new - ref) <= 1e-9
+        else:
+            assert new is ref
+
+
+def _random_problem(k):
+    """The k-th of seeded random_connection problems with |z1 - z0| = 1.2."""
+    rng = np.random.default_rng(5)
+    for _ in range(k + 1):
+        conn = random_connection(rng)
+        while True:
+            z0 = complex(*rng.normal(0.0, 1.0, 2))
+            if all(abs(z0 - pos) > 0.1 for pos, _ in conn.chart_poles("standard")):
+                break
+        z1 = z0 + 1.2 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return conn, z0, z1
+
+
+def _ref_connect_unique(conn, z0, z1, n_grid=72, miss_tol=1e-7):
+    """The launch angle by golden-section search on the miss distance over
+    the two grid intervals around the best grid direction, as
+    ``connect_unique`` found it before regula falsi on the signed miss."""
+    t_max = 8.0 * abs(z1 - z0) + 8.0
+
+    def miss(theta):
+        tr = trace(conn, (z0, cmath.exp(1j * theta)), t_max)
+        d = np.abs(np.asarray(tr.support_std()) - z1)
+        k = int(np.argmin(d))
+        ts = tr.times
+        lo, hi = ts[max(0, k - 1)], ts[min(len(ts) - 1, k + 1)]
+        if hi > lo:
+            t, f = _golden(lambda t: abs(tr.interpolate(t)[0] - z1) ** 2, lo, hi)
+            return math.sqrt(f), tr, t
+        return float(d[k]), tr, ts[k]
+
+    best = min((miss(2.0 * math.pi * k / n_grid) for k in range(n_grid)),
+               key=lambda r: r[0])
+    if best[0] > abs(z1 - z0):
+        raise errors.NotFound("no launch direction approaches the target")
+    theta0 = cmath.phase(best[1].v[0])
+    span = 2.0 * math.pi / n_grid
+    lowest = {}
+
+    def m(th):
+        r = miss(th)
+        d = next(iter(lowest.values()))[0] if lowest else math.inf
+        if r[0] < d:
+            lowest.clear()
+        if r[0] <= d:
+            lowest[th] = r
+        return r[0]
+
+    theta, _ = _golden(m, theta0 - span, theta0 + span)
+    d, _, t_hit = lowest[theta]
+    if d > miss_tol * max(1.0, abs(z1)):
+        raise errors.NotFound(f"best miss distance {d:g} above tolerance")
+    arc = trace(conn, (z0, cmath.exp(1j * theta)), t_hit)
+    if self_intersections(arc, max_count=1):
+        raise errors.NonSimpleArc("connecting arc crosses itself")
+    return arc
