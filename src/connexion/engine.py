@@ -25,11 +25,16 @@ fixed; ``IntegratorOptions`` holds only a trace's budgets.
 
 A ``Trajectory`` is stored as columns: t, s_g, and z, v and K in the chart
 each row was integrated in, with the chart kept as the row indices where it
-switches.  Standard-chart z and v are derived once per trajectory, for the
-infinity-chart rows only.  ``Trajectory.samples`` builds TrajectorySample
+switches.  Standard-chart z and v are derived once per trajectory length, for
+the infinity-chart rows only.  ``Trajectory.samples`` builds TrajectorySample
 objects on each read, for tests and external callers; the package itself
 never reads it.  ``state_at`` takes one integrator step from the row before a
 time T to the state a re-trace to T ends in; the period search refines with it.
+
+``tracing`` is the step loop as a generator: it pauses each time t passes a
+time the caller sends and resumes from its own state (z, K, h, chart, budget
+counters).  A pause clamps no step, so a paused trajectory is a prefix of the
+finished one, switches and events included; ``trace`` runs it without pauses.
 
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
@@ -163,9 +168,9 @@ class Trajectory:
                     zip(self.t, self.z, self.v, self.K, self.s_g))]
 
     def std_columns(self):
-        """(z, v) in the standard chart, derived once and shared (do not
-        modify them); the native columns if no row is in the infinity chart."""
-        if self._std is None:
+        """(z, v) in the standard chart, derived once per row count and
+        shared (do not modify them); the native columns if all are standard."""
+        if self._std is None or self._std[0] != len(self.t):
             zs, vs = self.z, self.v
             bounds = [0, *self.switches, len(zs)]
             # the rows from bounds[j] to bounds[j + 1] are in the infinity chart
@@ -174,8 +179,8 @@ class Trajectory:
                     zs, vs = list(zs), list(vs)
                 for k in range(bounds[j], bounds[j + 1]):
                     zs[k], vs[k] = _invert(zs[k], vs[k])
-            self._std = zs, vs
-        return self._std
+            self._std = len(self.t), zs, vs
+        return self._std[1:]
 
     def support_std(self):
         return self.std_columns()[0]
@@ -345,8 +350,23 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
 
     ``opts`` sets the budgets; the tolerances are the module constants.
     With ``certify`` the trace ends early once it is certified to fall into
-    a pole of residue < -1 (module docstring).
+    a pole of residue < -1.  It runs ``tracing`` without a pause.
     """
+    run = tracing(conn, initial, t_max, opts, certify=certify)
+    next(run)
+    try:
+        run.send(math.inf)   # no time passes inf: runs to the end
+    except StopIteration as done:
+        return done.value
+
+
+def tracing(conn: FuchsianConnection, initial, t_max: float,
+            opts: IntegratorOptions | None = None, *, certify: bool = False):
+    """``trace`` as a generator that pauses (module docstring): the first
+    ``next`` checks the start and yields the one-row trajectory; each
+    ``send(pause)`` yields the same trajectory once an accepted step takes
+    t past ``pause``, and the generator returns it where ``trace`` ends.
+    Time spent paused counts against ``max_seconds``."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     opts = opts or IntegratorOptions()
@@ -379,6 +399,7 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     exit_radius = None
     falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
              if certify and p.residue < -1.0]
+    pause = yield traj
 
     while t < t_max:
         if steps >= max_steps:
@@ -452,6 +473,8 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
             traj.events.append((t, "chart_switch", {"to": chart}))
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        if t > pause:
+            pause = yield traj
 
     # a trace that ran to t_max keeps the termination "t_max"
     traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))

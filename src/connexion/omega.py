@@ -30,7 +30,7 @@ from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
                      metric_density, segment_crossings, self_intersections,
-                     state_at, trace)
+                     state_at, trace, tracing)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -362,11 +362,15 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
                       budget: ClassifyBudget | None = None) -> RingDomainReport:
     """March transversally from a periodic leaf in steps of 0.05, re-seeding
     periodic traces until periodicity fails; measures the metric width
-    spanned and each leaf's metric length."""
+    spanned and each leaf's metric length.  A ring leaf has the seed
+    leaf's length L0, so a leaf launched at unit velocity from ``seed`` has
+    the period tau = L0 / metric_density(seed); its trace stops at its first
+    period (``_paused_period``), and at the latest at ``budget.t_max``, or at
+    6 tau without a budget."""
     T0 = detect_period(periodic)
     if T0 is None:
         raise errors.SeedNotPeriodic("seed trajectory is not periodic")
-    budget = budget or ClassifyBudget(t_max=6.0 * T0)
+    opts = budget.options() if budget else None
     z0, v0 = periodic.interpolate(periodic.t[0])
     vh0 = v0 / abs(v0)
     nrm = 1j * vh0
@@ -382,30 +386,44 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
         for k in range(1, max_leaves_per_side + 1):
             off = sign * k * 0.05
             seed = z0 + off * nrm
+            speed = metric_density(conn, seed)
+            tau = lengths[0] / speed
+            run = tracing(conn, (seed, vh0),
+                          budget.t_max if budget else 6.0 * tau, opts)
             try:
-                tr = trace(conn, (seed, vh0), budget.t_max, budget.options())
+                T, tr = _paused_period(run, 1.1 * tau)
+                pole = tr.termination == "pole_approach"
             except errors.StartAtPole:
-                stopped = ("pole", off)
-                break
-            if tr.termination == "pole_approach":
-                stopped = ("pole", off)
-                break
-            T = detect_period(tr)
-            if T is None:
-                stopped = ("aperiodic", off)
+                pole = True
+            if pole or T is None:
+                stopped = ("pole" if pole else "aperiodic", off)
                 break
             offsets.append(off)
-            lengths.append(tr.s_g[-1] / tr.t_end * T)
+            lengths.append(speed * T)
             points.append(seed)
         boundary.append({"side": sign, "stopped": stopped})
 
-    lo = min(offsets)
-    hi = max(offsets)
-    width = _segment_length(conn, z0, nrm, lo, hi, 2001)
+    width = _segment_length(conn, z0, nrm, min(offsets), max(offsets), 2001)
     order = np.argsort(offsets)
     return RingDomainReport([offsets[i] for i in order],
                             [lengths[i] for i in order],
                             [points[i] for i in order], width, boundary)
+
+
+def _paused_period(run, pause):
+    """(``detect_period``, trajectory) of the ``tracing`` run, paused at
+    ``pause`` and then at twice the last pause until a period comes before
+    the last row: it then refines on the rows the finished trace has."""
+    next(run)
+    try:
+        while True:
+            tr = run.send(pause)
+            T = detect_period(tr)
+            if T is not None and T < tr.t[-1]:
+                return T, tr
+            pause *= 2.0
+    except StopIteration as done:
+        return detect_period(done.value), done.value
 
 
 def _segment_length(conn, z0, direction, lo, hi, n):

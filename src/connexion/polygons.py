@@ -299,8 +299,10 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     Scans launch directions on a grid, traced to t = 8 |z1 - z0| + 8.  The
     signed miss Im((z - z1) conj(v)) / |v| at a trace's closest approach
     (z, v) to z1 changes sign as the geodesic sweeps across z1: regula falsi
-    (Illinois) on it over the grid interval next to the best grid direction
-    whose ends differ in sign finds the launch angle with the smallest miss.
+    (Illinois) on it over a grid interval whose ends differ in sign finds
+    the launch angle with the smallest miss; the interval is next to the
+    best grid direction if one is, else the one whose farther end misses
+    least.
     The returned trajectory ends at its closest approach.
     """
     z0, z1 = complex(z0), complex(z1)
@@ -331,12 +333,14 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     best = (grid[kb][0], TWO_PI * kb / n_grid, grid[kb][2])
     if best[0] > abs(z1 - z0):
         raise errors.NotFound("no launch direction approaches the target")
-    a, fa = best[1], grid[kb][1]
-    brackets = [(grid[j % n_grid][0], j) for j in (kb - 1, kb + 1)
-                if grid[j % n_grid][1] * fa <= 0.0]
+    # grid neighbours (i, j), i the nearer to z1, whose signed misses differ
+    brackets = [(i != kb, grid[j % n_grid][0], i, j) for i in range(n_grid)
+                for j in (i - 1, i + 1) if grid[i][0] <= grid[j % n_grid][0]
+                and grid[i][1] * grid[j % n_grid][1] <= 0.0]
     if not brackets:
-        raise errors.NotFound("no sign change next to the best direction")
-    j = min(brackets)[1]
+        raise errors.NotFound("no sign change between grid directions")
+    _, _, i, j = min(brackets)
+    a, fa = TWO_PI * i / n_grid, grid[i][1]
     b, fb = TWO_PI * j / n_grid, grid[j % n_grid][1]
     # b is the latest angle; a is halved when kept twice in a row
     for _ in range(80):

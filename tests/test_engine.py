@@ -522,6 +522,84 @@ class TestPartialStep:
         for dt in (1e-12, 1e-3):
             assert engine.state_at(traj, traj.t_end + dt) is None
 
+
+# -- pausing --------------------------------------------------------------------
+
+def _long_traces(column_traces):
+    """The benchmark's four long geodesics (unrotated) and a trace that ends
+    with a fall certificate: (connection, start, t_max, certify)."""
+    circle = column_traces["circle"].conn
+    three = column_traces["switch"].conn
+    z0 = 1.1 * cmath.exp(0.3j)
+    fall = column_traces["certified"].conn
+    return {"circle": (circle, (z0, 1j * z0), 80 * math.pi, False),
+            "three_pole": (three, (0.8 + 0.9j, cmath.exp(0.3j)), 60.0, False),
+            "selfcross": (single_pole(-0.9),
+                          (1.0, complex(-math.sqrt(3.0) / 2.0, -0.5)), 40.0,
+                          False),
+            "switch": (three, (3.0, cmath.exp(0.1j)), 200.0, False),
+            "certified": (fall, (-0.8 + 0.1j, 1.0 + 0.25j), 20.0, True)}
+
+
+def _record(traj):
+    """Copies of everything a trajectory holds."""
+    return {"t": list(traj.t), "z": list(traj.z), "v": list(traj.v),
+            "K": list(traj.K), "s_g": list(traj.s_g), "chart0": traj.chart0,
+            "switches": list(traj.switches), "events": list(traj.events),
+            "termination": traj.termination}
+
+
+class TestPausedTrace:
+    """``tracing`` paused at seeded times against one ``trace``."""
+
+    @pytest.mark.parametrize("name", ["circle", "three_pole", "selfcross",
+                                      "switch", "certified"])
+    def test_paused_rows_are_a_prefix(self, column_traces, name):
+        conn, start, t_max, certify = _long_traces(column_traces)[name]
+        full = _record(trace(conn, start, t_max, certify=certify))
+        rng = np.random.default_rng(23)
+        pauses = sorted(rng.uniform(0.0, full["t"][-1], 6))
+        pauses[1] = pauses[0]   # a pause already passed: one more step
+        run = engine.tracing(conn, start, t_max, certify=certify)
+        assert _record(next(run))["t"] == [0.0]
+        n = 1
+        for pause in pauses:
+            snap = _record(run.send(pause))
+            # the first row past the pause, and at least one step
+            assert len(snap["t"]) == max(n + 1,
+                                         bisect.bisect_right(full["t"], pause) + 1)
+            n = len(snap["t"])
+            for col in ("t", "z", "v", "K", "s_g"):
+                assert snap[col] == full[col][:n]
+            assert snap["chart0"] == full["chart0"]
+            assert snap["switches"] == [k for k in full["switches"] if k <= n]
+            assert snap["events"] == [e for e in full["events"]
+                                      if e[0] <= snap["t"][-1]
+                                      and e[1] != "terminated"]
+        with pytest.raises(StopIteration) as done:
+            run.send(math.inf)
+        assert _record(done.value.value) == full
+        if name == "switch":
+            to = [p["to"] for _, kind, p in full["events"]
+                  if kind == "chart_switch"]
+            assert "infinity" in to and "standard" in to
+        assert full["termination"] == ("pole_certified" if certify else "t_max")
+
+    def test_cached_standard_columns_follow_the_rows(self, column_traces):
+        # the switch geodesic has rows in w = 1/z by t = 50: the standard
+        # columns derived at a pause must grow with the trajectory
+        conn, start, t_max, _ = _long_traces(column_traces)["switch"]
+        run = engine.tracing(conn, start, t_max)
+        next(run)
+        paused = run.send(50.0)
+        assert paused.switches and len(paused.std_columns()[0]) == len(paused)
+        n = len(paused)
+        run.send(150.0)
+        assert len(paused) > n
+        full = trace(conn, start, t_max).std_columns()
+        assert paused.std_columns() == tuple(c[:len(paused)] for c in full)
+
+
 # -- columnar storage -----------------------------------------------------------
 # References written over TrajectorySample objects, as the consumers were
 # before the trajectory became columns; the columnar ones must give the same

@@ -13,9 +13,10 @@ wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
 check both.
 
 The period search refines a recurrence time by partial steps from the
-stored rows, and the shooting search finds its launch angle by regula falsi
-on the signed miss: a wrapper around the ``trace`` that ``omega`` and
-``polygons`` call counts the traces they start.
+stored rows, the ring probe stops each leaf trace at its first recurrence,
+and the shooting search finds its launch angle by regula falsi on the signed
+miss: wrappers around the ``trace`` and the pausable ``tracing`` that
+``omega`` and ``polygons`` call count the traces they start.
 """
 
 import cmath
@@ -211,26 +212,53 @@ def test_refused_pole_is_attempted_once(chart_builds):
 
 @pytest.fixture
 def traces(monkeypatch):
-    """The t_max of each trace that omega and polygons start."""
+    """The t_max of each trace that omega and polygons start, through
+    ``trace`` or through the pausable ``tracing`` it runs."""
     seen = []
     for mod in (omega, polygons):
-        def counting(conn, initial, t_max, *args, _trace=mod.trace, **kw):
-            seen.append(t_max)
-            return _trace(conn, initial, t_max, *args, **kw)
-        monkeypatch.setattr(mod, "trace", counting)
+        for name in ("trace", "tracing"):
+            if not hasattr(mod, name):
+                continue
+
+            def counting(conn, initial, t_max, *args,
+                         _run=getattr(mod, name), **kw):
+                seen.append(t_max)
+                return _run(conn, initial, t_max, *args, **kw)
+            monkeypatch.setattr(mod, name, counting)
     return seen
 
 
-def test_period_and_ring_retrace_nothing(traces, circle_conn):
+def test_traces_counts_both_entry_points(traces, circle_conn):
+    run = omega.tracing(circle_conn, (1.0, 1j), 5.0)
+    next(run)
+    omega.trace(circle_conn, (1.0, 1j), 3.0)
+    polygons.trace(circle_conn, (1.0, 1j), 2.0)
+    assert traces == [5.0, 3.0, 2.0]
+
+
+def test_period_and_ring_retrace_nothing(traces, circle_conn, monkeypatch):
     seed = trace(circle_conn, (1.0, 1j), 30.0)
     assert detect_period(seed) == pytest.approx(2 * math.pi, abs=1e-6)
     assert traces == []
+    leaves = {}
+
+    def recording(traj, _detect=omega.detect_period):
+        leaves[id(traj)] = traj
+        return _detect(traj)
+    monkeypatch.setattr(omega, "detect_period", recording)
     budget = ClassifyBudget(t_max=12 * math.pi, max_steps=1_000_000)
     rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=5,
                             budget=budget)
-    # one trace per leaf beside the seed, each to the budget's horizon
+    # one integration per leaf beside the seed, capped by the budget, and
+    # none after it: each leaf stops short of two of its periods
     assert rep.n_leaves == 11
     assert traces == [budget.t_max] * 10
+    leaves = [tr for tr in leaves.values() if tr is not seed]
+    assert len(leaves) == 10
+    for leaf in leaves:
+        period = detect_period(leaf)
+        two = trace(circle_conn, (leaf.z[0], leaf.v[0]), 2.0 * period)
+        assert len(leaf) < len(two)
 
 
 @pytest.mark.parametrize("pair", ["flat", "curved"])

@@ -12,7 +12,7 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
                        box_dimension, classify, crossing_statistics,
                        detect_period, ring_domain_probe,
                        saddle_connection_search, trace, transversal_analysis)
-from connexion import errors
+from connexion import errors, omega
 from connexion.engine import (GeodesicState, IntegratorOptions, Trajectory,
                               TrajectorySample)
 from connexion.localchart import FALL_ETA
@@ -134,6 +134,55 @@ class TestRingDomain:
         seed = trace(circle_conn, (1.0, 1.0 + 1.0j), 10.0)
         with pytest.raises(errors.SeedNotPeriodic):
             ring_domain_probe(circle_conn, seed)
+
+    def test_default_cap_is_in_each_leafs_own_time(self, circle_conn):
+        # the seed runs at |v| = 20, so its period is 2 pi / 20; the leaves
+        # run at unit velocity and need 2 pi r, far past six seed periods
+        seed = trace(circle_conn, (1.0, 20j), 1.5)
+        rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=3)
+        assert rep.n_leaves == 7
+        assert [b["stopped"] for b in rep.boundary] == [None, None]
+        assert max(abs(l - 2 * math.pi) for l in rep.leaf_lengths) < 1e-9
+
+    @pytest.mark.parametrize("case", ["inner", "switch", "outer",
+                                      "off_canonical"])
+    def test_paused_periods_are_full_horizon_periods(self, circle_conn,
+                                                     monkeypatch, case):
+        # each leaf's period, found on a trace paused near its first
+        # recurrence, is the bits detect_period finds on the trace run to
+        # the same horizon; circles past SWITCH_RADIUS run in w = 1/z
+        rng = np.random.default_rng(17)
+        radius = {"inner": rng.uniform(0.5, 2.0),
+                  "switch": rng.uniform(9.9, 10.1),
+                  "outer": rng.uniform(15.0, 30.0)}.get(case)
+        if radius is None:
+            seed = trace(circle_conn, GeodesicState("standard", 2.0, 2j, 0j),
+                         30.0)
+        else:
+            z0 = radius * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            speed = rng.uniform(0.5, 3.0)
+            seed = trace(circle_conn, (z0, 1j * speed * z0),
+                         2.5 * 2 * math.pi / speed)
+        runs, found = [], []
+
+        def starting(conn, initial, t_max, opts, _run=omega.tracing):
+            runs.append((initial, t_max, opts))
+            return _run(conn, initial, t_max, opts)
+
+        def pausing(run, pause, _paused=omega._paused_period):
+            found.append(_paused(run, pause))
+            return found[-1]
+        monkeypatch.setattr(omega, "tracing", starting)
+        monkeypatch.setattr(omega, "_paused_period", pausing)
+        rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=3)
+        assert rep.n_leaves == 7 and len(runs) == len(found) == 6
+        charts = set()
+        for (initial, t_max, opts), (period, paused) in zip(runs, found):
+            full = trace(circle_conn, initial, t_max, opts)
+            assert full.termination == "t_max" and len(paused) < len(full)
+            assert hexed(period) == hexed(detect_period(full))
+            charts.update(paused._chart(k) for k in range(len(paused)))
+        assert ("infinity" in charts) == (case in ("switch", "outer"))
 
 
 class TestSaddleConnections:

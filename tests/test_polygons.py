@@ -163,6 +163,17 @@ class TestConnectUnique:
             assert new is ref
 
 
+    def test_bracket_away_from_the_best_direction(self):
+        # the best grid miss (direction 30) comes from a winding approach at
+        # t = 14.9 with no sign change beside it; the signed miss changes
+        # sign between directions 71 and 0, where the arc is simple
+        conn, z0, z1 = _random_problem(39)
+        arc = connect_unique(conn, z0, z1)
+        assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
+        assert arc.t_end < 2.0
+        assert self_intersections(arc) == []
+
+
 def _random_problem(k):
     """The k-th of seeded random_connection problems with |z1 - z0| = 1.2."""
     rng = np.random.default_rng(5)
