@@ -87,6 +87,7 @@ class FuchsianConnection:
     _finite: tuple = field(default=(), repr=False)
 
     atlas = cached_property(lambda self: {})   # filled by localchart.pole_chart
+    _charts = cached_property(lambda self: {})  # filled by chart_poles
 
     @property
     def finite_poles(self) -> tuple:
@@ -107,18 +108,22 @@ class FuchsianConnection:
                 return p.residue
         raise KeyError(f"no pole at {loc}")
 
-    def chart_poles(self, chart: str) -> list:
+    def chart_poles(self, chart: str) -> tuple:
         """(coordinate, residue) pairs of the simple poles of the local
-        representation in the given chart."""
+        representation in the given chart, built once per chart."""
+        if chart in self._charts:
+            return self._charts[chart]
         if chart == STANDARD:
-            return [(p.location.z, p.residue) for p in self._finite]
-        if chart != INFINITY:
+            out = [(p.location.z, p.residue) for p in self._finite]
+        elif chart == INFINITY:
+            out = [(0j, self.infinity_residue)]
+            for p in self._finite:
+                if p.location.z != 0:
+                    out.append((1.0 / p.location.z, p.residue))
+        else:
             raise ValueError(f"unknown chart {chart!r}")
-        out = [(0j, self.infinity_residue)]
-        for p in self._finite:
-            if p.location.z != 0:
-                out.append((1.0 / p.location.z, p.residue))
-        return out
+        self._charts[chart] = tuple(out)
+        return self._charts[chart]
 
 
 def build_connection(poles) -> FuchsianConnection:

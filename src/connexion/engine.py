@@ -3,15 +3,19 @@
 The geodesic equation in a chart is  z'' + f(z) z'^2 = 0,  f = sum rho/(z - p).
 With K a primitive of f dz it integrates once: c = z' exp(K(z)) is constant,
 so a geodesic solves the first-order law  z' = c exp(-K(z)),  which ``trace``
-integrates with an embedded Dormand-Prince 5(4) pair.  The stepper state is
-z alone: c is fixed at launch, and K is continued from the step's start point
+integrates with Dormand and Prince's eighth-order DOP853 step (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5 and II.10).  The stepper state is z
+alone: c is fixed at launch, and K is continued from the step's start point
 to each stage point along the chord (``_dK``).  The velocity v = z' of each
-row is the step's last stage slope k7 = c exp(-K(z1)), which is the next
+row is the slope k13 = c exp(-K(z1)) at the step's end, which is the next
 step's first slope (first same as last), so c = v exp(K) holds by
-construction, up to rounding.  A step is rejected when its error norm on z
-exceeds 1, when its chord passes within ``PATH_CLEARANCE`` of a pole (measured
-only for poles that can be that close, ``_pole_gap``), or when it is not
-finite (a stage point on a pole included).
+construction, up to rounding.  The error estimate combines the fifth- and
+third-order embedded errors e5 and e3 as |h| |e5|^2 / sqrt(|e5|^2 +
+0.01 |e3|^2), over the scale ATOL + RTOL max(|z|, |z1|); the next step is
+h times 0.9 err^(-1/8), kept within [0.2, 5].  A step is rejected when its
+error norm exceeds 1, when its chord passes within ``PATH_CLEARANCE`` of a
+pole (measured only for poles that can be that close, ``_pole_gap``), or when
+it is not finite (a stage point on a pole included).
 
 The residues are real, so a geodesic moves at constant speed in the flat
 metric |dz| prod_j |z - p_j|^{rho_j}: its arclength is s_g = speed * t, with
@@ -28,8 +32,11 @@ each row was integrated in, with the chart kept as the row indices where it
 switches.  Standard-chart z and v are derived once per trajectory length, for
 the infinity-chart rows only.  ``Trajectory.samples`` builds TrajectorySample
 objects on each read, for tests and external callers; the package itself
-never reads it.  ``state_at`` takes one integrator step from the row before a
-time T to the state a re-trace to T ends in; the period search refines with it.
+never reads it.  ``Trajectory.interpolate`` is the quintic Hermite through z,
+v and z'' = -f(z) v^2 at both rows of a step, so it needs no stored stage
+slopes and works on any trajectory whose rows lie on a geodesic.
+``state_at`` takes one integrator step from the row before a time T to the
+state a re-trace to T ends in; the period search refines with it.
 
 ``tracing`` is the step loop as a generator: it pauses each time t passes a
 time the caller sends and resumes from its own state (z, K, h, chart, budget
@@ -44,12 +51,12 @@ read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole.
 
 The stepper is written out for speed, and its results are bit-identical to
 the textbook form: the Butcher-tableau loop over the stages, each stage point
-z + (h*a) k added left to right, its slope k1 exp(-dK) with dK summed pole by
-pole as in ``_dK``, the seventh stage point taken as the solution, and the
-error estimate's weighted sum started from the integer 0, as ``sum()`` does.
-Floating-point addition is not associative, so an edit to ``_dp_step`` must
-keep that operation order.  ``tests/test_engine.py`` checks ``_dp_step``
-against the loop.
+and the solution z + (h*a) k added left to right, each slope k1 exp(-dK) with
+dK summed pole by pole as in ``_dK``, and each error sum added left to right
+from its first term.  Floating-point addition is not associative, so an edit
+to ``_dp_step`` must keep that operation order.  ``tests/test_engine.py``
+checks ``_dp_step`` against the loop over scipy's DOP853 tableau, and the
+literals against that tableau.
 """
 
 from __future__ import annotations
@@ -193,19 +200,40 @@ class Trajectory:
         return max(0, min(i, len(ts) - 2))
 
     def interpolate(self, t: float):
-        """Cubic-Hermite position and velocity (standard chart) at time t."""
+        """Quintic-Hermite position and velocity (standard chart) at time t,
+        from z, v and z'' = -f(z) v^2 at both rows, with f the sum of
+        rho / (z - p) over the poles of row i's chart."""
         i = self._interval(t)
         chart = self._chart(i)
         z0, v0 = self.z[i], self.v[i]
         z1, v1 = self.z[i + 1], self.v[i + 1]
         if self._chart(i + 1) != chart:   # row i+1 follows a chart switch
             z1, v1 = _invert(z1, v1)
+        f0 = f1 = 0j
+        for pos, res in self.conn.chart_poles(chart):
+            f0 += res / (z0 - pos)
+            f1 += res / (z1 - pos)
         h = self.t[i + 1] - self.t[i]
         th = (t - self.t[i]) / h if h else 0.0
-        z, v = _hermite(z0, v0, z1, v1, h, th)
+        z, v = _hermite(z0, v0, -f0 * v0 * v0, z1, v1, -f1 * v1 * v1, h, th)
         if chart == INFINITY:
             z, v = _invert(z, v)
         return z, v
+
+    def nearest_time(self, k: int, target: complex) -> float:
+        """The time in the step into row k where the interpolant comes
+        nearest ``target`` (standard chart): three Newton steps from the
+        chord's nearest point."""
+        lo, hi = self.t[k - 1], self.t[k]
+        a, b = self.support_std()[k - 1:k + 1]
+        seg = b - a
+        s = ((target - a) * seg.conjugate()).real / abs(seg) ** 2 if seg else 0.0
+        t = lo + min(max(s, 0.0), 1.0) * (hi - lo)
+        for _ in range(3):
+            z, v = self.interpolate(t)
+            t = min(max(t - ((z - target) * v.conjugate()).real / abs(v) ** 2,
+                        lo), hi)
+        return t
 
 
 def _invert(z, v):
@@ -213,18 +241,23 @@ def _invert(z, v):
     return 1.0 / z, -v / z ** 2
 
 
-def _hermite(z0, v0, z1, v1, h, th):
-    """Cubic Hermite on [0,1]; returns value and d/dt."""
-    h00 = (1 + 2 * th) * (1 - th) ** 2
-    h10 = th * (1 - th) ** 2
-    h01 = th * th * (3 - 2 * th)
-    h11 = th * th * (th - 1)
-    z = h00 * z0 + h10 * h * v0 + h01 * z1 + h11 * h * v1
-    d00 = 6 * th * (th - 1)
-    d10 = (1 - th) * (1 - 3 * th)
-    d01 = -d00
-    d11 = th * (3 * th - 2)
-    v = (d00 * z0 / h + d10 * v0 + d01 * z1 / h + d11 * v1) if h else v0
+def _hermite(z0, v0, a0, z1, v1, a1, h, th):
+    """Quintic Hermite on [0,1] through z, z' and z'' at both ends; returns
+    value and d/dt.  Its error is at most h^6 max|z^(6)| / 46080."""
+    if not h:
+        return z0, v0
+    # z0 + p1 th + p2 th^2 + c3 th^3 + c4 th^4 + c5 th^5, with c3, c4, c5
+    # matching the end values
+    p1, p2 = h * v0, 0.5 * h * h * a0
+    dz = z1 - z0 - p1 - p2
+    dv = h * (v1 - v0) - 2.0 * p2
+    da = h * h * (a1 - a0)
+    c3 = 10.0 * dz - 4.0 * dv + 0.5 * da
+    c4 = -15.0 * dz + 7.0 * dv - da
+    c5 = 6.0 * dz - 3.0 * dv + 0.5 * da
+    z = z0 + th * (p1 + th * (p2 + th * (c3 + th * (c4 + th * c5))))
+    v = v0 + th * (2.0 * p2
+                   + th * (3.0 * c3 + th * (4.0 * c4 + th * 5.0 * c5))) / h
     return z, v
 
 
@@ -293,52 +326,97 @@ def metric_density(conn: FuchsianConnection, z: complex) -> float:
     return math.exp(acc)
 
 
-# -- Dormand-Prince 5(4) -------------------------------------------------------
-# The tableau, zero entries left out; the stages keep the loop's operation
-# order (module docstring).
+# -- Dormand-Prince 8(5,3) -----------------------------------------------------
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): the
+# nonzero entries of each stage row, with the columns (0-based stages) in the
+# comment; the doubles of scipy's ``_ivp/dop853_coefficients.py``, each in its
+# shortest decimal spelling.  The stages keep the loop's operation order
+# (module docstring).
 
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-# the seventh stage row equals the fifth-order weights (b2 = b7 = 0)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+_A2 = 0.05260015195876773
+_A3 = 0.0197250569845379, 0.0591751709536137                           # 0 1
+_A4 = 0.02958758547680685, 0.08876275643042054                         # 0 2
+_A5 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792       # 0 2 3
+_A6 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242   # 0 3 4
+_A7 = (0.037109375, 0.17025221101954405, 0.06021653898045596,          # 0 3-5
+       -0.017578125)
+_A8 = (0.03709200011850479, 0.17038392571223998, 0.10726203044637328,  # 0 3-6
+       -0.015319437748624402, 0.008273789163814023)
+_A9 = (0.6241109587160757, -3.3608926294469414, -0.868219346841726,    # 0 3-7
+       27.59209969944671, 20.154067550477894, -43.48988418106996)
+_A10 = (0.47766253643826434, -2.4881146199716677, -0.590290826836843,  # 0 3-8
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627)
+_A11 = (-0.9371424300859873, 5.186372428844064, 1.0914373489967295,    # 0 3-9
+        -8.149787010746927, -18.52006565999696, 22.739487099350505,
+        2.4936055526796523, -3.0467644718982196)
+_A12 = (2.273310147516538, -10.53449546673725, -2.0008720582248625,    # 0 3-10
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+        -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+# the eighth-order weights and the fifth- and third-order error weights,
+# all in the columns 0 5-11
+_B = (0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+      -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+      0.20136540080403034, 0.04471061572777259)
+_E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+       0.08192320648511571, -0.022355307863886294)
+_E3 = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+       0.20136540080403034, 0.02265179219836082)
 
 
 def _dp_step(poles, z, k1, h):
-    """One step of z' = c exp(-K(z)) from z, where k1 = c exp(-K(z)).
+    """One DOP853 step of z' = c exp(-K(z)) from z, where k1 = c exp(-K(z)).
 
-    Returns (z1, dK, k7, ez): the fifth-order z1, which is also the seventh
-    stage point, dK = K(z1) - K(z), the slope k7 = c exp(-K(z1)) and the
-    embedded error estimate.  Stage s has the slope k1 exp(-dK_s), with K
-    continued from z to the stage point by ``_dK``.
+    Returns (z1, dK, k13, err): the eighth-order z1, dK = K(z1) - K(z), the
+    slope k13 = c exp(-K(z1)) and the combined error estimate
+    |h| |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2).  Stage s has the slope
+    k1 exp(-dK_s), with K continued from z to the stage point by ``_dK``.
     """
-    a1 = h * _A21
-    d = _dK(poles, z, z + a1 * k1)
-    k2 = k1 * cmath.exp(-d)
-    a1, a2 = h * _A31, h * _A32
-    d = _dK(poles, z, z + a1 * k1 + a2 * k2)
-    k3 = k1 * cmath.exp(-d)
-    a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    d = _dK(poles, z, z + a1 * k1 + a2 * k2 + a3 * k3)
-    k4 = k1 * cmath.exp(-d)
-    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-    d = _dK(poles, z, z + a1 * k1 + a2 * k2 + a3 * k3 + a4 * k4)
-    k5 = k1 * cmath.exp(-d)
-    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    d = _dK(poles, z, z + a1 * k1 + a2 * k2 + a3 * k3 + a4 * k4 + a5 * k5)
-    k6 = k1 * cmath.exp(-d)
-    a1, a3, a4, a5, a6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    z1 = z + a1 * k1 + a3 * k3 + a4 * k4 + a5 * k5 + a6 * k6
+    ex = cmath.exp
+    k2 = k1 * ex(-_dK(poles, z, z + h * _A2 * k1))
+    a0, a1 = _A3
+    k3 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a1 * k2))
+    a0, a2 = _A4
+    k4 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a2 * k3))
+    a0, a2, a3 = _A5
+    k5 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a2 * k3 + h * a3 * k4))
+    a0, a3, a4 = _A6
+    k6 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5))
+    a0, a3, a4, a5 = _A7
+    k7 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
+                      + h * a5 * k6))
+    a0, a3, a4, a5, a6 = _A8
+    k8 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
+                      + h * a5 * k6 + h * a6 * k7))
+    a0, a3, a4, a5, a6, a7 = _A9
+    k9 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
+                      + h * a5 * k6 + h * a6 * k7 + h * a7 * k8))
+    a0, a3, a4, a5, a6, a7, a8 = _A10
+    k10 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
+                       + h * a5 * k6 + h * a6 * k7 + h * a7 * k8 + h * a8 * k9))
+    a0, a3, a4, a5, a6, a7, a8, a9 = _A11
+    k11 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
+                       + h * a5 * k6 + h * a6 * k7 + h * a7 * k8 + h * a8 * k9
+                       + h * a9 * k10))
+    a0, a3, a4, a5, a6, a7, a8, a9, a10 = _A12
+    k12 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
+                       + h * a5 * k6 + h * a6 * k7 + h * a7 * k8 + h * a8 * k9
+                       + h * a9 * k10 + h * a10 * k11))
+    a0, a5, a6, a7, a8, a9, a10, a11 = _B
+    z1 = (z + h * a0 * k1 + h * a5 * k6 + h * a6 * k7 + h * a7 * k8
+          + h * a8 * k9 + h * a9 * k10 + h * a10 * k11 + h * a11 * k12)
     d = _dK(poles, z, z1)
-    k7 = k1 * cmath.exp(-d)
-    ez = h * (0 + _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-              + _E7 * k7)
-    return z1, d, k7, ez
+    a0, a5, a6, a7, a8, a9, a10, a11 = _E5
+    e5 = abs(a0 * k1 + a5 * k6 + a6 * k7 + a7 * k8 + a8 * k9 + a9 * k10
+             + a10 * k11 + a11 * k12)
+    a0, a5, a6, a7, a8, a9, a10, a11 = _E3
+    e3 = abs(a0 * k1 + a5 * k6 + a6 * k7 + a7 * k8 + a8 * k9 + a9 * k10
+             + a10 * k11 + a11 * k12)
+    den = e5 * e5 + 0.01 * (e3 * e3)
+    err = abs(h) * (e5 * e5) / math.sqrt(den) if den else 0.0
+    return z1, d, k1 * ex(-d), err
 
 
 # -- the tracer ----------------------------------------------------------------
@@ -424,12 +502,12 @@ def tracing(conn: FuchsianConnection, initial, t_max: float,
         # v is the slope at z (first same as last: the last stage slope of
         # the previous step)
         try:
-            z1, dK, v1, ez = _dp_step(poles, z, v, h)
+            z1, dK, v1, err = _dp_step(poles, z, v, h)
         except (ValueError, OverflowError):   # a stage point on a pole
-            z1 = ez = complex(math.nan)
-        err = abs(ez) / (ATOL + RTOL * max(abs(z), abs(z1)))
+            z1, err = complex(math.nan), math.nan
+        err /= ATOL + RTOL * max(abs(z), abs(z1))
         if not err <= 1.0 or not math.isfinite(abs(z1)):
-            h *= max(0.2, 0.9 * err ** -0.2) if 1.0 < err < math.inf else 0.1
+            h *= max(0.2, 0.9 * err ** -0.125) if 1.0 < err < math.inf else 0.1
             continue
 
         # the step chord must clear every pole; one that comes within the
@@ -472,7 +550,7 @@ def tracing(conn: FuchsianConnection, initial, t_max: float,
             traj.switches.append(len(ts))
             traj.events.append((t, "chart_switch", {"to": chart}))
 
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 5.0
         if t > pause:
             pause = yield traj
 
@@ -530,10 +608,10 @@ def state_at(traj: Trajectory, T: float):
         z, v = _invert(z, v)
     poles = traj.conn.chart_poles(chart)
     try:
-        z1, _, v1, ez = _dp_step(poles, z, v, T - traj.t[k])
+        z1, _, v1, err = _dp_step(poles, z, v, T - traj.t[k])
     except (ValueError, OverflowError):   # a stage point on a pole
         return None
-    err = abs(ez) / (ATOL + RTOL * max(abs(z), abs(z1)))
+    err /= ATOL + RTOL * max(abs(z), abs(z1))
     if not (err <= 1.0 and math.isfinite(abs(z1))
             and _pole_gap(poles, z, z1) >= POLE_FLOOR):
         return None

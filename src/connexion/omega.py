@@ -29,8 +29,8 @@ from . import errors
 from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     metric_density, segment_crossings, self_intersections,
-                     state_at, trace, tracing)
+                     _chord_gap, metric_density, segment_crossings,
+                     self_intersections, state_at, trace, tracing)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -76,10 +76,12 @@ def detect_period(traj: Trajectory):
     """Smallest recurrence time T with |z(T)-z0| + |vhat(T)-vhat0| below
     RECURRENCE_TOL.
 
-    Candidates come from the stored samples; each is refined with states one
-    partial integrator step past the stored row before the candidate time
-    (``engine.state_at``): the recurrence falls between samples, where the
-    cubic dense output is less accurate than the recurrence tolerance.
+    A row is a candidate when the chord into it passes within 0.05 scale of
+    z0, however far apart the rows are.  Each candidate starts at the time
+    where the interpolant comes nearest z0 (``Trajectory.nearest_time``),
+    and is refined with states one partial integrator step past the stored
+    row before the candidate time (``engine.state_at``), which carry the
+    step's accuracy rather than the dense output's.
     """
     zs, vs = traj.std_columns()
     z0, v0 = zs[0], vs[0]
@@ -90,10 +92,9 @@ def detect_period(traj: Trajectory):
         t = traj.t[k]
         if t < 1e-6 or t <= window:
             continue
-        z, v = zs[k], vs[k]
-        if abs(z - z0) + abs(v / abs(v) - vh0) > 0.05 * scale:
+        if _chord_gap(zs[k - 1], zs[k], z0) > 0.05 * scale:
             continue
-        T = _refine_period(traj, t, z0, vh0)
+        T = _refine_period(traj, traj.nearest_time(k, z0), z0, vh0)
         if T is not None:
             return T
         # skip the rest of this close-approach window before trying again
@@ -103,7 +104,8 @@ def detect_period(traj: Trajectory):
 
 def _refine_period(traj: Trajectory, T0: float, z0, vh0):
     """Newton-like refinement of a recurrence time: project the offset of
-    the state at T (``state_at``) onto the flow direction and step T."""
+    the state at T (``state_at``) onto the flow direction and step T; the
+    last step is taken too."""
     T = T0
     for _ in range(8):
         end = state_at(traj, T)
@@ -113,10 +115,10 @@ def _refine_period(traj: Trajectory, T0: float, z0, vh0):
         delta = (z - z0).real * v.real + (z - z0).imag * v.imag
         dT = -delta / (abs(v) ** 2)
         mism = abs(z - z0) + abs(v / abs(v) - vh0)
-        if mism < RECURRENCE_TOL and abs(dT) < RECURRENCE_TOL:
-            return T
         if T + dT <= 1e-6:
             return None
+        if mism < RECURRENCE_TOL and abs(dT) < RECURRENCE_TOL:
+            return T + dT
         T += dT
         if abs(dT) < 1e-15 * T:
             return None if mism >= RECURRENCE_TOL else T
@@ -136,13 +138,24 @@ class TransversalSection:
 
 
 def section_crossings(traj: Trajectory, section: TransversalSection) -> list:
-    """Parameters along the section where the sampled trajectory crosses it
-    transversally: at an angle whose sine is at least 1e-3."""
+    """Parameters along the section where the trajectory crosses it
+    transversally: chords that cross it at an angle whose sine is at least
+    1e-3, each crossing corrected by one Newton step on the interpolant."""
     pts = np.asarray(traj.support_std())
     seg = np.array([section.p0, section.p1], dtype=complex)
     i, _, s, u, den = segment_crossings(pts, seg)
     sin_angle = np.abs(den) / (np.abs(pts[i + 1] - pts[i]) * abs(seg[1] - seg[0]))
-    return sorted(u[(s < 1.0) & (sin_angle >= 1e-3)].tolist())
+    keep = (s < 1.0) & (sin_angle >= 1e-3)
+    d, ts, out = section.p1 - section.p0, traj.t, []
+    for k, s, u in zip(*(x[keep].tolist() for x in (i, s, u))):
+        z, v = traj.interpolate(ts[k] + s * (ts[k + 1] - ts[k]))
+        # z + v dt = p0 + (u + du) d, solved for du where v is transversal
+        r = z - section.p0 - u * d
+        cross = v.real * d.imag - v.imag * d.real
+        if abs(cross) > 1e-3 * abs(v) * abs(d):
+            u += (v.real * r.imag - v.imag * r.real) / cross
+        out.append(u)
+    return sorted(out)
 
 
 def transversal_analysis(traj: Trajectory, section: TransversalSection) -> dict:
@@ -240,19 +253,17 @@ def classify(conn: FuchsianConnection, initial,
     if foreign is not None:
         return foreign
 
-    section = _best_section(traj)
-    if section is not None:
-        try:
-            stats = transversal_analysis(traj, section)
-        except errors.TooFewCrossings:
-            stats = None
-        if stats is not None and simple:
-            if stats["dense_interval"]:
-                return OmegaVerdict("FillsRegionEvidence",
-                                    {"stats": stats, "traj": traj})
-            if not stats["isolated_point"]:
-                return OmegaVerdict("CantorLikeEvidence",
-                                    {"stats": stats, "traj": traj})
+    try:
+        stats = transversal_analysis(traj, _best_section(traj))
+    except errors.TooFewCrossings:
+        stats = None
+    if stats is not None and simple:
+        if stats["dense_interval"]:
+            return OmegaVerdict("FillsRegionEvidence",
+                                {"stats": stats, "traj": traj})
+        if not stats["isolated_point"]:
+            return OmegaVerdict("CantorLikeEvidence",
+                                {"stats": stats, "traj": traj})
     return OmegaVerdict("Undetermined",
                         {"termination": traj.termination, "t_end": traj.t_end,
                          "simple": simple, "traj": traj})
@@ -284,24 +295,29 @@ def _tail_convergence(traj: Trajectory):
 
 
 def _foreign_accumulation(traj: Trajectory, simple: bool):
-    """Detector for the two empirically-excluded behaviors: the tail becomes
-    nearly periodic while the full trajectory never recurs (foreign periodic
-    orbit), or the tail keeps shuttling between pole neighborhoods along
-    near-critical directions without joining them (saddle graph)."""
+    """Detector for the two empirically-excluded behaviors: the tail (the
+    last quarter of the time span) becomes nearly periodic while the full
+    trajectory never recurs (foreign periodic orbit), or the tail keeps
+    shuttling between pole neighborhoods along near-critical directions
+    without joining them (saddle graph).  Both are measured on the chords
+    and the interpolant, not at the rows, so the row spacing does not enter;
+    a trace shorter than 10 time units has too short a tail to test."""
     ts = traj.times
-    if len(ts) < 200:
+    if ts[-1] - ts[0] < 10.0:
         return None
     # times never decrease: the tail is the rows from the first t >= start
     k0 = bisect.bisect_left(ts, ts[0] + 0.75 * (ts[-1] - ts[0]))
-    tail, tail_v = (col[k0:] for col in traj.std_columns())
-    if len(tail) < 50:
-        return None
-    z_t, v_t = tail[0], tail_v[0]
-    vh = v_t / abs(v_t)
+    zs, vs = traj.std_columns()
+    z_t, n = zs[k0], len(ts)
+    vh = vs[k0] / abs(vs[k0])
+    near = 0.05 * max(abs(z_t), 1.0)
+    # a return: a chord that comes back near z_t once the tail has left it
+    away = next((k for k in range(k0, n) if abs(zs[k] - z_t) > near), n)
     best = math.inf
-    for z, v in zip(tail[5:], tail_v[5:]):
-        d = abs(z - z_t) + abs(v / abs(v) - vh)
-        best = min(best, d)
+    for k in range(away + 1, n):
+        if _chord_gap(zs[k - 1], zs[k], z_t) <= near:
+            z, v = traj.interpolate(traj.nearest_time(k, z_t))
+            best = min(best, abs(z - z_t) + abs(v / abs(v) - vh))
     if best < 1e-6 and simple:
         # tail recurs tightly but the global period detector said no:
         # candidate accumulation on a periodic orbit it never joins
@@ -312,9 +328,9 @@ def _foreign_accumulation(traj: Trajectory, simple: bool):
     poles = [pos for pos, _ in traj.conn.chart_poles("standard")]
     if simple and poles:
         visits = []
-        for z in tail:
-            # the nearest pole, the first one on ties
-            d, k = min((abs(z - p), k) for k, p in enumerate(poles))
+        for a, b in zip(zs[k0:], zs[k0 + 1:]):
+            # the pole nearest the chord, the first one on ties
+            d, k = min((_chord_gap(a, b, p), k) for k, p in enumerate(poles))
             if d < 1e-3:
                 if not visits or visits[-1] != k:
                     visits.append(k)
@@ -328,8 +344,6 @@ def _best_section(traj: Trajectory):
     """A short segment transverse to the trajectory at its most-revisited
     sample, normal to the local velocity."""
     pts = np.asarray(traj.support_std())
-    if pts.size < 50:
-        return None
     # pick the sample whose neighborhood is visited most often
     sub = pts[:: max(1, pts.size // 400)]
     counts = [(np.sum(np.abs(pts - p) < 0.2), i) for i, p in enumerate(sub)]

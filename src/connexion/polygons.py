@@ -300,9 +300,9 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     signed miss Im((z - z1) conj(v)) / |v| at a trace's closest approach
     (z, v) to z1 changes sign as the geodesic sweeps across z1: regula falsi
     (Illinois) on it over a grid interval whose ends differ in sign finds
-    the launch angle with the smallest miss; the interval is next to the
-    best grid direction if one is, else the one whose farther end misses
-    least.
+    the launch angle with the smallest miss; the interval is one whose ends
+    can be one pass by z1 (``one_pass``) if one is, then next to the best
+    grid direction if one is, else the one whose farther end misses least.
     The returned trajectory ends at its closest approach.
     """
     z0, z1 = complex(z0), complex(z1)
@@ -315,31 +315,40 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
         """(miss, signed miss, time) at the closest approach to z1."""
         tr = trace(conn, (z0, cmath.exp(1j * theta)), t_max, opts)
         zs, vs = tr.std_columns()
-        d = np.abs(np.asarray(zs) - z1)
-        k = int(np.argmin(d))
-        # sample knots can be widely spaced: refine the closest approach
-        # on the dense interpolant over the neighboring intervals
-        ts = tr.times
-        lo, hi = ts[max(0, k - 1)], ts[min(len(ts) - 1, k + 1)]
-        if hi > lo:
-            t, f = _golden(lambda t: abs(tr.interpolate(t)[0] - z1) ** 2, lo, hi)
-            d, (z, v) = math.sqrt(f), tr.interpolate(t)
-        else:
-            t, d, z, v = ts[k], float(d[k]), zs[k], vs[k]
-        return d, ((z - z1) * v.conjugate()).imag / abs(v), t
+        k = int(np.argmin(np.abs(np.asarray(zs) - z1)))
+        # rows can be far apart: the closest approach on the interpolant in
+        # the steps into and out of row k (row k itself if there are none)
+        ts = [tr.nearest_time(j, z1) for j in (k, k + 1) if 0 < j < len(tr)]
+        z, v, t = min(((*tr.interpolate(t), t) for t in ts),
+                      key=lambda c: abs(c[0] - z1),
+                      default=(zs[k], vs[k], tr.t[k]))
+        return abs(z - z1), ((z - z1) * v.conjugate()).imag / abs(v), t
 
     grid = [miss(TWO_PI * k / n_grid) for k in range(n_grid)]
     kb = min(range(n_grid), key=lambda k: grid[k][0])
     best = (grid[kb][0], TWO_PI * kb / n_grid, grid[kb][2])
     if best[0] > abs(z1 - z0):
         raise errors.NotFound("no launch direction approaches the target")
-    # grid neighbours (i, j), i the nearer to z1, whose signed misses differ
-    brackets = [(i != kb, grid[j % n_grid][0], i, j) for i in range(n_grid)
-                for j in (i - 1, i + 1) if grid[i][0] <= grid[j % n_grid][0]
+
+    def one_pass(i, j):
+        """Whether the closest approaches of neighbouring directions can be
+        one pass by z1: at both, the miss is normal to the velocity (not at
+        an end of the trace), and the time moves by at most 2 t over the
+        grid interval (in the flat metric the geodesics from z0 are rays,
+        whose closest approach moves by far less)."""
+        (di, si, ti), (dj, sj, tj) = grid[i], grid[j % n_grid]
+        return (abs(si) >= 0.5 * di and abs(sj) >= 0.5 * dj
+                and abs(ti - tj) <= 2.0 * TWO_PI / n_grid * max(ti, tj))
+
+    # grid neighbours (i, j), i the nearer to z1, whose signed misses differ;
+    # a sign change that no single pass explains is tried last
+    brackets = [(not one_pass(i, j), i != kb, grid[j % n_grid][0], i, j)
+                for i in range(n_grid) for j in (i - 1, i + 1)
+                if grid[i][0] <= grid[j % n_grid][0]
                 and grid[i][1] * grid[j % n_grid][1] <= 0.0]
     if not brackets:
         raise errors.NotFound("no sign change between grid directions")
-    _, _, i, j = min(brackets)
+    *_, i, j = min(brackets)
     a, fa = TWO_PI * i / n_grid, grid[i][1]
     b, fb = TWO_PI * j / n_grid, grid[j % n_grid][1]
     # b is the latest angle; a is halved when kept twice in a row
@@ -364,22 +373,3 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     if self_intersections(arc, max_count=1):
         raise errors.NonSimpleArc("connecting arc crosses itself")
     return arc
-
-
-def _golden(f, a, b):
-    """Golden-section search for a minimum of ``f`` on [a, b]: (x, f(x))."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-14:
-            break
-    return (x1, f1) if f1 < f2 else (x2, f2)

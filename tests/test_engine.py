@@ -18,7 +18,7 @@ from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
                               segment_crossings)
 from connexion.omega import TransversalSection, section_crossings
 
-from conftest import audit_draws, hexed, single_pole
+from conftest import SWITCH_POLES, audit_draws, hexed, single_pole
 
 
 class TestBasicTracing:
@@ -193,6 +193,29 @@ class TestInterpolation:
             assert abs(z - cmath.exp(1j * t)) < 1e-6
             assert abs(v - 1j * cmath.exp(1j * t)) < 1e-5
 
+    def test_mid_step_accuracy(self, circle_conn):
+        # at every mid-step: the circle against its closed form, and the
+        # benchmark's three-pole and switch geodesics against a partial step
+        # (state_at), relative to max(1, |z|); the bounds are the cubic
+        # Hermite's errors on the denser rows of a 5(4) trace
+        z0 = 1.1 * cmath.exp(0.3j)
+        circle = trace(circle_conn, (z0, 1j * z0), 80 * math.pi)
+        mids = [0.5 * (a + b) for a, b in zip(circle.t, circle.t[1:])]
+        assert max(abs(circle.interpolate(t)[0] - z0 * cmath.exp(1j * t))
+                   for t in mids) <= 1e-9
+        conn = build_connection(SWITCH_POLES)
+        for start, t_max, bound in (((0.8 + 0.9j, cmath.exp(0.3j)), 60.0, 3.4e-9),
+                                    ((3.0, cmath.exp(0.1j)), 200.0, 8.1e-9)):
+            traj = trace(conn, start, t_max)
+            errs = []
+            for a, b in zip(traj.t, traj.t[1:]):
+                ref = engine.state_at(traj, 0.5 * (a + b))
+                if ref is not None:
+                    z = traj.interpolate(0.5 * (a + b))[0]
+                    errs.append(abs(z - ref[0]) / max(1.0, abs(ref[0])))
+            assert len(errs) >= 0.99 * (len(traj) - 1)
+            assert max(errs) <= bound
+
     def test_outside_span_raises(self, circle_conn):
         traj = trace(circle_conn, (1.0, 1j), 1.0)
         with pytest.raises(ValueError):
@@ -306,17 +329,27 @@ class TestSegmentCrossings:
         assert type(hits[0]) is float
 
     def test_section_matches_brute_force(self, trivial_conn):
+        # the chord crossings of the brute-force scan, each moved by one
+        # Newton step on the interpolant (a 2 x 2 solve here)
         rng = np.random.default_rng(7)
         pts = [complex(z) for z in np.cumsum(rng.normal(0, 0.2, 2000)
                                              + 1j * rng.normal(0, 0.2, 2000))]
         traj = _polyline_trajectory(trivial_conn, pts)
         sec = TransversalSection(pts[0] - 2 - 1j, pts[0] + 2 + 1j)
         d = sec.p1 - sec.p0
-        want = sorted(
-            u for i, _, s, u, den in _brute_crossings(pts, [sec.p0, sec.p1])
-            if s < 1.0 and abs(den) / (abs(pts[i + 1] - pts[i]) * abs(d)) >= 1e-3)
-        assert len(want) > 5
-        assert section_crossings(traj, sec) == want
+        want, moved = [], 0
+        for i, _, s, u, den in _brute_crossings(pts, [sec.p0, sec.p1]):
+            if s < 1.0 and abs(den) / (abs(pts[i + 1] - pts[i]) * abs(d)) >= 1e-3:
+                z, v = traj.interpolate(i + s)
+                r = z - sec.p0 - u * d
+                m = np.array([[v.real, -d.real], [v.imag, -d.imag]])
+                if abs(np.linalg.det(m)) > 1e-3 * abs(v) * abs(d):
+                    u += np.linalg.solve(m, [-r.real, -r.imag])[1]
+                    moved += 1
+                want.append(u)
+        assert len(want) > 5 and moved > 5
+        assert section_crossings(traj, sec) == pytest.approx(sorted(want),
+                                                            rel=0, abs=1e-12)
 
     def test_max_count_keeps_segment_order(self, circle_conn):
         # three turns of the unit circle cross the radial ray z = 0.5 e^t at
@@ -338,41 +371,54 @@ class TestSegmentCrossings:
         assert self_intersections(traj, max_count=2) == full[:2]
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-         -1 / 40)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10), read
+# from scipy's coefficient module
+_DOP_COLUMNS = {2: (0,), 3: (0, 1), 4: (0, 2), 5: (0, 2, 3), 6: (0, 3, 4),
+                7: (0, 3, 4, 5), 8: (0, *range(3, 7)), 9: (0, *range(3, 8)),
+                10: (0, *range(3, 9)), 11: (0, *range(3, 10)),
+                12: (0, *range(3, 11))}
+
+
+def _dop853():
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    return dop
 
 
 def _tableau_step(poles, z, k1, h):
-    """Reference Dormand-Prince step of z' = c exp(-K(z)): the generic loop
-    over the tableau, with K continued from z to each stage point."""
+    """Reference DOP853 step of z' = c exp(-K(z)): the generic loop over
+    scipy's tableau, with K continued from z to each stage point, and
+    scipy's error norm for one complex component."""
+    dop = _dop853()
+
     def dK(b):
         acc = 0j
         for pos, res in poles:
             acc += res * cmath.log((b - pos) / (z - pos))
         return acc
 
-    k = [k1] + [0j] * 6
-    for i in range(1, 7):
+    def weighted(w):
+        terms = [float(e) * kk for e, kk in zip(w, k) if e]
+        acc = terms[0]
+        for x in terms[1:]:
+            acc += x
+        return acc
+
+    k = [k1]
+    for i in range(1, dop.N_STAGES):
         az = z
-        for j, a in enumerate(_DP_A[i]):
-            if a:
-                az += h * a * k[j]
-        d = dK(az)
-        k[i] = k1 * cmath.exp(-d)
-    # the last row of _DP_A holds the fifth-order weights, so the last
-    # stage point is the solution
-    ez = h * sum(e * kk for e, kk in zip(_DP_E, k) if e)
-    return az, d, k[6], ez
+        for j in range(i):
+            if dop.A[i, j]:
+                az += h * float(dop.A[i, j]) * k[j]
+        k.append(k1 * cmath.exp(-dK(az)))
+    z1 = z
+    for j in range(dop.N_STAGES):
+        if dop.B[j]:
+            z1 += h * float(dop.B[j]) * k[j]
+    d = dK(z1)
+    e5, e3 = abs(weighted(dop.E5)), abs(weighted(dop.E3))
+    den = e5 * e5 + 0.01 * (e3 * e3)
+    err = abs(h) * (e5 * e5) / math.sqrt(den) if den else 0.0
+    return z1, d, k1 * cmath.exp(-d), err
 
 
 def _self_reference(traj, max_count):
@@ -396,6 +442,26 @@ def _self_reference(traj, max_count):
 
 
 class TestFastPath:
+    def test_literals_are_the_dop853_tableau(self):
+        dop = _dop853()
+        for i, used in _DOP_COLUMNS.items():
+            row = getattr(engine, f"_A{i}")
+            row = row if isinstance(row, tuple) else (row,)
+            want = [float(dop.A[i - 1, j]) for j in range(i - 1)]
+            got = [0.0] * (i - 1)
+            for j, a in zip(used, row, strict=True):
+                got[j] = a
+            assert hexed(got) == hexed(want)
+        used = (0, *range(5, 12))
+        for name, full in (("_B", dop.B), ("_E5", dop.E5[:12]),
+                           ("_E3", dop.E3[:12])):
+            got = [0.0] * 12
+            for j, a in zip(used, getattr(engine, name), strict=True):
+                got[j] = a
+            assert hexed(got) == hexed([float(x) for x in full])
+        # no error weight on the thirteenth (first same as last) slope
+        assert dop.E5[12] == dop.E3[12] == 0.0
+
     def test_dp_step_matches_tableau_loop(self):
         rng = np.random.default_rng(11)
         for n_poles in (1, 2, 3, 4):
@@ -480,9 +546,12 @@ def _state_at_like_retrace(traj, start, T):
     z, v = engine.state_at(traj, T)
     tol = 1e-12 * max(1.0, abs(z_ref))
     assert abs(z - z_ref) <= tol and abs(v - v_ref) <= tol
+    # the re-trace's last step starts at its row rows - 1: the same state
+    # only if that is the stored row state_at steps from
     rows = len(ref) - 1
     same = ((ref.t[:rows], ref.z[:rows], ref.v[:rows])
-            == (traj.t[:rows], traj.z[:rows], traj.v[:rows]))
+            == (traj.t[:rows], traj.z[:rows], traj.v[:rows])
+            and bisect.bisect_right(traj.t, T) == rows)
     if same:
         assert hexed((z, v)) == hexed((z_ref, v_ref))
     return same
@@ -558,7 +627,8 @@ class TestPausedTrace:
         conn, start, t_max, certify = _long_traces(column_traces)[name]
         full = _record(trace(conn, start, t_max, certify=certify))
         rng = np.random.default_rng(23)
-        pauses = sorted(rng.uniform(0.0, full["t"][-1], 6))
+        # inside the trace: a row follows each pause, so each send yields
+        pauses = sorted(rng.uniform(0.0, full["t"][-2], 6))
         pauses[1] = pauses[0]   # a pause already passed: one more step
         run = engine.tracing(conn, start, t_max, certify=certify)
         assert _record(next(run))["t"] == [0.0]
@@ -605,7 +675,14 @@ class TestPausedTrace:
 # before the trajectory became columns; the columnar ones must give the same
 # bits.
 
-def _ref_interpolate(samples, t):
+def _ref_accel(conn, chart, z, v):
+    f = 0j
+    for pos, res in conn.chart_poles(chart):
+        f += res / (z - pos)
+    return -f * v * v
+
+
+def _ref_interpolate(conn, samples, t):
     ts = [s.t for s in samples]
     i = max(0, min(bisect.bisect_right(ts, t) - 1, len(ts) - 2))
     a, b = samples[i], samples[i + 1]
@@ -616,9 +693,11 @@ def _ref_interpolate(samples, t):
     else:
         z1 = 1.0 / b.state.z
         v1 = -b.state.v / b.state.z ** 2
+    # z'' = -f(z) v^2 at both rows, f from the poles of row a's chart
     h = b.t - a.t
     th = (t - a.t) / h if h else 0.0
-    z, v = engine._hermite(z0, v0, z1, v1, h, th)
+    z, v = engine._hermite(z0, v0, _ref_accel(conn, chart, z0, v0), z1, v1,
+                           _ref_accel(conn, chart, z1, v1), h, th)
     if chart == "infinity":
         z, v = 1.0 / z, -v / z ** 2
     return z, v
@@ -664,7 +743,8 @@ class TestColumns:
             ks |= {k - 2, k - 1, k}
         for k in sorted(k for k in ks if 0 <= k < len(samples) - 1):
             for t in (samples[k].t, 0.5 * (samples[k].t + samples[k + 1].t)):
-                assert hexed(traj.interpolate(t)) == hexed(_ref_interpolate(samples, t))
+                assert hexed(traj.interpolate(t)) \
+                    == hexed(_ref_interpolate(traj.conn, samples, t))
 
     @pytest.mark.parametrize("name", COLUMN_TRACES)
     def test_chart_switches_follow_the_events(self, column_traces, name):
@@ -677,11 +757,14 @@ class TestColumns:
         assert [(k, charts[k]) for k in flips] == logged
         assert charts[0] == ("infinity" if name in ("from_infinity", "outer_circle")
                              else "standard")
-        # standard-chart positions move by a few percent per step, also
-        # across the switches (a row left uninverted jumps to 1/z)
-        zs = traj.support_std()
-        assert max(abs(b - a) / max(abs(a), abs(b))
-                   for a, b in zip(zs, zs[1:])) < 0.2
+        # each standard-chart move is at most the step's arc length, about
+        # h max|v| over the step's ends, also across the switches (a row
+        # left uninverted jumps to 1/z, 8 times that at the switch radius)
+        zs, vs = traj.std_columns()
+        ts = traj.times
+        assert all(abs(zs[k + 1] - zs[k])
+                   <= 1.01 * (ts[k + 1] - ts[k]) * max(abs(vs[k]), abs(vs[k + 1]))
+                   for k in range(len(ts) - 1))
         if name in ("switch", "from_infinity"):
             assert logged
 

@@ -1,5 +1,8 @@
 """Hot paths do only the work that can change their result.
 
+The tracer takes eighth-order steps, so a circle period takes a few dozen
+rows.
+
 A trajectory is stored as columns; ``Trajectory.samples`` builds
 TrajectorySample and GeodesicState objects only for tests and external
 callers.  Here their constructors count calls while the tracer, the
@@ -61,6 +64,12 @@ def test_counter_sees_the_samples_view(built, circle_conn):
 def test_trace_and_csv(built, circle_conn):
     trajectory_to_csv(trace(circle_conn, (1.0, 1j), 20.0))
     assert not built
+
+
+def test_circle_period_takes_few_rows(circle_conn):
+    # the eighth-order step at RTOL = 1e-12: one turn of the unit circle in
+    # 40 rows, where a fifth-order pair stores 424
+    assert len(trace(circle_conn, (1.0, 1j), 2 * math.pi)) < 60
 
 
 def test_caller_start_state_is_the_only_one(built, circle_conn):

@@ -297,8 +297,15 @@ class TestExclusionAudit:
 
 
 # -- per-sample references for the columnar detectors --------------------------
-# The detectors as they were written over TrajectorySample objects; the
-# columnar ones must give the same bits.
+# The detectors written over TrajectorySample objects, with chords and the
+# interpolant where they measure the curve between rows; the columnar ones
+# must give the same bits.
+
+def _ref_chord_distance(a, b, p):
+    seg = b - a
+    s = ((p - a) * seg.conjugate()).real / abs(seg) ** 2 if seg else 0.0
+    return abs(a + min(max(s, 0.0), 1.0) * seg - p)
+
 
 def _ref_detect_period(traj, tol=1e-8):
     samples = traj.samples
@@ -306,13 +313,13 @@ def _ref_detect_period(traj, tol=1e-8):
     vh0 = v0 / abs(v0)
     scale = max(abs(z0), 1.0)
     window = 0.0
-    for s in samples[1:]:
+    for prev, s in zip(samples, samples[1:]):
         if s.t < 1e-6 or s.t <= window:
             continue
-        z, v = s.z_std, s.v_std
-        if abs(z - z0) + abs(v / abs(v) - vh0) > 0.05 * scale:
+        if _ref_chord_distance(prev.z_std, s.z_std, z0) > 0.05 * scale:
             continue
-        T = _ref_refine_period(traj, samples, s.t, z0, vh0, tol)
+        T = _ref_refine_period(traj, samples, _ref_nearest_time(traj, prev, s, z0),
+                               z0, vh0, tol)
         if T is not None:
             return T
         window = s.t + 0.1 * s.t
@@ -321,6 +328,8 @@ def _ref_detect_period(traj, tol=1e-8):
 
 def _ref_refine_period(traj, samples, T0, z0, vh0, tol):
     T = T0
+    if T <= 0.0:   # the start state: no step back from it, so no period
+        return None
     for _ in range(8):
         sub = trace(traj.conn, samples[0].state, T,
                     IntegratorOptions(max_steps=len(samples) * 40 + 1000))
@@ -331,10 +340,10 @@ def _ref_refine_period(traj, samples, T0, z0, vh0, tol):
         delta = (z - z0).real * v.real + (z - z0).imag * v.imag
         dT = -delta / (abs(v) ** 2)
         mism = abs(z - z0) + abs(v / abs(v) - vh0)
-        if mism < tol and abs(dT) < tol:
-            return T
         if T + dT <= 1e-6:
             return None
+        if mism < tol and abs(dT) < tol:
+            return T + dT
         T += dT
         if abs(dT) < 1e-15 * T:
             return None if mism >= tol else T
@@ -359,27 +368,41 @@ def _ref_tail_convergence(traj):
     return None
 
 
+def _ref_nearest_time(traj, a, b, target):
+    """Three Newton steps on the interpolant over the chord from sample a to
+    sample b, from the chord's nearest point to ``target``."""
+    seg = b.z_std - a.z_std
+    s = ((target - a.z_std) * seg.conjugate()).real / abs(seg) ** 2 if seg else 0.0
+    t = a.t + min(max(s, 0.0), 1.0) * (b.t - a.t)
+    for _ in range(3):
+        z, v = traj.interpolate(t)
+        t = min(max(t - ((z - target) * v.conjugate()).real / abs(v) ** 2, a.t), b.t)
+    return t
+
+
 def _ref_foreign_accumulation(traj, simple):
     samples = traj.samples
     ts = [s.t for s in samples]
-    if len(ts) < 200:
+    if ts[-1] - ts[0] < 10.0:
         return None
     tail_start = ts[0] + 0.75 * (ts[-1] - ts[0])
     tail = [s for s in samples if s.t >= tail_start]
-    if len(tail) < 50:
-        return None
+    z_t = tail[0].z_std
     vh = tail[0].v_std / abs(tail[0].v_std)
+    near = 0.05 * max(abs(z_t), 1.0)
+    left = [k for k, s in enumerate(tail) if abs(s.z_std - z_t) > near]
     best = math.inf
-    for s in tail[5:]:
-        best = min(best, abs(s.z_std - tail[0].z_std)
-                   + abs(s.v_std / abs(s.v_std) - vh))
+    for a, b in (zip(tail[left[0]:], tail[left[0] + 1:]) if left else ()):
+        if _ref_chord_distance(a.z_std, b.z_std, z_t) <= near:
+            z, v = traj.interpolate(_ref_nearest_time(traj, a, b, z_t))
+            best = min(best, abs(z - z_t) + abs(v / abs(v) - vh))
     if best < 1e-6 and simple:
         return "AccumulatesOnForeignPeriodic", {"tail_recurrence": best}
     poles = [pos for pos, _ in traj.conn.chart_poles("standard")]
     if simple and poles:
         visits = []
-        for s in tail:
-            ds = [abs(s.z_std - p) for p in poles]
+        for a, b in zip(tail, tail[1:]):
+            ds = [_ref_chord_distance(a.z_std, b.z_std, p) for p in poles]
             k = int(np.argmin(ds))
             if ds[k] < 1e-3 and (not visits or visits[-1] != k):
                 visits.append(k)
@@ -391,8 +414,6 @@ def _ref_foreign_accumulation(traj, simple):
 def _ref_best_section(traj):
     samples = traj.samples
     pts = np.asarray([s.z_std for s in samples])
-    if pts.size < 50:
-        return None
     stride = max(1, pts.size // 400)
     counts = [(np.sum(np.abs(pts - p) < 0.2), i)
               for i, p in enumerate(pts[::stride])]
@@ -411,7 +432,9 @@ def _verdict(v):
 def shuttles():
     """Trajectories built from samples on which _foreign_accumulation fires:
     a circle sampled 40 times a turn, whose tail recurs to rounding, and a
-    path sampled off the period that shuttles between the poles at +-1."""
+    path sampled off the period that shuttles between the poles at +-1, and
+    a zigzag between +-1.05 whose rows stay 0.05 from those poles while its
+    chords pass 5e-4 from them."""
     circle = build_connection([(SpherePoint.of(0.0), -1.0),
                                (SpherePoint.inf(), -1.0)])
     ts = [k * 2 * math.pi / 40 for k in range(401)]
@@ -424,8 +447,14 @@ def shuttles():
     shuttle = [TrajectorySample(t, GeodesicState(
         "standard", (1 - 5e-4) * math.cos(t) + 0.01j * math.sin(t),
         -(1 - 5e-4) * math.sin(t) + 0.01j * math.cos(t)), t) for t in ts]
+    xs = [(0.0, 1.05, 0.0, -1.05)[k % 4] + (2e-4 + 2e-6 * k) * 1j
+          for k in range(201)]
+    zigzag = [TrajectorySample(float(k), GeodesicState(
+        "standard", xs[k], 0.5 * (xs[min(k + 1, 200)] - xs[max(k - 1, 0)])), 0.0)
+        for k in range(1, 200)]
     return {"recurring": Trajectory(conn=circle, samples=recurring),
-            "shuttle": Trajectory(conn=twogon, samples=shuttle)}
+            "shuttle": Trajectory(conn=twogon, samples=shuttle),
+            "zigzag": Trajectory(conn=twogon, samples=zigzag)}
 
 
 class TestColumnarDetectors:
@@ -452,7 +481,7 @@ class TestColumnarDetectors:
     def test_tail_convergence_sees_the_fall(self, column_traces):
         assert _tail_convergence(column_traces["fall"]) == SpherePoint.of(0.0)
 
-    @pytest.mark.parametrize("name", NAMES + ("recurring", "shuttle"))
+    @pytest.mark.parametrize("name", NAMES + ("recurring", "shuttle", "zigzag"))
     @pytest.mark.parametrize("simple", (True, False))
     def test_foreign_accumulation(self, column_traces, shuttles, name, simple):
         traj = {**column_traces, **shuttles}[name]
@@ -462,7 +491,8 @@ class TestColumnarDetectors:
     def test_foreign_accumulation_fires_on_the_shuttles(self, shuttles):
         # so that the comparisons above cover both of its verdicts
         for name, tag in (("recurring", "AccumulatesOnForeignPeriodic"),
-                          ("shuttle", "AccumulatesOnSaddleGraph")):
+                          ("shuttle", "AccumulatesOnSaddleGraph"),
+                          ("zigzag", "AccumulatesOnSaddleGraph")):
             assert _foreign_accumulation(shuttles[name], True).tag == tag
 
     @pytest.mark.parametrize("name", NAMES)

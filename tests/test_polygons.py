@@ -14,10 +14,10 @@ from connexion import (GeodesicPolygon, PartTopology, PolygonVertex,
                        check_general_formula, check_p1_formula,
                        self_intersections, trace)
 from connexion import errors
+from connexion.engine import IntegratorOptions
 from connexion.omega import random_connection
-from connexion.polygons import (_golden, connect_unique,
-                                measure_internal_angle, side_from_points,
-                                side_from_trajectory)
+from connexion.polygons import (connect_unique, measure_internal_angle,
+                                side_from_points, side_from_trajectory)
 
 from conftest import single_pole
 
@@ -122,6 +122,13 @@ class TestConnectUnique:
         traj = connect_unique(conn, 1.0, 1j)
         assert abs(traj.samples[-1].z_std - 1j) < 1e-6
 
+    def test_one_row_traces_miss(self, trivial_conn):
+        # with no step allowed each trace is its start row: no interpolant,
+        # and the search reports the miss
+        with pytest.raises(errors.NotFound):
+            connect_unique(trivial_conn, 0j, 1 + 1j,
+                           opts=IntegratorOptions(max_steps=0))
+
     def test_identical_endpoints_rejected(self, trivial_conn):
         with pytest.raises(ValueError):
             connect_unique(trivial_conn, 1.0, 1.0)
@@ -168,6 +175,19 @@ class TestConnectUnique:
         # t = 14.9 with no sign change beside it; the signed miss changes
         # sign between directions 71 and 0, where the arc is simple
         conn, z0, z1 = _random_problem(39)
+        arc = connect_unique(conn, z0, z1)
+        assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
+        assert arc.t_end < 2.0
+        assert self_intersections(arc) == []
+
+    @pytest.mark.parametrize("problem", [54, 193])
+    def test_sign_change_between_two_passes_is_tried_last(self, problem):
+        # the sign changes beside the best grid direction are jumps between
+        # passes, at t = 10.9 and 0.3 (problem 54) and at t = 10.1 and 16.1
+        # or 7.2 (193): regula falsi there misses (54) or ends on an arc
+        # that crosses itself (193), while a one-pass bracket elsewhere
+        # holds a simple arc shorter than 2
+        conn, z0, z1 = _random_problem(problem)
         arc = connect_unique(conn, z0, z1)
         assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
         assert arc.t_end < 2.0
@@ -229,3 +249,22 @@ def _ref_connect_unique(conn, z0, z1, n_grid=72, miss_tol=1e-7):
     if self_intersections(arc, max_count=1):
         raise errors.NonSimpleArc("connecting arc crosses itself")
     return arc
+
+
+def _golden(f, a, b):
+    """Golden-section search for a minimum of ``f`` on [a, b]: (x, f(x))."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(80):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gr * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gr * (b - a)
+            f2 = f(x2)
+        if b - a < 1e-14:
+            break
+    return (x1, f1) if f1 < f2 else (x2, f2)
