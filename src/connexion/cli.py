@@ -50,13 +50,15 @@ def _config_fail(msg: str):
     sys.exit(EXIT_CONFIG)
 
 
-# The keys the CLI reads.  A dict is an object, a tuple lists the keys of
-# each object in a list, None takes any value, float (int) takes a JSON
-# number (integer) > 0, and math.isfinite any finite number; a boolean or a
-# string is never a number.
+# The keys the CLI reads.  A dict is an object, a one-item list a list of
+# such objects, float (int) takes a JSON number (integer) > 0, math.isfinite
+# any finite number and bool true or false; a boolean or a string is never
+# a number.
 SCENE_KEYS = {
-    "connection": {"poles": ("re", "im", "residue", "inf")},
-    "initial": ("re", "im", "v_re", "v_im"),
+    "connection": {"poles": [{"re": math.isfinite, "im": math.isfinite,
+                              "residue": math.isfinite, "inf": bool}]},
+    "initial": [{"re": math.isfinite, "im": math.isfinite,
+                 "v_re": math.isfinite, "v_im": math.isfinite}],
     "t_max": float,
     "budget": {"t_max": float, "steps": int, "seconds": float},
     "window": {"re": math.isfinite, "im": math.isfinite, "half_width": float,
@@ -68,11 +70,11 @@ SCENE_KEYS = {
 def _check_scene(value, keys, name=""):
     """Refuse a key that ``keys`` (a SCENE_KEYS entry) lacks, or a value it
     does not take."""
-    if isinstance(keys, tuple):
+    if isinstance(keys, list):
         if not isinstance(value, list):
             _config_fail(f"{name} must be a list")
         for i, item in enumerate(value):
-            _check_scene(item, dict.fromkeys(keys), f"{name}[{i}]")
+            _check_scene(item, keys[0], f"{name}[{i}]")
     elif isinstance(keys, dict):
         if not isinstance(value, dict):
             _config_fail(f"{name or 'the scene'} must be an object")
@@ -81,7 +83,10 @@ def _check_scene(value, keys, name=""):
             if key not in keys:
                 _config_fail(f"unknown key {path}")
             _check_scene(item, keys[key], path)
-    elif keys is not None:
+    elif keys is bool:
+        if not isinstance(value, bool):
+            _config_fail(f"{name} must be true or false, not {value!r}")
+    else:
         number = (int,) if keys is int else (int, float)
         try:
             ok = (isinstance(value, number) and not isinstance(value, bool)

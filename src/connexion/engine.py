@@ -43,6 +43,16 @@ time the caller sends and resumes from its own state (z, K, h, chart, budget
 counters).  A pause clamps no step, so a paused trajectory is a prefix of the
 finished one, switches and events included; ``trace`` runs it without pauses.
 
+``trace_many`` steps the starts of one connection in lockstep numpy lanes,
+each with its own h and chart; pads of residue 0 far off give both charts'
+pole tables one width.  A lane returns to the scalar loop (``_stepping``)
+from its last accepted state when its chord enters a pole floor, and once
+fewer than ``LANES_MIN`` lanes are left, the measured crossover below which
+the scalar loop is faster (and the least batch that uses lanes).  numpy
+rounds complex logarithms and divisions otherwise than CPython and the lanes
+sum the stages in another order, so a lane may take other steps than
+``trace``: its end state agrees to a tolerance, not bit for bit.
+
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
 certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
@@ -63,6 +73,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import time as _time
 from dataclasses import dataclass
@@ -80,6 +91,7 @@ POLE_FLOOR = 1e-6
 H0 = 1e-3
 PATH_CLEARANCE = 1e-9
 H_MAX = 5.0
+LANES_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -419,6 +431,50 @@ def _dp_step(poles, z, k1, h):
     return z1, d, k1 * ex(-d), err
 
 
+@functools.cache
+def _lane_tableau():
+    """The rows above over (z, h k1, ..., h k12), each on k1 and the slopes
+    just before its own: stage points 2-12, the solution, the error sums."""
+    out = np.zeros((14, 13))
+    out[:12, 0] = 1.0
+    for r, a in enumerate(((_A2,), _A3, _A4, _A5, _A6, _A7, _A8, _A9, _A10,
+                           _A11, _A12, _B, _E5, _E3)):
+        s = min(r, 11)
+        out[r, [1, *range(s + 3 - len(a), s + 2)]] = a
+    return out
+
+
+def _lane_step(P, R, z, k1, h):
+    """``_dp_step`` of each lane i from z[i], k1[i] with size h[i], among the
+    poles P[:, i] of residues R[:, i]: arrays (z1, dK, k13, err), non-finite
+    where a stage point is on a pole.  log r, r = (zs - p) / (z - p), is
+    log|r| + i arg r: numpy's complex ``log`` is several times slower."""
+    tab = _lane_tableau()
+    H = np.empty((13, len(z)), complex)     # z, then h k1 ... h k12
+    Hr = H.view(float)                      # each row as (re, im) pairs
+    H[0] = z
+    hk1 = np.multiply(h, k1, out=H[1])
+    za, nR = 1.0 / (z - P), -R
+    L = np.empty(P.shape, complex)
+
+    def log_r(zs):
+        r = (zs - P) * za
+        np.log(np.abs(r), out=L.real)
+        np.arctan2(r.imag, r.real, out=L.imag)
+        return L
+
+    for s in range(1, 12):
+        zs = tab[s - 1, :s + 1].dot(Hr[:s + 1]).view(complex)
+        np.multiply(hk1, np.exp((nR * log_r(zs)).sum(0)), out=H[s + 1])
+    z1 = tab[11].dot(Hr).view(complex)
+    dK = (R * log_r(z1)).sum(0)
+    # the error sums of h k are h times those of k, so |h| drops out
+    e5, e3 = np.abs(tab[12:].dot(Hr).view(complex))
+    den = e5 * e5 + 0.01 * (e3 * e3)
+    err = np.where(den != 0, e5 * e5 / np.sqrt(den), 0.0)
+    return z1, dK, k1 * np.exp(-dK), err
+
+
 # -- the tracer ----------------------------------------------------------------
 
 def trace(conn: FuchsianConnection, initial, t_max: float,
@@ -430,7 +486,11 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
     With ``certify`` the trace ends early once it is certified to fall into
     a pole of residue < -1.  It runs ``tracing`` without a pause.
     """
-    run = tracing(conn, initial, t_max, opts, certify=certify)
+    return _run_out(tracing(conn, initial, t_max, opts, certify=certify))
+
+
+def _run_out(run):
+    """The trajectory a ``tracing`` run returns when nothing pauses it."""
     next(run)
     try:
         run.send(math.inf)   # no time passes inf: runs to the end
@@ -445,34 +505,49 @@ def tracing(conn: FuchsianConnection, initial, t_max: float,
     ``send(pause)`` yields the same trajectory once an accepted step takes
     t past ``pause``, and the generator returns it where ``trace`` ends.
     Time spent paused counts against ``max_seconds``."""
+    traj, state = _start(conn, initial, t_max)
+    return (yield from _stepping(conn, traj, state, t_max, opts, certify))
+
+
+def _start(conn: FuchsianConnection, initial, t_max: float):
+    """The checked start of a trace: its one-row trajectory and the loop
+    state (t, z, v, K, chart, h, steps, speed) that ``_stepping`` takes."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    opts = opts or IntegratorOptions()
-
     if isinstance(initial, GeodesicState):
         chart, z, v, K = initial.chart, initial.z, initial.v, initial.k_phase
     else:
         chart, z, v, K = STANDARD, complex(initial[0]), complex(initial[1]), None
+    check_start(conn, chart, z, v)
+    K = canonical_K(conn, z) if K is None else K
+
+    traj = Trajectory(conn)
+    traj.chart0 = chart
+    traj.t, traj.z, traj.v, traj.K, traj.s_g = [0.0], [z], [v], [K], [0.0]
+    # the metric speed, constant along the geodesic; not |c|, because a
+    # GeodesicState may carry any branch of K (saddle launches have K = 0)
+    z_std, v_std = (z, v) if chart == STANDARD else _invert(z, v)
+    speed = metric_density(conn, z_std) * abs(v_std)
+    return traj, (0.0, z, v, K, chart, min(H0, t_max), 0, speed)
+
+
+def check_start(conn: FuchsianConnection, chart: str, z, v):
+    """Refuse a start no trace can take: ZeroVelocity for v = 0, and
+    StartAtPole for z within the pole floor of a pole of its chart."""
     if v == 0:
         raise errors.ZeroVelocity("v = 0 does not parametrize a geodesic")
     for pos, _res in conn.chart_poles(chart):
         if abs(z - pos) <= POLE_FLOOR:
             raise errors.StartAtPole(f"initial position within pole floor of {pos}")
-    K = canonical_K(conn, z) if K is None else K
 
-    traj = Trajectory(conn)
-    traj.chart0 = chart
-    t = 0.0
-    ts, zs, vs, Ks, sg = [t], [z], [v], [K], [0.0]
-    traj.t, traj.z, traj.v, traj.K, traj.s_g = ts, zs, vs, Ks, sg
-    # the metric speed, constant along the geodesic; not |c|, because a
-    # GeodesicState may carry any branch of K (saddle launches have K = 0)
-    z_std, v_std = (z, v) if chart == STANDARD else _invert(z, v)
-    speed = metric_density(conn, z_std) * abs(v_std)
 
+def _stepping(conn, traj, state, t_max, opts, certify=False):
+    """The step loop of ``tracing`` from a loop state whose rows ``traj``
+    holds: a start from ``_start`` or a lane that ``trace_many`` hands back."""
+    opts = opts or IntegratorOptions()
+    t, z, v, K, chart, h, steps, speed = state
+    ts, zs, vs, Ks, sg = traj.t, traj.z, traj.v, traj.K, traj.s_g
     max_steps, max_seconds = opts.max_steps, opts.max_seconds
-    h = min(H0, t_max)
-    steps = 0
     started = _time.monotonic()
     exit_radius = None
     falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
@@ -557,6 +632,114 @@ def tracing(conn: FuchsianConnection, initial, t_max: float,
     # a trace that ran to t_max keeps the termination "t_max"
     traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))
     return traj
+
+
+def trace_many(conn: FuchsianConnection, starts, t_max: float,
+               opts: IntegratorOptions | None = None) -> list:
+    """``trace`` of each start: in lanes (module docstring), or start by start
+    in ``trace``'s loop for fewer than ``LANES_MIN`` starts or a time budget."""
+    opts = opts or IntegratorOptions()
+    begun = [_start(conn, s, t_max) for s in starts]
+    if len(begun) >= LANES_MIN and opts.max_seconds is None:
+        states = _lanes(conn, begun, t_max, opts.max_steps)
+        begun = [(traj, st) for (traj, _), st in zip(begun, states)]
+    return [traj if state is None
+            else _run_out(_stepping(conn, traj, state, t_max, opts))
+            for traj, state in begun]
+
+
+def _lanes(conn, begun, t_max, max_steps):
+    """The lockstep loop over the pairs of ``_start``: writes the lanes' rows,
+    switches and events into their trajectories and returns per lane the
+    state it hands back to ``_stepping``, or None where it finished."""
+    charts = (STANDARD, INFINITY)
+    tables = [conn.chart_poles(c) for c in charts]
+    m = max(map(len, tables))
+    # a column per chart, padded with residue-0 poles far off
+    P = np.array([[p for p, _ in tb] + [1e150] * (m - len(tb))
+                  for tb in tables], complex).T
+    R = np.array([[r for _, r in tb] + [0.0] * (m - len(tb)) for tb in tables]).T
+    t, z, v, K, ch, h, steps, speed = map(np.array, zip(*(s for _, s in begun)))
+    ch = (ch == INFINITY).astype(int)
+    lane, rows = np.arange(len(begun)), np.ones(len(begun), int)
+    trajs, out = [traj for traj, _ in begun], [None] * len(begun)
+    logs = [], [], [], [], []     # lane, t, z, v, K of each accepted row
+
+    def hand_back(js):
+        for j in js:
+            out[lane[j]] = (float(t[j]), complex(z[j]), complex(v[j]),
+                            complex(K[j]), charts[ch[j]], float(h[j]),
+                            int(steps[j]), float(speed[lane[j]]))
+
+    with np.errstate(all="ignore"):
+        while True:
+            hc = np.minimum(np.minimum(h, t_max - t), H_MAX)
+            end = ((t >= t_max) | (steps >= max_steps)
+                   | (hc < 1e-14 * np.maximum(1.0, np.abs(t))))
+            for j in np.flatnonzero(end):   # as the scalar loop orders them
+                tr, tj = trajs[lane[j]], float(t[j])
+                tr.termination = ("t_max" if tj >= t_max else "max_steps"
+                                  if steps[j] >= max_steps else "step_collapse")
+                if tr.termination == "step_collapse":
+                    tr.events.append((tj, "step_collapse", {"h": float(hc[j])}))
+                tr.events.append((tj, "terminated", {"reason": tr.termination}))
+            if np.count_nonzero(~end) < LANES_MIN:
+                hand_back(np.flatnonzero(~end))
+                break
+            lane, t, z, v, K, ch, h, steps = (
+                x[~end] for x in (lane, t, z, v, K, ch, hc, steps + 1))
+
+            Pl = P[:, ch]
+            z1, dK, v1, err = _lane_step(Pl, R[:, ch], z, v, h)
+            err /= ATOL + RTOL * np.maximum(np.abs(z), np.abs(z1))
+            ok = (err <= 1.0) & np.isfinite(np.abs(z1))
+            fac = np.where(ok | ((1.0 < err) & (err < math.inf)),
+                           np.clip(0.9 * err ** -0.125, 0.2, 5.0), 0.1)
+            # _chord_gap to each pole: a chord within PATH_CLEARANCE halves the
+            # step, and one that enters the pole floor goes to the scalar loop
+            seg, da = z1 - z, z - Pl
+            tp = -(da.real * seg.real + da.imag * seg.imag) / np.abs(seg) ** 2
+            gap = np.where((0.0 < tp) & (tp < 1.0), np.abs(da + tp * seg),
+                           np.minimum(np.abs(da), np.abs(z1 - Pl))).min(0)
+            floor = ok & (PATH_CLEARANCE < gap) & (gap < POLE_FLOOR)
+            acc = ok & (gap >= POLE_FLOOR)
+            fac[ok & (gap <= PATH_CLEARANCE)], fac[floor] = 0.5, 1.0
+
+            t, z, v, K = (np.where(acc, a, b) for a, b in (
+                (t + h, t), (z1, z), (v1, v), (K + dK, K)))
+            for col, x in zip(logs, (lane, t, z, v, K)):
+                col.append(x[acc])
+            rows[lane[acc]] += 1
+            h = h * fac
+            # chart switches, as in the scalar loop
+            sw = acc & (np.abs(z) > np.where(ch, 1.5 / SWITCH_RADIUS,
+                                             SWITCH_RADIUS))
+            if sw.any():
+                zw = z[sw]
+                K[sw] += np.log(-zw ** 2)
+                z[sw], v[sw] = 1.0 / zw, -v[sw] / zw ** 2
+                ch[sw] ^= 1
+                for j in np.flatnonzero(sw):
+                    trajs[lane[j]].switches.append(int(rows[lane[j]]))
+                    trajs[lane[j]].events.append(
+                        (float(t[j]), "chart_switch", {"to": charts[ch[j]]}))
+            if floor.any():
+                steps = steps - floor      # the scalar loop retakes the step
+                hand_back(np.flatnonzero(floor))
+                lane, t, z, v, K, ch, h, steps = (
+                    x[~floor] for x in (lane, t, z, v, K, ch, h, steps))
+
+    # each lane's rows, in step order, one column at a time
+    order = np.argsort(np.concatenate([[0], *logs[0]])[1:], kind="stable")
+    ends = np.cumsum(rows - 1).tolist()
+    for k, name in enumerate(("t", "z", "v", "K"), 1):
+        col = np.concatenate([[0.0], *logs[k]])[1:][order]
+        logs[k].clear()
+        for i, (tr, lo, hi) in enumerate(zip(trajs, [0, *ends], ends)):
+            getattr(tr, name).extend(col[lo:hi].tolist())
+            if k == 1:
+                tr.s_g.extend((speed[i] * col[lo:hi]).tolist())
+    return out
 
 
 def _pole_hit(poles, z0, v0, h):

@@ -29,8 +29,9 @@ from . import errors
 from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     _chord_gap, metric_density, segment_crossings,
-                     self_intersections, state_at, trace, tracing)
+                     _chord_gap, check_start, metric_density,
+                     segment_crossings, self_intersections, state_at, trace,
+                     trace_many, tracing)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -344,11 +345,15 @@ def _best_section(traj: Trajectory):
     """A short segment transverse to the trajectory at its most-revisited
     sample, normal to the local velocity."""
     pts = np.asarray(traj.support_std())
-    # pick the sample whose neighborhood is visited most often
-    sub = pts[:: max(1, pts.size // 400)]
-    counts = [(np.sum(np.abs(pts - p) < 0.2), i) for i, p in enumerate(sub)]
-    _, i_best = max(counts)
-    k = i_best * max(1, pts.size // 400)
+    # the sample whose neighborhood is visited most often, the last on ties;
+    # counted 8,192 distances (or one row) at a time, to keep temporaries small
+    stride = max(1, pts.size // 400)
+    sub = pts[::stride]
+    block = max(1, 8_192 // pts.size)
+    counts = np.concatenate([
+        np.count_nonzero(np.abs(pts - sub[j:j + block, None]) < 0.2, axis=1)
+        for j in range(0, sub.size, block)])
+    k = (sub.size - 1 - int(np.argmax(counts[::-1]))) * stride
     z = pts[k]
     v = traj.std_columns()[1][k]
     nrm = 1j * v / abs(v)
@@ -464,44 +469,41 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                              t_max: float = 40.0) -> list:
     """Launch reversed critical rays from each pole with residue > -1 on an
     angular grid, at 0.05 of its adapted-chart radius, and keep the launches
-    that land in another pole's funnel."""
-    found = []
-    opts = IntegratorOptions()
+    that land in another pole's funnel.  All launches are traced together
+    (``trace_many``)."""
+    launches = []
     for p in conn.poles:
-        rho = p.residue
-        if rho <= -1.0 or p.location.infinite:
+        if p.residue <= -1.0 or p.location.infinite:
             continue
         entry = pole_chart(conn, p.location)
         if entry is None:
             continue
         chart = entry[0]
-        r0 = 0.05 * chart.radius
-        # metric length of the radial stub between the pole and the launch
-        # circle, the same for every critical ray
-        stub = _segment_length(conn, chart.center, 1.0, 1e-9, r0, 400)
         for k in range(n_grid):
             phi = TWO_PI * k / n_grid
-            state = _critical_launch(chart, r0, phi)
-            if state is None:
-                continue
-            try:
-                tr = trace(conn, state, t_max, opts)
-            except errors.StartAtPole:
-                continue
-            if tr.termination != "pole_approach":
-                continue
-            end = next(pl["pole"] for t, kk, pl in tr.events
-                       if kk == "pole_approach")
-            if (not end.infinite) and abs(end.z - p.location.z) < 1e-9:
-                continue            # returned to its own pole
-            found.append(SaddleConnection(p.location, end, phi, tr,
-                                          tr.s_g[-1] + stub))
+            launch = _critical_launch(conn, chart, 0.05 * chart.radius, phi)
+            if launch is not None:
+                launches.append((p.location, phi, *launch))
+    found = []
+    trajs = trace_many(conn, [launch[2] for launch in launches], t_max)
+    for (start, phi, _, stub), tr in zip(launches, trajs):
+        if tr.termination != "pole_approach":
+            continue
+        end = next(pl["pole"] for t, kk, pl in tr.events
+                   if kk == "pole_approach")
+        if (not end.infinite) and abs(end.z - start.z) < 1e-9:
+            continue            # returned to its own pole
+        found.append(SaddleConnection(start, end, phi, tr,
+                                      tr.s_g[-1] + stub))
     return _dedup_saddles(found)
 
 
-def _critical_launch(chart, r0, phi):
-    """State on the critical ray with adapted-coordinate argument phi at
-    ambient radius r0, moving away from the pole."""
+def _critical_launch(conn, chart, r0, phi):
+    """(state, stub): the state on the critical ray with adapted-coordinate
+    argument phi at ambient radius r0, moving away from the pole, or None
+    where no trace can start; and the metric length of the ray from the pole
+    to it.  In w the metric is C |w|^rho |dw|, so that length is
+    C |w|^(rho+1) / (rho+1), with C from the metric density at the state."""
     # find the ambient point whose adapted coordinate has argument phi;
     # w(zeta) = zeta*K(zeta) with K(0) real positive, so start at arg phi
     zeta = r0 * cmath.exp(1j * phi)
@@ -517,7 +519,13 @@ def _critical_launch(chart, r0, phi):
     dv = chart.dw(u)
     if dv == 0:
         return None
-    return GeodesicState(chart.ambient, u, vw / dv)
+    state = GeodesicState(chart.ambient, u, vw / dv)
+    try:
+        check_start(conn, state.chart, u, state.v)
+    except errors.StartAtPole:
+        return None
+    stub = metric_density(conn, u) * abs(w) / ((chart.rho + 1.0) * abs(dv))
+    return state, stub
 
 
 def _dedup_saddles(found):

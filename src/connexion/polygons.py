@@ -26,7 +26,8 @@ import numpy as np
 from . import errors
 from .connection import (FuchsianConnection, LoopPath, SpherePoint,
                          winding_number)
-from .engine import IntegratorOptions, Trajectory, self_intersections, trace
+from .engine import (IntegratorOptions, Trajectory, self_intersections, trace,
+                     trace_many)
 from .localchart import AdaptedChart
 
 JUNCTION_TOL = 1e-8
@@ -296,13 +297,14 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
                    miss_tol: float = 1e-7) -> Trajectory:
     """Shooting search for a simple geodesic arc from z0 to z1.
 
-    Scans launch directions on a grid, traced to t = 8 |z1 - z0| + 8.  The
-    signed miss Im((z - z1) conj(v)) / |v| at a trace's closest approach
-    (z, v) to z1 changes sign as the geodesic sweeps across z1: regula falsi
-    (Illinois) on it over a grid interval whose ends differ in sign finds
-    the launch angle with the smallest miss; the interval is one whose ends
-    can be one pass by z1 (``one_pass``) if one is, then next to the best
-    grid direction if one is, else the one whose farther end misses least.
+    Traces launch directions on a grid together (``trace_many``), to t =
+    8 |z1 - z0| + 8.  The signed miss Im((z - z1) conj(v)) / |v| at a trace's
+    closest approach (z, v) to z1 changes sign as the geodesic sweeps across
+    z1: regula falsi (Illinois) on it over a grid interval whose ends differ
+    in sign finds the launch angle with the smallest miss; the interval is
+    one whose ends can be one pass by z1 (``one_pass``) if one is, then next
+    to the best grid direction if one is, else the one whose farther end
+    misses least.
     The returned trajectory ends at its closest approach.
     """
     z0, z1 = complex(z0), complex(z1)
@@ -311,9 +313,8 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
     t_max = 8.0 * abs(z1 - z0) + 8.0
     opts = opts or IntegratorOptions()
 
-    def miss(theta):
-        """(miss, signed miss, time) at the closest approach to z1."""
-        tr = trace(conn, (z0, cmath.exp(1j * theta)), t_max, opts)
+    def closest(tr):
+        """(miss, signed miss, time) at the trace's closest approach to z1."""
         zs, vs = tr.std_columns()
         k = int(np.argmin(np.abs(np.asarray(zs) - z1)))
         # rows can be far apart: the closest approach on the interpolant in
@@ -324,7 +325,9 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
                       default=(zs[k], vs[k], tr.t[k]))
         return abs(z - z1), ((z - z1) * v.conjugate()).imag / abs(v), t
 
-    grid = [miss(TWO_PI * k / n_grid) for k in range(n_grid)]
+    grid = [closest(tr) for tr in trace_many(
+        conn, [(z0, cmath.exp(1j * TWO_PI * k / n_grid))
+               for k in range(n_grid)], t_max, opts)]
     kb = min(range(n_grid), key=lambda k: grid[k][0])
     best = (grid[kb][0], TWO_PI * kb / n_grid, grid[kb][2])
     if best[0] > abs(z1 - z0):
@@ -356,7 +359,8 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
         if abs(b - a) < 1e-14:
             break
         theta = b - fb * (b - a) / (fb - fa)
-        d, s, t = miss(theta)
+        d, s, t = closest(trace(conn, (z0, cmath.exp(1j * theta)), t_max,
+                                opts))
         best = min(best, (d, theta, t))
         if s == 0.0:
             break

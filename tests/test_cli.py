@@ -196,6 +196,20 @@ class TestSceneKeys:
         ("poles", {"re": 0.0, "residue": -1.0, "weight": 1}, "poles[0].weight"),
         ("initial", {"re": 1.0, "v_re": 0.0, "v_im": 1.0, "vre": 1.0},
          "initial[0].vre"),
+        # the numbers in a list item are finite JSON numbers, and inf a
+        # boolean
+        ("poles", {"re": "0", "im": False, "residue": "-1"}, "poles[0].re"),
+        ("poles", {"re": 0.0, "im": False, "residue": -1.0}, "poles[0].im"),
+        ("poles", {"re": 0.0, "im": 0.0, "residue": "-1"}, "poles[0].residue"),
+        ("poles", {"inf": 1, "residue": -1.0}, "poles[0].inf"),
+        ("initial", {"re": "1.0", "im": True, "v_re": 0.0, "v_im": 1.0},
+         "initial[0].re"),
+        ("initial", {"re": 1.0, "im": True, "v_re": 0.0, "v_im": 1.0},
+         "initial[0].im"),
+        ("initial", {"re": 1.0, "v_re": 0.0, "v_im": None}, "initial[0].v_im"),
+        # 1e400 reads as inf
+        ("initial", {"re": float("1e400"), "v_re": 0.0, "v_im": 1.0},
+         "initial[0].re"),
     ])
     def test_list_items_checked(self, scenes_dir, tmp_path, section, item,
                                 named):

@@ -18,8 +18,9 @@ check both.
 The period search refines a recurrence time by partial steps from the
 stored rows, the ring probe stops each leaf trace at its first recurrence,
 and the shooting search finds its launch angle by regula falsi on the signed
-miss: wrappers around the ``trace`` and the pausable ``tracing`` that
-``omega`` and ``polygons`` call count the traces they start.
+miss: wrappers around the ``trace``, the pausable ``tracing`` and the
+lockstep ``trace_many`` that ``omega`` and ``polygons`` call count the traces
+they start, one per start of a batch.
 """
 
 import cmath
@@ -222,16 +223,18 @@ def test_refused_pole_is_attempted_once(chart_builds):
 @pytest.fixture
 def traces(monkeypatch):
     """The t_max of each trace that omega and polygons start, through
-    ``trace`` or through the pausable ``tracing`` it runs."""
+    ``trace``, through the pausable ``tracing`` it runs, or as one start of
+    a ``trace_many`` batch."""
     seen = []
     for mod in (omega, polygons):
-        for name in ("trace", "tracing"):
+        for name in ("trace", "tracing", "trace_many"):
             if not hasattr(mod, name):
                 continue
 
             def counting(conn, initial, t_max, *args,
-                         _run=getattr(mod, name), **kw):
-                seen.append(t_max)
+                         _run=getattr(mod, name), _many=name == "trace_many",
+                         **kw):
+                seen.extend([t_max] * (len(initial) if _many else 1))
                 return _run(conn, initial, t_max, *args, **kw)
             monkeypatch.setattr(mod, name, counting)
     return seen
@@ -243,6 +246,11 @@ def test_traces_counts_both_entry_points(traces, circle_conn):
     omega.trace(circle_conn, (1.0, 1j), 3.0)
     polygons.trace(circle_conn, (1.0, 1j), 2.0)
     assert traces == [5.0, 3.0, 2.0]
+
+
+def test_traces_counts_each_start_of_a_batch(traces, circle_conn):
+    omega.trace_many(circle_conn, [(1.0, 1j), (2.0, 2j)], 1.0)
+    assert traces == [1.0, 1.0]
 
 
 def test_period_and_ring_retrace_nothing(traces, circle_conn, monkeypatch):

@@ -198,12 +198,17 @@ class TestSaddleConnections:
         # metric length of [-1, 1] under |z-1|^{1/2}|z+1|^{1/2}|dz| is pi/2
         assert abs(seg.length - math.pi / 2.0) < 1e-3
 
-    def test_launch_arclength_is_segment_length(self):
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_launch_arclength_is_segment_length(self, rho):
         # a launch starts with K = 0, so |c| is not its metric speed.  On
-        # [-1, 1] the density is sqrt(1 - x^2), with primitive
-        # F(x) = (x sqrt(1 - x^2) + asin x) / 2 and F(1) - F(-1) = pi/2
-        conn = build_connection([(SpherePoint.of(-1.0), 0.5),
-                                 (SpherePoint.of(1.0), 0.5)])
+        # [-1, 1] the density is (1 - x^2)^rho, with primitive
+        # F(x) = (x sqrt(1 - x^2) + asin x) / 2 for rho = 1/2 and asin x
+        # for rho = -1/2: the segment has length pi/2 and pi.  The length of
+        # a saddle connection runs from its start pole to the pole floor
+        # where its trace ends, F(x_end) - F(-1); the stub from the pole to
+        # the launch circle is exact for either sign of rho
+        conn = build_connection([(SpherePoint.of(-1.0), rho),
+                                 (SpherePoint.of(1.0), rho)])
         sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
         seg = next(s for s in sads if s.start_pole.z == -1
                    and not s.end_pole.infinite and s.end_pole.z == 1)
@@ -211,13 +216,21 @@ class TestSaddleConnections:
         assert samples[0].state.k_phase == 0
 
         def F(x):
+            if rho < 0:
+                return math.asin(x)
             return (x * math.sqrt(1.0 - x * x) + math.asin(x)) / 2.0
 
         x0 = samples[0].z_std.real
         for s in samples[1:]:
             assert s.z_std.imag == 0.0
             assert s.s_g == pytest.approx(F(s.z_std.real) - F(x0), rel=1e-9)
-        assert seg.length == pytest.approx(math.pi / 2.0, rel=1e-6)
+        x_end = samples[-1].z_std.real
+        assert 1.0 - x_end < 2e-6
+        assert seg.length == pytest.approx(F(x_end) - F(-1.0), rel=1e-9)
+        # the piece past the floor, 1e-6 from the pole, is about 1e-9 long
+        # for rho = 1/2 and sqrt(2e-6) = 1.4e-3 for rho = -1/2
+        exact = math.pi / 2.0 if rho > 0 else math.pi
+        assert seg.length == pytest.approx(exact, rel=1e-6 if rho > 0 else 1e-3)
 
     def test_near_resonant_pole_is_skipped(self):
         # the pin |1/(rho+1)|^{1/(rho+1)} of the rho = -0.995 chart overflows;
