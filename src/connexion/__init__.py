@@ -5,7 +5,7 @@ from .connection import (FuchsianConnection, LoopPath, PoleSpec, SpherePoint,
                          connection_to_dict, from_k_differential, local_rep,
                          monodromy_of_loop, winding_number)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     TrajectorySample, continue_K, first_integral,
+                     TrajectorySample, continue_K, delta_zeta, first_integral,
                      metric_density, self_intersections, trace,
                      trajectory_to_csv)
 from .localchart import (AdaptedChart, DirectionInterval, LocalGeodesicParams,

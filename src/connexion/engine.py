@@ -20,7 +20,12 @@ it is not finite (a stage point on a pole included).
 The residues are real, so a geodesic moves at constant speed in the flat
 metric |dz| prod_j |z - p_j|^{rho_j}: its arclength is s_g = speed * t, with
 the speed metric_density(z) |v| taken once at the start state (standard
-chart).
+chart).  That metric is |e^K dz|, and along a geodesic d zeta / dt = e^K z' =
+c for the developing coordinate zeta = int e^K dz: every geodesic is a
+straight line in zeta run at the velocity c.  ``delta_zeta`` gives zeta's
+increment along a polyline by Gauss-Legendre quadrature (``ZETA_NODES`` per
+segment); the shooting search aims with it and the ring probe measures
+widths with it.
 
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
 escaping past ``SWITCH_RADIUS`` continue in the infinity chart.  The
@@ -92,6 +97,11 @@ H0 = 1e-3
 PATH_CLEARANCE = 1e-9
 H_MAX = 5.0
 LANES_MIN = 16
+# Gauss-Legendre nodes per segment of ``delta_zeta``.  On the 239 seeded
+# random problems (1.2 long segments, connect_unique's tests) whose segment
+# stays 0.05 from every pole, 48 nodes agree with 400 to 3.7e-12 relative
+# (median 4e-16); a segment 0.026 from a pole is off by 5.6%.
+ZETA_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -336,6 +346,53 @@ def metric_density(conn: FuchsianConnection, z: complex) -> float:
     for pos, res in conn.chart_poles(STANDARD):
         acc += res * math.log(abs(z - pos))
     return math.exp(acc)
+
+
+def delta_zeta(conn: FuchsianConnection, path) -> complex:
+    """Delta zeta = int e^K dz along a polyline (standard chart): the
+    developing map's increment, with K canonical at the first point and
+    continued as ``continue_K`` continues it (which raises PathThroughPole
+    for a segment within PATH_CLEARANCE of a pole).  Each segment [a, b]
+    takes the ZETA_NODES-point Gauss-Legendre rule, written as
+    (b - a) e^K(a) (1 + sum_i w_i (e^dK_i - 1)) with dK_i = K(node) - K(a)
+    one principal logarithm per pole (``_dK``): the weights sum to 1, so a
+    segment on which K is constant gives (b - a) e^K(a) exactly."""
+    pts = [complex(p) for p in path]
+    poles = conn.chart_poles(STANDARD)
+    s, w = _gauss_legendre(ZETA_NODES)
+    total = 0j
+    for a, b, Ka in zip(pts, pts[1:], continue_K(conn, pts)):
+        zs = a + s * (b - a)
+        dks = np.zeros(ZETA_NODES, complex)
+        for pos, res in poles:
+            dks += res * np.log((zs - pos) / (a - pos))
+        mean = 1.0 + complex(np.dot(w, np.expm1(dks)))
+        total += (b - a) * cmath.exp(Ka) * mean
+    return total
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]:
+    Newton's method on P_n from the three-term recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}, from Tricomi's estimate of
+    each root (no LAPACK call and no numpy.polynomial import)."""
+    xs, ws = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x * x) * dp * dp))
+    # on [0, 1]: x -> (1 - x) / 2 keeps the nodes ascending
+    return (0.5 - 0.5 * np.array(xs)), 0.5 * np.array(ws)
 
 
 # -- Dormand-Prince 8(5,3) -----------------------------------------------------

@@ -29,9 +29,9 @@ from . import errors
 from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
 from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     _chord_gap, check_start, metric_density,
-                     segment_crossings, self_intersections, state_at, trace,
-                     trace_many, tracing)
+                     _chord_gap, canonical_K, check_start, continue_K,
+                     delta_zeta, metric_density, segment_crossings,
+                     self_intersections, state_at, trace, trace_many, tracing)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -381,11 +381,18 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
                       budget: ClassifyBudget | None = None) -> RingDomainReport:
     """March transversally from a periodic leaf in steps of 0.05, re-seeding
     periodic traces until periodicity fails; measures the metric width
-    spanned and each leaf's metric length.  A ring leaf has the seed
-    leaf's length L0, so a leaf launched at unit velocity from ``seed`` has
-    the period tau = L0 / metric_density(seed); its trace stops at its first
-    period (``_paused_period``), and at the latest at ``budget.t_max``, or at
-    6 tau without a budget."""
+    spanned and each leaf's metric length.
+
+    Leaves are straight lines of one direction c / |c| in the developing
+    coordinate zeta = int e^K dz, c = v e^K, so the leaf through ``seed``
+    starts in the direction of c e^(-K(seed)), with K continued from the
+    seed leaf's start along the normal segment, and the width is
+    |Im(conj(c) Delta zeta)| / |c| over the span of the leaves
+    (``delta_zeta``).  A ring leaf has the seed leaf's length L0, so a leaf
+    launched at unit velocity from ``seed`` has the period tau = L0 /
+    metric_density(seed); its trace stops at its first period
+    (``_paused_period``), and at the latest at ``budget.t_max``, or at 6 tau
+    without a budget."""
     T0 = detect_period(periodic)
     if T0 is None:
         raise errors.SeedNotPeriodic("seed trajectory is not periodic")
@@ -402,12 +409,19 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
     boundary = []
     for sign in (+1.0, -1.0):
         stopped = None
+        prev, dK = z0, 0j           # dK = K(prev) - K(z0) along the normal
         for k in range(1, max_leaves_per_side + 1):
             off = sign * k * 0.05
             seed = z0 + off * nrm
+            try:
+                Ka, Kb = continue_K(conn, (prev, seed))
+            except errors.PathThroughPole:
+                stopped = ("pole", off)
+                break
+            prev, dK = seed, dK + (Kb - Ka)
             speed = metric_density(conn, seed)
             tau = lengths[0] / speed
-            run = tracing(conn, (seed, vh0),
+            run = tracing(conn, (seed, vh0 * cmath.exp(-1j * dK.imag)),
                           budget.t_max if budget else 6.0 * tau, opts)
             try:
                 T, tr = _paused_period(run, 1.1 * tau)
@@ -422,11 +436,16 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
             points.append(seed)
         boundary.append({"side": sign, "stopped": stopped})
 
-    width = _segment_length(conn, z0, nrm, min(offsets), max(offsets), 2001)
+    # Delta zeta from z0 out to each side through the leaf seeds, 0.05 apart,
+    # with K canonical at z0, the branch c_hat is taken on
     order = np.argsort(offsets)
-    return RingDomainReport([offsets[i] for i in order],
-                            [lengths[i] for i in order],
-                            [points[i] for i in order], width, boundary)
+    offsets, seeds = [offsets[i] for i in order], [points[i] for i in order]
+    mid = offsets.index(0.0)
+    span = delta_zeta(conn, seeds[mid:]) - delta_zeta(conn, seeds[mid::-1])
+    c_hat = vh0 * cmath.exp(1j * canonical_K(conn, z0).imag)
+    width = abs((c_hat.conjugate() * span).imag)
+    return RingDomainReport(offsets, [lengths[i] for i in order], seeds,
+                            width, boundary)
 
 
 def _paused_period(run, pause):
@@ -443,15 +462,6 @@ def _paused_period(run, pause):
             pause *= 2.0
     except StopIteration as done:
         return detect_period(done.value), done.value
-
-
-def _segment_length(conn, z0, direction, lo, hi, n):
-    """Metric length of the straight segment z0 + [lo, hi] * direction, by the
-    trapezoid rule on n equally spaced points."""
-    ss = np.linspace(lo, hi, n)
-    vals = np.array([metric_density(conn, z0 + s * direction) for s in ss])
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(vals, ss))
 
 
 # -- saddle connections --------------------------------------------------------
@@ -493,17 +503,28 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                    if kk == "pole_approach")
         if (not end.infinite) and abs(end.z - start.z) < 1e-9:
             continue            # returned to its own pole
-        found.append(SaddleConnection(start, end, phi, tr,
-                                      tr.s_g[-1] + stub))
+        length = tr.s_g[-1] + stub + _end_stub(conn, end, tr)
+        found.append(SaddleConnection(start, end, phi, tr, length))
     return _dedup_saddles(found)
+
+
+def _end_stub(conn, end, tr):
+    """The metric length of the critical ray from the trace's last row to
+    the end pole, in closed form (``_ray_stub``) where that pole is finite,
+    has residue > -1 and has a chart; else 0."""
+    entry = None
+    if not end.infinite and conn.residue_at(end) > -1.0:
+        entry = pole_chart(conn, end)
+    if entry is None:
+        return 0.0
+    return _ray_stub(conn, entry[0], tr.support_std()[-1])
 
 
 def _critical_launch(conn, chart, r0, phi):
     """(state, stub): the state on the critical ray with adapted-coordinate
     argument phi at ambient radius r0, moving away from the pole, or None
     where no trace can start; and the metric length of the ray from the pole
-    to it.  In w the metric is C |w|^rho |dw|, so that length is
-    C |w|^(rho+1) / (rho+1), with C from the metric density at the state."""
+    to it (``_ray_stub``)."""
     # find the ambient point whose adapted coordinate has argument phi;
     # w(zeta) = zeta*K(zeta) with K(0) real positive, so start at arg phi
     zeta = r0 * cmath.exp(1j * phi)
@@ -524,8 +545,15 @@ def _critical_launch(conn, chart, r0, phi):
         check_start(conn, state.chart, u, state.v)
     except errors.StartAtPole:
         return None
-    stub = metric_density(conn, u) * abs(w) / ((chart.rho + 1.0) * abs(dv))
-    return state, stub
+    return state, _ray_stub(conn, chart, u)
+
+
+def _ray_stub(conn, chart, u):
+    """The metric length of the critical ray from a finite pole of residue
+    > -1 to u on it: in w the metric is C |w|^rho |dw|, so that length is
+    C |w|^(rho+1) / (rho+1), with C from the metric density at u."""
+    return (metric_density(conn, u) * abs(chart.to_w(u))
+            / ((chart.rho + 1.0) * abs(chart.dw(u))))
 
 
 def _dedup_saddles(found):

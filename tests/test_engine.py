@@ -185,6 +185,54 @@ class TestMetric:
         self.assert_constant_speed(trace(conn, start, 20.0))
 
 
+class TestDeltaZeta:
+    """The developing map's increment int e^K dz against closed forms."""
+
+    def test_flat_plane_gives_the_segment(self, trivial_conn):
+        # e^K = 1 with no finite pole: the rule's weights sum to 1 exactly
+        z0, z1 = 0.3 + 0.7j, -1.1 + 2.9j
+        assert engine.delta_zeta(trivial_conn, (z0, z1)) == z1 - z0
+
+    @pytest.mark.parametrize("r1, r2, phi", [(0.5, 2.0, 0.3), (3.0, 0.2, -2.5)])
+    def test_radial_segment_on_the_circle(self, circle_conn, r1, r2, phi):
+        # e^K = 1/z, so the radial segment gives log(r2 / r1)
+        e = cmath.exp(1j * phi)
+        dz = engine.delta_zeta(circle_conn, (r1 * e, r2 * e))
+        assert abs(dz - math.log(r2 / r1)) <= 1e-14
+
+    def test_half_residue_pole(self):
+        # e^K = z^(1/2), principal at 1: the integral is (2/3)(i^(3/2) - 1)
+        dz = engine.delta_zeta(single_pole(0.5), (1.0, 1j))
+        assert abs(dz - (2.0 / 3.0) * (1j ** 1.5 - 1.0)) <= 1e-13
+
+    def test_polyline_continues_the_branch(self, circle_conn):
+        # once round the unit circle's inscribed square: int dz/z = 2 pi i
+        square = [1.0, 1j, -1.0, -1j, 1.0]
+        dz = engine.delta_zeta(circle_conn, square)
+        assert abs(dz - 2j * math.pi) <= 1e-13
+
+    def test_geodesic_is_a_straight_line(self):
+        # d zeta / dt = c along a geodesic; a trace's chords clear every
+        # pole, so its row polyline is homotopic to it and gives c t_end
+        conn = build_connection(SWITCH_POLES)
+        traj = trace(conn, (0.5 + 0.5j, cmath.exp(0.4j)), 3.0)
+        assert traj.termination == "t_max" and not traj.switches
+        c = traj.v[0] * cmath.exp(traj.K[0])
+        dz = engine.delta_zeta(conn, traj.z)
+        assert abs(dz - c * traj.t_end) <= 1e-12 * abs(c) * traj.t_end
+
+    def test_segment_through_a_pole_is_refused(self):
+        with pytest.raises(errors.PathThroughPole):
+            engine.delta_zeta(single_pole(0.5), (-1.0, 1.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, engine.ZETA_NODES])
+    def test_nodes_match_numpy(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        s, ws = engine._gauss_legendre(n)
+        assert np.max(np.abs(s - (1.0 + x) / 2.0)) <= 1e-15
+        assert np.max(np.abs(ws - w / 2.0)) <= 1e-14
+
+
 class TestInterpolation:
     def test_matches_closed_form_on_circle(self, circle_conn):
         traj = trace(circle_conn, (1.0, 1j), 2 * math.pi)

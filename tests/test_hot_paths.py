@@ -17,10 +17,11 @@ check both.
 
 The period search refines a recurrence time by partial steps from the
 stored rows, the ring probe stops each leaf trace at its first recurrence,
-and the shooting search finds its launch angle by regula falsi on the signed
-miss: wrappers around the ``trace``, the pausable ``tracing`` and the
-lockstep ``trace_many`` that ``omega`` and ``polygons`` call count the traces
-they start, one per start of a batch.
+and the shooting search aims one launch along the developing map and traces
+it once, to the time at which it reaches its target: wrappers around the
+``trace``, the pausable ``tracing`` and the lockstep ``trace_many`` that
+``omega`` and ``polygons`` call count the traces they start, one per start
+of a batch.
 """
 
 import cmath
@@ -280,8 +281,9 @@ def test_period_and_ring_retrace_nothing(traces, circle_conn, monkeypatch):
 
 @pytest.mark.parametrize("pair", ["flat", "curved"])
 def test_connect_unique_traces(traces, trivial_conn, pair):
-    # a 72-direction grid, a few regula falsi steps and the final arc
+    # one aimed trace, to t = |Delta zeta| / metric_density(z0), and no grid
     conn, z0, z1 = {"flat": (trivial_conn, 0j, 2.0 * cmath.exp(0.7j)),
                     "curved": (single_pole(0.5), 1.0, 1j)}[pair]
     connect_unique(conn, z0, z1)
-    assert 72 < len(traces) <= 72 + 20
+    dzeta = engine.delta_zeta(conn, (z0, z1))
+    assert traces == [abs(dzeta) / engine.metric_density(conn, z0)]

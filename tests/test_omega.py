@@ -14,7 +14,8 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
                        saddle_connection_search, trace, transversal_analysis)
 from connexion import errors, omega
 from connexion.engine import (GeodesicState, IntegratorOptions, Trajectory,
-                              TrajectorySample)
+                              TrajectorySample, canonical_K, continue_K,
+                              delta_zeta)
 from connexion.localchart import FALL_ETA
 from connexion.omega import (TransversalSection, _best_section,
                              _foreign_accumulation, _tail_convergence,
@@ -144,6 +145,29 @@ class TestRingDomain:
         assert [b["stopped"] for b in rep.boundary] == [None, None]
         assert max(abs(l - 2 * math.pi) for l in rep.leaf_lengths) < 1e-9
 
+    def test_off_axis_leaves_are_parallel_in_zeta(self):
+        # residue -1/2 at 0 and at 0.6: the leaves are not concentric, so a
+        # leaf launched in the seed's direction vh0 is not periodic.  Each
+        # leaf starts along c e^(-K(seed)) and has the seed's length 2 pi;
+        # the width is the zeta-distance between the outer leaves
+        conn = build_connection([(SpherePoint.of(0.0), -0.5),
+                                 (SpherePoint.of(0.6), -0.5),
+                                 (SpherePoint.inf(), -1.0)])
+        z0 = 1.2 + 1.6j
+        heading = cmath.exp(-1j * canonical_K(conn, z0).imag)
+        seed = trace(conn, (z0, 1j * heading), 30.0)
+        assert detect_period(seed) == pytest.approx(11.6156, abs=1e-4)
+        rep = ring_domain_probe(conn, seed, max_leaves_per_side=12)
+        assert rep.n_leaves == 25
+        assert max(abs(l - 2 * math.pi) for l in rep.leaf_lengths) <= 1e-10
+        # c at z0 on the branch of K canonical at the innermost leaf
+        lo, hi = rep.leaf_points[0], rep.leaf_points[-1]
+        K0 = continue_K(conn, (lo, z0))[1]
+        c_hat = 1j * heading * cmath.exp(1j * K0.imag)
+        width = abs((c_hat.conjugate() * delta_zeta(conn, (lo, hi))).imag)
+        assert rep.width == pytest.approx(width, abs=1e-12)
+        assert rep.width == pytest.approx(0.6728555, abs=1e-7)
+
     @pytest.mark.parametrize("case", ["inner", "switch", "outer",
                                       "off_canonical"])
     def test_paused_periods_are_full_horizon_periods(self, circle_conn,
@@ -204,9 +228,9 @@ class TestSaddleConnections:
         # [-1, 1] the density is (1 - x^2)^rho, with primitive
         # F(x) = (x sqrt(1 - x^2) + asin x) / 2 for rho = 1/2 and asin x
         # for rho = -1/2: the segment has length pi/2 and pi.  The length of
-        # a saddle connection runs from its start pole to the pole floor
-        # where its trace ends, F(x_end) - F(-1); the stub from the pole to
-        # the launch circle is exact for either sign of rho
+        # a saddle connection adds to the trace's s_g the two stubs between
+        # the poles and the trace's ends, both from the adapted charts in
+        # closed form, for either sign of rho
         conn = build_connection([(SpherePoint.of(-1.0), rho),
                                  (SpherePoint.of(1.0), rho)])
         sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
@@ -226,11 +250,10 @@ class TestSaddleConnections:
             assert s.s_g == pytest.approx(F(s.z_std.real) - F(x0), rel=1e-9)
         x_end = samples[-1].z_std.real
         assert 1.0 - x_end < 2e-6
-        assert seg.length == pytest.approx(F(x_end) - F(-1.0), rel=1e-9)
-        # the piece past the floor, 1e-6 from the pole, is about 1e-9 long
-        # for rho = 1/2 and sqrt(2e-6) = 1.4e-3 for rho = -1/2
+        # the end stub, past the floor 1e-6 from the pole, is about 1e-9
+        # long for rho = 1/2 and sqrt(2e-6) = 1.4e-3 for rho = -1/2
         exact = math.pi / 2.0 if rho > 0 else math.pi
-        assert seg.length == pytest.approx(exact, rel=1e-6 if rho > 0 else 1e-3)
+        assert seg.length == pytest.approx(exact, rel=1e-10)
 
     def test_near_resonant_pole_is_skipped(self):
         # the pin |1/(rho+1)|^{1/(rho+1)} of the rho = -0.995 chart overflows;
