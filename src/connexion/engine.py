@@ -24,8 +24,8 @@ chart).  That metric is |e^K dz|, and along a geodesic d zeta / dt = e^K z' =
 c for the developing coordinate zeta = int e^K dz: every geodesic is a
 straight line in zeta run at the velocity c.  ``delta_zeta`` gives zeta's
 increment along a polyline by Gauss-Legendre quadrature (``ZETA_NODES`` per
-segment); the shooting search aims with it and the ring probe measures
-widths with it.
+piece, each segment halved towards a pole it passes close to); the shooting
+search aims with it and the ring probe measures widths with it.
 
 Two charts cover the sphere: the standard one and w = 1/z; trajectories
 escaping past ``SWITCH_RADIUS`` continue in the infinity chart.  The
@@ -42,6 +42,14 @@ v and z'' = -f(z) v^2 at both rows of a step, so it needs no stored stage
 slopes and works on any trajectory whose rows lie on a geodesic.
 ``state_at`` takes one integrator step from the row before a time T to the
 state a re-trace to T ends in; the period search refines with it.
+
+``segment_crossings`` (two polylines) and ``self_intersections`` (one, with
+itself) share one crossing kernel, ``_crossings``, whose work follows the
+number of chord pairs that lie close, not the n m pairs: it groups the
+segments into runs of ``RUN``, keeps the run pairs whose bounding boxes
+overlap, tests the segment boxes only within those, and solves the pairs
+whose boxes overlap for the crossing parameters.  Its boolean masks hold at
+most ``SLICE`` elements each, so no temporary grows with the input.
 
 ``tracing`` is the step loop as a generator: it pauses each time t passes a
 time the caller sends and resumes from its own state (z, K, h, chart, budget
@@ -97,11 +105,21 @@ H0 = 1e-3
 PATH_CLEARANCE = 1e-9
 H_MAX = 5.0
 LANES_MIN = 16
-# Gauss-Legendre nodes per segment of ``delta_zeta``.  On the 239 seeded
-# random problems (1.2 long segments, connect_unique's tests) whose segment
-# stays 0.05 from every pole, 48 nodes agree with 400 to 3.7e-12 relative
-# (median 4e-16); a segment 0.026 from a pole is off by 5.6%.
+# Segments per run of the crossing kernel's coarse filter (``_crossings``),
+# a power of two (``_boxes`` halves): on the benchmark's crossing scenes 8
+# and 16 measured alike, 32 a fifth to a quarter slower, 64 twice as slow.
+RUN = 16
+# Elements per boolean mask of the kernel, run pairs or segment pairs: the
+# kernel's temporaries stay this size however long the polylines are.
+SLICE = 1 << 16
+# Gauss-Legendre nodes per piece of ``delta_zeta``, and the most a piece may
+# be as long as its distance to the nearest pole.  On the 240 seeded random
+# problems of connect_unique's tests (1.2 long segments, one 0.026 from a
+# pole) 48 nodes on pieces of reach 4 agree with 96 on pieces of reach 1/2
+# to 2.5e-15 relative, and 219 of the segments stay whole; on whole
+# segments the error reaches 5.6%.
 ZETA_NODES = 48
+ZETA_REACH = 4.0
 
 
 @dataclass(frozen=True)
@@ -352,23 +370,38 @@ def delta_zeta(conn: FuchsianConnection, path) -> complex:
     """Delta zeta = int e^K dz along a polyline (standard chart): the
     developing map's increment, with K canonical at the first point and
     continued as ``continue_K`` continues it (which raises PathThroughPole
-    for a segment within PATH_CLEARANCE of a pole).  Each segment [a, b]
-    takes the ZETA_NODES-point Gauss-Legendre rule, written as
-    (b - a) e^K(a) (1 + sum_i w_i (e^dK_i - 1)) with dK_i = K(node) - K(a)
-    one principal logarithm per pole (``_dK``): the weights sum to 1, so a
-    segment on which K is constant gives (b - a) e^K(a) exactly."""
+    for a segment within PATH_CLEARANCE of a pole).  A segment longer than
+    ZETA_REACH times its distance to the nearest pole is halved, and so on
+    (``_zeta_pieces``): a pass at distance d from a pole costs O(log(L/d))
+    pieces.  Each piece [a, b] takes the ZETA_NODES-point Gauss-Legendre
+    rule, written as (b - a) e^K(a) (1 + sum_i w_i (e^dK_i - 1)) with dK_i =
+    K(node) - K(a) one principal logarithm per pole (``_dK``): the weights
+    sum to 1, so a piece on which K is constant gives (b - a) e^K(a)
+    exactly."""
     pts = [complex(p) for p in path]
     poles = conn.chart_poles(STANDARD)
     s, w = _gauss_legendre(ZETA_NODES)
     total = 0j
-    for a, b, Ka in zip(pts, pts[1:], continue_K(conn, pts)):
-        zs = a + s * (b - a)
-        dks = np.zeros(ZETA_NODES, complex)
-        for pos, res in poles:
-            dks += res * np.log((zs - pos) / (a - pos))
-        mean = 1.0 + complex(np.dot(w, np.expm1(dks)))
-        total += (b - a) * cmath.exp(Ka) * mean
+    for a0, b0, K0 in zip(pts, pts[1:], continue_K(conn, pts)):
+        for a, b in _zeta_pieces(poles, a0, b0):
+            Ka = K0 + _dK(poles, a0, a) if a != a0 else K0
+            zs = a + s * (b - a)
+            dks = np.zeros(ZETA_NODES, complex)
+            for pos, res in poles:
+                dks += res * np.log((zs - pos) / (a - pos))
+            mean = 1.0 + complex(np.dot(w, np.expm1(dks)))
+            total += (b - a) * cmath.exp(Ka) * mean
     return total
+
+
+def _zeta_pieces(poles, a, b):
+    """[a, b] halved until each piece is at most ZETA_REACH times as long as
+    its distance to the nearest pole, in order along the segment."""
+    gap = min((_chord_gap(a, b, pos) for pos, _ in poles), default=math.inf)
+    if abs(b - a) <= ZETA_REACH * gap:
+        return [(a, b)]
+    mid = 0.5 * (a + b)
+    return _zeta_pieces(poles, a, mid) + _zeta_pieces(poles, mid, b)
 
 
 @functools.cache
@@ -806,6 +839,8 @@ def _pole_hit(poles, z0, v0, h):
     Refinement re-runs the integrator step at partial sizes so the located
     state keeps the step's accuracy (a Hermite fit degrades near the pole).
     A partial step with a stage point on a pole counts as inside the floor.
+    The bisection stops once the midpoint rounds to an end, where it would
+    no longer move, and the state returned is the one computed at lo.
     """
     def dist(hh):
         try:
@@ -816,23 +851,25 @@ def _pole_hit(poles, z0, v0, h):
 
     # locate a sub-step strictly inside the floor (handles fly-by minima)
     n = 64
-    inside = None
+    at_lo = None
     for k in range(1, n + 1):
-        d, _ = dist(h * k / n)
+        d, state = dist(h * k / n)
         if d < POLE_FLOOR:
-            inside = k
             break
-    if inside is None:
+        at_lo = state
+    else:
         return None
-    lo, hi = h * (inside - 1) / n, h * inside / n
+    lo, hi = h * (k - 1) / n, h * k / n
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        d, _ = dist(mid)
+        if mid == lo or mid == hi:
+            break
+        d, state = dist(mid)
         if d < POLE_FLOOR:
             hi = mid
         else:
-            lo = mid
-    return (lo, *dist(lo)[1])
+            lo, at_lo = mid, state
+    return (lo, *(at_lo or dist(lo)[1]))
 
 
 def state_at(traj: Trajectory, T: float):
@@ -908,9 +945,79 @@ class IntersectionRecord:
 
 
 def _boxes(pts):
-    a, b = pts[:-1], pts[1:]
-    return (np.minimum(a.real, b.real), np.maximum(a.real, b.real),
-            np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag))
+    """Bounding boxes (x min, x max, y min, y max) of the segments of
+    ``pts``, shape (4, runs, RUN), and of the runs, four arrays of shape
+    (runs,).  NaN boxes pad the last run: they overlap nothing.  The run
+    boxes are fmin and fmax over halves, which skip a NaN, so a non-finite
+    point hides only its own segments."""
+    n = len(pts) - 1
+    x, y = pts.real, pts.imag
+    segs = np.full((4, n + -n % RUN), math.nan)
+    np.minimum(x[:-1], x[1:], out=segs[0, :n])
+    np.maximum(x[:-1], x[1:], out=segs[1, :n])
+    np.minimum(y[:-1], y[1:], out=segs[2, :n])
+    np.maximum(y[:-1], y[1:], out=segs[3, :n])
+    runs = []
+    for f, r in zip((np.fmin, np.fmax) * 2, segs):
+        while len(r) > segs.shape[1] // RUN:     # RUN is a power of two
+            r = f(r[0::2], r[1::2])
+        runs.append(r)
+    return segs.reshape(4, -1, RUN), runs
+
+
+def _overlap(a, b):
+    """Whether the boxes a and b (broadcast) overlap."""
+    return (a[0] <= b[1]) & (a[1] >= b[0]) & (a[2] <= b[3]) & (a[3] >= b[2])
+
+
+def _solve(p, q, i, j):
+    """The candidate pairs (i, j) whose segments cross, with s, u and den."""
+    d1, d2 = p[i + 1] - p[i], q[j + 1] - q[j]
+    den = d1.real * d2.imag - d1.imag * d2.real
+    nz = den != 0
+    i, j, d1, d2, den = i[nz], j[nz], d1[nz], d2[nz], den[nz]
+    r = q[j] - p[i]
+    s = (r.real * d2.imag - r.imag * d2.real) / den
+    u = (r.real * d1.imag - r.imag * d1.real) / den
+    hit = (0.0 <= s) & (s <= 1.0) & (0.0 <= u) & (u <= 1.0)
+    return i[hit], j[hit], s[hit], u[hit], den[hit]
+
+
+def _crossings(p, q, forward):
+    """``segment_crossings``; with ``forward`` (q is p) only the pairs with
+    j > i + 1."""
+    parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 3]
+    if len(p) < 2 or len(q) < 2:
+        return parts[0]
+    pseg, prun = _boxes(p)
+    qseg, qrun = (pseg, prun) if forward else _boxes(q)
+    # run pairs whose boxes overlap, SLICE run pairs at a time; forward
+    # keeps the upper triangle
+    nq = len(qrun[0])
+    rows = max(1, SLICE // nq)
+    I, J = [], []
+    for r0 in range(0, len(prun[0]), rows):
+        hit = _overlap([x[r0:r0 + rows, None] for x in prun], qrun)
+        if forward:
+            hit &= np.arange(nq) >= np.arange(r0, r0 + len(hit))[:, None]
+        ri, rj = np.nonzero(hit)
+        I.append(ri + r0)
+        J.append(rj)
+    I, J = np.concatenate(I), np.concatenate(J)
+    # segment pairs of those runs whose boxes overlap, SLICE pairs at a time
+    step = max(1, SLICE // (RUN * RUN))
+    for k0 in range(0, len(I), step):
+        a, b = I[k0:k0 + step], J[k0:k0 + step]
+        k, ii, jj = np.nonzero(_overlap([x[a, :, None] for x in pseg],
+                                        [x[b, None, :] for x in qseg]))
+        i, j = a[k] * RUN + ii, b[k] * RUN + jj
+        if forward:
+            keep = j > i + 1
+            i, j = i[keep], j[keep]
+        parts.append(_solve(p, q, i, j))
+    out = tuple(np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((out[1], out[0]))
+    return tuple(x[order] for x in out)
 
 
 def segment_crossings(p, q):
@@ -920,32 +1027,13 @@ def segment_crossings(p, q):
     segment i of ``p`` meets segment j of ``q`` at
     ``p[i] + s (p[i+1] - p[i]) = q[j] + u (q[j+1] - q[j])`` with s and u in
     [0, 1], and ``den`` is the cross product of the two directions.
-    Parallel pairs (``den == 0``) are never reported.  Candidates are
-    filtered by bounding-box overlap, 512 rows of ``p`` at a time.
+    Parallel pairs (``den == 0``) are never reported.  The filter is
+    output-sensitive: the segments are grouped into runs of ``RUN``, only
+    the run pairs whose bounding boxes overlap are expanded, and only the
+    segment pairs of those whose boxes overlap are solved.
     """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    pxmin, pxmax, pymin, pymax = _boxes(p)
-    qxmin, qxmax, qymin, qymax = _boxes(q)
-    parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 3]
-    for i0 in range(0, len(p) - 1, 512):
-        rows = slice(i0, i0 + 512)
-        # x-overlap on the whole block, y-overlap on its survivors only
-        i, j = np.nonzero((pxmin[rows, None] <= qxmax)
-                          & (pxmax[rows, None] >= qxmin))
-        i += i0
-        yo = (pymin[i] <= qymax[j]) & (pymax[i] >= qymin[j])
-        i, j = i[yo], j[yo]
-        d1, d2 = p[i + 1] - p[i], q[j + 1] - q[j]
-        den = d1.real * d2.imag - d1.imag * d2.real
-        nz = den != 0
-        i, j, d1, d2, den = i[nz], j[nz], d1[nz], d2[nz], den[nz]
-        r = q[j] - p[i]
-        s = (r.real * d2.imag - r.imag * d2.real) / den
-        u = (r.real * d1.imag - r.imag * d1.real) / den
-        hit = (0.0 <= s) & (s <= 1.0) & (0.0 <= u) & (u <= 1.0)
-        parts.append((i[hit], j[hit], s[hit], u[hit], den[hit]))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    return _crossings(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex),
+                      forward=False)
 
 
 def _decimate(pts, ts, max_segments):
@@ -958,27 +1046,19 @@ def _decimate(pts, ts, max_segments):
     return [pts[i] for i in idx], [ts[i] for i in idx]
 
 
-def _forward_crossings(pts):
-    """Crossing segment pairs (i, j, s, u) of one polyline with j > i + 1, in
-    lexicographic order.  Rows are scanned 512 at a time against the
-    segments from i0 + 2 on, and lazily: a caller that stops early leaves
-    the later blocks unscanned."""
-    for i0 in range(0, len(pts) - 1, 512):
-        i, j, s, u, _ = segment_crossings(pts[i0:i0 + 513], pts[i0 + 2:])
-        i += i0
-        j += i0 + 2
-        keep = j > i + 1
-        yield from zip(*(x[keep].tolist() for x in (i, j, s, u)))
-
-
 def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     """Transversal self-crossings of the sampled trajectory, refined on the
-    Hermite interpolant to ~1e-12."""
+    Hermite interpolant to ~1e-12, the first ``max_count`` in segment order.
+    The chords (at most 4000, ``_decimate``) go through the kernel of
+    ``segment_crossings`` once, against themselves, on the upper triangle
+    of run pairs and the segment pairs j > i + 1 of it."""
     if len(traj) < 3:
         return []
     pts, ts = _decimate(traj.support_std(), traj.times, 4000)
+    pts = np.asarray(pts, dtype=complex)
     out = []
-    for i, j, s, u in _forward_crossings(np.asarray(pts, dtype=complex)):
+    hits = _crossings(pts, pts, forward=True)
+    for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
         t1 = ts[i] + s * (ts[i + 1] - ts[i])
         t2 = ts[j] + u * (ts[j + 1] - ts[j])
         rec = _refine_crossing(traj, traj, t1, t2)

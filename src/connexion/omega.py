@@ -142,7 +142,7 @@ def section_crossings(traj: Trajectory, section: TransversalSection) -> list:
     """Parameters along the section where the trajectory crosses it
     transversally: chords that cross it at an angle whose sine is at least
     1e-3, each crossing corrected by one Newton step on the interpolant."""
-    pts = np.asarray(traj.support_std())
+    pts = np.asarray(traj.support_std(), dtype=complex)
     seg = np.array([section.p0, section.p1], dtype=complex)
     i, _, s, u, den = segment_crossings(pts, seg)
     sin_angle = np.abs(den) / (np.abs(pts[i + 1] - pts[i]) * abs(seg[1] - seg[0]))

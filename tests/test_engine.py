@@ -221,6 +221,23 @@ class TestDeltaZeta:
         dz = engine.delta_zeta(conn, traj.z)
         assert abs(dz - c * traj.t_end) <= 1e-12 * abs(c) * traj.t_end
 
+    @pytest.mark.parametrize("d", [0.3, 1e-3, 1e-8])
+    @pytest.mark.parametrize("rho", [-1.0, 0.5])
+    def test_close_pass_is_graded(self, rho, d):
+        # [-1 + id, 1 + id] over a pole at 0: e^K = z^rho, principal in the
+        # upper half plane, so the integral is log(b / a) or (b^(3/2) -
+        # a^(3/2)) / (3/2); pieces halve towards the pole, O(log(1/d)) of them
+        a, b = -1.0 + 1j * d, 1.0 + 1j * d
+        conn = single_pole(rho)
+        want = cmath.log(b / a) if rho == -1.0 else (b ** 1.5 - a ** 1.5) / 1.5
+        assert abs(engine.delta_zeta(conn, (a, b)) - want) <= 1e-14 * abs(want)
+        pieces = engine._zeta_pieces(conn.chart_poles("standard"), a, b)
+        assert [x for x, _ in pieces[1:]] == [y for _, y in pieces[:-1]]
+        assert (pieces[0][0], pieces[-1][1]) == (a, b)
+        assert len(pieces) <= 2.0 * math.log2(2.0 / d) + 2.0
+        assert all(abs(y - x) <= engine.ZETA_REACH * abs(0.5 * (x + y))
+                   for x, y in pieces)
+
     def test_segment_through_a_pole_is_refused(self):
         with pytest.raises(errors.PathThroughPole):
             engine.delta_zeta(single_pole(0.5), (-1.0, 1.0))
@@ -346,7 +363,7 @@ def _polyline_trajectory(conn, pts):
 class TestSegmentCrossings:
     def test_matches_brute_force_on_random_polylines(self):
         rng = np.random.default_rng(5)
-        # more than 512 segments in p, so the kernel runs several row chunks
+        # 1199 and 303 segments, neither a whole number of runs
         p = [complex(z) for z in np.cumsum(rng.normal(0, 0.3, 1200)
                                            + 1j * rng.normal(0, 0.3, 1200))]
         q = [complex(z) for z in np.cumsum(rng.normal(0, 0.5, 300)
@@ -360,6 +377,71 @@ class TestSegmentCrossings:
         assert len(want) > 50
         assert got == want
         assert not any(i == 0 and j in (300, 302) for i, j, *_ in got)
+
+    @staticmethod
+    def _agree(p, q):
+        got = list(zip(*(x.tolist() for x in segment_crossings(p, q))))
+        assert got == _brute_crossings(p, q)
+        return got
+
+    def test_crossings_at_both_ends_of_a_run(self):
+        # a zigzag along the real axis; vertical strokes through the first
+        # and the last segment of each run of p, and through none else
+        R = engine.RUN
+        p = [complex(k, (-1) ** k) for k in range(3 * R + 1)]
+        q = []
+        for r in range(3):
+            for k in (r * R, r * R + R - 1):
+                q += [complex(k + 0.5, 5.0), complex(k + 0.5, -5.0), np.nan]
+        got = self._agree(p, q)
+        assert sorted({i for i, *_ in got}) == [0, R - 1, R, 2 * R - 1,
+                                                2 * R, 3 * R - 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 33, 47])
+    def test_segment_counts_off_whole_runs(self, n):
+        # a star through the origin against a circle: every segment of each
+        # crosses the other, whatever the counts modulo RUN
+        p = [complex(k % 2 * 2.0 - 1.0, 0.1 * k) for k in range(n + 1)]
+        q = [cmath.exp(2j * math.pi * k / 50) for k in range(51)]
+        assert len(self._agree(p, q)) > 0
+        assert len(self._agree(q, p)) > 0
+
+    def test_segment_lengths_spread_over_decades(self):
+        # the loop past a rho = -0.9 pole: chords from 1e-9 to 1 long
+        conn = single_pole(-0.9)
+        v0 = cmath.exp(1j * (math.pi - math.asin(0.5)))
+        pts = trace(conn, (1.0, v0), 50.0).support_std()
+        lengths = np.abs(np.diff(pts))
+        assert lengths.max() > 1e3 * lengths.min()
+        assert len(self._agree(pts, pts)) > 100
+
+    def test_nan_point_hides_only_its_own_segments(self):
+        # one NaN point in the middle of a run of p: its two segments drop
+        # out, and every other crossing of the run stays
+        rng = np.random.default_rng(3)
+        p = [complex(z) for z in np.cumsum(rng.normal(0, 0.4, 200)
+                                           + 1j * rng.normal(0, 0.4, 200))]
+        q = p[::-1][:150]
+        want = self._agree(p, q)
+        k = engine.RUN + engine.RUN // 2
+        p[k] = complex(math.nan, math.nan)
+        got = self._agree(p, q)
+        assert got == [g for g in want if g[0] not in (k - 1, k)]
+        assert any(g[0] // engine.RUN == k // engine.RUN for g in got)
+
+    @pytest.mark.parametrize("slice_", [1, 700, 773])
+    def test_long_walks_across_slices(self, monkeypatch, slice_):
+        # two 600-segment random walks from the origin, which overlap: with
+        # SLICE this small the 38 x 38 run pairs are tested a few rows at a
+        # time, and the overlapping ones expanded 1 to 3 at a time
+        rng = np.random.default_rng(9)
+        p, q = (np.cumsum(rng.normal(0, 0.3, 601) + 1j * rng.normal(0, 0.3, 601))
+                for _ in range(2))
+        full = segment_crossings(p, q)
+        monkeypatch.setattr(engine, "SLICE", slice_)
+        got = self._agree(p.tolist(), q.tolist())
+        assert len(got) > 100
+        assert got == list(zip(*(x.tolist() for x in full)))
 
     def test_parallel_segments_never_cross(self):
         p = [0j, 1 + 0j]
@@ -489,6 +571,30 @@ def _self_reference(traj, max_count):
     return out
 
 
+def _full_bisection(poles, z0, v0, h):
+    """``engine._pole_hit`` as it was: 60 bisection steps whether or not the
+    midpoint still moves, then one more integrator step at lo."""
+    def dist(hh):
+        try:
+            za, dK, va, _ = engine._dp_step(poles, z0, v0, hh)
+        except (ValueError, OverflowError):
+            return 0.0, None
+        return min(abs(za - pos) for pos, _ in poles), (za, dK, va)
+
+    inside = next((k for k in range(1, 65)
+                   if dist(h * k / 64)[0] < engine.POLE_FLOOR), None)
+    if inside is None:
+        return None
+    lo, hi = h * (inside - 1) / 64, h * inside / 64
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dist(mid)[0] < engine.POLE_FLOOR:
+            hi = mid
+        else:
+            lo = mid
+    return (lo, *dist(lo)[1])
+
+
 class TestFastPath:
     def test_literals_are_the_dop853_tableau(self):
         dop = _dop853()
@@ -529,30 +635,61 @@ class TestFastPath:
 
     def test_self_intersections_match_full_scan(self, trivial_conn):
         rng = np.random.default_rng(13)
+        R = engine.RUN
         for n in (40, 700, 1500):
             # a random walk with centred-difference velocities: its Hermite
             # interpolant follows the polyline, so crossings refine
             steps = rng.normal(0, 0.3, n) + 1j * rng.normal(0, 0.3, n)
-            for k in range(0, n - 3, 512):
-                # segments k and k + 2 cross, at the first row of each block
+            for k in range(R - 1, n - 3, 16 * R):
+                # segments k and k + 2 cross, k the last of its run
                 steps[k + 1:k + 4] = 2.0, -1.0 + 1j, -2j
             pts = np.cumsum(steps)
             full = segment_crossings(pts, pts)
             keep = full[1] > full[0] + 1
-            got = list(engine._forward_crossings(pts))
-            assert got == list(zip(*(x[keep].tolist() for x in full[:4])))
-            assert {(k, k + 2) for k in range(0, n - 3, 512)} <= {g[:2] for g in got}
+            got = engine._crossings(pts, pts, forward=True)
+            assert [x.tolist() for x in got] == [x[keep].tolist() for x in full]
+            assert {(k, k + 2) for k in range(R - 1, n - 3, 16 * R)} \
+                <= set(zip(got[0].tolist(), got[1].tolist()))
             vel = np.gradient(pts)
             traj = Trajectory(conn=trivial_conn, samples=[
                 TrajectorySample(float(k), GeodesicState("standard", complex(z),
                                                          complex(v)), 0.0)
                 for k, (z, v) in enumerate(zip(pts, vel))])
-            # the last count is no cap: every block of rows is scanned
+            # the last count is no cap: every crossing is refined
             for max_count in (1, 4, 64, n * n):
                 want = _self_reference(traj, max_count)
                 assert want
                 assert self_intersections(traj, max_count=max_count) == want
         assert len(want) > 1000
+
+    def test_pole_hit_lands_like_the_full_bisection(self, monkeypatch):
+        # every floor entry of a few traces: the same bits as 60 bisection
+        # steps and a fresh step at lo, from fewer integrator steps
+        calls = []
+
+        def recording(*args, _hit=engine._pole_hit):
+            calls.append(args)
+            return _hit(*args)
+        monkeypatch.setattr(engine, "_pole_hit", recording)
+        trace(single_pole(0.5), (1.0, -1.0), 2.0)
+        trace(single_pole(0.5), (-(engine.H0 * (1 / 5)), 1.0), 1.0)
+        trace(single_pole(-0.5), (1.0, -1.0 + 1e-7j), 3.0)
+        for conn, ic in audit_draws(0, 40):
+            trace(conn, ic, 60.0)
+        monkeypatch.undo()
+        assert len(calls) >= 5
+        for args in calls:
+            steps = []
+
+            def counting(*a, _step=engine._dp_step):
+                steps.append(a)
+                return _step(*a)
+            monkeypatch.setattr(engine, "_dp_step", counting)
+            got, n_got = engine._pole_hit(*args), len(steps)
+            want, n_want = _full_bisection(*args), len(steps) - n_got
+            monkeypatch.undo()
+            assert hexed(got) == hexed(want)
+            assert n_got < n_want
 
     def test_split_chord_continues_K_like_continue_K(self, monkeypatch):
         # loose tolerances let one step jump past a weak pole: its chord

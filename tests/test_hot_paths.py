@@ -22,12 +22,19 @@ it once, to the time at which it reaches its target: wrappers around the
 ``trace``, the pausable ``tracing`` and the lockstep ``trace_many`` that
 ``omega`` and ``polygons`` call count the traces they start, one per start
 of a batch.
+
+The crossing kernel tests bounding boxes of runs of segments first and of
+segments only within the run pairs whose boxes overlap: wrappers around
+``engine._overlap`` and ``engine._solve`` count the box pairs it tests and
+the segment pairs it solves, which stay far below n m where crossings are
+few.
 """
 
 import cmath
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +43,7 @@ from connexion import (SpherePoint, build_connection, classify, detect_period,
                        render_scene, trace, trajectory_to_csv)
 from connexion import cli, engine, localchart, omega, polygons
 from connexion.engine import (PATH_CLEARANCE, POLE_FLOOR, GeodesicState,
-                              TrajectorySample)
+                              Trajectory, TrajectorySample)
 from connexion.localchart import pole_chart, pole_disc
 from connexion.omega import ClassifyBudget, ring_domain_probe
 from connexion.polygons import connect_unique
@@ -287,3 +294,57 @@ def test_connect_unique_traces(traces, trivial_conn, pair):
     connect_unique(conn, z0, z1)
     dzeta = engine.delta_zeta(conn, (z0, z1))
     assert traces == [abs(dzeta) / engine.metric_density(conn, z0)]
+
+
+# -- the crossing kernel ---------------------------------------------------------
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Box pairs the crossing kernel tests, run pairs and segment pairs
+    alike, and segment pairs it solves."""
+    work = Counter()
+
+    def overlap(a, b, _overlap=engine._overlap):
+        mask = _overlap(a, b)
+        work["tested"] += mask.size
+        return mask
+
+    def solve(p, q, i, j, _solve=engine._solve):
+        work["solved"] += len(i)
+        return _solve(p, q, i, j)
+    monkeypatch.setattr(engine, "_overlap", overlap)
+    monkeypatch.setattr(engine, "_solve", solve)
+    return work
+
+
+def test_dense_loop_kernel_work(kernel_work):
+    # the benchmark's self-crossing scene: 6000 closed-form rows of a line
+    # W = t + 0.3i straightened near a rho = -0.9 pole, z = W^(1/0.1),
+    # which winds round the pole and crosses itself 4 times; the kernel
+    # sees 2999 chords after _decimate
+    rho, d = -0.9, 0.3
+    ts = np.linspace(-1.8, 1.8, 6000)
+    params = localchart.LocalGeodesicParams(rho, 1.0, 0.4, 1.0 + 0j, 1j * d)
+    zs = localchart.closed_form_path(params, ts)
+    W = ts + 1j * d
+    loop = Trajectory(conn=single_pole(rho), samples=[
+        TrajectorySample(t, GeodesicState("standard", z, v, k), 0.0)
+        for t, z, v, k in zip(ts.tolist(), zs.tolist(),
+                              (zs / ((rho + 1.0) * W)).tolist(),
+                              (rho / (rho + 1.0) * np.log(W)).tolist())])
+    assert len(engine.self_intersections(loop)) == 4
+    nm = 2999 * 2999
+    assert kernel_work["tested"] < nm // 30
+    assert 0 < kernel_work["solved"] < nm // 500
+
+
+def test_audit_config_kernel_work(kernel_work):
+    # seed-1000 audit draw 98: 675 rows that wander to t = 60 without a
+    # verdict; the self-crossing scan and the section scans together
+    conn, ic = audit_draws(1000, 99)[98]
+    verdict = classify(conn, ic, ClassifyBudget(t_max=60.0, max_steps=60_000,
+                                                max_seconds=None))
+    n = len(verdict.details["traj"]) - 1
+    assert verdict.tag == "Undetermined" and n == 674
+    assert kernel_work["tested"] < n * n // 2
+    assert 0 < kernel_work["solved"] < n * n // 500

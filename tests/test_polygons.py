@@ -13,7 +13,7 @@ from connexion import (GeodesicPolygon, PartTopology, PolygonVertex,
                        chart_polygon, check_chart_polygon,
                        check_general_formula, check_p1_formula,
                        self_intersections, trace)
-from connexion import errors
+from connexion import errors, polygons
 from connexion.engine import IntegratorOptions
 from connexion.omega import random_connection
 from connexion.polygons import (connect_unique, measure_internal_angle,
@@ -180,9 +180,16 @@ class TestConnectUnique:
         assert arc.t_end < 2.0
         assert self_intersections(arc) == []
 
-    def test_connects_seeded_problems(self):
-        # the aim connects 232 of the 240 problems, 64 and 76 among them,
-        # which the grid alone misses; the grid connects two more (13, 53)
+    def test_connects_seeded_problems(self, monkeypatch):
+        # the aim connects 233 of the 240 problems: 53, whose segment passes
+        # 0.026 from a pole, and 64 and 76, which the grid alone misses,
+        # among them; the grid connects one more (13)
+        grid_runs = []
+
+        def grid(*args, _many=polygons.trace_many, **kw):
+            grid_runs.append(k)
+            return _many(*args, **kw)
+        monkeypatch.setattr(polygons, "trace_many", grid)
         connected = []
         for k, (conn, z0, z1) in enumerate(_random_problems(240)):
             try:
@@ -194,6 +201,19 @@ class TestConnectUnique:
             connected.append(k)
         assert len(connected) >= 234
         assert {13, 53, 64, 76} <= set(connected)
+        assert set(grid_runs) & set(connected) == {13}
+
+    def test_close_pass_needs_no_grid(self, monkeypatch):
+        # problem 53's segment passes 0.026 from a pole: delta_zeta grades
+        # it into pieces, and the aimed arc alone lands on z1
+        conn, z0, z1 = _random_problem(53)
+
+        def no_grid(*args, **kw):
+            raise AssertionError("the launch grid ran")
+        monkeypatch.setattr(polygons, "trace_many", no_grid)
+        arc = connect_unique(conn, z0, z1)
+        assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
+        assert self_intersections(arc) == []
 
     @pytest.mark.parametrize("problem", [54, 193])
     def test_sign_change_between_two_passes_is_tried_last(self, problem):
