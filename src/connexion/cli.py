@@ -312,7 +312,7 @@ def _verify_local(seed):
         par = local_params(rho, 1.0, z0, v0)
         traj = trace(conn, (z0, v0), 0.6)
         ts = np.array(traj.times)
-        zs = np.array(traj.support_std())
+        zs = traj.support_array()
         zc = closed_form_path(par, ts)
         err = float(np.max(np.abs(zs - zc)))
         out.append((f"closed-form rho={rho}", err <= 1e-8, f"sup err {err:.3g}"))

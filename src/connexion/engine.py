@@ -35,7 +35,11 @@ fixed; ``IntegratorOptions`` holds only a trace's budgets.
 A ``Trajectory`` is stored as columns: t, s_g, and z, v and K in the chart
 each row was integrated in, with the chart kept as the row indices where it
 switches.  Standard-chart z and v are derived once per trajectory length, for
-the infinity-chart rows only.  ``Trajectory.samples`` builds TrajectorySample
+the infinity-chart rows only, as lists for the scalar loops; the crossing
+scans read the standard-chart z as one complex array
+(``Trajectory.support_array``), also built once per length, so a trajectory
+that several scans read (a classification's section and self-crossing scans)
+is converted once.  ``Trajectory.samples`` builds TrajectorySample
 objects on each read, for tests and external callers; the package itself
 never reads it.  ``Trajectory.interpolate`` is the quintic Hermite through z,
 v and z'' = -f(z) v^2 at both rows of a step, so it needs no stored stage
@@ -48,8 +52,13 @@ itself) share one crossing kernel, ``_crossings``, whose work follows the
 number of chord pairs that lie close, not the n m pairs: it groups the
 segments into runs of ``RUN``, keeps the run pairs whose bounding boxes
 overlap, tests the segment boxes only within those, and solves the pairs
-whose boxes overlap for the crossing parameters.  Its boolean masks hold at
-most ``SLICE`` elements each, so no temporary grows with the input.
+whose boxes overlap for the crossing parameters.  A polyline of at most
+``RUN`` segments (a section, a short trace) is one run, whose box prunes
+little while the run boxes cost a fixed time per polyline, so against one
+both sides take runs of one segment: the run pairs are then the segment
+pairs, n m <= ``RUN`` n box tests.
+Its boolean masks hold at most ``SLICE`` elements each, so no temporary
+grows with the input.
 
 ``tracing`` is the step loop as a generator: it pauses each time t passes a
 time the caller sends and resumes from its own state (z, K, h, chart, budget
@@ -173,7 +182,10 @@ class Trajectory:
     Row k holds ``t[k]``, ``z[k]``, ``v[k]``, ``K[k]`` and ``s_g[k]``; rows
     are in ``chart0`` up to the first index in ``switches``, and the chart
     flips at each one.  ``Trajectory(conn, samples)`` turns a list of
-    TrajectorySample into columns, keeping its s_g.
+    TrajectorySample into columns, keeping its s_g.  The standard-chart
+    columns (``std_columns``) and the array of standard-chart z
+    (``support_array``) are cached per row count, so a trajectory that grows
+    (a paused ``tracing`` run) gets fresh ones.
     """
 
     def __init__(self, conn: FuchsianConnection, samples=None, events=None,
@@ -191,7 +203,7 @@ class Trajectory:
         self.chart0 = states[0].chart if states else STANDARD
         self.switches = [k for k in range(1, len(states))
                          if states[k].chart != states[k - 1].chart]
-        self._std = None
+        self._std = self._support = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -231,6 +243,14 @@ class Trajectory:
 
     def support_std(self):
         return self.std_columns()[0]
+
+    def support_array(self):
+        """``support_std`` as a complex ndarray, built once per row count and
+        shared (do not modify it): the crossing scans read their chords
+        from it."""
+        if self._support is None or len(self._support) != len(self.t):
+            self._support = np.array(self.support_std(), dtype=complex)
+        return self._support
 
     def _interval(self, t: float) -> int:
         ts = self.t
@@ -944,25 +964,26 @@ class IntersectionRecord:
     transversal: bool
 
 
-def _boxes(pts):
+def _boxes(pts, run):
     """Bounding boxes (x min, x max, y min, y max) of the segments of
-    ``pts``, shape (4, runs, RUN), and of the runs, four arrays of shape
-    (runs,).  NaN boxes pad the last run: they overlap nothing.  The run
-    boxes are fmin and fmax over halves, which skip a NaN, so a non-finite
-    point hides only its own segments."""
+    ``pts``, shape (4, runs, run), and of the runs of ``run`` segments, four
+    arrays of shape (runs,).  NaN boxes pad the last run: they overlap
+    nothing.  The run boxes are fmin and fmax over halves, which skip a NaN,
+    so a non-finite point hides only its own segments; runs of one segment
+    are their segment boxes."""
     n = len(pts) - 1
     x, y = pts.real, pts.imag
-    segs = np.full((4, n + -n % RUN), math.nan)
+    segs = np.full((4, n + -n % run), math.nan)
     np.minimum(x[:-1], x[1:], out=segs[0, :n])
     np.maximum(x[:-1], x[1:], out=segs[1, :n])
     np.minimum(y[:-1], y[1:], out=segs[2, :n])
     np.maximum(y[:-1], y[1:], out=segs[3, :n])
     runs = []
     for f, r in zip((np.fmin, np.fmax) * 2, segs):
-        while len(r) > segs.shape[1] // RUN:     # RUN is a power of two
+        while len(r) > segs.shape[1] // run:     # run is a power of two
             r = f(r[0::2], r[1::2])
         runs.append(r)
-    return segs.reshape(4, -1, RUN), runs
+    return segs.reshape(4, -1, run), runs
 
 
 def _overlap(a, b):
@@ -989,8 +1010,11 @@ def _crossings(p, q, forward):
     parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 3]
     if len(p) < 2 or len(q) < 2:
         return parts[0]
-    pseg, prun = _boxes(p)
-    qseg, qrun = (pseg, prun) if forward else _boxes(q)
+    # a polyline of at most RUN segments is one run, whose box prunes
+    # little: both sides then take runs of one segment (module docstring)
+    run = RUN if min(len(p), len(q)) > RUN + 1 else 1
+    pseg, prun = _boxes(p, run)
+    qseg, qrun = (pseg, prun) if forward else _boxes(q, run)
     # run pairs whose boxes overlap, SLICE run pairs at a time; forward
     # keeps the upper triangle
     nq = len(qrun[0])
@@ -1004,13 +1028,15 @@ def _crossings(p, q, forward):
         I.append(ri + r0)
         J.append(rj)
     I, J = np.concatenate(I), np.concatenate(J)
-    # segment pairs of those runs whose boxes overlap, SLICE pairs at a time
-    step = max(1, SLICE // (RUN * RUN))
+    # segment pairs of those runs whose boxes overlap, SLICE pairs at a time;
+    # runs of one segment are already segment pairs
+    step = max(1, SLICE // (run * run))
     for k0 in range(0, len(I), step):
-        a, b = I[k0:k0 + step], J[k0:k0 + step]
-        k, ii, jj = np.nonzero(_overlap([x[a, :, None] for x in pseg],
-                                        [x[b, None, :] for x in qseg]))
-        i, j = a[k] * RUN + ii, b[k] * RUN + jj
+        i, j = I[k0:k0 + step], J[k0:k0 + step]
+        if run > 1:
+            k, ii, jj = np.nonzero(_overlap([x[i, :, None] for x in pseg],
+                                            [x[j, None, :] for x in qseg]))
+            i, j = i[k] * run + ii, j[k] * run + jj
         if forward:
             keep = j > i + 1
             i, j = i[keep], j[keep]
@@ -1028,22 +1054,24 @@ def segment_crossings(p, q):
     ``p[i] + s (p[i+1] - p[i]) = q[j] + u (q[j+1] - q[j])`` with s and u in
     [0, 1], and ``den`` is the cross product of the two directions.
     Parallel pairs (``den == 0``) are never reported.  The filter is
-    output-sensitive: the segments are grouped into runs of ``RUN``, only
-    the run pairs whose bounding boxes overlap are expanded, and only the
-    segment pairs of those whose boxes overlap are solved.
+    output-sensitive: the segments are grouped into runs of ``RUN`` (of one
+    segment where either polyline has at most ``RUN``), only the run pairs
+    whose bounding boxes overlap are expanded, and only the segment pairs of
+    those whose boxes overlap are solved.
     """
     return _crossings(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex),
                       forward=False)
 
 
 def _decimate(pts, ts, max_segments):
-    """Thin a polyline to at most max_segments, keeping both endpoints."""
+    """Thin a polyline (an array) and its times to at most max_segments,
+    keeping both endpoints."""
     n = len(pts) - 1
     if n <= max_segments:
         return pts, ts
     stride = -(-n // max_segments)
     idx = list(range(0, n, stride)) + [n]
-    return [pts[i] for i in idx], [ts[i] for i in idx]
+    return pts[idx], [ts[i] for i in idx]
 
 
 def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
@@ -1054,8 +1082,7 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     of run pairs and the segment pairs j > i + 1 of it."""
     if len(traj) < 3:
         return []
-    pts, ts = _decimate(traj.support_std(), traj.times, 4000)
-    pts = np.asarray(pts, dtype=complex)
+    pts, ts = _decimate(traj.support_array(), traj.times, 4000)
     out = []
     hits = _crossings(pts, pts, forward=True)
     for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
@@ -1078,7 +1105,7 @@ def cross_intersections(a: Trajectory, b: Trajectory, max_count: int = 64) -> li
     """Crossings between two trajectories, in segment order."""
     ta, tb = a.times, b.times
     out = []
-    hits = segment_crossings(a.support_std(), b.support_std())
+    hits = segment_crossings(a.support_array(), b.support_array())
     for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
         t1 = ta[i] + s * (ta[i + 1] - ta[i])
         t2 = tb[j] + u * (tb[j + 1] - tb[j])

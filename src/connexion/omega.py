@@ -142,7 +142,7 @@ def section_crossings(traj: Trajectory, section: TransversalSection) -> list:
     """Parameters along the section where the trajectory crosses it
     transversally: chords that cross it at an angle whose sine is at least
     1e-3, each crossing corrected by one Newton step on the interpolant."""
-    pts = np.asarray(traj.support_std(), dtype=complex)
+    pts = traj.support_array()
     seg = np.array([section.p0, section.p1], dtype=complex)
     i, _, s, u, den = segment_crossings(pts, seg)
     sin_angle = np.abs(den) / (np.abs(pts[i + 1] - pts[i]) * abs(seg[1] - seg[0]))
@@ -344,7 +344,7 @@ def _foreign_accumulation(traj: Trajectory, simple: bool):
 def _best_section(traj: Trajectory):
     """A short segment transverse to the trajectory at its most-revisited
     sample, normal to the local velocity."""
-    pts = np.asarray(traj.support_std())
+    pts = traj.support_array()
     # the sample whose neighborhood is visited most often, the last on ties;
     # counted 8,192 distances (or one row) at a time, to keep temporaries small
     stride = max(1, pts.size // 400)

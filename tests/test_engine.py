@@ -443,6 +443,42 @@ class TestSegmentCrossings:
         assert len(got) > 100
         assert got == list(zip(*(x.tolist() for x in full)))
 
+    @pytest.mark.parametrize("n", [1, engine.RUN - 1, engine.RUN, engine.RUN + 1])
+    def test_short_side_against_a_long_polyline(self, n):
+        # a zigzag of n segments across the box of a 600-segment random walk,
+        # in both argument orders, and with a NaN point on the walk: a side
+        # of at most RUN segments puts both sides in runs of one segment
+        rng = np.random.default_rng(19)
+        walk = [complex(z) for z in np.cumsum(rng.normal(0, 0.3, 601)
+                                              + 1j * rng.normal(0, 0.3, 601))]
+        xs, ys = [z.real for z in walk], [z.imag for z in walk]
+        zig = [complex(min(xs) + (max(xs) - min(xs)) * k / n,
+                       (min(ys), max(ys))[k % 2]) for k in range(n + 1)]
+        want = self._agree(zig, walk)
+        assert len(want) > 5 and len(self._agree(walk, zig)) == len(want)
+        k = next(j for _, j, *_ in want[len(want) // 2:] if j > 0) + 1
+        hidden = walk[:k] + [complex(math.nan, math.nan)] + walk[k + 1:]
+        got = self._agree(zig, hidden)
+        assert got == [g for g in want if g[1] not in (k - 1, k)]
+        assert len(got) < len(want)
+        assert len(self._agree(hidden, zig)) == len(got)
+
+    @pytest.mark.parametrize("rows", [engine.RUN + 1, engine.RUN + 2])
+    def test_self_intersections_of_a_short_trace(self, trivial_conn, rows):
+        # two turns of a drifting circle: RUN + 1 rows (runs of one segment)
+        # or one row more (runs of RUN)
+        t = np.linspace(0.0, 4 * math.pi, rows)
+        pts = (np.exp(1j * t) + 0.1 * t).tolist()
+        vel = (1j * np.exp(1j * t) + 0.1).tolist()
+        traj = Trajectory(conn=trivial_conn, samples=[
+            TrajectorySample(a, GeodesicState("standard", z, v), 0.0)
+            for a, z, v in zip(t.tolist(), pts, vel)])
+        got = engine._crossings(np.array(pts), np.array(pts), forward=True)
+        want = [g for g in _brute_crossings(pts, pts) if g[1] > g[0] + 1]
+        assert want and list(zip(*(x.tolist() for x in got))) == want
+        recs = self_intersections(traj)
+        assert recs and recs == _self_reference(traj, 64)
+
     def test_parallel_segments_never_cross(self):
         p = [0j, 1 + 0j]
         for q in ([0.5 + 0j, 1.5 + 0j], [0.2 + 0j, 0.8 + 0j], [0.5j, 1 + 0.5j]):
@@ -554,7 +590,7 @@ def _tableau_step(poles, z, k1, h):
 def _self_reference(traj, max_count):
     """The full symmetric scan: every pair of segments in both orders, pairs
     with j <= i + 1 skipped."""
-    pts, ts = engine._decimate(traj.support_std(), traj.times, 4000)
+    pts, ts = engine._decimate(traj.support_array(), traj.times, 4000)
     out = []
     hits = segment_crossings(pts, pts)
     for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
@@ -854,6 +890,25 @@ class TestPausedTrace:
         full = trace(conn, start, t_max).std_columns()
         assert paused.std_columns() == tuple(c[:len(paused)] for c in full)
 
+    def test_cached_array_follows_the_rows(self, column_traces):
+        # the chord array built at a pause must grow with the trajectory, and
+        # a section scan of the paused prefix must see what a trace to the
+        # same time sees
+        conn, start, t_max, _ = _long_traces(column_traces)["switch"]
+        sec = TransversalSection(-3.0 + 0.5j, 3.0 + 0.5j)
+        run = engine.tracing(conn, start, t_max)
+        next(run)
+        counts = []
+        for pause in (50.0, 100.0, 150.0):
+            paused = run.send(pause)
+            arr = paused.support_array()
+            assert hexed(arr) == hexed(np.array(paused.support_std()))
+            assert paused.support_array() is arr
+            xs = section_crossings(paused, sec)
+            assert xs == section_crossings(trace(conn, start, paused.t[-1]), sec)
+            counts.append(len(xs))
+        assert paused.switches and 0 < counts[0] < counts[-1]
+
 
 # -- columnar storage -----------------------------------------------------------
 # References written over TrajectorySample objects, as the consumers were
@@ -930,6 +985,15 @@ class TestColumns:
             for t in (samples[k].t, 0.5 * (samples[k].t + samples[k + 1].t)):
                 assert hexed(traj.interpolate(t)) \
                     == hexed(_ref_interpolate(traj.conn, samples, t))
+
+    @pytest.mark.parametrize("name", COLUMN_TRACES)
+    def test_support_array_is_the_standard_support(self, column_traces, name):
+        traj = column_traces[name]
+        arr = traj.support_array()
+        assert arr.dtype == complex and arr.shape == (len(traj),)
+        # the infinity chart's 1.0 / z of a real z is a float: the array
+        # holds it as a complex
+        assert hexed(arr) == hexed([complex(s.z_std) for s in traj.samples])
 
     @pytest.mark.parametrize("name", COLUMN_TRACES)
     def test_chart_switches_follow_the_events(self, column_traces, name):

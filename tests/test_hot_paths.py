@@ -24,10 +24,13 @@ it once, to the time at which it reaches its target: wrappers around the
 of a batch.
 
 The crossing kernel tests bounding boxes of runs of segments first and of
-segments only within the run pairs whose boxes overlap: wrappers around
-``engine._overlap`` and ``engine._solve`` count the box pairs it tests and
-the segment pairs it solves, which stay far below n m where crossings are
-few.
+segments only within the run pairs whose boxes overlap, and against a
+polyline of at most ``RUN`` segments, such as a section, the segment boxes
+directly: wrappers around ``engine._overlap`` and ``engine._solve`` count
+the box pairs it tests and the segment pairs it solves, which stay far below
+n m where crossings are few, and at n for a section.  The scans read a
+trajectory's chords from one array, ``Trajectory.support_array``, and a
+wrapper that keeps the arrays it hands out sees one per classification.
 """
 
 import cmath
@@ -348,3 +351,29 @@ def test_audit_config_kernel_work(kernel_work):
     assert verdict.tag == "Undetermined" and n == 674
     assert kernel_work["tested"] < n * n // 2
     assert 0 < kernel_work["solved"] < n * n // 500
+
+
+def test_section_scan_tests_each_chord_once(kernel_work, circle_conn):
+    # a slow log-spiral of the circle connection crosses a radial section
+    # once per turn: one box test per chord, none per run
+    spiral = trace(circle_conn, (1.0, complex(0.005, 1.0)), 40 * math.pi)
+    n = len(spiral) - 1
+    xs = omega.section_crossings(spiral, omega.TransversalSection(0.5, 2.0))
+    assert len(xs) == 20
+    assert 0 < kernel_work["tested"] <= n
+    assert kernel_work["solved"] < n // 10
+
+
+def test_classify_builds_one_chord_array(monkeypatch):
+    # the self-crossing scan, the choice of section and the section scan of
+    # one classification read the same array
+    handed = []
+
+    def keeping(traj, _support=Trajectory.support_array):
+        handed.append(_support(traj))
+        return handed[-1]
+    monkeypatch.setattr(Trajectory, "support_array", keeping)
+    conn, ic = audit_draws(1000, 99)[98]
+    verdict = classify(conn, ic, ClassifyBudget(t_max=60.0, max_steps=60_000))
+    assert verdict.tag == "Undetermined"
+    assert len(handed) == 3 and all(a is handed[0] for a in handed)
