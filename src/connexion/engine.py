@@ -81,14 +81,17 @@ certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
 are then the first samples of the trace without the flag.  A pole's chart is
 read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole.
 
-The stepper is written out for speed, and its results are bit-identical to
-the textbook form: the Butcher-tableau loop over the stages, each stage point
-and the solution z + (h*a) k added left to right, each slope k1 exp(-dK) with
-dK summed pole by pole as in ``_dK``, and each error sum added left to right
-from its first term.  Floating-point addition is not associative, so an edit
-to ``_dp_step`` must keep that operation order.  ``tests/test_engine.py``
-checks ``_dp_step`` against the loop over scipy's DOP853 tableau, and the
-literals against that tableau.
+The step is generated once per pole count (``_stepper``): Python source
+with the coefficients as literals and each stage's pole sum written out,
+compiled under a name such as ``<dop853 3 poles>`` that profiles and
+tracebacks show.  Its results are bit-identical to the textbook form, the
+Butcher-tableau loop over the stages: each stage point and the solution
+z + (h*a) k added left to right, each slope k1 exp(-dK) with dK summed pole by
+pole from 0j as in ``_dK``, and each error sum added left to right from its
+first term.  Floating-point addition is not associative, so that operation
+order is the rule an edit to the generator must keep.  ``tests/test_engine.py``
+checks the step at each pole count against ``_tableau_step``, the loop over
+scipy's DOP853 tableau, and the literals against that tableau.
 """
 
 from __future__ import annotations
@@ -488,77 +491,70 @@ _E3 = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003,
        0.20136540080403034, 0.02265179219836082)
 
 
-def _dp_step(poles, z, k1, h):
-    """One DOP853 step of z' = c exp(-K(z)) from z, where k1 = c exp(-K(z)).
+# each row above with its columns (0-based stages): k1 and the slopes just
+# before its own, for the stage points 2-12, the solution and the error sums
+_ROWS = tuple((a, (0, *range(min(r, 11) + 2 - len(a), min(r, 11) + 1)))
+              for r, a in enumerate(((_A2,), _A3, _A4, _A5, _A6, _A7, _A8, _A9,
+                                     _A10, _A11, _A12, _B, _E5, _E3)))
 
-    Returns (z1, dK, k13, err): the eighth-order z1, dK = K(z1) - K(z), the
+
+@functools.cache
+def _stepper(n):
+    """One DOP853 step of z' = c exp(-K(z)) on a chart of n poles, the
+    function step(poles, z, k1, h) with k1 = c exp(-K(z)) (module docstring).
+
+    It returns (z1, dK, k13, err): the eighth-order z1, dK = K(z1) - K(z), the
     slope k13 = c exp(-K(z1)) and the combined error estimate
     |h| |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2).  Stage s has the slope
-    k1 exp(-dK_s), with K continued from z to the stage point by ``_dK``.
+    k1 exp(-dK_s), with K continued from z to the stage point b as ``_dK``
+    continues it, d_j = z - p_j taken once.
     """
-    ex = cmath.exp
-    k2 = k1 * ex(-_dK(poles, z, z + h * _A2 * k1))
-    a0, a1 = _A3
-    k3 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a1 * k2))
-    a0, a2 = _A4
-    k4 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a2 * k3))
-    a0, a2, a3 = _A5
-    k5 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a2 * k3 + h * a3 * k4))
-    a0, a3, a4 = _A6
-    k6 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5))
-    a0, a3, a4, a5 = _A7
-    k7 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
-                      + h * a5 * k6))
-    a0, a3, a4, a5, a6 = _A8
-    k8 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
-                      + h * a5 * k6 + h * a6 * k7))
-    a0, a3, a4, a5, a6, a7 = _A9
-    k9 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
-                      + h * a5 * k6 + h * a6 * k7 + h * a7 * k8))
-    a0, a3, a4, a5, a6, a7, a8 = _A10
-    k10 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
-                       + h * a5 * k6 + h * a6 * k7 + h * a7 * k8 + h * a8 * k9))
-    a0, a3, a4, a5, a6, a7, a8, a9 = _A11
-    k11 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
-                       + h * a5 * k6 + h * a6 * k7 + h * a7 * k8 + h * a8 * k9
-                       + h * a9 * k10))
-    a0, a3, a4, a5, a6, a7, a8, a9, a10 = _A12
-    k12 = k1 * ex(-_dK(poles, z, z + h * a0 * k1 + h * a3 * k4 + h * a4 * k5
-                       + h * a5 * k6 + h * a6 * k7 + h * a7 * k8 + h * a8 * k9
-                       + h * a9 * k10 + h * a10 * k11))
-    a0, a5, a6, a7, a8, a9, a10, a11 = _B
-    z1 = (z + h * a0 * k1 + h * a5 * k6 + h * a6 * k7 + h * a7 * k8
-          + h * a8 * k9 + h * a9 * k10 + h * a10 * k11 + h * a11 * k12)
-    d = _dK(poles, z, z1)
-    a0, a5, a6, a7, a8, a9, a10, a11 = _E5
-    e5 = abs(a0 * k1 + a5 * k6 + a6 * k7 + a7 * k8 + a8 * k9 + a9 * k10
-             + a10 * k11 + a11 * k12)
-    a0, a5, a6, a7, a8, a9, a10, a11 = _E3
-    e3 = abs(a0 * k1 + a5 * k6 + a6 * k7 + a7 * k8 + a8 * k9 + a9 * k10
-             + a10 * k11 + a11 * k12)
-    den = e5 * e5 + 0.01 * (e3 * e3)
-    err = abs(h) * (e5 * e5) / math.sqrt(den) if den else 0.0
-    return z1, d, k1 * ex(-d), err
+    def dK(b):
+        return " + ".join(["0j", *(f"r{j}*log(({b} - p{j})/d{j})"
+                                   for j in range(n))])
+
+    def row(r, pre):
+        return " + ".join(f"{pre}{a!r}*k{j + 1}" for a, j in zip(*_ROWS[r]))
+
+    src = ["def step(poles, z, k1, h):",
+           f"    ({''.join(f'(p{j}, r{j}), ' for j in range(n))}) = poles",
+           *(f"    d{j} = z - p{j}" for j in range(n))]
+    for s in range(2, 13):
+        src += [f"    b = z + {row(s - 2, 'h*')}",
+                f"    k{s} = k1*exp(-({dK('b')}))"]
+    src += [f"    z1 = z + {row(11, 'h*')}",
+            f"    d = {dK('z1')}",
+            f"    e5 = abs({row(12, '')})",
+            f"    e3 = abs({row(13, '')})",
+            "    den = e5*e5 + 0.01*(e3*e3)",
+            "    err = abs(h)*(e5*e5)/sqrt(den) if den else 0.0",
+            "    return z1, d, k1*exp(-d), err"]
+    ns = {"log": cmath.log, "exp": cmath.exp, "sqrt": math.sqrt}
+    exec(compile("\n".join(src), f"<dop853 {n} poles>", "exec"), ns)
+    return ns["step"]
+
+
+def _dp_step(poles, z, k1, h):
+    """The step of ``_stepper`` for the chart of ``poles``."""
+    return _stepper(len(poles))(poles, z, k1, h)
 
 
 @functools.cache
 def _lane_tableau():
-    """The rows above over (z, h k1, ..., h k12), each on k1 and the slopes
-    just before its own: stage points 2-12, the solution, the error sums."""
+    """``_ROWS`` over (z, h k1, ..., h k12), each stage point on z."""
     out = np.zeros((14, 13))
     out[:12, 0] = 1.0
-    for r, a in enumerate(((_A2,), _A3, _A4, _A5, _A6, _A7, _A8, _A9, _A10,
-                           _A11, _A12, _B, _E5, _E3)):
-        s = min(r, 11)
-        out[r, [1, *range(s + 3 - len(a), s + 2)]] = a
+    for r, (a, cols) in enumerate(_ROWS):
+        out[r, [j + 1 for j in cols]] = a
     return out
 
 
 def _lane_step(P, R, z, k1, h):
-    """``_dp_step`` of each lane i from z[i], k1[i] with size h[i], among the
-    poles P[:, i] of residues R[:, i]: arrays (z1, dK, k13, err), non-finite
-    where a stage point is on a pole.  log r, r = (zs - p) / (z - p), is
-    log|r| + i arg r: numpy's complex ``log`` is several times slower."""
+    """The step of ``_stepper`` for each lane i from z[i], k1[i] with size
+    h[i], among the poles P[:, i] of residues R[:, i]: arrays (z1, dK, k13,
+    err), non-finite where a stage point is on a pole.  log r, r = (zs - p) /
+    (z - p), is log|r| + i arg r: numpy's complex ``log`` is several times
+    slower."""
     tab = _lane_tableau()
     H = np.empty((13, len(z)), complex)     # z, then h k1 ... h k12
     Hr = H.view(float)                      # each row as (re, im) pairs
@@ -675,6 +671,7 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
             # the chart's poles and the radius past which the trace leaves
             # the chart, set at the start and after a switch
             poles = conn.chart_poles(chart)
+            step = _stepper(len(poles))
             exit_radius = (SWITCH_RADIUS if chart == STANDARD
                            else 1.5 / SWITCH_RADIUS)
         steps += 1
@@ -687,7 +684,7 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
         # v is the slope at z (first same as last: the last stage slope of
         # the previous step)
         try:
-            z1, dK, v1, err = _dp_step(poles, z, v, h)
+            z1, dK, v1, err = step(poles, z, v, h)
         except (ValueError, OverflowError):   # a stage point on a pole
             z1, err = complex(math.nan), math.nan
         err /= ATOL + RTOL * max(abs(z), abs(z1))

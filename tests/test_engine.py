@@ -653,21 +653,38 @@ class TestFastPath:
         assert dop.E5[12] == dop.E3[12] == 0.0
 
     def test_dp_step_matches_tableau_loop(self):
+        # every pole count the generated step serves: the flat plane's
+        # standard chart has none, the infinity chart of six poles seven
         rng = np.random.default_rng(11)
-        for n_poles in (1, 2, 3, 4):
+        conns = [build_connection([(SpherePoint.inf(), -2.0)])]
+        for n_poles in (1, 2, 3, 4, 5, 6):
             for _ in range(5):
                 pos = rng.normal(0, 1.5, n_poles) + 1j * rng.normal(0, 1.5, n_poles)
-                conn = build_connection(
+                conns.append(build_connection(
                     [(SpherePoint.of(complex(p)), float(r))
-                     for p, r in zip(pos, rng.uniform(-0.95, 0.9, n_poles))])
-                for chart in ("standard", "infinity"):
-                    poles = conn.chart_poles(chart)
-                    for _ in range(20):
-                        z = complex(*rng.normal(0, 2.0, 2))
-                        v = complex(*rng.normal(0, 1.0, 2))
-                        h = float(10.0 ** rng.uniform(-5, 0))
-                        assert engine._dp_step(poles, z, v, h) \
-                            == _tableau_step(poles, z, v, h)
+                     for p, r in zip(pos, rng.uniform(-0.95, 0.9, n_poles))]))
+        counts = set()
+        for conn in conns:
+            for chart in ("standard", "infinity"):
+                poles = conn.chart_poles(chart)
+                counts.add(len(poles))
+                for _ in range(20):
+                    z = complex(*rng.normal(0, 2.0, 2))
+                    v = complex(*rng.normal(0, 1.0, 2))
+                    h = float(10.0 ** rng.uniform(-5, 0))
+                    assert engine._dp_step(poles, z, v, h) \
+                        == _tableau_step(poles, z, v, h)
+        assert counts == set(range(8))
+        # the second stage point, z + (h a21) k1, on the first pole: the
+        # exception the tracer takes for a stage point on a pole
+        poles = build_connection([(SpherePoint.of(engine._A2), 0.5),
+                                  (SpherePoint.of(1j), -0.7)]).chart_poles("standard")
+        raised = []
+        for step in (engine._dp_step, _tableau_step):
+            with pytest.raises((ValueError, OverflowError)) as info:
+                step(poles, 0j, 1.0 + 0j, 1.0)
+            raised.append(info.type)
+        assert raised[0] is raised[1]
 
     def test_self_intersections_match_full_scan(self, trivial_conn):
         rng = np.random.default_rng(13)

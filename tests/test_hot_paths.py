@@ -13,7 +13,9 @@ The tracer's pole pass measures a chord's exact distance only to a pole
 that can lie within the pole floor of it, and a pole's adapted chart is
 built once per connection, and only when a caller needs it.  Counting
 wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
-check both.
+check both.  The DOP853 step is generated once per pole count, not once per
+connection: a wrapper around ``engine._stepper`` sees at most one step per
+pole count over 40 classifications, and none on a second pass.
 
 The period search refines a recurrence time by partial steps from the
 stored rows, the ring probe stops each leaf trace at its first recurrence,
@@ -227,6 +229,35 @@ def test_refused_pole_is_attempted_once(chart_builds):
     assert conn.atlas == {SpherePoint.of(0.0): None}
     assert pole_chart(conn, SpherePoint.of(0.0)) is None
     assert chart_builds == [SpherePoint.of(0.0)]
+
+
+@pytest.fixture
+def steps_built(monkeypatch):
+    """The steps ``engine._stepper`` hands out, from an empty cache, each
+    with the arguments that first fetched it."""
+    engine._stepper.cache_clear()
+    seen = {}
+
+    def counting(*args, _gen=engine._stepper):
+        step = _gen(*args)
+        seen.setdefault(step, args)
+        return step
+    monkeypatch.setattr(engine, "_stepper", counting)
+    return seen
+
+
+def test_classify_generates_one_step_per_pole_count(steps_built):
+    draws = audit_draws(0, 40)
+    budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
+    counts = {len(conn.chart_poles(chart)) for conn, _ in draws
+              for chart in ("standard", "infinity")}
+    for conn, ic in draws:
+        classify(conn, ic, budget)
+    built = dict(steps_built)
+    assert 0 < len(built) <= len(counts)
+    for conn, ic in draws:
+        classify(conn, ic, budget)
+    assert steps_built == built
 
 
 # -- refinement without re-integration -------------------------------------------
