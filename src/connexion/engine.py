@@ -81,17 +81,30 @@ certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
 are then the first samples of the trace without the flag.  A pole's chart is
 read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole.
 
-The step is generated once per pole count (``_stepper``): Python source
-with the coefficients as literals and each stage's pole sum written out,
-compiled under a name such as ``<dop853 3 poles>`` that profiles and
-tracebacks show.  Its results are bit-identical to the textbook form, the
-Butcher-tableau loop over the stages: each stage point and the solution
-z + (h*a) k added left to right, each slope k1 exp(-dK) with dK summed pole by
-pole from 0j as in ``_dK``, and each error sum added left to right from its
-first term.  Floating-point addition is not associative, so that operation
-order is the rule an edit to the generator must keep.  ``tests/test_engine.py``
-checks the step at each pole count against ``_tableau_step``, the loop over
-scipy's DOP853 tableau, and the literals against that tableau.
+The step is generated per pole count, on first use and cached: Python
+source with the coefficients as literals and each stage's pole sum written
+out (``_stage_lines``), compiled with this module's globals, so the
+constants and helpers are read when it runs.  Two functions are built from
+it: the single step (``_stepper``, compiled as ``<dop853 3 poles>``), which
+``_pole_hit`` and ``state_at`` call, and the step loop of one chart
+(``_step_loop``, ``<dop853 loop 3 poles>``), which inlines the step and
+its bookkeeping: the error scale, the step-size control, the pole and fall
+screens, the row appends and the pauses.  On a step that no pole and no fall
+disc is near it calls nothing but ``log``, ``exp``, ``sqrt`` and ``abs``.
+``_stepping`` is left with the options, the fall discs, the chart switches,
+the pause after a switch and the termination.  The results are
+bit-identical to the textbook form, the Butcher-tableau loop over the
+stages: each stage point and the solution z + (h*a) k added left to right,
+each slope k1 exp(-dK) with dK summed pole by pole from 0j as in ``_dK``,
+and each error sum added left to right from its first term.  Floating-point
+addition is not associative, so that operation order is the rule an edit to
+the generator must keep; in the loop it covers the bookkeeping too, where
+``min`` and ``max`` are written as the comparisons that pick the same value
+and the screens run the tests ``_pole_gap`` and ``_certified_fall`` start
+with.  ``tests/test_engine.py`` checks the step at each pole count against
+``_tableau_step``, the loop over scipy's DOP853 tableau, the literals
+against that tableau, and the loop against the loop it replaced,
+``_reference_stepping``.
 """
 
 from __future__ import annotations
@@ -498,40 +511,167 @@ _ROWS = tuple((a, (0, *range(min(r, 11) + 2 - len(a), min(r, 11) + 1)))
                                      _A10, _A11, _A12, _B, _E5, _E3)))
 
 
+def _stage_lines(n):
+    """The unpacking of the pole table into p_j, r_j, and the body of one
+    DOP853 step on a chart of n poles, shared by ``_stepper`` and
+    ``_step_loop``: from z, k1 = c exp(-K(z)) and h to the eighth-order z1,
+    e_j = z1 - p_j, d = K(z1) - K(z) and the combined error estimate
+    err = |h| |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2).  Stage s has the slope
+    k1 exp(-dK_s), with K continued from z to the stage point b as ``_dK``
+    continues it, d_j = z - p_j taken once."""
+    def dK(b):
+        return " + ".join(["0j", *(f"r{j}*log({b(j)}/d{j})" for j in range(n))])
+
+    def row(r, pre):
+        return " + ".join(f"{pre}{a!r}*k{j + 1}" for a, j in zip(*_ROWS[r]))
+
+    src = [f"d{j} = z - p{j}" for j in range(n)]
+    for s in range(2, 13):
+        src += [f"b = z + {row(s - 2, 'h*')}",
+                f"k{s} = k1*exp(-({dK(lambda j: f'(b - p{j})')}))"]
+    src += [f"z1 = z + {row(11, 'h*')}",
+            *(f"e{j} = z1 - p{j}" for j in range(n)),
+            f"d = {dK(lambda j: f'e{j}')}",
+            f"e5 = abs({row(12, '')})",
+            f"e3 = abs({row(13, '')})",
+            "den = e5*e5 + 0.01*(e3*e3)",
+            "err = abs(h)*(e5*e5)/sqrt(den) if den else 0.0"]
+    return f"({''.join(f'(p{j}, r{j}), ' for j in range(n))}) = poles", src
+
+
+def _compiled(src, name):
+    """The function ``src`` defines, compiled under ``name`` with this
+    module's globals, so it reads the constants and helpers when it runs."""
+    ns = {}
+    exec(compile("\n".join(src), name, "exec"), globals(), ns)
+    return ns.popitem()[1]
+
+
 @functools.cache
 def _stepper(n):
     """One DOP853 step of z' = c exp(-K(z)) on a chart of n poles, the
     function step(poles, z, k1, h) with k1 = c exp(-K(z)) (module docstring).
 
     It returns (z1, dK, k13, err): the eighth-order z1, dK = K(z1) - K(z), the
-    slope k13 = c exp(-K(z1)) and the combined error estimate
-    |h| |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2).  Stage s has the slope
-    k1 exp(-dK_s), with K continued from z to the stage point b as ``_dK``
-    continues it, d_j = z - p_j taken once.
+    slope k13 = c exp(-K(z1)) and the error estimate of ``_stage_lines``.
     """
-    def dK(b):
-        return " + ".join(["0j", *(f"r{j}*log(({b} - p{j})/d{j})"
-                                   for j in range(n))])
+    unpack, body = _stage_lines(n)
+    return _compiled(["def step(poles, z, k1, h):",
+                      "    log, exp, sqrt = cmath.log, cmath.exp, math.sqrt",
+                      f"    {unpack}",
+                      *(f"    {line}" for line in body),
+                      "    return z1, d, k1*exp(-d), err"],
+                     f"<dop853 {n} poles>")
 
-    def row(r, pre):
-        return " + ".join(f"{pre}{a!r}*k{j + 1}" for a, j in zip(*_ROWS[r]))
 
-    src = ["def step(poles, z, k1, h):",
-           f"    ({''.join(f'(p{j}, r{j}), ' for j in range(n))}) = poles",
-           *(f"    d{j} = z - p{j}" for j in range(n))]
-    for s in range(2, 13):
-        src += [f"    b = z + {row(s - 2, 'h*')}",
-                f"    k{s} = k1*exp(-({dK('b')}))"]
-    src += [f"    z1 = z + {row(11, 'h*')}",
-            f"    d = {dK('z1')}",
-            f"    e5 = abs({row(12, '')})",
-            f"    e3 = abs({row(13, '')})",
-            "    den = e5*e5 + 0.01*(e3*e3)",
-            "    err = abs(h)*(e5*e5)/sqrt(den) if den else 0.0",
-            "    return z1, d, k1*exp(-d), err"]
-    ns = {"log": cmath.log, "exp": cmath.exp, "sqrt": math.sqrt}
-    exec(compile("\n".join(src), f"<dop853 {n} poles>", "exec"), ns)
-    return ns["step"]
+@functools.cache
+def _step_loop(n):
+    """The step loop of ``_stepping`` on one chart of n poles: the generator
+    run(conn, chart, poles, traj, state, t_max, limits, falls, screen, speed,
+    pause), with state = (t, z, v, K, h, steps) and limits = (max_steps,
+    max_seconds, started).
+
+    It appends the accepted rows to ``traj`` (s_g once per pause and by the
+    caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
+    ``pause`` and takes the next pause from ``send``, and returns (end,
+    payload, t, z, v, K, h, steps, pause) where the trace stops or leaves
+    the chart: end is a termination or "chart_switch", the payload the
+    event's (the pole's is left to the caller).  The step is inlined from
+    ``_stage_lines``; |z1| is taken once per step for the error scale, the
+    finiteness test and the chart exit, and ``min``/``max`` are written as
+    the comparisons that pick the same value.  ``_pole_gap`` runs only when
+    some |z1 - p_j| <= |z1 - z| + 4 POLE_FLOOR, the test by which it picks
+    the poles it measures, and ``_certified_fall`` only for a state within
+    0.9 r0 of a fall disc's centre (``screen``: centre, 0.9 r0 and whether
+    the disc lies in the other chart), the test by which it decides whether
+    to fetch the pole's chart at all.
+    """
+    unpack, body = _stage_lines(n)
+    near = " or ".join(f"abs(e{j}) <= reach" for j in range(n))
+    out = "t, z, k1, K, h, steps, pause"
+    src = [
+        "def run(conn, chart, poles, traj, state, t_max, limits, falls, screen,",
+        "        speed, pause):",
+        "    t, z, k1, K, h, steps = state",
+        f"    {unpack}",
+        "    max_steps, max_seconds, started = limits",
+        "    log, exp, sqrt, inf = cmath.log, cmath.exp, math.sqrt, math.inf",
+        "    atol, rtol, h_max = ATOL, RTOL, H_MAX",
+        "    pad = 4.0*POLE_FLOOR",
+        "    exit_radius = (SWITCH_RADIUS if chart == STANDARD",
+        "                   else 1.5/SWITCH_RADIUS)",
+        "    ts, zs, vs, Ks = traj.t, traj.z, traj.v, traj.K",
+        "    az = abs(z)",
+        "    while t < t_max:",
+        "        if steps >= max_steps:",
+        f"            return 'max_steps', None, {out}",
+        "        if (max_seconds is not None",
+        "                and _time.monotonic() - started > max_seconds):",
+        f"            return 'time_budget', None, {out}",
+        "        steps += 1",
+        "        if t_max - t < h:",
+        "            h = t_max - t",
+        "        if h_max < h:",
+        "            h = h_max",
+        "        at = abs(t)",
+        "        if h < 1e-14*(at if at > 1.0 else 1.0):",
+        f"            return 'step_collapse', {{'h': h}}, {out}",
+        "        try:",
+        *(f"            {line}" for line in body),
+        "            v1 = k1*exp(-d)",
+        "        except (ValueError, OverflowError):   # a stage point on a pole",
+        "            z1, err = complex(math.nan), math.nan",
+        "        az1 = abs(z1)",
+        "        err /= atol + rtol*(az1 if az1 > az else az)",
+        "        if not (err <= 1.0 and az1 < inf):",
+        "            if 1.0 < err < inf:",
+        "                f = 0.9*err**-0.125",
+        "                h *= f if f > 0.2 else 0.2",
+        "            else:",
+        "                h *= 0.1",
+        "            continue",
+        "        hit = None"]
+    if n:
+        src += [
+            "        reach = abs(z1 - z) + pad",
+            f"        if {near}:",
+            "            gap = _pole_gap(poles, z, z1)",
+            "            if gap <= PATH_CLEARANCE:",
+            "                h *= 0.5",
+            "                continue",
+            "            if gap < POLE_FLOOR:",
+            "                hit = _pole_hit(poles, z, k1, h)",
+            "                if hit is not None:",
+            "                    h, z1, d, v1 = hit"]
+    src += [
+        "        t += h",
+        "        z, k1, K = z1, v1, K + d",
+        "        ts.append(t)",
+        "        zs.append(z)",
+        "        vs.append(k1)",
+        "        Ks.append(K)",
+        "        if hit is not None:",
+        f"            return 'pole_approach', None, {out}",
+        "        for centre, radius, other in screen:",
+        "            if abs((1.0/z if other else z) - centre) < radius:",
+        "                cert = _certified_fall(conn, falls, chart, z, k1)",
+        "                if cert is not None:",
+        f"                    return 'pole_certified', cert, {out}",
+        "                break",
+        "        if err > 0:",
+        "            f = 0.9*err**-0.125",
+        "            f = f if f > 0.2 else 0.2",
+        "            h *= f if f < 5.0 else 5.0",
+        "        else:",
+        "            h *= 5.0",
+        "        if az1 > exit_radius:",
+        f"            return 'chart_switch', None, {out}",
+        "        az = az1",
+        "        if t > pause:",
+        "            _fill_s_g(traj, speed)",
+        "            pause = yield traj",
+        f"    return 't_max', None, {out}"]
+    return _compiled(src, f"<dop853 loop {n} poles>")
 
 
 def _dp_step(poles, z, k1, h):
@@ -610,7 +750,10 @@ def tracing(conn: FuchsianConnection, initial, t_max: float,
     ``next`` checks the start and yields the one-row trajectory; each
     ``send(pause)`` yields the same trajectory once an accepted step takes
     t past ``pause``, and the generator returns it where ``trace`` ends.
-    Time spent paused counts against ``max_seconds``."""
+    The steps run in the loop generated per pole count (``_step_loop``),
+    which yields to the caller directly; every column, s_g included, is
+    complete at each pause.  Time spent paused counts against
+    ``max_seconds``."""
     traj, state = _start(conn, initial, t_max)
     return (yield from _stepping(conn, traj, state, t_max, opts, certify))
 
@@ -649,96 +792,55 @@ def check_start(conn: FuchsianConnection, chart: str, z, v):
 
 def _stepping(conn, traj, state, t_max, opts, certify=False):
     """The step loop of ``tracing`` from a loop state whose rows ``traj``
-    holds: a start from ``_start`` or a lane that ``trace_many`` hands back."""
+    holds: a start from ``_start`` or a lane that ``trace_many`` hands back.
+
+    The steps run in ``_step_loop``, generated per pole count, one call per
+    chart the trace is in; this driver takes the options and the fall discs,
+    switches charts with hysteresis (the next row is in the new chart),
+    pauses after a switch, and writes the termination, its event and the
+    rest of the s_g column."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
-    ts, zs, vs, Ks, sg = traj.t, traj.z, traj.v, traj.K, traj.s_g
-    max_steps, max_seconds = opts.max_steps, opts.max_seconds
-    started = _time.monotonic()
-    exit_radius = None
+    limits = opts.max_steps, opts.max_seconds, _time.monotonic()
     falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
              if certify and p.residue < -1.0]
     pause = yield traj
 
-    while t < t_max:
-        if steps >= max_steps:
-            traj.termination = "max_steps"
+    while True:
+        poles = conn.chart_poles(chart)
+        screen = [(center, 0.9 * r0, ambient != chart)
+                  for _, ambient, center, r0 in falls]
+        end, payload, t, z, v, K, h, steps, pause = yield from _step_loop(
+            len(poles))(conn, chart, poles, traj, (t, z, v, K, h, steps),
+                        t_max, limits, falls, screen, speed, pause)
+        if end != "chart_switch":
             break
-        if max_seconds is not None and _time.monotonic() - started > max_seconds:
-            traj.termination = "time_budget"
-            break
-        if exit_radius is None:
-            # the chart's poles and the radius past which the trace leaves
-            # the chart, set at the start and after a switch
-            poles = conn.chart_poles(chart)
-            step = _stepper(len(poles))
-            exit_radius = (SWITCH_RADIUS if chart == STANDARD
-                           else 1.5 / SWITCH_RADIUS)
-        steps += 1
-        h = min(h, t_max - t, H_MAX)
-        if h < 1e-14 * max(1.0, abs(t)):
-            traj.termination = "step_collapse"
-            traj.events.append((t, "step_collapse", {"h": h}))
-            break
-
-        # v is the slope at z (first same as last: the last stage slope of
-        # the previous step)
-        try:
-            z1, dK, v1, err = step(poles, z, v, h)
-        except (ValueError, OverflowError):   # a stage point on a pole
-            z1, err = complex(math.nan), math.nan
-        err /= ATOL + RTOL * max(abs(z), abs(z1))
-        if not err <= 1.0 or not math.isfinite(abs(z1)):
-            h *= max(0.2, 0.9 * err ** -0.125) if 1.0 < err < math.inf else 0.1
-            continue
-
-        # the step chord must clear every pole; one that comes within the
-        # pole floor ends the step at the floor
-        gap = _pole_gap(poles, z, z1)
-        if gap <= PATH_CLEARANCE:
-            h *= 0.5
-            continue
-        hit = _pole_hit(poles, z, v, h) if gap < POLE_FLOOR else None
-        if hit is not None:
-            h, z1, dK, v1 = hit
-
-        t += h
-        z, v, K = z1, v1, K + dK
-        ts.append(t)
-        zs.append(z)
-        vs.append(v)
-        Ks.append(K)
-        sg.append(speed * t)
-
-        if hit is not None:
-            pole = _nearest_pole(conn, chart, z)
-            traj.events.append((t, "pole_approach", {"pole": pole}))
-            traj.termination = "pole_approach"
-            break
-
-        cert = _certified_fall(conn, falls, chart, z, v) if falls else None
-        if cert is not None:
-            traj.events.append((t, "pole_certified", cert))
-            traj.termination = "pole_certified"
-            break
-
-        # chart switching with hysteresis; the next row is in the new chart
-        if abs(z) > exit_radius:
-            # keep c = v exp(K) continuous: K_new = K + log(v / v_new)
-            K = K + cmath.log(-z ** 2)
-            z, v = _invert(z, v)
-            chart = INFINITY if chart == STANDARD else STANDARD
-            exit_radius = None
-            traj.switches.append(len(ts))
-            traj.events.append((t, "chart_switch", {"to": chart}))
-
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 5.0
+        # keep c = v exp(K) continuous: K_new = K + log(v / v_new)
+        K = K + cmath.log(-z ** 2)
+        z, v = _invert(z, v)
+        chart = INFINITY if chart == STANDARD else STANDARD
+        traj.switches.append(len(traj.t))
+        traj.events.append((t, "chart_switch", {"to": chart}))
         if t > pause:
+            _fill_s_g(traj, speed)
             pause = yield traj
 
     # a trace that ran to t_max keeps the termination "t_max"
-    traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))
+    if end != "t_max":
+        traj.termination = end
+        if end == "pole_approach":
+            payload = {"pole": _nearest_pole(conn, chart, z)}
+        if payload is not None:
+            traj.events.append((t, end, payload))
+    _fill_s_g(traj, speed)
+    traj.events.append((traj.t[-1], "terminated", {"reason": traj.termination}))
     return traj
+
+
+def _fill_s_g(traj, speed):
+    """s_g = speed t on the rows appended since the column was last filled."""
+    sg = traj.s_g
+    sg += [speed * t for t in traj.t[len(sg):]]
 
 
 def trace_many(conn: FuchsianConnection, starts, t_max: float,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from connexion import GeodesicState, SpherePoint, build_connection, trace
-from connexion.omega import random_connection
+from connexion.localchart import pole_chart
+from connexion.omega import _critical_launch, random_connection
 
 SCENES = pathlib.Path(__file__).resolve().parents[1] / "scenes"
 
@@ -62,6 +63,20 @@ def hexed(x):
     if isinstance(x, dict):
         return {k: hexed(v) for k, v in x.items()}
     return x
+
+
+TWOGON = [(SpherePoint.of(-1.0), 0.5), (SpherePoint.of(1.0), 0.5)]
+
+
+def saddle_launches(conn, n_grid=64):
+    """The critical launches of ``saddle_connection_search``."""
+    out = []
+    for pos, _ in conn.chart_poles("standard"):
+        chart = pole_chart(conn, SpherePoint.of(pos))[0]
+        for k in range(n_grid):
+            out.append(_critical_launch(conn, chart, 0.05 * chart.radius,
+                                        2.0 * math.pi * k / n_grid)[0])
+    return out
 
 
 SWITCH_POLES = [(SpherePoint.of(0.0), -0.5), (SpherePoint.of(1.5 + 0.5j), -0.3),

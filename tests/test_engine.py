@@ -5,6 +5,8 @@ import bisect
 import cmath
 import io
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from connexion import (SpherePoint, build_connection, continue_K,
                        first_integral, metric_density, self_intersections,
                        trace, trajectory_to_csv)
 from connexion import engine, errors
+from connexion.connection import SWITCH_RADIUS
 from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
                               TrajectorySample, cross_intersections,
                               segment_crossings)
+from connexion.localchart import pole_disc
 from connexion.omega import TransversalSection, section_crossings
 
-from conftest import SWITCH_POLES, audit_draws, hexed, single_pole
+from conftest import (SWITCH_POLES, TWOGON, audit_draws, hexed, saddle_launches,
+                      single_pole)
 
 
 class TestBasicTracing:
@@ -925,6 +930,167 @@ class TestPausedTrace:
             assert xs == section_crossings(trace(conn, start, paused.t[-1]), sec)
             counts.append(len(xs))
         assert paused.switches and 0 < counts[0] < counts[-1]
+
+
+# -- the generated step loop ------------------------------------------------------
+
+def _reference_stepping(conn, traj, state, t_max, opts, certify=False):
+    """``engine._stepping`` as it was before its step loop was generated: one
+    step call per step, ``_pole_gap`` on every accepted chord and
+    ``_certified_fall`` on every accepted row of a certified trace."""
+    opts = opts or engine.IntegratorOptions()
+    t, z, v, K, chart, h, steps, speed = state
+    ts, zs, vs, Ks, sg = traj.t, traj.z, traj.v, traj.K, traj.s_g
+    max_steps, max_seconds = opts.max_steps, opts.max_seconds
+    started = time.monotonic()
+    exit_radius = None
+    falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
+             if certify and p.residue < -1.0]
+    pause = yield traj
+
+    while t < t_max:
+        if steps >= max_steps:
+            traj.termination = "max_steps"
+            break
+        if max_seconds is not None and time.monotonic() - started > max_seconds:
+            traj.termination = "time_budget"
+            break
+        if exit_radius is None:
+            poles = conn.chart_poles(chart)
+            exit_radius = (SWITCH_RADIUS if chart == "standard"
+                           else 1.5 / SWITCH_RADIUS)
+        steps += 1
+        h = min(h, t_max - t, engine.H_MAX)
+        if h < 1e-14 * max(1.0, abs(t)):
+            traj.termination = "step_collapse"
+            traj.events.append((t, "step_collapse", {"h": h}))
+            break
+        try:
+            z1, dK, v1, err = engine._dp_step(poles, z, v, h)
+        except (ValueError, OverflowError):
+            z1, err = complex(math.nan), math.nan
+        err /= engine.ATOL + engine.RTOL * max(abs(z), abs(z1))
+        if not err <= 1.0 or not math.isfinite(abs(z1)):
+            h *= max(0.2, 0.9 * err ** -0.125) if 1.0 < err < math.inf else 0.1
+            continue
+        gap = engine._pole_gap(poles, z, z1)
+        if gap <= engine.PATH_CLEARANCE:
+            h *= 0.5
+            continue
+        hit = engine._pole_hit(poles, z, v, h) if gap < engine.POLE_FLOOR else None
+        if hit is not None:
+            h, z1, dK, v1 = hit
+        t += h
+        z, v, K = z1, v1, K + dK
+        ts.append(t)
+        zs.append(z)
+        vs.append(v)
+        Ks.append(K)
+        sg.append(speed * t)
+        if hit is not None:
+            pole = engine._nearest_pole(conn, chart, z)
+            traj.events.append((t, "pole_approach", {"pole": pole}))
+            traj.termination = "pole_approach"
+            break
+        cert = engine._certified_fall(conn, falls, chart, z, v) if falls else None
+        if cert is not None:
+            traj.events.append((t, "pole_certified", cert))
+            traj.termination = "pole_certified"
+            break
+        if abs(z) > exit_radius:
+            K = K + cmath.log(-z ** 2)
+            z, v = engine._invert(z, v)
+            chart = "infinity" if chart == "standard" else "standard"
+            exit_radius = None
+            traj.switches.append(len(ts))
+            traj.events.append((t, "chart_switch", {"to": chart}))
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 5.0
+        if t > pause:
+            pause = yield traj
+    traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))
+    return traj
+
+
+def _clone(traj):
+    """A trajectory with copies of ``traj``'s columns, switches and events."""
+    out = Trajectory(traj.conn, termination=traj.termination)
+    for name in ("t", "z", "v", "K", "s_g", "switches", "events"):
+        setattr(out, name, list(getattr(traj, name)))
+    out.chart0 = traj.chart0
+    return out
+
+
+def _assert_loops_agree(conn, traj, state, t_max, opts=None, certify=False):
+    """The generated loop and the reference from the same rows and state:
+    every column, the switches, the events and the termination, bit for
+    bit.  Returns the trajectory."""
+    ref = engine._run_out(_reference_stepping(conn, _clone(traj), state, t_max,
+                                              opts, certify))
+    got = engine._run_out(engine._stepping(conn, traj, state, t_max, opts,
+                                           certify))
+    assert hexed(_record(got)) == hexed(_record(ref))
+    return got
+
+
+def _agree_from_start(conn, initial, t_max, opts=None, certify=False):
+    return _assert_loops_agree(conn, *engine._start(conn, initial, t_max),
+                               t_max, opts, certify)
+
+
+class TestStepLoop:
+    """The step loop generated per pole count against the loop it replaced."""
+
+    @pytest.mark.parametrize("name", ["circle", "three_pole", "selfcross",
+                                      "switch", "certified"])
+    def test_long_traces(self, column_traces, name):
+        conn, start, t_max, certify = _long_traces(column_traces)[name]
+        traj = _agree_from_start(conn, start, t_max, certify=certify)
+        assert traj.termination == ("pole_certified" if certify else "t_max")
+
+    def test_pole_floor_ends(self):
+        for conn, start, t_max in (
+                (single_pole(0.5), (1.0, -1.0), 2.0),
+                (single_pole(0.5), (-(engine.H0 * (1 / 5)), 1.0), 1.0),
+                (single_pole(-0.5), (1.0, -1.0 + 1e-7j), 3.0)):
+            traj = _agree_from_start(conn, start, t_max)
+            assert traj.termination == "pole_approach"
+
+    def test_flat_plane(self, trivial_conn):
+        # the loop of no poles, out past the switch radius into the chart
+        # of the pole at infinity
+        traj = _agree_from_start(trivial_conn, (0.3, 1.0 + 0.5j), 50.0)
+        assert traj.switches and traj.termination == "t_max"
+
+    def test_step_cap(self, column_traces):
+        conn, start, t_max, _ = _long_traces(column_traces)["switch"]
+        for cap in (1, 57, 300):
+            traj = _agree_from_start(conn, start, t_max,
+                                     engine.IntegratorOptions(max_steps=cap))
+            assert traj.termination == "max_steps" and len(traj) <= cap + 1
+
+    def test_classify_traces(self):
+        # classify's traces: certified, under ClassifyBudget's step cap
+        opts = engine.IntegratorOptions(max_steps=60_000)
+        ends = Counter(_agree_from_start(conn, ic, 60.0, opts, True).termination
+                       for conn, ic in audit_draws(0, 40))
+        assert set(ends) == {"t_max", "pole_approach", "pole_certified"}
+
+    def test_lanes_handed_back(self, monkeypatch):
+        # the rows and state each lane of the saddle launches returns to the
+        # scalar loop with
+        conn = build_connection(TWOGON)
+        handed = []
+
+        def stepping(conn, traj, state, *args, _run=engine._stepping):
+            handed.append((_clone(traj), state, args))
+            return _run(conn, traj, state, *args)
+        monkeypatch.setattr(engine, "_stepping", stepping)
+        engine.trace_many(conn, saddle_launches(conn), 10.0)
+        monkeypatch.undo()
+        assert len(handed) > 2
+        ends = Counter(_assert_loops_agree(conn, traj, state, *args).termination
+                       for traj, state, args in handed)
+        assert ends["pole_approach"] >= 2 and ends["t_max"] > 0
 
 
 # -- columnar storage -----------------------------------------------------------

@@ -13,9 +13,14 @@ The tracer's pole pass measures a chord's exact distance only to a pole
 that can lie within the pole floor of it, and a pole's adapted chart is
 built once per connection, and only when a caller needs it.  Counting
 wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
-check both.  The DOP853 step is generated once per pole count, not once per
-connection: a wrapper around ``engine._stepper`` sees at most one step per
-pole count over 40 classifications, and none on a second pass.
+check both.  The step loop screens each step before it calls the pole pass
+or the fall certificate: a wrapper around ``engine._pole_gap`` sees no call
+on a circle, and one around ``engine._certified_fall`` sees exactly the
+rows of 40 classifications that lie within 0.9 r0 of a residue < -1 pole.
+The DOP853 step and the step loop are generated once per pole count, not
+once per connection: wrappers around ``engine._stepper`` and
+``engine._step_loop`` see at most one of each per pole count over 40
+classifications, and none on a second pass.
 
 The period search refines a recurrence time by partial steps from the
 stored rows, the ring probe stops each leaf trace at its first recurrence,
@@ -135,6 +140,19 @@ def test_circle_measures_no_chord_distance(chord_gaps, circle_conn):
     assert chord_gaps == []
 
 
+def test_circle_never_calls_the_pole_pass(monkeypatch, circle_conn):
+    # every step of the unit circle ends farther from the pole at 0 than its
+    # own length: the loop's screen passes no step to ``_pole_gap``
+    calls = []
+
+    def counting(*args, _gap=engine._pole_gap):
+        calls.append(args)
+        return _gap(*args)
+    monkeypatch.setattr(engine, "_pole_gap", counting)
+    assert len(trace(circle_conn, (1.0, 1j), 20.0)) > 50
+    assert calls == []
+
+
 def test_grazing_trace_measures_only_the_grazing_step(chord_gaps):
     # a straight line past a rho = -1e-6 pole at distance 1e-4: one step
     # ends within its own length (+ 4 POLE_FLOOR) of the pole
@@ -172,6 +190,11 @@ def test_bounded_pass_decides_like_every_pole(a, length, heading, s, log_d,
     bounded = engine._pole_gap(poles, a, b)
     assert (bounded <= PATH_CLEARANCE) == (exact <= PATH_CLEARANCE)
     assert (bounded < POLE_FLOOR) == (exact < POLE_FLOOR)
+    # the step loop calls the pass only past its screen on b - p: a chord
+    # within the floor always gets past it
+    screened = any(abs(b - pos) <= abs(b - a) + 4.0 * POLE_FLOOR
+                   for pos, _ in poles)
+    assert screened or bounded == math.inf
 
 
 # -- the pole atlas ------------------------------------------------------------
@@ -188,19 +211,28 @@ def chart_builds(monkeypatch):
     return built
 
 
+def _rows_within_reach(conn, traj):
+    """(row, pole) for each row the fall certificate is checked on (not the
+    first, nor a pole-floor end) that lies within 0.9 r0 of a residue < -1
+    pole, in the pole's chart, from the row's own chart as the tracer
+    converts it."""
+    out = []
+    end = len(traj) - (traj.termination == "pole_approach")
+    discs = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
+             if p.residue < -1.0]
+    for k in range(1, end):
+        chart, z = traj._chart(k), traj.z[k]
+        for pole, ambient, center, r0 in discs:
+            u = z if ambient == chart else 1.0 / z
+            if abs(u - center) < 0.9 * r0:
+                out.append((k, pole))
+    return out
+
+
 def _came_within_reach(conn, traj):
     """The residue < -1 poles within 0.9 r0 of a row the certificate is
-    checked on (not the first, nor a pole-floor end), in the pole's chart."""
-    out = set()
-    end = len(traj) - (traj.termination == "pole_approach")
-    for p in conn.poles:
-        if p.residue < -1.0:
-            ambient, center, r0 = pole_disc(conn, p.location)
-            zs = traj.support_std()[1:end]
-            us = [1.0 / z if ambient == "infinity" else z for z in zs]
-            if any(abs(u - center) < 0.9 * r0 for u in us):
-                out.add(p.location)
-    return out
+    checked on (``_rows_within_reach``)."""
+    return {pole for _, pole in _rows_within_reach(conn, traj)}
 
 
 def test_classify_builds_only_the_charts_it_reaches(chart_builds):
@@ -213,6 +245,27 @@ def test_classify_builds_only_the_charts_it_reaches(chart_builds):
         assert sorted(chart_builds, key=repr) == sorted(reached, key=repr)
         unreached += any(p.residue < -1.0 for p in conn.poles) and not reached
     assert unreached > 0
+
+
+def test_classify_checks_falls_only_within_reach(monkeypatch):
+    # the fall certificate is tried on exactly the rows within 0.9 r0 of a
+    # residue < -1 pole, not on every row of a certified trace
+    checked = []
+
+    def counting(conn, falls, chart, z, v, _fall=engine._certified_fall):
+        checked.append((chart, z))
+        return _fall(conn, falls, chart, z, v)
+    monkeypatch.setattr(engine, "_certified_fall", counting)
+    budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
+    rows = tried = 0
+    for conn, ic in audit_draws(0, 40):
+        checked.clear()
+        traj = classify(conn, ic, budget).details["traj"]
+        within = sorted({k for k, _ in _rows_within_reach(conn, traj)})
+        assert checked == [(traj._chart(k), traj.z[k]) for k in within]
+        rows += len(traj) if any(p.residue < -1.0 for p in conn.poles) else 0
+        tried += len(checked)
+    assert 0 < tried < rows / 2
 
 
 def test_verify_saddles_builds_each_chart_once(chart_builds):
@@ -232,32 +285,36 @@ def test_refused_pole_is_attempted_once(chart_builds):
 
 
 @pytest.fixture
-def steps_built(monkeypatch):
-    """The steps ``engine._stepper`` hands out, from an empty cache, each
-    with the arguments that first fetched it."""
-    engine._stepper.cache_clear()
-    seen = {}
+def generated(monkeypatch):
+    """The steps ``engine._stepper`` and the loops ``engine._step_loop``
+    hand out, from empty caches, each with the arguments that first fetched
+    it."""
+    seen = {"_stepper": {}, "_step_loop": {}}
+    for name, out in seen.items():
+        getattr(engine, name).cache_clear()
 
-    def counting(*args, _gen=engine._stepper):
-        step = _gen(*args)
-        seen.setdefault(step, args)
-        return step
-    monkeypatch.setattr(engine, "_stepper", counting)
+        def counting(*args, _gen=getattr(engine, name), _out=out):
+            fn = _gen(*args)
+            _out.setdefault(fn, args)
+            return fn
+        monkeypatch.setattr(engine, name, counting)
     return seen
 
 
-def test_classify_generates_one_step_per_pole_count(steps_built):
+def test_classify_generates_one_step_per_pole_count(generated):
     draws = audit_draws(0, 40)
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
     counts = {len(conn.chart_poles(chart)) for conn, _ in draws
               for chart in ("standard", "infinity")}
     for conn, ic in draws:
         classify(conn, ic, budget)
-    built = dict(steps_built)
-    assert 0 < len(built) <= len(counts)
+    built = {name: dict(fns) for name, fns in generated.items()}
+    for fns in built.values():
+        assert 0 < len(fns) <= len(counts)
+        assert len({args for args in fns.values()}) == len(fns)
     for conn, ic in draws:
         classify(conn, ic, budget)
-    assert steps_built == built
+    assert generated == built
 
 
 # -- refinement without re-integration -------------------------------------------

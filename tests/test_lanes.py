@@ -12,26 +12,11 @@ import math
 
 import pytest
 
-from connexion import (SpherePoint, build_connection, first_integral, trace)
-from connexion import engine, errors, omega
+from connexion import build_connection, first_integral, trace
+from connexion import engine, errors
 from connexion.engine import LANES_MIN, IntegratorOptions, trace_many
-from connexion.localchart import pole_chart
 
-from conftest import SWITCH_POLES, hexed, single_pole
-
-TWOGON = [(SpherePoint.of(-1.0), 0.5), (SpherePoint.of(1.0), 0.5)]
-
-
-def saddle_launches(conn, n_grid=64):
-    """The critical launches of ``saddle_connection_search``."""
-    out = []
-    for pos, _ in conn.chart_poles("standard"):
-        chart = pole_chart(conn, SpherePoint.of(pos))[0]
-        for k in range(n_grid):
-            out.append(omega._critical_launch(conn, chart, 0.05 * chart.radius,
-                                              2.0 * math.pi * k / n_grid)[0])
-    return out
-
+from conftest import SWITCH_POLES, TWOGON, hexed, saddle_launches, single_pole
 
 def grid(z0, n=72):
     return [(z0, cmath.exp(2j * math.pi * k / n)) for k in range(n)]
