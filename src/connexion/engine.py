@@ -99,12 +99,13 @@ each slope k1 exp(-dK) with dK summed pole by pole from 0j as in ``_dK``,
 and each error sum added left to right from its first term.  Floating-point
 addition is not associative, so that operation order is the rule an edit to
 the generator must keep; in the loop it covers the bookkeeping too, where
-``min`` and ``max`` are written as the comparisons that pick the same value
-and the screens run the tests ``_pole_gap`` and ``_certified_fall`` start
-with.  ``tests/test_engine.py`` checks the step at each pole count against
+``min`` and ``max`` are written as the comparisons that pick the same value,
+the pole screen runs the test by which ``_pole_gap`` picks its poles, and the
+fall screen is the fall certificate's only test of distance to a disc.
+``tests/test_engine.py`` checks the step at each pole count against
 ``_tableau_step``, the loop over scipy's DOP853 tableau, the literals
 against that tableau, and the loop against the loop it replaced,
-``_reference_stepping``.
+``_reference_stepping``, on charts of up to seven poles.
 """
 
 from __future__ import annotations
@@ -364,7 +365,11 @@ def _pole_gap(poles, a, b):
     """Least distance from the chord [a, b] to a pole within |b - a| +
     4 POLE_FLOOR of b (inf if none): every chord point lies within |b - a| of
     b, so no other pole comes within 4 POLE_FLOOR, of which 3 POLE_FLOOR cover
-    the rounding of the distances (a few ulps of coordinates < 1e9)."""
+    the rounding of the distances (a few ulps of coordinates < 1e9).
+
+    ``_step_loop`` screens each step with this same test on its own z1 - p_j
+    and calls this only when some pole passes; the two tests must stay
+    identical, or the loop's rows change."""
     reach = abs(b - a) + 4.0 * POLE_FLOOR
     gap = math.inf
     for pos, _ in poles:
@@ -515,7 +520,7 @@ def _stage_lines(n):
     """The unpacking of the pole table into p_j, r_j, and the body of one
     DOP853 step on a chart of n poles, shared by ``_stepper`` and
     ``_step_loop``: from z, k1 = c exp(-K(z)) and h to the eighth-order z1,
-    e_j = z1 - p_j, d = K(z1) - K(z) and the combined error estimate
+    w_j = z1 - p_j, d = K(z1) - K(z) and the combined error estimate
     err = |h| |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2).  Stage s has the slope
     k1 exp(-dK_s), with K continued from z to the stage point b as ``_dK``
     continues it, d_j = z - p_j taken once."""
@@ -530,8 +535,8 @@ def _stage_lines(n):
         src += [f"b = z + {row(s - 2, 'h*')}",
                 f"k{s} = k1*exp(-({dK(lambda j: f'(b - p{j})')}))"]
     src += [f"z1 = z + {row(11, 'h*')}",
-            *(f"e{j} = z1 - p{j}" for j in range(n)),
-            f"d = {dK(lambda j: f'e{j}')}",
+            *(f"w{j} = z1 - p{j}" for j in range(n)),
+            f"d = {dK(lambda j: f'w{j}')}",
             f"e5 = abs({row(12, '')})",
             f"e3 = abs({row(13, '')})",
             "den = e5*e5 + 0.01*(e3*e3)",
@@ -567,9 +572,10 @@ def _stepper(n):
 @functools.cache
 def _step_loop(n):
     """The step loop of ``_stepping`` on one chart of n poles: the generator
-    run(conn, chart, poles, traj, state, t_max, limits, falls, screen, speed,
-    pause), with state = (t, z, v, K, h, steps) and limits = (max_steps,
-    max_seconds, started).
+    run(conn, chart, poles, traj, state, t_max, limits, screen, speed, pause),
+    with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
+    started) and screen the fall discs, each as (pole, whether it lies in the
+    other chart, centre, 0.9 r0).
 
     It appends the accepted rows to ``traj`` (s_g once per pause and by the
     caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
@@ -581,17 +587,16 @@ def _step_loop(n):
     finiteness test and the chart exit, and ``min``/``max`` are written as
     the comparisons that pick the same value.  ``_pole_gap`` runs only when
     some |z1 - p_j| <= |z1 - z| + 4 POLE_FLOOR, the test by which it picks
-    the poles it measures, and ``_certified_fall`` only for a state within
-    0.9 r0 of a fall disc's centre (``screen``: centre, 0.9 r0 and whether
-    the disc lies in the other chart), the test by which it decides whether
-    to fetch the pole's chart at all.
+    the poles it measures (its docstring), and ``_certified_fall`` only for
+    a disc whose centre the state lies within 0.9 r0 of, in the disc's
+    chart, disc by disc in the order of ``screen``.
     """
     unpack, body = _stage_lines(n)
-    near = " or ".join(f"abs(e{j}) <= reach" for j in range(n))
+    near = " or ".join(f"abs(w{j}) <= reach" for j in range(n))
     out = "t, z, k1, K, h, steps, pause"
     src = [
-        "def run(conn, chart, poles, traj, state, t_max, limits, falls, screen,",
-        "        speed, pause):",
+        "def run(conn, chart, poles, traj, state, t_max, limits, screen, speed,",
+        "        pause):",
         "    t, z, k1, K, h, steps = state",
         f"    {unpack}",
         "    max_steps, max_seconds, started = limits",
@@ -652,12 +657,11 @@ def _step_loop(n):
         "        Ks.append(K)",
         "        if hit is not None:",
         f"            return 'pole_approach', None, {out}",
-        "        for centre, radius, other in screen:",
+        "        for pole, other, centre, radius in screen:",
         "            if abs((1.0/z if other else z) - centre) < radius:",
-        "                cert = _certified_fall(conn, falls, chart, z, k1)",
+        "                cert = _certified_fall(conn, pole, other, z, k1)",
         "                if cert is not None:",
         f"                    return 'pole_certified', cert, {out}",
-        "                break",
         "        if err > 0:",
         "            f = 0.9*err**-0.125",
         "            f = f if f > 0.2 else 0.2",
@@ -808,11 +812,11 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
 
     while True:
         poles = conn.chart_poles(chart)
-        screen = [(center, 0.9 * r0, ambient != chart)
-                  for _, ambient, center, r0 in falls]
+        screen = [(pole, ambient != chart, centre, 0.9 * r0)
+                  for pole, ambient, centre, r0 in falls]
         end, payload, t, z, v, K, h, steps, pause = yield from _step_loop(
             len(poles))(conn, chart, poles, traj, (t, z, v, K, h, steps),
-                        t_max, limits, falls, screen, speed, pause)
+                        t_max, limits, screen, speed, pause)
         if end != "chart_switch":
             break
         # keep c = v exp(K) continuous: K_new = K + log(v / v_new)
@@ -1014,16 +1018,16 @@ def state_at(traj: Trajectory, T: float):
     return (z1, v1) if chart == STANDARD else _invert(z1, v1)
 
 
-def _certified_fall(conn, falls, chart, z, v):
-    """Payload of the first fall certificate the state (z, v) of ``chart``
-    passes, or None; ``falls_in`` passes only within 0.9 radius <= 0.9 r0."""
-    for pole, ambient, center, r0 in falls:
-        u, vu = (z, v) if ambient == chart else _invert(z, v)
-        entry = pole_chart(conn, pole) if abs(u - center) < 0.9 * r0 else None
-        cert = entry and entry[0].falls_in(entry[1], u, vu)
-        if cert:
-            return {"pole": pole, **cert}
-    return None
+def _certified_fall(conn, pole, other, z, v):
+    """Payload of the fall certificate of ``pole`` for the state (z, v), or
+    None; ``other`` says the pole's chart is not the state's.  ``falls_in``
+    passes only within 0.9 radius <= 0.9 r0 of the disc's centre, so the
+    step loop calls this only there and the pole's chart is fetched only
+    there."""
+    u, vu = _invert(z, v) if other else (z, v)
+    entry = pole_chart(conn, pole)
+    cert = entry and entry[0].falls_in(entry[1], u, vu)
+    return {"pole": pole, **cert} if cert else None
 
 
 def _nearest_pole(conn, chart, u) -> SpherePoint:

@@ -19,7 +19,7 @@ from connexion.connection import SWITCH_RADIUS
 from connexion.engine import (CSV_HEADER, GeodesicState, Trajectory,
                               TrajectorySample, cross_intersections,
                               segment_crossings)
-from connexion.localchart import pole_disc
+from connexion.localchart import pole_chart, pole_disc
 from connexion.omega import TransversalSection, section_crossings
 
 from conftest import (SWITCH_POLES, TWOGON, audit_draws, hexed, saddle_launches,
@@ -992,7 +992,7 @@ def _reference_stepping(conn, traj, state, t_max, opts, certify=False):
             traj.events.append((t, "pole_approach", {"pole": pole}))
             traj.termination = "pole_approach"
             break
-        cert = engine._certified_fall(conn, falls, chart, z, v) if falls else None
+        cert = _reference_fall(conn, falls, chart, z, v) if falls else None
         if cert is not None:
             traj.events.append((t, "pole_certified", cert))
             traj.termination = "pole_certified"
@@ -1009,6 +1009,19 @@ def _reference_stepping(conn, traj, state, t_max, opts, certify=False):
             pause = yield traj
     traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))
     return traj
+
+
+def _reference_fall(conn, falls, chart, z, v):
+    """``engine._certified_fall`` as it was before the fall screen: the first
+    disc, in order, whose centre the state lies within 0.9 r0 of and whose
+    certificate it passes."""
+    for pole, ambient, center, r0 in falls:
+        u, vu = (z, v) if ambient == chart else engine._invert(z, v)
+        entry = pole_chart(conn, pole) if abs(u - center) < 0.9 * r0 else None
+        cert = entry and entry[0].falls_in(entry[1], u, vu)
+        if cert:
+            return {"pole": pole, **cert}
+    return None
 
 
 def _clone(traj):
@@ -1048,12 +1061,23 @@ class TestStepLoop:
         assert traj.termination == ("pole_certified" if certify else "t_max")
 
     def test_pole_floor_ends(self):
-        for conn, start, t_max in (
-                (single_pole(0.5), (1.0, -1.0), 2.0),
-                (single_pole(0.5), (-(engine.H0 * (1 / 5)), 1.0), 1.0),
-                (single_pole(-0.5), (1.0, -1.0 + 1e-7j), 3.0)):
+        cases = [(single_pole(0.5), (1.0, -1.0), 2.0),
+                 (single_pole(0.5), (-(engine.H0 * (1 / 5)), 1.0), 1.0),
+                 (single_pole(-0.5), (1.0, -1.0 + 1e-7j), 3.0)]
+        # the second start again, with the rho = 0.5 pole the last of n = 2
+        # to 7: the screen must test each pole's own z1 - p_j, whatever else
+        # the step names
+        for n in range(2, 8):
+            far = [SpherePoint.of(4.0 * cmath.exp(2j * math.pi * k / n + 0.3j))
+                   for k in range(n - 1)]
+            conn = build_connection([(p, -0.2) for p in far]
+                                    + [(SpherePoint.of(0.0), 0.5)])
+            assert conn.chart_poles("standard")[-1] == (0j, 0.5)
+            cases.append((conn, cases[1][1], 1.0))
+        for conn, start, t_max in cases:
             traj = _agree_from_start(conn, start, t_max)
             assert traj.termination == "pole_approach"
+            assert traj.events[-2][2]["pole"] == SpherePoint.of(0.0)
 
     def test_flat_plane(self, trivial_conn):
         # the loop of no poles, out past the switch radius into the chart

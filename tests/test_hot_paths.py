@@ -16,7 +16,8 @@ wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
 check both.  The step loop screens each step before it calls the pole pass
 or the fall certificate: a wrapper around ``engine._pole_gap`` sees no call
 on a circle, and one around ``engine._certified_fall`` sees exactly the
-rows of 40 classifications that lie within 0.9 r0 of a residue < -1 pole.
+rows of 40 classifications that lie within 0.9 r0 of a residue < -1 pole,
+each with that pole.
 The DOP853 step and the step loop are generated once per pole count, not
 once per connection: wrappers around ``engine._stepper`` and
 ``engine._step_loop`` see at most one of each per pole count over 40
@@ -249,23 +250,28 @@ def test_classify_builds_only_the_charts_it_reaches(chart_builds):
 
 def test_classify_checks_falls_only_within_reach(monkeypatch):
     # the fall certificate is tried on exactly the rows within 0.9 r0 of a
-    # residue < -1 pole, not on every row of a certified trace
+    # residue < -1 pole, for that pole, not on every row of a certified
+    # trace; a certificate that passes ends the trace at its disc
     checked = []
 
-    def counting(conn, falls, chart, z, v, _fall=engine._certified_fall):
-        checked.append((chart, z))
-        return _fall(conn, falls, chart, z, v)
+    def counting(conn, pole, other, z, v, _fall=engine._certified_fall):
+        checked.append((z, pole))
+        return _fall(conn, pole, other, z, v)
     monkeypatch.setattr(engine, "_certified_fall", counting)
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
-    rows = tried = 0
+    rows = tried = certified = 0
     for conn, ic in audit_draws(0, 40):
         checked.clear()
         traj = classify(conn, ic, budget).details["traj"]
-        within = sorted({k for k, _ in _rows_within_reach(conn, traj)})
-        assert checked == [(traj._chart(k), traj.z[k]) for k in within]
+        within = [(traj.z[k], pole) for k, pole in _rows_within_reach(conn, traj)]
+        if traj.termination == "pole_certified":
+            within = within[:within.index((traj.z[-1],
+                                           traj.events[-2][2]["pole"])) + 1]
+            certified += 1
+        assert checked == within
         rows += len(traj) if any(p.residue < -1.0 for p in conn.poles) else 0
         tried += len(checked)
-    assert 0 < tried < rows / 2
+    assert 0 < tried < rows / 2 and certified > 0
 
 
 def test_verify_saddles_builds_each_chart_once(chart_builds):
