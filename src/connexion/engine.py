@@ -56,7 +56,14 @@ whose boxes overlap for the crossing parameters.  A polyline of at most
 ``RUN`` segments (a section, a short trace) is one run, whose box prunes
 little while the run boxes cost a fixed time per polyline, so against one
 both sides take runs of one segment: the run pairs are then the segment
-pairs, n m <= ``RUN`` n box tests.
+pairs, n m <= ``RUN`` n box tests.  A scan of a polyline against itself
+also drops the run pairs whose chords, from the first of one run to the
+last of the other, turn by less than pi - 1e-3 in principal angles: their
+directions lie in an arc shorter than pi, so each advances along the arc's
+mean by sin(5e-4) of its length or more (a monotone chain, Preparata &
+Shamos 1985), and chords j > i + 1 lie apart.  The margin is far above the
+rounding of 4000 angles; a chord that is not finite, or too short (1e-12
+|p|) for ``_solve``'s rounding of p[j] - p[i], turns by pi.
 Its boolean masks hold at most ``SLICE`` elements each, so no temporary
 grows with the input.
 
@@ -79,7 +86,8 @@ With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
 certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
 are then the first samples of the trace without the flag.  A pole's chart is
-read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole.
+read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole;
+once the atlas holds it, the screen is ``falls_in``'s own disc, 0.9 radius.
 
 The step is generated per pole count, on first use and cached: Python
 source with the coefficients as literals and each stage's pole sum written
@@ -148,7 +156,7 @@ ZETA_NODES = 48
 ZETA_REACH = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicState:
     chart: str
     z: complex
@@ -164,7 +172,7 @@ class GeodesicState:
         return self.v * cmath.exp(self.k_phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     t: float
     state: GeodesicState
@@ -269,29 +277,25 @@ class Trajectory:
             self._support = np.array(self.support_std(), dtype=complex)
         return self._support
 
-    def _interval(self, t: float) -> int:
-        ts = self.t
-        if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
-            raise ValueError(f"t={t} outside trajectory span [{ts[0]}, {ts[-1]}]")
-        i = bisect.bisect_right(ts, t) - 1
-        return max(0, min(i, len(ts) - 2))
-
     def interpolate(self, t: float):
         """Quintic-Hermite position and velocity (standard chart) at time t,
         from z, v and z'' = -f(z) v^2 at both rows, with f the sum of
         rho / (z - p) over the poles of row i's chart."""
-        i = self._interval(t)
-        chart = self._chart(i)
+        ts = self.t
+        if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
+            raise ValueError(f"t={t} outside trajectory span [{ts[0]}, {ts[-1]}]")
+        i = max(0, min(bisect.bisect_right(ts, t) - 1, len(ts) - 2))
+        chart = self._chart(i) if self.switches else self.chart0
         z0, v0 = self.z[i], self.v[i]
         z1, v1 = self.z[i + 1], self.v[i + 1]
-        if self._chart(i + 1) != chart:   # row i+1 follows a chart switch
-            z1, v1 = _invert(z1, v1)
+        if self.switches and self._chart(i + 1) != chart:
+            z1, v1 = _invert(z1, v1)   # row i+1 follows a chart switch
         f0 = f1 = 0j
         for pos, res in self.conn.chart_poles(chart):
             f0 += res / (z0 - pos)
             f1 += res / (z1 - pos)
-        h = self.t[i + 1] - self.t[i]
-        th = (t - self.t[i]) / h if h else 0.0
+        h = ts[i + 1] - ts[i]
+        th = (t - ts[i]) / h if h else 0.0
         z, v = _hermite(z0, v0, -f0 * v0 * v0, z1, v1, -f1 * v1 * v1, h, th)
         if chart == INFINITY:
             z, v = _invert(z, v)
@@ -575,7 +579,8 @@ def _step_loop(n):
     run(conn, chart, poles, traj, state, t_max, limits, screen, speed, pause),
     with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
     started) and screen the fall discs, each as (pole, whether it lies in the
-    other chart, centre, 0.9 r0).
+    other chart, centre, 0.9 r0, or 0.9 radius of the pole's chart once the
+    atlas holds it).
 
     It appends the accepted rows to ``traj`` (s_g once per pause and by the
     caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
@@ -588,8 +593,8 @@ def _step_loop(n):
     the comparisons that pick the same value.  ``_pole_gap`` runs only when
     some |z1 - p_j| <= |z1 - z| + 4 POLE_FLOOR, the test by which it picks
     the poles it measures (its docstring), and ``_certified_fall`` only for
-    a disc whose centre the state lies within 0.9 r0 of, in the disc's
-    chart, disc by disc in the order of ``screen``.
+    a disc whose centre the state lies within the screen's radius of, in
+    the disc's chart, disc by disc in the order of ``screen``.
     """
     unpack, body = _stage_lines(n)
     near = " or ".join(f"abs(w{j}) <= reach" for j in range(n))
@@ -812,8 +817,16 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
 
     while True:
         poles = conn.chart_poles(chart)
-        screen = [(pole, ambient != chart, centre, 0.9 * r0)
-                  for pole, ambient, centre, r0 in falls]
+        # a pole the atlas holds is screened on falls_in's own disc, one it
+        # refused not at all, one not yet built on the disc of r0
+        screen = []
+        for pole, ambient, centre, r in falls:
+            entry = conn.atlas.get(pole, ())
+            if entry is None:
+                continue
+            if entry:
+                centre, r = entry[0].center, entry[0].radius
+            screen.append((pole, ambient != chart, centre, 0.9 * r))
         end, payload, t, z, v, K, h, steps, pause = yield from _step_loop(
             len(poles))(conn, chart, poles, traj, (t, z, v, K, h, steps),
                         t_max, limits, screen, speed, pause)
@@ -1022,8 +1035,8 @@ def _certified_fall(conn, pole, other, z, v):
     """Payload of the fall certificate of ``pole`` for the state (z, v), or
     None; ``other`` says the pole's chart is not the state's.  ``falls_in``
     passes only within 0.9 radius <= 0.9 r0 of the disc's centre, so the
-    step loop calls this only there and the pole's chart is fetched only
-    there."""
+    step loop calls this only there, within 0.9 radius once the atlas holds
+    the chart, and the pole's chart is fetched only there."""
     u, vu = _invert(z, v) if other else (z, v)
     entry = pole_chart(conn, pole)
     cert = entry and entry[0].falls_in(entry[1], u, vu)
@@ -1109,7 +1122,8 @@ def _solve(p, q, i, j):
 
 def _crossings(p, q, forward):
     """``segment_crossings``; with ``forward`` (q is p) only the pairs with
-    j > i + 1."""
+    j > i + 1, outside the run pairs whose chords turn by less than
+    pi - 1e-3, which are monotone (module docstring)."""
     parts = [(np.empty(0, int),) * 2 + (np.empty(0),) * 3]
     if len(p) < 2 or len(q) < 2:
         return parts[0]
@@ -1131,6 +1145,18 @@ def _crossings(p, q, forward):
         I.append(ri + r0)
         J.append(rj)
     I, J = np.concatenate(I), np.concatenate(J)
+    if forward:
+        # drop the run pairs whose chords turn by less than pi - 1e-3: they
+        # are monotone (module docstring); a degenerate chord turns by pi
+        d = np.diff(p)
+        turn = np.abs(np.diff(np.angle(d)))
+        turn = np.minimum(turn, 2.0 * math.pi - turn)
+        bad = ~(np.isfinite(d) & (np.abs(d) > 1e-12 * np.abs(p[1:])))
+        turn[bad[1:] | bad[:-1]] = math.pi
+        turned = np.concatenate(([0.0], np.cumsum(turn)))   # from chord 0
+        last = np.minimum((J + 1) * run, len(d)) - 1
+        keep = turned[last] - turned[I * run] >= math.pi - 1e-3
+        I, J = I[keep], J[keep]
     # segment pairs of those runs whose boxes overlap, SLICE pairs at a time;
     # runs of one segment are already segment pairs
     step = max(1, SLICE // (run * run))
@@ -1167,14 +1193,13 @@ def segment_crossings(p, q):
 
 
 def _decimate(pts, ts, max_segments):
-    """Thin a polyline (an array) and its times to at most max_segments,
-    keeping both endpoints."""
+    """Thin a polyline (an array) and its times (a list) to at most
+    max_segments, keeping every stride-th point and the last."""
     n = len(pts) - 1
     if n <= max_segments:
         return pts, ts
     stride = -(-n // max_segments)
-    idx = list(range(0, n, stride)) + [n]
-    return pts[idx], [ts[i] for i in idx]
+    return np.append(pts[:n:stride], pts[n]), ts[:n:stride] + ts[n:]
 
 
 def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
@@ -1182,7 +1207,8 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     Hermite interpolant to ~1e-12, the first ``max_count`` in segment order.
     The chords (at most 4000, ``_decimate``) go through the kernel of
     ``segment_crossings`` once, against themselves, on the upper triangle
-    of run pairs and the segment pairs j > i + 1 of it."""
+    of run pairs and the segment pairs j > i + 1 of it, skipping the run
+    pairs whose chords turn by less than pi - 1e-3, which cannot meet."""
     if len(traj) < 3:
         return []
     pts, ts = _decimate(traj.support_array(), traj.times, 4000)

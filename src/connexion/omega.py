@@ -588,11 +588,12 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
     """Classify one trajectory per random real-residue configuration and
     count accumulation-on-foreign-periodic / accumulation-on-saddle-graph
     verdicts among trajectories simple within budget; both counts are
-    expected to be zero."""
+    expected to be zero; ``verdicts`` lists them in configuration order."""
     budget = budget or ClassifyBudget(t_max=60.0, max_steps=60_000)
     rng = np.random.default_rng(seed)
     lines = []
     anomalies = []
+    verdicts = []
     counts: dict = {}
     certified = 0
     for i in range(n_configs):
@@ -603,6 +604,7 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
                 break
         v0 = cmath.exp(1j * rng.uniform(0.0, TWO_PI))
         verdict = classify(conn, (z0, v0), budget)
+        verdicts.append(verdict)
         counts[verdict.tag] = counts.get(verdict.tag, 0) + 1
         certified += bool(verdict.details.get("certified"))
         line = f"config={i} seed={seed} verdict={verdict}"
@@ -615,4 +617,4 @@ def exclusion_audit(n_configs: int = 200, seed: int = 0,
     lines.append(f"total={n_configs} anomalies={len(anomalies)} "
                  f"certified={certified} {summary}")
     return {"lines": lines, "anomalies": anomalies, "counts": counts,
-            "text": "\n".join(lines) + "\n"}
+            "verdicts": verdicts, "text": "\n".join(lines) + "\n"}

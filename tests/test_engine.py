@@ -542,6 +542,104 @@ class TestSegmentCrossings:
         assert self_intersections(traj, max_count=2) == full[:2]
 
 
+def _forward_agree(pts):
+    """The forward scan of ``pts`` against every pair j > i + 1 of the
+    brute-force scan."""
+    got = engine._crossings(np.array(pts, dtype=complex),
+                            np.array(pts, dtype=complex), forward=True)
+    got = list(zip(*(x.tolist() for x in got)))
+    assert got == [g for g in _brute_crossings(pts, pts) if g[1] > g[0] + 1]
+    return got
+
+
+class TestTurningPrune:
+    """A forward scan drops the run pairs whose stretch of chords turns by
+    less than pi - 1e-3: each such stretch is monotone along the mean of its
+    directions, so none of its pairs j > i + 1 can meet."""
+
+    def test_spiral_with_many_turns(self):
+        # a drifting, widening circle: 12 turns of 64 chords, each turn
+        # crossing the last; the runs turn by 1.5 rad, a run and the next
+        # by 3.0, so only pairs further apart are expanded
+        t = np.linspace(0.0, 24 * math.pi, 12 * 64 + 1)
+        pts = ((1.0 + t / 40.0) * np.exp(1j * t) + 0.15 * t).tolist()
+        assert len(_forward_agree(pts)) > 20
+
+    @pytest.mark.parametrize("short", [0.0, 5e-4])
+    def test_half_turn_cut_at_pi(self, monkeypatch, short):
+        # 3 runs of unit chords: the first nearly straight, the second a
+        # U-turn of 3.0 rad, the third nearly straight back.  Runs 0 and 1
+        # turn by pi - short, within the margin of pi, so their 256 segment
+        # boxes are tested; runs 1 and 2 turn by pi - 2e-3 and are dropped,
+        # and so is each run with itself; runs 0 and 2 lie apart
+        R = engine.RUN
+        S0, S1, S2 = 0.05, 3.0, 0.05
+        turns = ([S0 / (R - 1)] * (R - 1) + [math.pi - short - S0 - S1]
+                 + [S1 / (R - 1)] * (R - 1) + [math.pi - 2e-3 - S1 - S2]
+                 + [S2 / (R - 1)] * (R - 1))
+        heading = np.concatenate(([0.0], np.cumsum(turns)))
+        pts = np.concatenate(([0j], np.cumsum(np.exp(1j * heading)))).tolist()
+        tested = []
+
+        def overlap(a, b, _overlap=engine._overlap):
+            mask = _overlap(a, b)
+            tested.append(mask.size)
+            return mask
+        monkeypatch.setattr(engine, "_overlap", overlap)
+        assert _forward_agree(pts) == []
+        assert tested == [3 * 3, R * R]
+
+    def test_dense_loop_past_a_pole(self):
+        # the loop past a rho = -0.9 pole: chords from 1e-9 to 1 long
+        conn = single_pole(-0.9)
+        v0 = cmath.exp(1j * (math.pi - math.asin(0.5)))
+        pts = trace(conn, (1.0, v0), 50.0).support_std()
+        lengths = np.abs(np.diff(pts))
+        assert lengths.max() > 1e3 * lengths.min()
+        assert len(_forward_agree(pts)) == 3
+
+    def test_repeated_and_nan_points(self):
+        # a gentle arc with a repeated point, whose neighbours i and i + 2
+        # meet there (s = 1, u = 0); a NaN point; then the loops of a
+        # prolate cycloid, which cross themselves, with a repeated point in
+        # each loop.  A zero-length or NaN chord counts as a turn of pi
+        arc = [complex(k, 0.002 * k * k) for k in range(40)]
+        arc[20:20] = [arc[20]]
+        t = np.linspace(0.0, 6 * math.pi, 120)
+        loops = (45.0 + t - 2.0 * np.sin(t) + 1j * (1.0 - 2.0 * np.cos(t))).tolist()
+        for k in (30, 70, 110):
+            loops[k:k] = [loops[k]]
+        pts = arc + [complex(math.nan, math.nan)] + loops
+        got = _forward_agree(pts)
+        assert (19, 21, 1.0, 0.0) in [g[:4] for g in got]
+        assert sum(i > 41 for i, *_ in got) >= 3
+
+    def test_chord_a_few_ulps_long(self):
+        # chord 1 is 2 ulps of its ends long and the stretch turns by 1.67
+        # rad only, yet the rounding of _solve meets chords 0 and 2 at its
+        # ends (s = 1, u = 0): a chord within 1e-12 |p| of zero length turns
+        # by pi, like a zero-length one
+        pts = [-0.8662995179861326 + 0.2504260683210296j,
+               0.13370048201386742 + 0.2504260683210296j,
+               0.13370048201386747 + 0.2504260683210296j,
+               0.035683025206919836 - 0.7447586271808144j]
+        assert [g[:4] for g in _forward_agree(pts)] == [(0, 2, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("n", [3999, 4000, 4001, 8000, 12007])
+def test_decimate_slices_as_the_index_form(n):
+    # _decimate keeps every stride-th row and the last, stride = ceil(n /
+    # 4000): the index lists it used to build
+    pts = np.exp(1j * np.arange(n + 1.0))
+    ts = [0.5 * k for k in range(n + 1)]
+    stride = -(-n // 4000)
+    idx = list(range(0, n, stride)) + [n]
+    got_pts, got_ts = engine._decimate(pts, ts, 4000)
+    assert len(got_ts) - 1 <= 4000
+    assert got_pts.tolist() == pts[idx].tolist()
+    assert got_ts == [ts[i] for i in idx]
+
+
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10), read
 # from scipy's coefficient module
 _DOP_COLUMNS = {2: (0,), 3: (0, 1), 4: (0, 2), 5: (0, 2, 3), 6: (0, 3, 4),

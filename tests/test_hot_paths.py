@@ -17,7 +17,8 @@ check both.  The step loop screens each step before it calls the pole pass
 or the fall certificate: a wrapper around ``engine._pole_gap`` sees no call
 on a circle, and one around ``engine._certified_fall`` sees exactly the
 rows of 40 classifications that lie within 0.9 r0 of a residue < -1 pole,
-each with that pole.
+each with that pole, or within 0.9 radius of its chart once the atlas holds
+it.
 The DOP853 step and the step loop are generated once per pole count, not
 once per connection: wrappers around ``engine._stepper`` and
 ``engine._step_loop`` see at most one of each per pole count over 40
@@ -36,7 +37,8 @@ segments only within the run pairs whose boxes overlap, and against a
 polyline of at most ``RUN`` segments, such as a section, the segment boxes
 directly: wrappers around ``engine._overlap`` and ``engine._solve`` count
 the box pairs it tests and the segment pairs it solves, which stay far below
-n m where crossings are few, and at n for a section.  The scans read a
+n m where crossings are few, and at n for a section.  A self-crossing scan
+expands only the run pairs whose chords turn by pi or more.  The scans read a
 trajectory's chords from one array, ``Trajectory.support_array``, and a
 wrapper that keeps the arrays it hands out sees one per classification.
 """
@@ -59,7 +61,7 @@ from connexion.localchart import pole_chart, pole_disc
 from connexion.omega import ClassifyBudget, ring_domain_probe
 from connexion.polygons import connect_unique
 
-from conftest import SWITCH_POLES, audit_draws, single_pole
+from conftest import SWITCH_POLES, audit_draws, hexed, single_pole
 
 
 @pytest.fixture
@@ -212,21 +214,32 @@ def chart_builds(monkeypatch):
     return built
 
 
-def _rows_within_reach(conn, traj):
+def _rows_within_reach(conn, traj, atlas=None):
     """(row, pole) for each row the fall certificate is checked on (not the
-    first, nor a pole-floor end) that lies within 0.9 r0 of a residue < -1
+    first, nor a pole-floor end): a row within 0.9 r0 of a residue < -1
     pole, in the pole's chart, from the row's own chart as the tracer
-    converts it."""
+    converts it.  A pole that ``atlas`` (the atlas when the trace began, by
+    default empty) holds, or that the trace built, by the start of the row's
+    chart stretch is screened on its chart's disc, 0.9 radius, instead, and
+    one whose chart was refused not at all."""
     out = []
     end = len(traj) - (traj.termination == "pole_approach")
     discs = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
              if p.residue < -1.0]
+    known = dict(atlas or {})
     for k in range(1, end):
+        if k == 1 or k in traj.switches:
+            screen = [(pole, ambient, center, r0) if pole not in known
+                      else (pole, ambient, known[pole][0].center,
+                            known[pole][0].radius)
+                      for pole, ambient, center, r0 in discs
+                      if known.get(pole, True) is not None]
         chart, z = traj._chart(k), traj.z[k]
-        for pole, ambient, center, r0 in discs:
+        for pole, ambient, center, r in screen:
             u = z if ambient == chart else 1.0 / z
-            if abs(u - center) < 0.9 * r0:
+            if abs(u - center) < 0.9 * r:
                 out.append((k, pole))
+                known.setdefault(pole, conn.atlas[pole])
     return out
 
 
@@ -251,7 +264,10 @@ def test_classify_builds_only_the_charts_it_reaches(chart_builds):
 def test_classify_checks_falls_only_within_reach(monkeypatch):
     # the fall certificate is tried on exactly the rows within 0.9 r0 of a
     # residue < -1 pole, for that pole, not on every row of a certified
-    # trace; a certificate that passes ends the trace at its disc
+    # trace; a certificate that passes ends the trace at its disc.  Once the
+    # atlas holds a pole's entry (a second pass over the same connections),
+    # the rows are those within 0.9 radius of its chart's centre, none if
+    # the chart was refused, and the traces are the same bit for bit
     checked = []
 
     def counting(conn, pole, other, z, v, _fall=engine._certified_fall):
@@ -259,19 +275,29 @@ def test_classify_checks_falls_only_within_reach(monkeypatch):
         return _fall(conn, pole, other, z, v)
     monkeypatch.setattr(engine, "_certified_fall", counting)
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
-    rows = tried = certified = 0
-    for conn, ic in audit_draws(0, 40):
-        checked.clear()
-        traj = classify(conn, ic, budget).details["traj"]
-        within = [(traj.z[k], pole) for k, pole in _rows_within_reach(conn, traj)]
-        if traj.termination == "pole_certified":
-            within = within[:within.index((traj.z[-1],
-                                           traj.events[-2][2]["pole"])) + 1]
-            certified += 1
-        assert checked == within
-        rows += len(traj) if any(p.residue < -1.0 for p in conn.poles) else 0
-        tried += len(checked)
-    assert 0 < tried < rows / 2 and certified > 0
+    draws = audit_draws(0, 40)
+    first, tries = {}, []
+    for warm in (False, True):
+        rows = tried = certified = 0
+        for n, (conn, ic) in enumerate(draws):
+            checked.clear()
+            atlas = dict(conn.atlas)
+            traj = classify(conn, ic, budget).details["traj"]
+            within = [(traj.z[k], pole)
+                      for k, pole in _rows_within_reach(conn, traj, atlas)]
+            if traj.termination == "pole_certified":
+                within = within[:within.index((traj.z[-1],
+                                               traj.events[-2][2]["pole"])) + 1]
+                certified += 1
+            assert checked == within
+            rows += len(traj) if any(p.residue < -1.0 for p in conn.poles) else 0
+            tried += len(checked)
+            if warm:
+                assert hexed(traj.z) == first[n]
+            first[n] = hexed(traj.z)
+        assert 0 < tried < rows / 2 and certified > 0
+        tries.append(tried)
+    assert tries[1] < tries[0]
 
 
 def test_verify_saddles_builds_each_chart_once(chart_builds):
@@ -431,7 +457,11 @@ def test_dense_loop_kernel_work(kernel_work):
                               (rho / (rho + 1.0) * np.log(W)).tolist())])
     assert len(engine.self_intersections(loop)) == 4
     nm = 2999 * 2999
-    assert kernel_work["tested"] < nm // 30
+    # every pair of run boxes (188^2), then the segment boxes only of the
+    # run pairs whose chords turn by pi or more: 7 here, 37,136 box tests
+    # in all against 133,136 without the turning test; the bound allows 16
+    runs = -(-2999 // engine.RUN)
+    assert kernel_work["tested"] <= runs * runs + 16 * engine.RUN ** 2
     assert 0 < kernel_work["solved"] < nm // 500
 
 
