@@ -19,7 +19,8 @@ import numpy as np
 from . import errors
 from .omega import ClassifyBudget, classify, saddle_connection_search
 from .connection import SpherePoint, connection_from_dict
-from .engine import POLE_FLOOR, IntegratorOptions, trace, trajectory_to_csv
+from .engine import (POLE_FLOOR, IntegratorOptions, _gauss_legendre, trace,
+                     trajectory_to_csv)
 from .localchart import (closed_form_path, critical_length, local_params,
                          pole_chart)
 from .polygons import (GeodesicPolygon, PolygonVertex, chart_polygon,
@@ -318,9 +319,9 @@ def _verify_local(seed):
         out.append((f"closed-form rho={rho}", err <= 1e-8, f"sup err {err:.3g}"))
         clen = critical_length(rho, 1.0)
         # int_0^1 s^rho ds = int_0^1 2 u^(2 rho + 1) du (s = u^2), smooth in u;
-        # Gauss-Legendre mapped from [-1, 1] to [0, 1]
-        x, w = np.polynomial.legendre.leggauss(16)
-        quad = float(np.sum(w * (0.5 * (x + 1.0)) ** (2.0 * rho + 1.0)))
+        # the Gauss-Legendre rule on [0, 1], whose weights sum to 1
+        u, w = _gauss_legendre(16)
+        quad = 2.0 * float(np.sum(w * u ** (2.0 * rho + 1.0)))
         ok = abs(quad - clen) <= 1e-6 * max(1.0, clen)
         out.append((f"critical-length rho={rho}", ok,
                     f"formula {clen:.9g} quadrature {quad:.9g}"))

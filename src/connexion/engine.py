@@ -14,8 +14,9 @@ third-order embedded errors e5 and e3 as |h| |e5|^2 / sqrt(|e5|^2 +
 0.01 |e3|^2), over the scale ATOL + RTOL max(|z|, |z1|); the next step is
 h times 0.9 err^(-1/8), kept within [0.2, 5].  A step is rejected when its
 error norm exceeds 1, when its chord passes within ``PATH_CLEARANCE`` of a
-pole (measured only for poles that can be that close, ``_pole_gap``), or when
-it is not finite (a stage point on a pole included).
+pole (``_pole_gap``, measured only on steps that end near enough to a pole
+for that, ``_step_loop``), or when it is not finite (a stage point on a pole
+included).
 
 The residues are real, so a geodesic moves at constant speed in the flat
 metric |dz| prod_j |z - p_j|^{rho_j}: its arclength is s_g = speed * t, with
@@ -85,9 +86,9 @@ sum the stages in another order, so a lane may take other steps than
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
 certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
-are then the first samples of the trace without the flag.  A pole's chart is
-read from the atlas (``localchart.pole_chart``) within 0.9 r0 of the pole;
-once the atlas holds it, the screen is ``falls_in``'s own disc, 0.9 radius.
+are then the first samples of the trace without the flag.  The trace fetches
+those poles' charts from the atlas (``localchart.pole_chart``) when it
+starts, and screens each on ``falls_in``'s own disc, 0.9 radius.
 
 The step is generated per pole count, on first use and cached: Python
 source with the coefficients as literals and each stage's pole sum written
@@ -108,8 +109,9 @@ and each error sum added left to right from its first term.  Floating-point
 addition is not associative, so that operation order is the rule an edit to
 the generator must keep; in the loop it covers the bookkeeping too, where
 ``min`` and ``max`` are written as the comparisons that pick the same value,
-the pole screen runs the test by which ``_pole_gap`` picks its poles, and the
-fall screen is the fall certificate's only test of distance to a disc.
+the pole screen is the tracer's only reach test, and the fall screen is
+``falls_in``'s own first test, so it skips only states the certificate
+refuses.
 ``tests/test_engine.py`` checks the step at each pole count against
 ``_tableau_step``, the loop over scipy's DOP853 tableau, the literals
 against that tableau, and the loop against the loop it replaced,
@@ -130,7 +132,7 @@ import numpy as np
 from . import errors
 from .connection import (FuchsianConnection, INFINITY, STANDARD,
                          SWITCH_RADIUS, SpherePoint)
-from .localchart import pole_chart, pole_disc
+from .localchart import pole_chart
 
 RTOL = 1e-12
 ATOL = 1e-14
@@ -366,20 +368,8 @@ def _chord_gap(a, b, pos):
 
 
 def _pole_gap(poles, a, b):
-    """Least distance from the chord [a, b] to a pole within |b - a| +
-    4 POLE_FLOOR of b (inf if none): every chord point lies within |b - a| of
-    b, so no other pole comes within 4 POLE_FLOOR, of which 3 POLE_FLOOR cover
-    the rounding of the distances (a few ulps of coordinates < 1e9).
-
-    ``_step_loop`` screens each step with this same test on its own z1 - p_j
-    and calls this only when some pole passes; the two tests must stay
-    identical, or the loop's rows change."""
-    reach = abs(b - a) + 4.0 * POLE_FLOOR
-    gap = math.inf
-    for pos, _ in poles:
-        if abs(b - pos) <= reach:
-            gap = min(gap, _chord_gap(a, b, pos))
-    return gap
+    """Least distance from the chord [a, b] to a pole (inf if none)."""
+    return min((_chord_gap(a, b, pos) for pos, _ in poles), default=math.inf)
 
 
 def canonical_K(conn: FuchsianConnection, z: complex) -> complex:
@@ -442,8 +432,7 @@ def delta_zeta(conn: FuchsianConnection, path) -> complex:
 def _zeta_pieces(poles, a, b):
     """[a, b] halved until each piece is at most ZETA_REACH times as long as
     its distance to the nearest pole, in order along the segment."""
-    gap = min((_chord_gap(a, b, pos) for pos, _ in poles), default=math.inf)
-    if abs(b - a) <= ZETA_REACH * gap:
+    if abs(b - a) <= ZETA_REACH * _pole_gap(poles, a, b):
         return [(a, b)]
     mid = 0.5 * (a + b)
     return _zeta_pieces(poles, a, mid) + _zeta_pieces(poles, mid, b)
@@ -576,11 +565,10 @@ def _stepper(n):
 @functools.cache
 def _step_loop(n):
     """The step loop of ``_stepping`` on one chart of n poles: the generator
-    run(conn, chart, poles, traj, state, t_max, limits, screen, speed, pause),
+    run(chart, poles, traj, state, t_max, limits, screen, speed, pause),
     with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
-    started) and screen the fall discs, each as (pole, whether it lies in the
-    other chart, centre, 0.9 r0, or 0.9 radius of the pole's chart once the
-    atlas holds it).
+    started) and screen the fall discs, each as (atlas entry, whether the
+    pole's chart is the other sphere chart, its centre, 0.9 of its radius).
 
     It appends the accepted rows to ``traj`` (s_g once per pause and by the
     caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
@@ -590,18 +578,23 @@ def _step_loop(n):
     event's (the pole's is left to the caller).  The step is inlined from
     ``_stage_lines``; |z1| is taken once per step for the error scale, the
     finiteness test and the chart exit, and ``min``/``max`` are written as
-    the comparisons that pick the same value.  ``_pole_gap`` runs only when
-    some |z1 - p_j| <= |z1 - z| + 4 POLE_FLOOR, the test by which it picks
-    the poles it measures (its docstring), and ``_certified_fall`` only for
-    a disc whose centre the state lies within the screen's radius of, in
-    the disc's chart, disc by disc in the order of ``screen``.
+    the comparisons that pick the same value.
+
+    The pole screen, some |z1 - p_j| <= |z1 - z| + 4 POLE_FLOOR, is the one
+    reach test of the tracer: ``_pole_gap`` runs only past it.  Every chord
+    point lies within |z1 - z| of z1, so a pole the screen skips lies more
+    than 4 POLE_FLOOR from the chord, less the rounding of the distances (a
+    few ulps of coordinates < 1e9, far below POLE_FLOOR): more than
+    3 POLE_FLOOR, where neither gap <= PATH_CLEARANCE nor gap < POLE_FLOOR
+    can hold.  ``_certified_fall`` runs only for a disc whose centre the
+    state lies within the screen's radius of, in the disc's chart, disc by
+    disc in the order of ``screen``.
     """
     unpack, body = _stage_lines(n)
     near = " or ".join(f"abs(w{j}) <= reach" for j in range(n))
     out = "t, z, k1, K, h, steps, pause"
     src = [
-        "def run(conn, chart, poles, traj, state, t_max, limits, screen, speed,",
-        "        pause):",
+        "def run(chart, poles, traj, state, t_max, limits, screen, speed, pause):",
         "    t, z, k1, K, h, steps = state",
         f"    {unpack}",
         "    max_steps, max_seconds, started = limits",
@@ -662,9 +655,9 @@ def _step_loop(n):
         "        Ks.append(K)",
         "        if hit is not None:",
         f"            return 'pole_approach', None, {out}",
-        "        for pole, other, centre, radius in screen:",
+        "        for entry, other, centre, radius in screen:",
         "            if abs((1.0/z if other else z) - centre) < radius:",
-        "                cert = _certified_fall(conn, pole, other, z, k1)",
+        "                cert = _certified_fall(entry, other, z, k1)",
         "                if cert is not None:",
         f"                    return 'pole_certified', cert, {out}",
         "        if err > 0:",
@@ -804,32 +797,26 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
     holds: a start from ``_start`` or a lane that ``trace_many`` hands back.
 
     The steps run in ``_step_loop``, generated per pole count, one call per
-    chart the trace is in; this driver takes the options and the fall discs,
-    switches charts with hysteresis (the next row is in the new chart),
-    pauses after a switch, and writes the termination, its event and the
-    rest of the s_g column."""
+    chart the trace is in; this driver takes the options, switches charts
+    with hysteresis (the next row is in the new chart), pauses after a
+    switch, and writes the termination, its event and the rest of the s_g
+    column.  A certified trace fetches the atlas entry of each residue < -1
+    pole here, once, and screens the pole on ``falls_in``'s own disc,
+    0.9 radius of its chart; a pole the atlas refuses has no disc."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
-    falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
-             if certify and p.residue < -1.0]
+    entries = [entry for p in conn.poles if certify and p.residue < -1.0
+               if (entry := pole_chart(conn, p.location))]
+    screens = {c: [(e, e[0].ambient != c, e[0].center, 0.9 * e[0].radius)
+                   for e in entries] for c in (STANDARD, INFINITY)}
     pause = yield traj
 
     while True:
         poles = conn.chart_poles(chart)
-        # a pole the atlas holds is screened on falls_in's own disc, one it
-        # refused not at all, one not yet built on the disc of r0
-        screen = []
-        for pole, ambient, centre, r in falls:
-            entry = conn.atlas.get(pole, ())
-            if entry is None:
-                continue
-            if entry:
-                centre, r = entry[0].center, entry[0].radius
-            screen.append((pole, ambient != chart, centre, 0.9 * r))
         end, payload, t, z, v, K, h, steps, pause = yield from _step_loop(
-            len(poles))(conn, chart, poles, traj, (t, z, v, K, h, steps),
-                        t_max, limits, screen, speed, pause)
+            len(poles))(chart, poles, traj, (t, z, v, K, h, steps), t_max,
+                        limits, screens[chart], speed, pause)
         if end != "chart_switch":
             break
         # keep c = v exp(K) continuous: K_new = K + log(v / v_new)
@@ -1031,16 +1018,14 @@ def state_at(traj: Trajectory, T: float):
     return (z1, v1) if chart == STANDARD else _invert(z1, v1)
 
 
-def _certified_fall(conn, pole, other, z, v):
-    """Payload of the fall certificate of ``pole`` for the state (z, v), or
-    None; ``other`` says the pole's chart is not the state's.  ``falls_in``
-    passes only within 0.9 radius <= 0.9 r0 of the disc's centre, so the
-    step loop calls this only there, within 0.9 radius once the atlas holds
-    the chart, and the pole's chart is fetched only there."""
+def _certified_fall(entry, other, z, v):
+    """Payload of the fall certificate of the atlas entry (chart, w_in) for
+    the state (z, v), or None; ``other`` says the pole's chart is not the
+    state's.  ``falls_in`` passes only within 0.9 radius of the chart's
+    centre, so the step loop calls this only there."""
     u, vu = _invert(z, v) if other else (z, v)
-    entry = pole_chart(conn, pole)
-    cert = entry and entry[0].falls_in(entry[1], u, vu)
-    return {"pole": pole, **cert} if cert else None
+    cert = entry[0].falls_in(entry[1], u, vu)
+    return {"pole": entry[0].pole, **cert} if cert else None
 
 
 def _nearest_pole(conn, chart, u) -> SpherePoint:

@@ -9,16 +9,16 @@ callers.  Here their constructors count calls while the tracer, the
 classifier, the shooting search, the CSV export and the SVG renderer run:
 none of them may build one, apart from a start state the caller builds.
 
-The tracer's pole pass measures a chord's exact distance only to a pole
-that can lie within the pole floor of it, and a pole's adapted chart is
-built once per connection, and only when a caller needs it.  Counting
-wrappers around ``engine._chord_gap`` and ``localchart.adapted_chart``
-check both.  The step loop screens each step before it calls the pole pass
-or the fall certificate: a wrapper around ``engine._pole_gap`` sees no call
-on a circle, and one around ``engine._certified_fall`` sees exactly the
-rows of 40 classifications that lie within 0.9 r0 of a residue < -1 pole,
-each with that pole, or within 0.9 radius of its chart once the atlas holds
-it.
+The tracer measures chord distances to the poles only on steps that pass
+the step loop's screen, and a connection's first certified trace builds
+the chart of each of its residue < -1 poles, once; no other trace builds
+one.  Counting wrappers around ``engine._chord_gap`` and
+``localchart.adapted_chart`` check both.  The step loop screens each step
+before it calls the pole pass or the fall certificate: a wrapper around
+``engine._pole_gap`` sees no call on a circle, and one around
+``engine._certified_fall`` sees exactly the rows of 40 classifications that
+lie within 0.9 radius of a residue < -1 pole's chart, each with that pole,
+on the first pass over them as on the second.
 The DOP853 step and the step loop are generated once per pole count, not
 once per connection: wrappers around ``engine._stepper`` and
 ``engine._step_loop`` see at most one of each per pole count over 40
@@ -57,7 +57,7 @@ from connexion import (SpherePoint, build_connection, classify, detect_period,
 from connexion import cli, engine, localchart, omega, polygons
 from connexion.engine import (PATH_CLEARANCE, POLE_FLOOR, GeodesicState,
                               Trajectory, TrajectorySample)
-from connexion.localchart import pole_chart, pole_disc
+from connexion.localchart import pole_chart
 from connexion.omega import ClassifyBudget, ring_domain_probe
 from connexion.polygons import connect_unique
 
@@ -180,24 +180,39 @@ _COORD = st.floats(min_value=-10.0, max_value=10.0)
        side=st.floats(min_value=0.0, max_value=2.0 * math.pi),
        far=st.tuples(_COORD, _COORD))
 @settings(max_examples=300, deadline=None)
-def test_bounded_pass_decides_like_every_pole(a, length, heading, s, log_d,
-                                              side, far):
+def test_pole_pass_sees_every_chord_near_a_pole(a, length, heading, s, log_d,
+                                                side, far):
     # a pole 1e-10 to 1e-5 (or 1e-3 to 10) from the point s of the chord
-    # [a, b], and one more anywhere: the bounded pass must reject the step
-    # and end it at the floor exactly when the exact distances say so
+    # [a, b], and one more anywhere: ``_pole_gap`` is the exact least
+    # distance, and the step loop's screen passes every step whose chord
+    # comes within the floor of a pole on to it.  Poles of residue 0 leave
+    # the step straight, so the loop's step from a is the chord.
     a = complex(*a)
-    b = a + length * cmath.exp(1j * heading)
+    h = 0.5
+    k1 = length * cmath.exp(1j * heading) / h
+    b = engine._stepper(0)((), a, k1, h)[0]
     near = a + s * (b - a) + 10.0 ** log_d * cmath.exp(1j * side)
-    poles = [(near, -0.5), (complex(*far), 0.3)]
-    exact = min(engine._chord_gap(a, b, pos) for pos, _ in poles)
-    bounded = engine._pole_gap(poles, a, b)
-    assert (bounded <= PATH_CLEARANCE) == (exact <= PATH_CLEARANCE)
-    assert (bounded < POLE_FLOOR) == (exact < POLE_FLOOR)
-    # the step loop calls the pass only past its screen on b - p: a chord
-    # within the floor always gets past it
-    screened = any(abs(b - pos) <= abs(b - a) + 4.0 * POLE_FLOOR
-                   for pos, _ in poles)
-    assert screened or bounded == math.inf
+    poles = [(near, 0.0), (complex(*far), 0.0)]
+    assert engine._pole_gap(poles, a, b) == min(
+        engine._chord_gap(a, b, pos) for pos, _ in poles)
+    # a stage point on the far pole would end the step before the screen
+    if engine._chord_gap(a, b, poles[1][0]) <= PATH_CLEARANCE:
+        poles = poles[:1]
+    measured = []
+
+    def recording(poles, z, z1):
+        measured.append((z, z1))
+        return math.inf
+    traj = Trajectory(None)
+    run = engine._step_loop(len(poles))(
+        "standard", poles, traj, (0.0, a, k1, 0j, h, 0), h, (1, None, 0.0),
+        [], 1.0, math.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_pole_gap", recording)
+        with pytest.raises(StopIteration):
+            next(run)
+    assert traj.z == [b]
+    assert measured == [(a, b)] or engine._pole_gap(poles, a, b) >= POLE_FLOOR
 
 
 # -- the pole atlas ------------------------------------------------------------
@@ -214,65 +229,59 @@ def chart_builds(monkeypatch):
     return built
 
 
-def _rows_within_reach(conn, traj, atlas=None):
+def _rows_within_reach(conn, traj):
     """(row, pole) for each row the fall certificate is checked on (not the
-    first, nor a pole-floor end): a row within 0.9 r0 of a residue < -1
-    pole, in the pole's chart, from the row's own chart as the tracer
-    converts it.  A pole that ``atlas`` (the atlas when the trace began, by
-    default empty) holds, or that the trace built, by the start of the row's
-    chart stretch is screened on its chart's disc, 0.9 radius, instead, and
-    one whose chart was refused not at all."""
+    first, nor a pole-floor end): a row within 0.9 radius of the chart of a
+    residue < -1 pole that the atlas holds, in the chart's sphere chart,
+    from the row's own chart as the tracer converts it."""
     out = []
     end = len(traj) - (traj.termination == "pole_approach")
-    discs = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
-             if p.residue < -1.0]
-    known = dict(atlas or {})
+    charts = [conn.atlas[p.location][0] for p in conn.poles
+              if p.residue < -1.0 and conn.atlas[p.location] is not None]
     for k in range(1, end):
-        if k == 1 or k in traj.switches:
-            screen = [(pole, ambient, center, r0) if pole not in known
-                      else (pole, ambient, known[pole][0].center,
-                            known[pole][0].radius)
-                      for pole, ambient, center, r0 in discs
-                      if known.get(pole, True) is not None]
-        chart, z = traj._chart(k), traj.z[k]
-        for pole, ambient, center, r in screen:
-            u = z if ambient == chart else 1.0 / z
-            if abs(u - center) < 0.9 * r:
-                out.append((k, pole))
-                known.setdefault(pole, conn.atlas[pole])
+        z = traj.z[k]
+        for chart in charts:
+            u = z if chart.ambient == traj._chart(k) else 1.0 / z
+            if abs(u - chart.center) < 0.9 * chart.radius:
+                out.append((k, chart.pole))
     return out
 
 
-def _came_within_reach(conn, traj):
-    """The residue < -1 poles within 0.9 r0 of a row the certificate is
-    checked on (``_rows_within_reach``)."""
-    return {pole for _, pole in _rows_within_reach(conn, traj)}
-
-
-def test_classify_builds_only_the_charts_it_reaches(chart_builds):
+def test_first_certified_trace_builds_each_fall_chart(chart_builds):
+    # a connection's first certified trace builds the chart of each of its
+    # residue < -1 poles, reached or not, once; a plain trace, a batch of
+    # traces and a second classification build none
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
     unreached = 0
     for conn, ic in audit_draws(0, 40):
+        trace(conn, ic, 20.0)
+        engine.trace_many(conn, [ic] * engine.LANES_MIN, 5.0)
+        assert chart_builds == []
+        falls = [p.location for p in conn.poles if p.residue < -1.0]
+        traj = classify(conn, ic, budget).details["traj"]
+        assert chart_builds == falls
+        classify(conn, ic, budget)
+        trace(conn, ic, 20.0)
+        assert chart_builds == falls
         chart_builds.clear()
-        verdict = classify(conn, ic, budget)
-        reached = _came_within_reach(conn, verdict.details["traj"])
-        assert sorted(chart_builds, key=repr) == sorted(reached, key=repr)
-        unreached += any(p.residue < -1.0 for p in conn.poles) and not reached
+        reached = {pole for _, pole in _rows_within_reach(conn, traj)}
+        unreached += len(set(falls) - reached)
     assert unreached > 0
 
 
 def test_classify_checks_falls_only_within_reach(monkeypatch):
-    # the fall certificate is tried on exactly the rows within 0.9 r0 of a
-    # residue < -1 pole, for that pole, not on every row of a certified
-    # trace; a certificate that passes ends the trace at its disc.  Once the
-    # atlas holds a pole's entry (a second pass over the same connections),
-    # the rows are those within 0.9 radius of its chart's centre, none if
-    # the chart was refused, and the traces are the same bit for bit
+    # the fall certificate is tried on exactly the rows within 0.9 radius of
+    # a residue < -1 pole's chart, for that pole, none if the chart was
+    # refused, not on every row of a certified trace; a certificate that
+    # passes ends the trace at its disc.  The charts are built when the
+    # first certified trace starts, so a second pass over the same
+    # connections tries the same rows, and the traces are the same bit for
+    # bit
     checked = []
 
-    def counting(conn, pole, other, z, v, _fall=engine._certified_fall):
-        checked.append((z, pole))
-        return _fall(conn, pole, other, z, v)
+    def counting(entry, other, z, v, _fall=engine._certified_fall):
+        checked.append((z, entry[0].pole))
+        return _fall(entry, other, z, v)
     monkeypatch.setattr(engine, "_certified_fall", counting)
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
     draws = audit_draws(0, 40)
@@ -281,10 +290,9 @@ def test_classify_checks_falls_only_within_reach(monkeypatch):
         rows = tried = certified = 0
         for n, (conn, ic) in enumerate(draws):
             checked.clear()
-            atlas = dict(conn.atlas)
             traj = classify(conn, ic, budget).details["traj"]
             within = [(traj.z[k], pole)
-                      for k, pole in _rows_within_reach(conn, traj, atlas)]
+                      for k, pole in _rows_within_reach(conn, traj)]
             if traj.termination == "pole_certified":
                 within = within[:within.index((traj.z[-1],
                                                traj.events[-2][2]["pole"])) + 1]
@@ -297,7 +305,7 @@ def test_classify_checks_falls_only_within_reach(monkeypatch):
             first[n] = hexed(traj.z)
         assert 0 < tried < rows / 2 and certified > 0
         tries.append(tried)
-    assert tries[1] < tries[0]
+    assert tries[1] == tries[0]
 
 
 def test_verify_saddles_builds_each_chart_once(chart_builds):
