@@ -372,8 +372,8 @@ def _verify_saddles(seed):
              side_from_trajectory(b.trajectory)],
             [PolygonVertex(SpherePoint.of(-1.0), "pole", 0.5),
              PolygonVertex(SpherePoint.of(1.0), "pole", 0.5)])
-        charts = {0: pole_chart(conn, SpherePoint.of(-1.0))[0],
-                  1: pole_chart(conn, SpherePoint.of(1.0))[0]}
+        charts = {0: pole_chart(conn, SpherePoint.of(-1.0)),
+                  1: pole_chart(conn, SpherePoint.of(1.0))}
         res = check_p1_formula(conn, poly, enclosed=[SpherePoint.inf()],
                                charts=charts)
         out.append(("two-gon identity", res <= 1e-3, f"residual {res:.3g}"))

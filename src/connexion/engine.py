@@ -567,8 +567,8 @@ def _step_loop(n):
     """The step loop of ``_stepping`` on one chart of n poles: the generator
     run(chart, poles, traj, state, t_max, limits, screen, speed, pause),
     with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
-    started) and screen the fall discs, each as (atlas entry, whether the
-    pole's chart is the other sphere chart, its centre, 0.9 of its radius).
+    started) and screen the fall discs, each as (the pole's chart, whether
+    it is in the other sphere chart, its centre, 0.9 of its radius).
 
     It appends the accepted rows to ``traj`` (s_g once per pause and by the
     caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
@@ -655,9 +655,9 @@ def _step_loop(n):
         "        Ks.append(K)",
         "        if hit is not None:",
         f"            return 'pole_approach', None, {out}",
-        "        for entry, other, centre, radius in screen:",
+        "        for fall, other, centre, radius in screen:",
         "            if abs((1.0/z if other else z) - centre) < radius:",
-        "                cert = _certified_fall(entry, other, z, k1)",
+        "                cert = _certified_fall(fall, other, z, k1)",
         "                if cert is not None:",
         f"                    return 'pole_certified', cert, {out}",
         "        if err > 0:",
@@ -800,16 +800,16 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
     chart the trace is in; this driver takes the options, switches charts
     with hysteresis (the next row is in the new chart), pauses after a
     switch, and writes the termination, its event and the rest of the s_g
-    column.  A certified trace fetches the atlas entry of each residue < -1
-    pole here, once, and screens the pole on ``falls_in``'s own disc,
-    0.9 radius of its chart; a pole the atlas refuses has no disc."""
+    column.  A certified trace fetches the chart of each residue < -1 pole
+    from the atlas here, once, and screens the pole on ``falls_in``'s own
+    disc, 0.9 radius of its chart; a pole the atlas refuses has no disc."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
-    entries = [entry for p in conn.poles if certify and p.residue < -1.0
-               if (entry := pole_chart(conn, p.location))]
-    screens = {c: [(e, e[0].ambient != c, e[0].center, 0.9 * e[0].radius)
-                   for e in entries] for c in (STANDARD, INFINITY)}
+    falls = [fall for p in conn.poles if certify and p.residue < -1.0
+             if (fall := pole_chart(conn, p.location))]
+    screens = {c: [(f, f.ambient != c, f.center, 0.9 * f.radius)
+                   for f in falls] for c in (STANDARD, INFINITY)}
     pause = yield traj
 
     while True:
@@ -1018,14 +1018,14 @@ def state_at(traj: Trajectory, T: float):
     return (z1, v1) if chart == STANDARD else _invert(z1, v1)
 
 
-def _certified_fall(entry, other, z, v):
-    """Payload of the fall certificate of the atlas entry (chart, w_in) for
+def _certified_fall(chart, other, z, v):
+    """Payload of the fall certificate of the adapted chart ``chart`` for
     the state (z, v), or None; ``other`` says the pole's chart is not the
     state's.  ``falls_in`` passes only within 0.9 radius of the chart's
     centre, so the step loop calls this only there."""
     u, vu = _invert(z, v) if other else (z, v)
-    cert = entry[0].falls_in(entry[1], u, vu)
-    return {"pole": entry[0].pole, **cert} if cert else None
+    cert = chart.falls_in(u, vu)
+    return {"pole": chart.pole, **cert} if cert else None
 
 
 def _nearest_pole(conn, chart, u) -> SpherePoint:

@@ -56,14 +56,14 @@ class ZeroVelocity(ConnexionError):
 # -- adapted charts and local theory ------------------------------------------
 
 class ResonantOrLow(ConnexionError):
-    """Resonant residue rho in {-1, -2, ...}: the adapted-chart series
-    divides by j + rho + 1 = 0, so there is no adapted chart."""
+    """Resonant residue rho in {-2, -3, ...}: the adapted-chart series
+    divides by j + rho + 1 = 0 at j = -rho - 1, so there is no adapted
+    chart."""
 
 
 class SeriesDivergence(ConnexionError):
-    """No usable adapted-chart series: its constant |1/(rho+1)|^(1/(rho+1))
-    is not a normal float (rho too close to -1), or the pullback residual
-    test failed at every candidate radius."""
+    """No usable adapted-chart series: the pullback residual test failed at
+    every candidate radius."""
 
 
 class AtPole(ConnexionError):

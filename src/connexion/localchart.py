@@ -1,9 +1,10 @@
 """Local theory around a Fuchsian pole with real residue.
 
-Around a pole with non-resonant residue rho (any rho > -1, and rho < -1
-except the integers) there is an adapted coordinate w in which the
-connection form is exactly rho dw/w.  In that coordinate the geodesics have
-the closed form
+Around a pole with non-resonant residue rho (any rho except -2, -3, ...)
+there is an adapted coordinate w in which the connection form is exactly
+rho dw/w.  The form fixes w up to a constant factor; the chart takes
+w/zeta = 1 at the pole, zeta the ambient offset from it.  In that coordinate
+the geodesics have the closed form
 
     z(t) = e^{i alpha} (a t + b)^{1/(rho+1)}        (rho != -1)
     z(t) = r e^{i (a t + b)}                         (rho == -1)
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,20 +65,6 @@ def _ser_exp(f):
             s += m * f[m] * c[j - m]
         c[j] = s / j
     return c
-
-
-def _ser_log1(g):
-    """log of a series with g[0] = 1, same truncation order."""
-    n = len(g)
-    dg = [j * c for j, c in enumerate(g)]  # z * g'
-    # L' * g = g'  =>  solve for L coefficients: j*L_j = dg_j - sum_{m<j} m L_m g_{j-m}
-    L = [0j] * n
-    for j in range(1, n):
-        s = dg[j]
-        for m in range(1, j):
-            s -= m * L[m] * g[j - m]
-        L[j] = s / j
-    return L
 
 
 # -- adapted chart -------------------------------------------------------------
@@ -123,14 +109,15 @@ class AdaptedChart:
         return {"radius": self.radius, "order": self.order,
                 "residual": self.residual}
 
-    def inscribed_w(self) -> float:
-        """Radius w_in of the w-disc inscribed in the image of
-        |zeta| < 0.9 radius, the circle the residual is checked on: the
-        minimum of |w| over 64 points of that circle."""
+    @cached_property
+    def w_in(self) -> float:
+        """Radius of the w-disc inscribed in the image of |zeta| < 0.9
+        radius, the circle the residual is checked on: the minimum of |w|
+        over 64 points of that circle."""
         zeta = 0.9 * self.radius * np.exp(2j * np.pi * np.arange(64) / 64)
         return float(np.min(np.abs(zeta * np.polyval(self.series[::-1], zeta))))
 
-    def falls_in(self, w_in: float, u: complex, v: complex):
+    def falls_in(self, u: complex, v: complex):
         """Fall certificate of a rho < -1 chart for the ambient state (u, v).
 
         The state passes when |w| < w_in and Re(w'/w) < -FALL_ETA |w'/w|:
@@ -144,8 +131,8 @@ class AdaptedChart:
             return None
         w, dw = self.push_state(u, v)
         q = dw / w
-        if abs(w) < w_in and q.real < -FALL_ETA * abs(q):
-            return {"abs_w": (abs(w), w_in),
+        if abs(w) < self.w_in and q.real < -FALL_ETA * abs(q):
+            return {"abs_w": (abs(w), self.w_in),
                     "descent": (q.real / abs(q), -FALL_ETA)}
         return None
 
@@ -160,12 +147,11 @@ def pole_disc(conn: FuchsianConnection, pole: SpherePoint):
 
 
 def pole_chart(conn: FuchsianConnection, pole: SpherePoint):
-    """The pole's atlas entry, built on the first request: (chart, w_in =
-    chart.inscribed_w()), or None if ``adapted_chart`` refuses the pole."""
+    """The pole's adapted chart, built on the first request and kept in the
+    connection's atlas, or None if ``adapted_chart`` refuses the pole."""
     if pole not in conn.atlas:
         try:
-            chart = adapted_chart(conn, pole)
-            conn.atlas[pole] = chart, chart.inscribed_w()
+            conn.atlas[pole] = adapted_chart(conn, pole)
         except (errors.ResonantOrLow, errors.SeriesDivergence):
             conn.atlas[pole] = None
     return conn.atlas[pole]
@@ -175,20 +161,22 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
     """Series construction of the pole-centered coordinate with form rho dw/w.
 
     The holomorphic part of the local representation is expanded around the
-    pole to order DEFAULT_N, exponentiated into e^F = sum c_j zeta^j, and
+    pole to order DEFAULT_N, exponentiated into e^F = sum c_j zeta^j
+    (c_0 = 1), and with H = sum_{j>=1} c_j zeta^j / (j + rho + 1)
 
-        w = zeta * ( sum_j c_j zeta^j / (j + rho + 1) )^{1/(rho+1)},
+        w = zeta * exp(M),   M = log(1 + (rho+1) H) / (rho+1),
 
-    with w/zeta pinned to the positive real value |1/(rho+1)|^{1/(rho+1)}
-    at zeta = 0.  The divisors j + rho + 1 vanish only for the resonant
-    residues rho = -1, -2, ..., which are refused; so are residues so close
-    to -1 that the pin is not a normal float (``SeriesDivergence``).  The
-    radius starts at half the distance to the nearest other pole and is
-    shrunk geometrically until the pullback residual passes on a grid.
+    so that w/zeta = 1 at zeta = 0; at rho = -1 the same series gives
+    M = H.  The form fixes w only up to a constant factor, and every use of
+    the chart is free of it except ``omega._critical_launch``'s speed.  The
+    divisors j + rho + 1 vanish only for the resonant residues
+    rho = -2, -3, ..., which are refused.  The radius starts at half the
+    distance to the nearest other pole and is shrunk geometrically until the
+    pullback residual passes on a grid.
     """
     ambient, center, r0 = pole_disc(conn, pole)
     rho = conn.residue_at(pole)
-    if rho <= -1.0 and abs(rho - round(rho)) <= 1e-9:
+    if rho < -1.5 and abs(rho - round(rho)) <= 1e-9:
         raise errors.ResonantOrLow(f"residue {rho} is resonant: no adapted chart")
 
     others = [(pos, res) for pos, res in conn.chart_poles(ambient)
@@ -208,20 +196,16 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
         F[m] = f_hol[m - 1] / m
     c = _ser_exp(F)
 
-    G = [cj / (j + rho + 1.0) for j, cj in enumerate(c)]
-    G0 = G[0]  # = 1/(rho+1), real, negative for rho < -1
-    L = _ser_log1([g / G0 for g in G])
-    K = _ser_exp([l / (rho + 1.0) for l in L])
-    # the pin overflows or underflows for rho close to -1
-    try:
-        K0 = abs(G0) ** (1.0 / (rho + 1.0))
-    except OverflowError:
-        K0 = math.inf
-    if not sys.float_info.min <= K0 < math.inf:
-        raise errors.SeriesDivergence(
-            f"constant |1/(rho+1)|^(1/(rho+1)) = {K0} for residue {rho} "
-            "is not a normal float")
-    K = [K0 * k for k in K]
+    # M' (1 + (rho+1) H) = H':  j M_j = j H_j - (rho+1) sum_{m<j} m M_m H_{j-m}
+    s = rho + 1.0
+    H = [0j] + [c[j] / (j + s) for j in range(1, DEFAULT_N + 1)]
+    M = [0j] * (DEFAULT_N + 1)
+    for j in range(1, DEFAULT_N + 1):
+        acc = 0j
+        for m in range(1, j):
+            acc += m * M[m] * H[j - m]
+        M[j] = H[j] - s * acc / j
+    K = _ser_exp(M)
     wc = [0j] + K
     dw = _ser_diff(wc)
     ddw = _ser_diff(dw)
@@ -385,30 +369,17 @@ def self_intersection_radius(rho: float, r: float) -> float:
     A noncritical geodesic whose straightened line passes within tau of the
     origin turns through beta(tau)/(rho+1) with beta(tau) =
     pi - 2 asin(tau / r^{rho+1}); self-intersection needs a full turn, so
-    the threshold tau0 solves beta(tau0) = 2 pi (rho+1).
+    the threshold solves beta(tau0) = 2 pi (rho+1):
+    tau0 = r^{rho+1} cos(pi (rho+1)).  tau is distance in the straightened
+    plane; the matching metric distance from the pole is the length of the
+    radial segment reaching it, tau0 / (rho+1) (``critical_length``).
     """
     if not (-1.0 < rho < -0.5):
         raise errors.OutOfRange(f"rho = {rho} outside (-1, -1/2)")
     if r <= 0:
         raise ValueError("need r > 0")
-    R = r ** (rho + 1.0)
-    target = 2.0 * math.pi * (rho + 1.0)
-
-    def beta(tau):
-        return math.pi - 2.0 * math.asin(min(tau / R, 1.0))
-
-    lo, hi = 0.0, R
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if beta(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    tau0 = lo
-    # tau is distance in the straightened plane; the matching metric distance
-    # from the pole is the length of the radial segment reaching it
-    s_min = tau0 ** (1.0 / (rho + 1.0))
-    return critical_length(rho, s_min)
+    s = rho + 1.0
+    return r ** s * math.cos(math.pi * s) / s
 
 
 def entry_direction(chart: AdaptedChart, segment) -> float:

@@ -276,7 +276,8 @@ def _tail_convergence(traj: Trajectory):
     Poles with residue <= -1 sit at infinite metric distance, so a geodesic
     falling into one never reaches the pole floor.  ``classify`` certifies
     such falls for non-resonant residues < -1; this heuristic covers the
-    resonant poles (rho = -1, -2, ...) and the traces not certified within
+    poles of residue -1, which the certificate does not screen, the
+    resonant poles (rho = -2, -3, ...) and the traces not certified within
     budget, from a monotonically shrinking chart distance over the tail.
     """
     if len(traj) < 40:
@@ -485,10 +486,9 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
             continue
-        entry = pole_chart(conn, p.location)
-        if entry is None:
+        chart = pole_chart(conn, p.location)
+        if chart is None:
             continue
-        chart = entry[0]
         for k in range(n_grid):
             phi = TWO_PI * k / n_grid
             launch = _critical_launch(conn, chart, 0.05 * chart.radius, phi)
@@ -512,21 +512,29 @@ def _end_stub(conn, end, tr):
     """The metric length of the critical ray from the trace's last row to
     the end pole, in closed form (``_ray_stub``) where that pole is finite,
     has residue > -1 and has a chart; else 0."""
-    entry = None
+    chart = None
     if not end.infinite and conn.residue_at(end) > -1.0:
-        entry = pole_chart(conn, end)
-    if entry is None:
+        chart = pole_chart(conn, end)
+    if chart is None:
         return 0.0
-    return _ray_stub(conn, entry[0], tr.support_std()[-1])
+    return _ray_stub(conn, chart, tr.support_std()[-1])
 
 
 def _critical_launch(conn, chart, r0, phi):
     """(state, stub): the state on the critical ray with adapted-coordinate
     argument phi at ambient radius r0, moving away from the pole, or None
     where no trace can start; and the metric length of the ray from the pole
-    to it (``_ray_stub``)."""
+    to it (``_ray_stub``).  The launch has unit speed in K0 w, with
+    K0 = |rho+1|^(-1/(rho+1)); K0 overflows for rho close to -1, and such a
+    pole gets no launch.  The speed sets how far each launch reaches by
+    t_max, and so which connections the search finds."""
+    s = chart.rho + 1.0
+    try:
+        K0 = abs(1.0 / s) ** (1.0 / s)
+    except OverflowError:
+        return None
     # find the ambient point whose adapted coordinate has argument phi;
-    # w(zeta) = zeta*K(zeta) with K(0) real positive, so start at arg phi
+    # w(zeta) = zeta*K(zeta) with K(0) = 1, so start at arg phi
     zeta = r0 * cmath.exp(1j * phi)
     for _ in range(30):
         w = chart.to_w(chart.center + zeta)
@@ -537,7 +545,7 @@ def _critical_launch(conn, chart, r0, phi):
     u = chart.center + zeta
     w = chart.to_w(u)
     vw = w / abs(w)                 # outward critical direction in w
-    dv = chart.dw(u)
+    dv = K0 * chart.dw(u)
     if dv == 0:
         return None
     state = GeodesicState(chart.ambient, u, vw / dv)

@@ -72,7 +72,7 @@ def saddle_launches(conn, n_grid=64):
     """The critical launches of ``saddle_connection_search``."""
     out = []
     for pos, _ in conn.chart_poles("standard"):
-        chart = pole_chart(conn, SpherePoint.of(pos))[0]
+        chart = pole_chart(conn, SpherePoint.of(pos))
         for k in range(n_grid):
             out.append(_critical_launch(conn, chart, 0.05 * chart.radius,
                                         2.0 * math.pi * k / n_grid)[0])

@@ -8,7 +8,8 @@ moves verdicts on purpose rewrites the corpus with
 
     PYTHONPATH=src python tests/test_corpus.py
 
-and lists the moved lines in its CHANGES.md entry.
+which prints the lines it moved, the same diff the test prints on failure,
+and lists them in its CHANGES.md entry.
 """
 
 import difflib
@@ -39,15 +40,24 @@ def corpus(seed: int) -> list:
             for line, v in zip(rep["lines"], rep["verdicts"])] + rep["lines"][-1:]
 
 
+def moved(seed: int, got: list) -> list:
+    """The unified diff, without context, from the checked-in corpus of
+    ``seed`` to the lines ``got``."""
+    name = f"audit_{seed}.txt"
+    want = (DATA / name).read_text().splitlines()
+    return list(difflib.unified_diff(want, got, name, "exclusion_audit",
+                                     lineterm="", n=0))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_audit_matches_corpus(seed):
-    want = (DATA / f"audit_{seed}.txt").read_text().splitlines()
-    got = corpus(seed)
-    moved = list(difflib.unified_diff(want, got, "corpus", "audit", lineterm="",
-                                      n=0))
-    assert not moved, "\n".join(moved)
+    diff = moved(seed, corpus(seed))
+    assert not diff, "\n".join(diff)
 
 
 if __name__ == "__main__":
     for seed in SEEDS:
-        (DATA / f"audit_{seed}.txt").write_text("\n".join(corpus(seed)) + "\n")
+        got = corpus(seed)
+        for line in moved(seed, got):
+            print(line)
+        (DATA / f"audit_{seed}.txt").write_text("\n".join(got) + "\n")

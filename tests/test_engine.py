@@ -1115,8 +1115,8 @@ def _reference_fall(conn, falls, chart, z, v):
     certificate it passes."""
     for pole, ambient, center, r0 in falls:
         u, vu = (z, v) if ambient == chart else engine._invert(z, v)
-        entry = pole_chart(conn, pole) if abs(u - center) < 0.9 * r0 else None
-        cert = entry and entry[0].falls_in(entry[1], u, vu)
+        fall = pole_chart(conn, pole) if abs(u - center) < 0.9 * r0 else None
+        cert = fall and fall.falls_in(u, vu)
         if cert:
             return {"pole": pole, **cert}
     return None

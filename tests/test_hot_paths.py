@@ -236,7 +236,7 @@ def _rows_within_reach(conn, traj):
     from the row's own chart as the tracer converts it."""
     out = []
     end = len(traj) - (traj.termination == "pole_approach")
-    charts = [conn.atlas[p.location][0] for p in conn.poles
+    charts = [conn.atlas[p.location] for p in conn.poles
               if p.residue < -1.0 and conn.atlas[p.location] is not None]
     for k in range(1, end):
         z = traj.z[k]
@@ -279,9 +279,9 @@ def test_classify_checks_falls_only_within_reach(monkeypatch):
     # bit
     checked = []
 
-    def counting(entry, other, z, v, _fall=engine._certified_fall):
-        checked.append((z, entry[0].pole))
-        return _fall(entry, other, z, v)
+    def counting(chart, other, z, v, _fall=engine._certified_fall):
+        checked.append((z, chart.pole))
+        return _fall(chart, other, z, v)
     monkeypatch.setattr(engine, "_certified_fall", counting)
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
     draws = audit_draws(0, 40)

@@ -22,13 +22,13 @@ from conftest import single_pole
 
 class TestAdaptedChart:
     def test_single_pole_chart_is_scaled_identity(self):
-        # for f = rho/z the adapted coordinate is w = z / (rho+1)^{1/(rho+1)}
+        # for f = rho/z the adapted coordinate is w = z times a constant,
+        # and the chart takes the constant w/zeta = 1
         conn = single_pole(0.5)
         chart = adapted_chart(conn, SpherePoint.of(0.0))
-        scale = (1.0 / 1.5) ** (1.0 / 1.5)
         for u in (0.01, 0.2j, 0.1 - 0.1j):
             if abs(u) < chart.radius:
-                assert chart.to_w(u) == pytest.approx(scale * u, rel=1e-10)
+                assert chart.to_w(u) == u
 
     def test_residual_below_tolerance(self):
         conn = build_connection([(SpherePoint.of(0.0), 0.5),
@@ -50,9 +50,13 @@ class TestAdaptedChart:
             u = complex(u)
             assert chart.dw(u) == _ser_eval(dw, u - chart.center)
 
-    def test_low_residue_rejected(self, circle_conn):
-        with pytest.raises(errors.ResonantOrLow):
-            adapted_chart(circle_conn, SpherePoint.of(0.0))
+    def test_residue_minus_one_chart(self, circle_conn):
+        # rho = -1 is not resonant: with only the pole at infinity besides,
+        # the chart is w = zeta, exactly
+        chart = adapted_chart(circle_conn, SpherePoint.of(0.0))
+        assert chart.residual == 0.0
+        assert all(c == 0 for c in chart.series[1:])
+        assert chart.to_w(0.3 - 0.2j) == 0.3 - 0.2j
 
     def test_report_keys(self):
         chart = adapted_chart(single_pole(1.0), SpherePoint.of(0.0))
@@ -65,19 +69,62 @@ class TestAdaptedChart:
         chart = adapted_chart(conn, SpherePoint.of(0.0))
         assert chart.residual <= 1e-8
         assert 0 < chart.radius <= 0.5
-        # w/zeta is pinned to the positive real |1/(rho+1)|^{1/(rho+1)}
-        assert chart.series[0] == pytest.approx(2.0 ** -2.0, rel=1e-14)
+        # the chart takes w/zeta = 1 at the pole
+        assert chart.series[0] == 1
 
     def test_resonant_residue_rejected(self):
         with pytest.raises(errors.ResonantOrLow):
             adapted_chart(single_pole(-2.0), SpherePoint.of(0.0))
 
     @pytest.mark.parametrize("rho", [-0.995, -1.0028])
-    def test_pin_out_of_float_range_rejected(self, rho):
+    def test_near_resonant_residue_charted(self, rho):
         # |1/(rho+1)|^{1/(rho+1)} overflows at -0.995 and underflows to 0
-        # at -1.0028; both are refused before any residual round
-        with pytest.raises(errors.SeriesDivergence, match="normal float"):
-            adapted_chart(single_pole(rho), SpherePoint.of(0.0))
+        # at -1.0028; the chart carries no such constant and builds
+        chart = adapted_chart(single_pole(rho), SpherePoint.of(0.0))
+        assert chart.residual <= 1e-8
+
+
+def two_pole_chart(rho, q, rho_q):
+    """The chart at 0 of residue rho, with a second pole of residue rho_q
+    at q."""
+    conn = build_connection([(SpherePoint.of(0.0), rho),
+                             (SpherePoint.of(q), rho_q)])
+    return conn, adapted_chart(conn, SpherePoint.of(0.0))
+
+
+class TestChartAtMinusOne:
+    """Charts at and near rho = -1: they build, reach as far as the
+    rho = -1 chart, and straighten the geodesics."""
+
+    @given(st.one_of(st.just(-1.0), st.floats(min_value=-1.01, max_value=-0.99)),
+           st.floats(min_value=0.3, max_value=2.0),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=-0.8, max_value=1.0),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_chart_straightens_geodesics(self, rho, d, th, rho_q, th0, phi):
+        q = d * cmath.exp(1j * th)
+        conn, chart = two_pole_chart(rho, q, rho_q)
+        assert chart.residual <= 1e-8
+        assert chart.radius >= 0.8 * two_pole_chart(-1.0, q, rho_q)[1].radius
+        # the metric is C |w|^rho |dw|, and a trace keeps its metric speed:
+        # W moves on a straight line at constant speed
+        z0 = 0.5 * chart.radius * cmath.exp(1j * th0)
+        speeds = []
+        for s in trace(conn, (z0, cmath.exp(1j * phi)), 2.0).samples:
+            if abs(s.z_std) < 0.9 * chart.radius:
+                w, dw = chart.push_state(s.z_std, s.v_std)
+                speeds.append(abs(w) ** rho * abs(dw))
+        assert len(speeds) > 1
+        assert max(abs(x / speeds[0] - 1.0) for x in speeds) <= 1e-8
+
+    def test_entry_direction_matches_local_params(self):
+        conn, chart = two_pole_chart(-1.0, 1.0 + 0.5j, 0.4)
+        for u, v in ((0.1, 0.3j), (-0.05 + 0.1j, 1.0 - 0.2j), (0.2j, -1.0)):
+            par = local_params(-1.0, 1.0, *chart.push_state(u, v))
+            assert entry_direction(chart, (u, v)) == \
+                pytest.approx(cmath.phase(par.a) % (2 * math.pi), abs=1e-12)
 
 
 def first_certified_index(traj, chart, w_in):
@@ -101,13 +148,13 @@ class TestFallCertificate:
         (1.0, 1.0, 1.5),                              # radially outward
     ])
     def test_exact_chart_certifies_first_inward_sample(self, z0, v0, t_max):
-        # one pole of residue -1.5: w = z / 4 exactly, so the disc is
+        # one pole of residue -1.5: w = z exactly, so the disc is
         # |z| < 0.9 radius and |w| decreases exactly when Re(v/z) < 0
         conn = single_pole(-1.5)
         chart = adapted_chart(conn, SpherePoint.of(0.0))
-        w_in = chart.inscribed_w()
+        w_in = chart.w_in
         assert chart.residual == 0.0
-        assert w_in == pytest.approx(0.9 * chart.radius / 4.0, rel=1e-12)
+        assert w_in == pytest.approx(0.9 * chart.radius, rel=1e-12)
         full = trace(conn, (z0, v0), t_max)
         cert = trace(conn, (z0, v0), t_max, certify=True)
         k = first_certified_index(full, chart, w_in)
@@ -121,7 +168,7 @@ class TestFallCertificate:
         assert (t, kind) == (cert.t_end, "pole_certified")
         assert payload["pole"] == SpherePoint.of(0.0)
         z, v = cert.samples[-1].z_std, cert.samples[-1].v_std
-        assert payload["abs_w"] == (pytest.approx(abs(z) / 4.0), w_in)
+        assert payload["abs_w"] == (pytest.approx(abs(z)), w_in)
         assert payload["descent"] == (
             pytest.approx((v / z).real / abs(v / z)), -FALL_ETA)
 
@@ -138,7 +185,7 @@ class TestFallCertificate:
         conn = build_connection([(SpherePoint.of(0.0), -1.5),
                                  (SpherePoint.of(1.0), 0.3)])
         chart = adapted_chart(conn, SpherePoint.of(0.0))
-        w_in = chart.inscribed_w()
+        w_in = chart.w_in
         ic = (-0.8 + 0.1j, 1.0 + 0.25j)
         full = trace(conn, ic, 20.0)
         cert = trace(conn, ic, 20.0, certify=True)

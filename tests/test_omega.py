@@ -256,8 +256,9 @@ class TestSaddleConnections:
         assert seg.length == pytest.approx(exact, rel=1e-10)
 
     def test_near_resonant_pole_is_skipped(self):
-        # the pin |1/(rho+1)|^{1/(rho+1)} of the rho = -0.995 chart overflows;
-        # the search skips that pole instead of raising OverflowError
+        # the launch speed's K0 = |rho+1|^{-1/(rho+1)} overflows at
+        # rho = -0.995; the search skips that pole instead of raising
+        # OverflowError
         conn = build_connection([(SpherePoint.of(0.0), -0.995),
                                  (SpherePoint.of(1.0), 0.5)])
         sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
