@@ -1,10 +1,19 @@
-"""The verdict corpus: ``exclusion_audit(200, seed)`` at seeds 0, 1 and 1000,
-one line per configuration, checked in under ``tests/data``.
+"""The checked-in corpora under ``tests/data``.
 
-Each line is the audit's own line plus the verdict's source: the fall
-certificate, the pole floor, the tail heuristic, the period detector, or
-another detector.  The last line is the audit's summary.  A change that
-moves verdicts on purpose rewrites the corpus with
+The verdict corpus: ``exclusion_audit(200, seed)`` at seeds 0, 1 and 1000,
+one line per configuration.  Each line is the audit's own line plus the
+verdict's source: the fall certificate, the pole floor, the tail
+heuristic, the period detector, or another detector.  The last line is the
+audit's summary.
+
+The saddle corpus: ``saddle_connection_search`` on 19 connections at three
+(n_grid, t_max) settings, one line per connection found: the search's
+index and settings, the start and end poles, the launch angle (``repr``),
+the trajectory's row count and the length to 10 significant digits.  The
+lines of one search are sorted by (start, end, angle), so mirror pairs of
+equal length keep their order.
+
+A change that moves either corpus on purpose rewrites both with
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -15,12 +24,16 @@ and lists them in its CHANGES.md entry.
 import difflib
 import pathlib
 
+import numpy as np
 import pytest
 
-from connexion.omega import exclusion_audit
+from connexion import SpherePoint, build_connection
+from connexion.omega import (exclusion_audit, random_connection,
+                             saddle_connection_search)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SEEDS = (0, 1, 1000)
+SADDLE_SETTINGS = ((64, 40.0), (8, 20.0), (64, 10.0))
 
 
 def source(verdict) -> str:
@@ -40,24 +53,64 @@ def corpus(seed: int) -> list:
             for line, v in zip(rep["lines"], rep["verdicts"])] + rep["lines"][-1:]
 
 
-def moved(seed: int, got: list) -> list:
-    """The unified diff, without context, from the checked-in corpus of
-    ``seed`` to the lines ``got``."""
-    name = f"audit_{seed}.txt"
+def saddle_connections() -> list:
+    """The first twelve ``random_connection`` draws of ``default_rng(11)``
+    with two finite poles of residue > -1, the two-gons at -1, 1 with
+    residue 0.5, -0.3, -0.5, -0.7 and -0.9 at both, and the bench two-gon
+    (residue 0.5 at -p, p) at p = 1 and p = i."""
+    rng, out = np.random.default_rng(11), []
+    while len(out) < 12:
+        conn = random_connection(rng)
+        if sum(not p.location.infinite and p.residue > -1.0
+               for p in conn.poles) >= 2:
+            out.append(conn)
+    out += [build_connection([(SpherePoint.of(-1.0), rho),
+                              (SpherePoint.of(1.0), rho)])
+            for rho in (0.5, -0.3, -0.5, -0.7, -0.9)]
+    out += [build_connection([(SpherePoint.of(-p), 0.5), (SpherePoint.of(p), 0.5)])
+            for p in (1.0, 1j)]
+    return out
+
+
+def saddle_corpus() -> list:
+    lines, k = [], 0
+    for conn in saddle_connections():
+        for n_grid, t_max in SADDLE_SETTINGS:
+            found = sorted(saddle_connection_search(conn, n_grid, t_max),
+                           key=lambda s: (repr(s.start_pole), repr(s.end_pole),
+                                          s.launch_angle))
+            lines += [f"search={k} n_grid={n_grid} t_max={t_max} "
+                      f"start={s.start_pole!r} end={s.end_pole!r} "
+                      f"angle={s.launch_angle!r} rows={len(s.trajectory)} "
+                      f"length={s.length:.10g}" for s in found]
+            k += 1
+    return lines
+
+
+def moved(name: str, got: list) -> list:
+    """The unified diff, without context, from the checked-in corpus
+    ``name`` to the lines ``got``."""
     want = (DATA / name).read_text().splitlines()
-    return list(difflib.unified_diff(want, got, name, "exclusion_audit",
+    return list(difflib.unified_diff(want, got, name, "computed",
                                      lineterm="", n=0))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_audit_matches_corpus(seed):
-    diff = moved(seed, corpus(seed))
+    diff = moved(f"audit_{seed}.txt", corpus(seed))
+    assert not diff, "\n".join(diff)
+
+
+def test_saddles_match_corpus():
+    diff = moved("saddles.txt", saddle_corpus())
     assert not diff, "\n".join(diff)
 
 
 if __name__ == "__main__":
-    for seed in SEEDS:
-        got = corpus(seed)
-        for line in moved(seed, got):
-            print(line)
-        (DATA / f"audit_{seed}.txt").write_text("\n".join(got) + "\n")
+    written = {f"audit_{seed}.txt": corpus(seed) for seed in SEEDS}
+    written["saddles.txt"] = saddle_corpus()
+    for name, got in written.items():
+        if (DATA / name).exists():
+            for line in moved(name, got):
+                print(line)
+        (DATA / name).write_text("\n".join(got) + "\n")
