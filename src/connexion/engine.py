@@ -74,14 +74,18 @@ counters).  A pause clamps no step, so a paused trajectory is a prefix of the
 finished one, switches and events included; ``trace`` runs it without pauses.
 
 ``trace_many`` steps the starts of one connection in lockstep numpy lanes,
-each with its own h and chart; pads of residue 0 far off give both charts'
-pole tables one width.  A lane returns to the scalar loop (``_stepping``)
-from its last accepted state when its chord enters a pole floor, and once
-fewer than ``LANES_MIN`` lanes are left, the measured crossover below which
-the scalar loop is faster (and the least batch that uses lanes).  numpy
-rounds complex logarithms and divisions otherwise than CPython and the lanes
-sum the stages in another order, so a lane may take other steps than
-``trace``: its end state agrees to a tolerance, not bit for bit.
+each with its own h and chart, on its chart's pole table; only a batch
+split across the charts pads both tables to one width with poles of
+residue 0 far off.  Chord gaps are measured only when a lane passes the
+scalar loop's reach screen.  A lane returns to the scalar loop
+(``_stepping``) from its last accepted state when its chord enters a pole
+floor, and once fewer than ``LANES_MIN`` lanes are left, the measured
+crossover below which the scalar loop is faster (and the least batch that
+uses lanes); with ``pole_rows_only`` only those lanes keep their rows, as
+the others never end at a pole.  numpy rounds complex logarithms and
+divisions otherwise than CPython and the lanes sum the stages in another
+order, so a lane may take other steps than ``trace``: its end state agrees
+to a tolerance, not bit for bit.
 
 With ``certify=True`` a trace also stops, with termination
 ``"pole_certified"``, as soon as an accepted state passes the fall
@@ -693,17 +697,17 @@ def _lane_tableau():
 
 def _lane_step(P, R, z, k1, h):
     """The step of ``_stepper`` for each lane i from z[i], k1[i] with size
-    h[i], among the poles P[:, i] of residues R[:, i]: arrays (z1, dK, k13,
-    err), non-finite where a stage point is on a pole.  log r, r = (zs - p) /
-    (z - p), is log|r| + i arg r: numpy's complex ``log`` is several times
-    slower."""
+    h[i], among the poles P[:, i] of residues R[:, i] (column 0 if only one):
+    arrays (z1, dK, k13, err), non-finite where a stage point is on a pole.
+    log r, r = (zs - p) / (z - p), is log|r| + i arg r: numpy's complex
+    ``log`` is several times slower."""
     tab = _lane_tableau()
     H = np.empty((13, len(z)), complex)     # z, then h k1 ... h k12
     Hr = H.view(float)                      # each row as (re, im) pairs
     H[0] = z
     hk1 = np.multiply(h, k1, out=H[1])
     za, nR = 1.0 / (z - P), -R
-    L = np.empty(P.shape, complex)
+    L = np.empty((len(P), len(z)), complex)
 
     def log_r(zs):
         r = (zs - P) * za
@@ -848,30 +852,36 @@ def _fill_s_g(traj, speed):
 
 
 def trace_many(conn: FuchsianConnection, starts, t_max: float,
-               opts: IntegratorOptions | None = None) -> list:
+               opts: IntegratorOptions | None = None, *,
+               pole_rows_only: bool = False) -> list:
     """``trace`` of each start: in lanes (module docstring), or start by start
-    in ``trace``'s loop for fewer than ``LANES_MIN`` starts or a time budget."""
+    in ``trace``'s loop for fewer than ``LANES_MIN`` starts or a time budget.
+    With ``pole_rows_only`` a trace that ends in the lanes (never at a pole)
+    keeps only its start row, termination and events."""
     opts = opts or IntegratorOptions()
     begun = [_start(conn, s, t_max) for s in starts]
     if len(begun) >= LANES_MIN and opts.max_seconds is None:
-        states = _lanes(conn, begun, t_max, opts.max_steps)
+        states = _lanes(conn, begun, t_max, opts.max_steps, pole_rows_only)
         begun = [(traj, st) for (traj, _), st in zip(begun, states)]
     return [traj if state is None
             else _run_out(_stepping(conn, traj, state, t_max, opts))
             for traj, state in begun]
 
 
-def _lanes(conn, begun, t_max, max_steps):
+def _lanes(conn, begun, t_max, max_steps, pole_rows_only):
     """The lockstep loop over the pairs of ``_start``: writes the lanes' rows,
     switches and events into their trajectories and returns per lane the
     state it hands back to ``_stepping``, or None where it finished."""
     charts = (STANDARD, INFINITY)
     tables = [conn.chart_poles(c) for c in charts]
     m = max(map(len, tables))
-    # a column per chart, padded with residue-0 poles far off
+    # a column per chart, padded with residue-0 poles far off; a batch in
+    # one chart steps on that chart's column without the pads
     P = np.array([[p for p, _ in tb] + [1e150] * (m - len(tb))
                   for tb in tables], complex).T
     R = np.array([[r for _, r in tb] + [0.0] * (m - len(tb)) for tb in tables]).T
+    own = [(P[:len(tb), c:c + 1], R[:len(tb), c:c + 1])
+           for c, tb in enumerate(tables)]
     t, z, v, K, ch, h, steps, speed = map(np.array, zip(*(s for _, s in begun)))
     ch = (ch == INFINITY).astype(int)
     lane, rows = np.arange(len(begun)), np.ones(len(begun), int)
@@ -886,72 +896,90 @@ def _lanes(conn, begun, t_max, max_steps):
 
     with np.errstate(all="ignore"):
         while True:
-            hc = np.minimum(np.minimum(h, t_max - t), H_MAX)
+            h = np.minimum(np.minimum(h, t_max - t), H_MAX)
             end = ((t >= t_max) | (steps >= max_steps)
-                   | (hc < 1e-14 * np.maximum(1.0, np.abs(t))))
-            for j in np.flatnonzero(end):   # as the scalar loop orders them
+                   | (h < 1e-14 * np.maximum(1.0, np.abs(t))))
+            ended = np.flatnonzero(end)
+            for j in ended:   # as the scalar loop orders them
                 tr, tj = trajs[lane[j]], float(t[j])
                 tr.termination = ("t_max" if tj >= t_max else "max_steps"
                                   if steps[j] >= max_steps else "step_collapse")
                 if tr.termination == "step_collapse":
-                    tr.events.append((tj, "step_collapse", {"h": float(hc[j])}))
+                    tr.events.append((tj, "step_collapse", {"h": float(h[j])}))
                 tr.events.append((tj, "terminated", {"reason": tr.termination}))
-            if np.count_nonzero(~end) < LANES_MIN:
-                hand_back(np.flatnonzero(~end))
+            if len(ended):      # a lane ended: compress
+                lane, t, z, v, K, ch, h, steps = (
+                    x[~end] for x in (lane, t, z, v, K, ch, h, steps))
+            if len(lane) < LANES_MIN:
+                hand_back(range(len(lane)))
                 break
-            lane, t, z, v, K, ch, h, steps = (
-                x[~end] for x in (lane, t, z, v, K, ch, hc, steps + 1))
+            steps = steps + 1
 
-            Pl = P[:, ch]
-            z1, dK, v1, err = _lane_step(Pl, R[:, ch], z, v, h)
-            err /= ATOL + RTOL * np.maximum(np.abs(z), np.abs(z1))
-            ok = (err <= 1.0) & np.isfinite(np.abs(z1))
-            fac = np.where(ok | ((1.0 < err) & (err < math.inf)),
-                           np.clip(0.9 * err ** -0.125, 0.2, 5.0), 0.1)
-            # _chord_gap to each pole: a chord within PATH_CLEARANCE halves the
-            # step, and one that enters the pole floor goes to the scalar loop
-            seg, da = z1 - z, z - Pl
-            tp = -(da.real * seg.real + da.imag * seg.imag) / np.abs(seg) ** 2
-            gap = np.where((0.0 < tp) & (tp < 1.0), np.abs(da + tp * seg),
-                           np.minimum(np.abs(da), np.abs(z1 - Pl))).min(0)
-            floor = ok & (PATH_CLEARANCE < gap) & (gap < POLE_FLOOR)
-            acc = ok & (gap >= POLE_FLOOR)
-            fac[ok & (gap <= PATH_CLEARANCE)], fac[floor] = 0.5, 1.0
+            c = ch[0]
+            Pl, Rl = own[c] if (ch == c).all() else (P[:, ch], R[:, ch])
+            z1, dK, v1, err = _lane_step(Pl, Rl, z, v, h)
+            az1 = np.abs(z1)
+            err /= ATOL + RTOL * np.maximum(np.abs(z), az1)
+            ok = (err <= 1.0) & np.isfinite(az1)
+            fac = np.where(ok | ((1.0 < err) & (err < math.inf)), np.minimum(
+                np.maximum(0.9 * err ** -0.125, 0.2), 5.0), 0.1)
+            # _chord_gap to each pole if a lane passes _step_loop's reach
+            # screen: a chord within PATH_CLEARANCE halves the step, and one
+            # that enters the pole floor goes to the scalar loop
+            seg, acc, floor = z1 - z, ok, None
+            if (np.abs(z1 - Pl) <= np.abs(seg) + 4.0 * POLE_FLOOR).any():
+                da = z - Pl
+                tp = -(da.real * seg.real + da.imag * seg.imag) / np.abs(seg) ** 2
+                gap = np.where((0.0 < tp) & (tp < 1.0), np.abs(da + tp * seg),
+                               np.minimum(np.abs(da), np.abs(z1 - Pl))).min(0)
+                floor = ok & (PATH_CLEARANCE < gap) & (gap < POLE_FLOOR)
+                acc = ok & (gap >= POLE_FLOOR)
+                fac[ok & (gap <= PATH_CLEARANCE)], fac[floor] = 0.5, 1.0
 
-            t, z, v, K = (np.where(acc, a, b) for a, b in (
-                (t + h, t), (z1, z), (v1, v), (K + dK, K)))
-            for col, x in zip(logs, (lane, t, z, v, K)):
-                col.append(x[acc])
-            rows[lane[acc]] += 1
+            if acc.all():
+                t, z, v, K = t + h, z1, v1, K + dK
+                new = lane, t, z, v, K
+            else:
+                t, z, v, K = (np.where(acc, a, b) for a, b in (
+                    (t + h, t), (z1, z), (v1, v), (K + dK, K)))
+                new = (x[acc] for x in (lane, t, z, v, K))
+            for col, x in zip(logs, new):
+                col.append(x)
+            rows[logs[0][-1]] += 1
             h = h * fac
-            # chart switches, as in the scalar loop
-            sw = acc & (np.abs(z) > np.where(ch, 1.5 / SWITCH_RADIUS,
-                                             SWITCH_RADIUS))
+            # chart switches, as in the scalar loop (an accepted z is z1);
+            # z, v and K are new arrays, since the logs may hold the old ones
+            sw = acc & (az1 > np.where(ch, 1.5 / SWITCH_RADIUS, SWITCH_RADIUS))
             if sw.any():
-                zw = z[sw]
-                K[sw] += np.log(-zw ** 2)
-                z[sw], v[sw] = 1.0 / zw, -v[sw] / zw ** 2
+                z, v, K = (np.where(sw, a, b) for a, b in (
+                    (1.0 / z, z), (-v / z ** 2, v), (K + np.log(-z ** 2), K)))
                 ch[sw] ^= 1
                 for j in np.flatnonzero(sw):
                     trajs[lane[j]].switches.append(int(rows[lane[j]]))
                     trajs[lane[j]].events.append(
                         (float(t[j]), "chart_switch", {"to": charts[ch[j]]}))
-            if floor.any():
+            if floor is not None and floor.any():
                 steps = steps - floor      # the scalar loop retakes the step
                 hand_back(np.flatnonzero(floor))
                 lane, t, z, v, K, ch, h, steps = (
                     x[~floor] for x in (lane, t, z, v, K, ch, h, steps))
 
-    # each lane's rows, in step order, one column at a time
-    order = np.argsort(np.concatenate([[0], *logs[0]])[1:], kind="stable")
-    ends = np.cumsum(rows - 1).tolist()
+    # each kept lane's rows, in step order, one column at a time
+    keep = np.array([not pole_rows_only or o is not None for o in out])
+    at = np.concatenate([[0], *logs[0]])[1:]
+    sel = np.flatnonzero(keep[at])
+    order = sel[np.argsort(at[sel], kind="stable")]
+    kept = np.flatnonzero(keep)
+    ends = np.cumsum(rows[kept] - 1).tolist()
     for k, name in enumerate(("t", "z", "v", "K"), 1):
         col = np.concatenate([[0.0], *logs[k]])[1:][order]
         logs[k].clear()
-        for i, (tr, lo, hi) in enumerate(zip(trajs, [0, *ends], ends)):
-            getattr(tr, name).extend(col[lo:hi].tolist())
+        for i, lo, hi in zip(kept, [0, *ends], ends):
+            getattr(trajs[i], name).extend(col[lo:hi].tolist())
             if k == 1:
-                tr.s_g.extend((speed[i] * col[lo:hi]).tolist())
+                trajs[i].s_g.extend((speed[i] * col[lo:hi]).tolist())
+    for i in np.flatnonzero(~keep):
+        trajs[i].switches.clear()     # their rows are gone
     return out
 
 

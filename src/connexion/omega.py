@@ -478,10 +478,10 @@ class SaddleConnection:
 
 def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                              t_max: float = 40.0) -> list:
-    """Launch reversed critical rays from each pole with residue > -1 on an
-    angular grid, at 0.05 of its adapted-chart radius, and keep the launches
-    that land in another pole's funnel.  All launches are traced together
-    (``trace_many``)."""
+    """Launch reversed critical rays from each finite pole with residue > -1
+    on an angular grid, at 0.05 of its adapted-chart radius, and keep the
+    launches that land in another pole's funnel.  All launches are traced
+    together (``trace_many``), with rows only for those that may land."""
     launches = []
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
@@ -495,7 +495,8 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
             if launch is not None:
                 launches.append((p.location, phi, *launch))
     found = []
-    trajs = trace_many(conn, [launch[2] for launch in launches], t_max)
+    trajs = trace_many(conn, [launch[2] for launch in launches], t_max,
+                       pole_rows_only=True)
     for (start, phi, _, stub), tr in zip(launches, trajs):
         if tr.termination != "pole_approach":
             continue
@@ -517,7 +518,8 @@ def _end_stub(conn, end, tr):
         chart = pole_chart(conn, end)
     if chart is None:
         return 0.0
-    return _ray_stub(conn, chart, tr.support_std()[-1])
+    u = tr.support_std()[-1]
+    return _ray_stub(conn, chart, u, chart.to_w(u), chart.dw(u))
 
 
 def _critical_launch(conn, chart, r0, phi):
@@ -533,35 +535,34 @@ def _critical_launch(conn, chart, r0, phi):
         K0 = abs(1.0 / s) ** (1.0 / s)
     except OverflowError:
         return None
-    # find the ambient point whose adapted coordinate has argument phi;
-    # w(zeta) = zeta*K(zeta) with K(0) = 1, so start at arg phi
-    zeta = r0 * cmath.exp(1j * phi)
+    # Newton on theta, zeta = r0 e^(i theta), for arg w = phi: d arg w / d
+    # theta = Re(zeta w'/w); w/zeta = 1 at the pole, so start at phi
+    theta = phi
     for _ in range(30):
-        w = chart.to_w(chart.center + zeta)
+        zeta = r0 * cmath.exp(1j * theta)
+        u = chart.center + zeta
+        w, dw = chart.to_w(u), chart.dw(u)
         err = (cmath.phase(w) - phi + math.pi) % TWO_PI - math.pi
-        if abs(err) < 1e-13:
+        if abs(err) < 1e-13 or dw == 0:
             break
-        zeta *= cmath.exp(-1j * err)
-    u = chart.center + zeta
-    w = chart.to_w(u)
-    vw = w / abs(w)                 # outward critical direction in w
-    dv = K0 * chart.dw(u)
-    if dv == 0:
+        theta -= err / (zeta * dw / w).real
+    if dw == 0:
         return None
-    state = GeodesicState(chart.ambient, u, vw / dv)
+    vw = w / abs(w)                 # outward critical direction in w
+    state = GeodesicState(chart.ambient, u, vw / (K0 * dw))
     try:
         check_start(conn, state.chart, u, state.v)
     except errors.StartAtPole:
         return None
-    return state, _ray_stub(conn, chart, u)
+    return state, _ray_stub(conn, chart, u, w, dw)
 
 
-def _ray_stub(conn, chart, u):
+def _ray_stub(conn, chart, u, w, dw):
     """The metric length of the critical ray from a finite pole of residue
-    > -1 to u on it: in w the metric is C |w|^rho |dw|, so that length is
-    C |w|^(rho+1) / (rho+1), with C from the metric density at u."""
-    return (metric_density(conn, u) * abs(chart.to_w(u))
-            / ((chart.rho + 1.0) * abs(chart.dw(u))))
+    > -1 to u on it, w and dw its chart's to_w(u) and dw(u): in w the metric
+    is C |w|^rho |dw|, C from the metric density at u, so that length is
+    C |w|^(rho+1) / (rho+1)."""
+    return metric_density(conn, u) * abs(w) / ((chart.rho + 1.0) * abs(dw))
 
 
 def _dedup_saddles(found):

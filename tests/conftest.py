@@ -79,6 +79,26 @@ def saddle_launches(conn, n_grid=64):
     return out
 
 
+def saddle_connections() -> list:
+    """The connections of the saddle corpus (``test_corpus.py``): the first
+    twelve ``random_connection`` draws of ``default_rng(11)`` with two
+    finite poles of residue > -1, the two-gons at -1, 1 with residue 0.5,
+    -0.3, -0.5, -0.7 and -0.9 at both, and the bench two-gon (residue 0.5
+    at -p, p) at p = 1 and p = i."""
+    rng, out = np.random.default_rng(11), []
+    while len(out) < 12:
+        conn = random_connection(rng)
+        if sum(not p.location.infinite and p.residue > -1.0
+               for p in conn.poles) >= 2:
+            out.append(conn)
+    out += [build_connection([(SpherePoint.of(-1.0), rho),
+                              (SpherePoint.of(1.0), rho)])
+            for rho in (0.5, -0.3, -0.5, -0.7, -0.9)]
+    out += [build_connection([(SpherePoint.of(-p), 0.5), (SpherePoint.of(p), 0.5)])
+            for p in (1.0, 1j)]
+    return out
+
+
 SWITCH_POLES = [(SpherePoint.of(0.0), -0.5), (SpherePoint.of(1.5 + 0.5j), -0.3),
                 (SpherePoint.of(-0.7 + 1.2j), -0.6)]
 

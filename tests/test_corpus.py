@@ -6,12 +6,12 @@ verdict's source: the fall certificate, the pole floor, the tail
 heuristic, the period detector, or another detector.  The last line is the
 audit's summary.
 
-The saddle corpus: ``saddle_connection_search`` on 19 connections at three
-(n_grid, t_max) settings, one line per connection found: the search's
-index and settings, the start and end poles, the launch angle (``repr``),
-the trajectory's row count and the length to 10 significant digits.  The
-lines of one search are sorted by (start, end, angle), so mirror pairs of
-equal length keep their order.
+The saddle corpus: ``saddle_connection_search`` on the 19 connections of
+``conftest.saddle_connections`` at three (n_grid, t_max) settings, one
+line per connection found: the search's index and settings, the start and
+end poles, the launch angle (``repr``), the trajectory's row count and the
+length to 10 significant digits.  The lines of one search are sorted by
+(start, end, angle), so mirror pairs of equal length keep their order.
 
 A change that moves either corpus on purpose rewrites both with
 
@@ -24,12 +24,11 @@ and lists them in its CHANGES.md entry.
 import difflib
 import pathlib
 
-import numpy as np
 import pytest
 
-from connexion import SpherePoint, build_connection
-from connexion.omega import (exclusion_audit, random_connection,
-                             saddle_connection_search)
+from connexion.omega import exclusion_audit, saddle_connection_search
+
+from conftest import saddle_connections
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SEEDS = (0, 1, 1000)
@@ -51,25 +50,6 @@ def corpus(seed: int) -> list:
     rep = exclusion_audit(200, seed)
     return [f"{line} source={source(v)}"
             for line, v in zip(rep["lines"], rep["verdicts"])] + rep["lines"][-1:]
-
-
-def saddle_connections() -> list:
-    """The first twelve ``random_connection`` draws of ``default_rng(11)``
-    with two finite poles of residue > -1, the two-gons at -1, 1 with
-    residue 0.5, -0.3, -0.5, -0.7 and -0.9 at both, and the bench two-gon
-    (residue 0.5 at -p, p) at p = 1 and p = i."""
-    rng, out = np.random.default_rng(11), []
-    while len(out) < 12:
-        conn = random_connection(rng)
-        if sum(not p.location.infinite and p.residue > -1.0
-               for p in conn.poles) >= 2:
-            out.append(conn)
-    out += [build_connection([(SpherePoint.of(-1.0), rho),
-                              (SpherePoint.of(1.0), rho)])
-            for rho in (0.5, -0.3, -0.5, -0.7, -0.9)]
-    out += [build_connection([(SpherePoint.of(-p), 0.5), (SpherePoint.of(p), 0.5)])
-            for p in (1.0, 1j)]
-    return out
 
 
 def saddle_corpus() -> list:

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from connexion import build_connection, first_integral, trace
-from connexion import engine, errors
+from connexion import engine, errors, omega
 from connexion.engine import LANES_MIN, IntegratorOptions, trace_many
 
 from conftest import SWITCH_POLES, TWOGON, hexed, saddle_launches, single_pole
@@ -146,3 +146,59 @@ def test_lanes_hand_back_to_the_scalar_loop(monkeypatch):
     hits = sum(tr.termination == "pole_approach" for tr in lanes)
     assert hits < len(handed) < hits + LANES_MIN
     assert all(t > 0.0 for t in handed)
+
+
+def rows(traj):
+    return hexed((traj.t, traj.z, traj.v, traj.K, traj.s_g, traj.switches))
+
+
+@pytest.mark.parametrize("case", ["floor", "switches"])
+def test_pole_rows_only_keeps_the_handed_back_rows(monkeypatch, case):
+    # with pole_rows_only the lanes that finish in the batch keep only their
+    # start row; every trace keeps its termination and events, and the ones
+    # handed back to the scalar loop keep every row, bit for bit
+    conn, starts = {
+        "floor": (TWOGON, [(x / 10.0, sign) for x in range(-7, 8, 2)
+                           for sign in (1.0, -1.0)] + grid(0.3 + 0.4j, 16)),
+        "switches": (SWITCH_POLES, grid(3.0, 32))}[case]
+    conn = build_connection(conn)
+    full = trace_many(conn, starts, 30.0)
+    handed = []
+
+    def stepping(conn, traj, state, *args, _run=engine._stepping):
+        handed.append(traj)
+        return _run(conn, traj, state, *args)
+    monkeypatch.setattr(engine, "_stepping", stepping)
+    lean = trace_many(conn, starts, 30.0, pole_rows_only=True)
+    assert 0 < len(handed) < len(lean)
+    for got, ref in zip(lean, full):
+        assert got.termination == ref.termination
+        assert hexed(got.events) == hexed(ref.events)
+        if any(got is tr for tr in handed):
+            assert rows(got) == rows(ref)
+        else:
+            assert rows(got) == hexed(([ref.t[0]], [ref.z[0]], [ref.v[0]],
+                                       [ref.K[0]], [ref.s_g[0]], []))
+    if case == "floor":
+        assert any(tr.termination == "pole_approach" for tr in handed)
+    else:
+        assert any(ref.switches for got, ref in zip(lean, full)
+                   if len(got) == 1)
+
+
+def test_saddle_search_keeps_the_same_connections(monkeypatch):
+    # the saddle search asks for rows only where a launch may land; with
+    # every row it finds the same connections
+    conn = build_connection(TWOGON)
+
+    def found():
+        return hexed([(s.start_pole.z, s.end_pole.z, s.launch_angle, s.length,
+                       s.trajectory.t, s.trajectory.z, s.trajectory.events)
+                      for s in omega.saddle_connection_search(conn, 64, 10.0)])
+    lean = found()
+
+    def every_row(conn, starts, t_max, *, pole_rows_only):
+        assert pole_rows_only
+        return trace_many(conn, starts, t_max)
+    monkeypatch.setattr(omega, "trace_many", every_row)
+    assert found() == lean and len(lean) >= 2
