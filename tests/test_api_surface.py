@@ -4,7 +4,8 @@ Every defaulted parameter of an exported function, of a public method of an
 exported class and of a plain class's constructor, and every dataclass field
 with a default, is a value a caller may vary and tests and the bench must
 then cover.  The list below is the whole census: a new option shows up as an
-edit to it.
+edit to it.  Functions the package does not export, such as
+``engine.trace_many`` and its ``pole_rows_only``, are outside it.
 """
 
 import dataclasses
