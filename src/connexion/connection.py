@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import errors
@@ -84,26 +84,26 @@ class FuchsianConnection:
     """Immutable pole set; all operations on it are pure."""
 
     poles: tuple  # of PoleSpec, infinity pole explicit
-    _finite: tuple = field(default=(), repr=False)
 
     atlas = cached_property(lambda self: {})   # filled by localchart.pole_chart
     _charts = cached_property(lambda self: {})  # filled by chart_poles
 
-    @property
+    @cached_property
     def finite_poles(self) -> tuple:
-        return self._finite
+        """The finite poles, in ``poles`` order."""
+        return tuple(p for p in self.poles if not p.location.infinite)
 
     @property
     def infinity_residue(self) -> float:
         for p in self.poles:
             if p.location.infinite:
                 return p.residue
-        return RESIDUE_SUM - sum(p.residue for p in self._finite)
+        return RESIDUE_SUM - sum(p.residue for p in self.finite_poles)
 
     def residue_at(self, loc: SpherePoint) -> float:
         if loc.infinite:
             return self.infinity_residue
-        for p in self._finite:
+        for p in self.finite_poles:
             if abs(p.location.z - loc.z) <= POLE_EVAL_TOL:
                 return p.residue
         raise KeyError(f"no pole at {loc}")
@@ -114,10 +114,10 @@ class FuchsianConnection:
         if chart in self._charts:
             return self._charts[chart]
         if chart == STANDARD:
-            out = [(p.location.z, p.residue) for p in self._finite]
+            out = [(p.location.z, p.residue) for p in self.finite_poles]
         elif chart == INFINITY:
             out = [(0j, self.infinity_residue)]
-            for p in self._finite:
+            for p in self.finite_poles:
                 if p.location.z != 0:
                     out.append((1.0 / p.location.z, p.residue))
         else:
@@ -165,7 +165,7 @@ def build_connection(poles) -> FuchsianConnection:
         inf_res = RESIDUE_SUM - finite_sum
 
     all_poles = finite + [PoleSpec(SpherePoint.inf(), inf_res)]
-    return FuchsianConnection(tuple(all_poles), _finite=tuple(finite))
+    return FuchsianConnection(tuple(all_poles))
 
 
 def local_rep(conn: FuchsianConnection, chart: str, point: complex) -> complex:

@@ -8,8 +8,10 @@ residue > -1 is seen when the trace reaches the pole floor; a fall into a
 non-resonant residue < -1 pole takes infinite time and is certified by the
 local model (``AdaptedChart.falls_in``), with the ``_tail_convergence``
 heuristic left for resonant poles and traces the certificate does not reach
-within budget.  The remaining verdicts are evidence grades built from
-crossing statistics on a transversal section.
+within budget.  The classification of the remaining behaviours is of simple
+geodesics, so a trace that crosses itself is ``Undetermined`` before any
+further detector runs.  On a simple trace the remaining verdicts are
+evidence grades built from crossing statistics on a transversal section.
 Two further tags — accumulation on a periodic orbit the geodesic never
 joins, and accumulation on a saddle graph while staying simple — are
 expected to be empirically absent for real residues; the exclusion audit
@@ -247,22 +249,19 @@ def classify(conn: FuchsianConnection, initial,
                             {"pole": pole, "t_hit": None, "certified": False,
                              "traj": traj})
 
-    crossings = self_intersections(traj, max_count=4)
-    simple = len(crossings) == 0
-
-    foreign = _foreign_accumulation(traj, simple)
-    if foreign is not None:
-        return foreign
-
-    try:
-        stats = transversal_analysis(traj, _best_section(traj))
-    except errors.TooFewCrossings:
-        stats = None
-    if stats is not None and simple:
-        if stats["dense_interval"]:
+    simple = not self_intersections(traj, max_count=1)
+    if simple:
+        foreign = _foreign_accumulation(traj)
+        if foreign is not None:
+            return foreign
+        try:
+            stats = transversal_analysis(traj, _best_section(traj))
+        except errors.TooFewCrossings:
+            stats = None
+        if stats is not None and stats["dense_interval"]:
             return OmegaVerdict("FillsRegionEvidence",
                                 {"stats": stats, "traj": traj})
-        if not stats["isolated_point"]:
+        if stats is not None and not stats["isolated_point"]:
             return OmegaVerdict("CantorLikeEvidence",
                                 {"stats": stats, "traj": traj})
     return OmegaVerdict("Undetermined",
@@ -296,14 +295,15 @@ def _tail_convergence(traj: Trajectory):
     return None
 
 
-def _foreign_accumulation(traj: Trajectory, simple: bool):
-    """Detector for the two empirically-excluded behaviors: the tail (the
-    last quarter of the time span) becomes nearly periodic while the full
-    trajectory never recurs (foreign periodic orbit), or the tail keeps
-    shuttling between pole neighborhoods along near-critical directions
-    without joining them (saddle graph).  Both are measured on the chords
-    and the interpolant, not at the rows, so the row spacing does not enter;
-    a trace shorter than 10 time units has too short a tail to test."""
+def _foreign_accumulation(traj: Trajectory):
+    """Detector for the two empirically-excluded behaviors of a simple
+    trace: the tail (the last quarter of the time span) becomes nearly
+    periodic while the full trajectory never recurs (foreign periodic
+    orbit), or the tail keeps shuttling between pole neighborhoods along
+    near-critical directions without joining them (saddle graph).  Both are
+    measured on the chords and the interpolant, not at the rows, so the row
+    spacing does not enter; a trace shorter than 10 time units has too short
+    a tail to test."""
     ts = traj.times
     if ts[-1] - ts[0] < 10.0:
         return None
@@ -320,15 +320,15 @@ def _foreign_accumulation(traj: Trajectory, simple: bool):
         if _chord_gap(zs[k - 1], zs[k], z_t) <= near:
             z, v = traj.interpolate(traj.nearest_time(k, z_t))
             best = min(best, abs(z - z_t) + abs(v / abs(v) - vh))
-    if best < 1e-6 and simple:
+    if best < 1e-6:
         # tail recurs tightly but the global period detector said no:
         # candidate accumulation on a periodic orbit it never joins
         return OmegaVerdict("AccumulatesOnForeignPeriodic",
                             {"tail_recurrence": best, "traj": traj})
     # saddle-graph accumulation: repeated deep near-pole passes with
-    # alternating poles while remaining simple
+    # alternating poles
     poles = [pos for pos, _ in traj.conn.chart_poles("standard")]
-    if simple and poles:
+    if poles:
         visits = []
         for a, b in zip(zs[k0:], zs[k0 + 1:]):
             # the pole nearest the chord, the first one on ties
@@ -480,8 +480,9 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                              t_max: float = 40.0) -> list:
     """Launch reversed critical rays from each finite pole with residue > -1
     on an angular grid, at 0.05 of its adapted-chart radius, and keep the
-    launches that land in another pole's funnel.  All launches are traced
-    together (``trace_many``), with rows only for those that may land."""
+    launches that land in another pole's funnel, shortest first.  All
+    launches are traced together (``trace_many``), with rows only for those
+    that may land."""
     launches = []
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
@@ -506,7 +507,7 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
             continue            # returned to its own pole
         length = tr.s_g[-1] + stub + _end_stub(conn, end, tr)
         found.append(SaddleConnection(start, end, phi, tr, length))
-    return _dedup_saddles(found)
+    return sorted(found, key=lambda sc: sc.length)
 
 
 def _end_stub(conn, end, tr):
@@ -563,18 +564,6 @@ def _ray_stub(conn, chart, u, w, dw):
     is C |w|^rho |dw|, C from the metric density at u, so that length is
     C |w|^(rho+1) / (rho+1)."""
     return metric_density(conn, u) * abs(w) / ((chart.rho + 1.0) * abs(dw))
-
-
-def _dedup_saddles(found):
-    out = []
-    found = sorted(found, key=lambda sc: sc.length)
-    for sc in found:
-        dup = any(sc.start_pole == o.start_pole and sc.end_pole == o.end_pole
-                  and abs(sc.launch_angle - o.launch_angle) < 1e-3
-                  for o in out)
-        if not dup:
-            out.append(sc)
-    return out
 
 
 # -- exclusion audit -----------------------------------------------------------

@@ -31,6 +31,7 @@ from .engine import (IntegratorOptions, Trajectory, canonical_K, delta_zeta,
 from .localchart import AdaptedChart
 
 JUNCTION_TOL = 1e-8
+N_GRID = 72                 # launch directions of connect_unique's fallback
 POLE_GAP_TOL = 0.2
 TWO_PI = 2.0 * math.pi
 
@@ -293,7 +294,7 @@ def _arc_side(rho, za, Wa, zb, Wb, n=128):
 # -- unique connecting arc -----------------------------------------------------
 
 def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
-                   n_grid: int = 72, opts: IntegratorOptions | None = None,
+                   opts: IntegratorOptions | None = None,
                    miss_tol: float = 1e-7) -> Trajectory:
     """Shooting search for a simple geodesic arc from z0 to z1.
 
@@ -310,15 +311,14 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
 
     The grid runs only when the aim fails: the segment passes within
     PATH_CLEARANCE of a pole, Delta zeta is 0 or not finite, or the aimed
-    arc misses z1 or crosses itself.  It traces ``n_grid`` launch directions
+    arc misses z1 or crosses itself.  It traces ``N_GRID`` launch directions
     together (``trace_many``), to t = 8 |z1 - z0| + 8.  The signed miss
     Im((z - z1) conj(v)) / |v| at a trace's closest approach (z, v) to z1
-    changes sign as the geodesic sweeps across z1: regula falsi (Illinois)
-    on it over a grid interval whose ends differ in sign finds the launch
-    angle with the smallest miss; the interval is one whose ends can be one
-    pass by z1 (``one_pass``) if one is, then next to the best grid direction
-    if one is, else the one whose farther end misses least.  That arc ends
-    at its closest approach.
+    changes sign as the geodesic sweeps across z1.  Regula falsi (Illinois)
+    on it runs over the grid interval beside the best grid direction whose
+    signed miss changes sign, the one whose far end misses less, and finds
+    the launch angle with the smallest miss.  That arc ends at its closest
+    approach.
     """
     z0, z1 = complex(z0), complex(z1)
     if abs(z0 - z1) < 1e-12:
@@ -343,34 +343,19 @@ def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
         return abs(z - z1), ((z - z1) * v.conjugate()).imag / abs(v), t
 
     grid = [closest(tr) for tr in trace_many(
-        conn, [(z0, cmath.exp(1j * TWO_PI * k / n_grid))
-               for k in range(n_grid)], t_max, opts)]
-    kb = min(range(n_grid), key=lambda k: grid[k][0])
-    best = (grid[kb][0], TWO_PI * kb / n_grid, grid[kb][2])
+        conn, [(z0, cmath.exp(1j * TWO_PI * k / N_GRID))
+               for k in range(N_GRID)], t_max, opts)]
+    kb = min(range(N_GRID), key=lambda k: grid[k][0])
+    best = (grid[kb][0], TWO_PI * kb / N_GRID, grid[kb][2])
     if best[0] > abs(z1 - z0):
         raise errors.NotFound("no launch direction approaches the target")
-
-    def one_pass(i, j):
-        """Whether the closest approaches of neighbouring directions can be
-        one pass by z1: at both, the miss is normal to the velocity (not at
-        an end of the trace), and the time moves by at most 2 t over the
-        grid interval (in the flat metric the geodesics from z0 are rays,
-        whose closest approach moves by far less)."""
-        (di, si, ti), (dj, sj, tj) = grid[i], grid[j % n_grid]
-        return (abs(si) >= 0.5 * di and abs(sj) >= 0.5 * dj
-                and abs(ti - tj) <= 2.0 * TWO_PI / n_grid * max(ti, tj))
-
-    # grid neighbours (i, j), i the nearer to z1, whose signed misses differ;
-    # a sign change that no single pass explains is tried last
-    brackets = [(not one_pass(i, j), i != kb, grid[j % n_grid][0], i, j)
-                for i in range(n_grid) for j in (i - 1, i + 1)
-                if grid[i][0] <= grid[j % n_grid][0]
-                and grid[i][1] * grid[j % n_grid][1] <= 0.0]
-    if not brackets:
-        raise errors.NotFound("no sign change between grid directions")
-    *_, i, j = min(brackets)
-    a, fa = TWO_PI * i / n_grid, grid[i][1]
-    b, fb = TWO_PI * j / n_grid, grid[j % n_grid][1]
+    sides = [j for j in (kb - 1, kb + 1)
+             if grid[kb][1] * grid[j % N_GRID][1] <= 0.0]
+    if not sides:
+        raise errors.NotFound("no sign change beside the best grid direction")
+    j = min(sides, key=lambda j: grid[j % N_GRID][0])
+    a, fa = TWO_PI * kb / N_GRID, grid[kb][1]
+    b, fb = TWO_PI * j / N_GRID, grid[j % N_GRID][1]
     # b is the latest angle; a is halved when kept twice in a row
     for _ in range(80):
         if abs(b - a) < 1e-14:

@@ -32,9 +32,10 @@ class RenderWindow:
         y = self.size / 2.0 - (z.imag - self.center.imag) * s
         return x, y
 
-    def visible(self, z: complex, margin: float = 1.2) -> bool:
-        return (abs(z.real - self.center.real) < margin * self.half_width
-                and abs(z.imag - self.center.imag) < margin * self.half_width)
+    def visible(self, z: complex) -> bool:
+        # 1.2 half-widths, so that drawn lines run past the window's edge
+        return (abs(z.real - self.center.real) < 1.2 * self.half_width
+                and abs(z.imag - self.center.imag) < 1.2 * self.half_width)
 
 
 @dataclass

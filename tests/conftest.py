@@ -8,7 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from connexion import GeodesicState, SpherePoint, build_connection, trace
+from connexion import (GeodesicState, SpherePoint, build_connection, errors,
+                       polygons, trace)
 from connexion.localchart import pole_chart
 from connexion.omega import _critical_launch, random_connection
 
@@ -97,6 +98,40 @@ def saddle_connections() -> list:
     out += [build_connection([(SpherePoint.of(-p), 0.5), (SpherePoint.of(p), 0.5)])
             for p in (1.0, 1j)]
     return out
+
+
+def shooting_problems(n):
+    """The first n seeded random_connection problems with |z1 - z0| = 1.2,
+    drawn in one pass: (conn, z0, z1)."""
+    rng = np.random.default_rng(5)
+    for _ in range(n):
+        conn = random_connection(rng)
+        while True:
+            z0 = complex(*rng.normal(0.0, 1.0, 2))
+            if all(abs(z0 - pos) > 0.1 for pos, _ in conn.chart_poles("standard")):
+                break
+        z1 = z0 + 1.2 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        yield conn, z0, z1
+
+
+def shooting_runs(n=240):
+    """``connect_unique`` on each of the first n shooting problems: (index,
+    problem, the arc or the ConnexionError raised, whether the launch grid
+    ran).  The grid runs where ``polygons.trace_many`` is called."""
+    with pytest.MonkeyPatch.context() as mp:
+        ran = []
+
+        def grid(*args, _many=polygons.trace_many, **kw):
+            ran.append(True)
+            return _many(*args, **kw)
+        mp.setattr(polygons, "trace_many", grid)
+        for k, problem in enumerate(shooting_problems(n)):
+            ran.clear()
+            try:
+                out = polygons.connect_unique(*problem)
+            except errors.ConnexionError as exc:
+                out = exc
+            yield k, problem, out, bool(ran)
 
 
 SWITCH_POLES = [(SpherePoint.of(0.0), -0.5), (SpherePoint.of(1.5 + 0.5j), -0.3),

@@ -18,7 +18,6 @@ SETTABLE = [
     "ClassifyBudget.max_seconds",
     "ClassifyBudget.max_steps",
     "ClassifyBudget.t_max",
-    "FuchsianConnection._finite",
     "GeodesicPolygon.angles(charts=)",
     "GeodesicState.k_phase",
     "IntegratorOptions.max_seconds",
@@ -32,7 +31,6 @@ SETTABLE = [
     "RenderWindow.center",
     "RenderWindow.half_width",
     "RenderWindow.size",
-    "RenderWindow.visible(margin=)",
     "SpherePoint.infinite",
     "SpherePoint.z",
     "Trajectory(events=)",
@@ -42,7 +40,6 @@ SETTABLE = [
     "check_p1_formula(enclosed=)",
     "classify(budget=)",
     "connect_unique(miss_tol=)",
-    "connect_unique(n_grid=)",
     "connect_unique(opts=)",
     "exclusion_audit(budget=)",
     "exclusion_audit(n_configs=)",

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connexion import (LoopPath, PoleSpec, SpherePoint, build_connection,
-                       connection_from_dict, connection_to_dict,
-                       from_k_differential, local_rep, monodromy_of_loop,
-                       winding_number)
+from connexion import (FuchsianConnection, LoopPath, PoleSpec, SpherePoint,
+                       build_connection, connection_from_dict,
+                       connection_to_dict, from_k_differential, local_rep,
+                       monodromy_of_loop, trace, winding_number)
 from connexion import errors
 
 
@@ -77,6 +77,19 @@ class TestChartPoles:
         conn = build_connection([(SpherePoint.of(1.0), 0.0)])
         with pytest.raises(errors.EvalAtPole):
             local_rep(conn, "standard", 1.0)
+
+    def test_direct_construction_keeps_the_finite_poles(self):
+        # a connection built without build_connection has the same pole
+        # tables, so the unit circle around its residue -1 pole closes
+        poles = (PoleSpec(SpherePoint.of(0.0), -1.0),
+                 PoleSpec(SpherePoint.inf(), -1.0))
+        direct, built = FuchsianConnection(poles), build_connection(poles)
+        for chart in ("standard", "infinity"):
+            assert direct.chart_poles(chart) == built.chart_poles(chart)
+        a = trace(direct, (1.0, 1j), 2 * math.pi)
+        b = trace(built, (1.0, 1j), 2 * math.pi)
+        assert (a.t, a.z, a.v, a.K) == (b.t, b.z, b.v, b.K)
+        assert abs(a.z[-1] - 1.0) < 1e-9
 
 
 class TestWinding:

@@ -13,7 +13,14 @@ end poles, the launch angle (``repr``), the trajectory's row count and the
 length to 10 significant digits.  The lines of one search are sorted by
 (start, end, angle), so mirror pairs of equal length keep their order.
 
-A change that moves either corpus on purpose rewrites both with
+The shooting corpus: ``connect_unique`` on the 240 problems of
+``conftest.shooting_problems``, one line per problem: its index, the
+outcome (the arc's termination, or the class of the error raised), the
+arc's t_end to 10 significant digits, and whether the launch grid ran.
+``test_polygons.py::TestConnectUnique::test_connects_seeded_problems``
+diffs it in the loop that checks the arcs, so the searches run once.
+
+A change that moves any corpus on purpose rewrites them all with
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -28,7 +35,7 @@ import pytest
 
 from connexion.omega import exclusion_audit, saddle_connection_search
 
-from conftest import saddle_connections
+from conftest import saddle_connections, shooting_runs
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SEEDS = (0, 1, 1000)
@@ -67,6 +74,15 @@ def saddle_corpus() -> list:
     return lines
 
 
+def shooting_line(k: int, outcome, grid: bool) -> str:
+    """The shooting corpus line of problem k: ``outcome`` is the arc or the
+    error ``connect_unique`` raised, ``grid`` whether its grid ran."""
+    if isinstance(outcome, Exception):
+        return f"problem={k} outcome={type(outcome).__name__} t_end=- grid={grid}"
+    return (f"problem={k} outcome={outcome.termination} "
+            f"t_end={outcome.t_end:.10g} grid={grid}")
+
+
 def moved(name: str, got: list) -> list:
     """The unified diff, without context, from the checked-in corpus
     ``name`` to the lines ``got``."""
@@ -89,6 +105,8 @@ def test_saddles_match_corpus():
 if __name__ == "__main__":
     written = {f"audit_{seed}.txt": corpus(seed) for seed in SEEDS}
     written["saddles.txt"] = saddle_corpus()
+    written["shooting.txt"] = [shooting_line(k, out, grid)
+                               for k, _, out, grid in shooting_runs()]
     for name, got in written.items():
         if (DATA / name).exists():
             for line in moved(name, got):

@@ -996,6 +996,23 @@ class TestPausedTrace:
             assert "infinity" in to and "standard" in to
         assert full["termination"] == ("pole_certified" if certify else "t_max")
 
+    def test_pause_at_a_chart_switch(self, column_traces):
+        # a pause between the two rows before the first switch is passed by
+        # the step that leaves the chart: the run pauses after the switch
+        conn, start, t_max, _ = _long_traces(column_traces)["switch"]
+        full = _record(trace(conn, start, t_max))
+        k = full["switches"][0]
+        run = engine.tracing(conn, start, t_max)
+        next(run)
+        snap = _record(run.send(0.5 * (full["t"][k - 2] + full["t"][k - 1])))
+        for col in ("t", "z", "v", "K", "s_g"):
+            assert snap[col] == full[col][:k]
+        assert snap["switches"] == [k]
+        assert snap["events"] == [e for e in full["events"]
+                                  if e[0] <= snap["t"][-1]
+                                  and e[1] != "terminated"]
+        assert snap["events"][-1][1] == "chart_switch"
+
     def test_cached_standard_columns_follow_the_rows(self, column_traces):
         # the switch geodesic has rows in w = 1/z by t = 50: the standard
         # columns derived at a pause must grow with the trajectory

@@ -498,14 +498,18 @@ def test_section_scan_tests_each_chord_once(kernel_work, circle_conn):
 
 def test_classify_builds_one_chord_array(monkeypatch):
     # the self-crossing scan, the choice of section and the section scan of
-    # one classification read the same array
+    # one classification read the same array (seed 0 config 13); a trace
+    # that crosses itself (seed 1000 config 98) stops after the first
     handed = []
 
     def keeping(traj, _support=Trajectory.support_array):
         handed.append(_support(traj))
         return handed[-1]
     monkeypatch.setattr(Trajectory, "support_array", keeping)
-    conn, ic = audit_draws(1000, 99)[98]
-    verdict = classify(conn, ic, ClassifyBudget(t_max=60.0, max_steps=60_000))
-    assert verdict.tag == "Undetermined"
-    assert len(handed) == 3 and all(a is handed[0] for a in handed)
+    for seed, config, reads in ((0, 13, 3), (1000, 98, 1)):
+        handed.clear()
+        conn, ic = audit_draws(seed, config + 1)[config]
+        verdict = classify(conn, ic,
+                           ClassifyBudget(t_max=60.0, max_steps=60_000))
+        assert verdict.tag == "Undetermined"
+        assert len(handed) == reads and all(a is handed[0] for a in handed)

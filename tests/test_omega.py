@@ -72,6 +72,27 @@ class TestClassify:
         assert v.tag == "ConvergesToPole"
         assert "inf" in str(v)
 
+    @pytest.mark.parametrize("config, simple", [(13, True), (23, False)])
+    def test_simple_detectors_run_only_on_simple_traces(self, monkeypatch,
+                                                        config, simple):
+        # seed 0's audit draws 13 and 23 end Undetermined at t_max = 60; 23
+        # crosses itself, so it is Undetermined before any detector of
+        # simple traces runs, while 13 runs each of them once
+        detectors = ("_foreign_accumulation", "_best_section",
+                     "transversal_analysis")
+        calls = []
+        for name in detectors:
+            def counted(*args, _run=getattr(omega, name), _name=name):
+                calls.append(_name)
+                return _run(*args)
+            monkeypatch.setattr(omega, name, counted)
+        conn, initial = audit_draws(0, config + 1)[config]
+        v = classify(conn, initial, ClassifyBudget(t_max=60.0, max_steps=60_000))
+        assert v.tag == "Undetermined"
+        assert set(v.details) == {"termination", "t_end", "simple", "traj"}
+        assert v.details["simple"] is simple
+        assert calls == (list(detectors) if simple else [])
+
 
 class TestTransversalStatistics:
     def test_cantor_flags_and_dimension(self):
@@ -122,6 +143,17 @@ class TestRingDomain:
         radii = [abs(p) for p in rep.leaf_points]
         expect = math.log(max(radii) / min(radii))
         assert abs(rep.width - expect) < 1e-6
+
+    def test_inward_side_stops_at_the_pole(self, circle_conn):
+        # the inward leaves close in on the pole at 0, and the 20th seed,
+        # offset 1.0, lies on it: that side stops there, after 19 leaves
+        seed = trace(circle_conn, (1.0, 1j), 30.0)
+        rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=25)
+        assert [b["stopped"] for b in rep.boundary] == [("pole", 1.0), None]
+        assert rep.n_leaves == 45
+        radii = [abs(p) for p in rep.leaf_points]
+        assert rep.width == pytest.approx(math.log(max(radii) / min(radii)),
+                                          abs=1e-12)
 
     def test_seed_leaf_length_off_the_canonical_branch(self, circle_conn):
         # K = 0 at z = 2 is not the canonical branch K = -log 2: |c| = 2 is
@@ -451,7 +483,7 @@ def _ref_nearest_time(traj, a, b, target):
     return t
 
 
-def _ref_foreign_accumulation(traj, simple):
+def _ref_foreign_accumulation(traj):
     samples = traj.samples
     ts = [s.t for s in samples]
     if ts[-1] - ts[0] < 10.0:
@@ -467,10 +499,10 @@ def _ref_foreign_accumulation(traj, simple):
         if _ref_chord_distance(a.z_std, b.z_std, z_t) <= near:
             z, v = traj.interpolate(_ref_nearest_time(traj, a, b, z_t))
             best = min(best, abs(z - z_t) + abs(v / abs(v) - vh))
-    if best < 1e-6 and simple:
+    if best < 1e-6:
         return "AccumulatesOnForeignPeriodic", {"tail_recurrence": best}
     poles = [pos for pos, _ in traj.conn.chart_poles("standard")]
-    if simple and poles:
+    if poles:
         visits = []
         for a, b in zip(tail, tail[1:]):
             ds = [_ref_chord_distance(a.z_std, b.z_std, p) for p in poles]
@@ -553,18 +585,17 @@ class TestColumnarDetectors:
         assert _tail_convergence(column_traces["fall"]) == SpherePoint.of(0.0)
 
     @pytest.mark.parametrize("name", NAMES + ("recurring", "shuttle", "zigzag"))
-    @pytest.mark.parametrize("simple", (True, False))
-    def test_foreign_accumulation(self, column_traces, shuttles, name, simple):
+    def test_foreign_accumulation(self, column_traces, shuttles, name):
         traj = {**column_traces, **shuttles}[name]
-        assert _verdict(_foreign_accumulation(traj, simple)) \
-            == hexed(_ref_foreign_accumulation(traj, simple))
+        assert _verdict(_foreign_accumulation(traj)) \
+            == hexed(_ref_foreign_accumulation(traj))
 
     def test_foreign_accumulation_fires_on_the_shuttles(self, shuttles):
         # so that the comparisons above cover both of its verdicts
         for name, tag in (("recurring", "AccumulatesOnForeignPeriodic"),
                           ("shuttle", "AccumulatesOnSaddleGraph"),
                           ("zigzag", "AccumulatesOnSaddleGraph")):
-            assert _foreign_accumulation(shuttles[name], True).tag == tag
+            assert _foreign_accumulation(shuttles[name]).tag == tag
 
     @pytest.mark.parametrize("name", NAMES)
     def test_best_section(self, column_traces, name):

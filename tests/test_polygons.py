@@ -14,12 +14,12 @@ from connexion import (GeodesicPolygon, PartTopology, PolygonVertex,
                        check_general_formula, check_p1_formula,
                        self_intersections, trace)
 from connexion import errors, polygons
-from connexion.engine import IntegratorOptions
-from connexion.omega import random_connection
+from connexion.engine import IntegratorOptions, Trajectory
 from connexion.polygons import (connect_unique, measure_internal_angle,
                                 side_from_points, side_from_trajectory)
 
-from conftest import single_pole
+from conftest import shooting_problems, shooting_runs, single_pole
+from test_corpus import moved, shooting_line
 
 
 class TestSidesAndJunctions:
@@ -133,11 +133,13 @@ class TestConnectUnique:
         with pytest.raises(ValueError):
             connect_unique(trivial_conn, 1.0, 1.0)
 
-    def test_uniqueness_audit(self):
-        # two independent searches return the same arc (Hausdorff <= 1e-6)
+    def test_uniqueness_audit(self, monkeypatch):
+        # the aimed arc and the grid's arc are the same (Hausdorff <= 1e-6;
+        # they agree to 3e-10)
         conn = single_pole(0.5)
-        a = connect_unique(conn, 1.0, 1j, n_grid=72)
-        b = connect_unique(conn, 1.0, 1j, n_grid=97)
+        a = connect_unique(conn, 1.0, 1j)
+        monkeypatch.setattr(polygons, "_aimed_arc", lambda *args: None)
+        b = connect_unique(conn, 1.0, 1j)
         # compare on the interpolants at matched times, so neither sample
         # spacing nor chord sagitta contributes to the measured distance
         t_end = min(a.samples[-1].t, b.samples[-1].t)
@@ -169,39 +171,27 @@ class TestConnectUnique:
         else:
             assert new is ref
 
-
-    def test_bracket_away_from_the_best_direction(self):
-        # the best grid miss (direction 30) comes from a winding approach at
-        # t = 14.9 with no sign change beside it; the signed miss changes
-        # sign between directions 71 and 0, where the arc is simple
-        conn, z0, z1 = _random_problem(39)
-        arc = connect_unique(conn, z0, z1)
-        assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
-        assert arc.t_end < 2.0
-        assert self_intersections(arc) == []
-
-    def test_connects_seeded_problems(self, monkeypatch):
+    def test_connects_seeded_problems(self):
         # the aim connects 233 of the 240 problems: 53, whose segment passes
         # 0.026 from a pole, and 64 and 76, which the grid alone misses,
-        # among them; the grid connects one more (13)
-        grid_runs = []
-
-        def grid(*args, _many=polygons.trace_many, **kw):
-            grid_runs.append(k)
-            return _many(*args, **kw)
-        monkeypatch.setattr(polygons, "trace_many", grid)
-        connected = []
-        for k, (conn, z0, z1) in enumerate(_random_problems(240)):
-            try:
-                arc = connect_unique(conn, z0, z1)
-            except errors.NotFound:
+        # among them; the grid connects one more (13).  Every outcome is a
+        # line of the shooting corpus (test_corpus.py)
+        connected, grid_runs, lines = [], [], []
+        for k, (_, _, z1), arc, grid in shooting_runs():
+            lines.append(shooting_line(k, arc, grid))
+            if grid:
+                grid_runs.append(k)
+            if isinstance(arc, errors.NotFound):
                 continue
+            assert isinstance(arc, Trajectory), arc
             assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
             assert self_intersections(arc, max_count=1) == []
             connected.append(k)
         assert len(connected) >= 234
         assert {13, 53, 64, 76} <= set(connected)
         assert set(grid_runs) & set(connected) == {13}
+        diff = moved("shooting.txt", lines)
+        assert not diff, "\n".join(diff)
 
     def test_close_pass_needs_no_grid(self, monkeypatch):
         # problem 53's segment passes 0.026 from a pole: delta_zeta grades
@@ -215,37 +205,26 @@ class TestConnectUnique:
         assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
         assert self_intersections(arc) == []
 
-    @pytest.mark.parametrize("problem", [54, 193])
-    def test_sign_change_between_two_passes_is_tried_last(self, problem):
-        # the sign changes beside the best grid direction are jumps between
-        # passes, at t = 10.9 and 0.3 (problem 54) and at t = 10.1 and 16.1
-        # or 7.2 (193): regula falsi there misses (54) or ends on an arc
-        # that crosses itself (193), while a one-pass bracket elsewhere
-        # holds a simple arc shorter than 2
+    @pytest.mark.parametrize("problem", [39, 54, 193])
+    def test_aim_needs_no_grid(self, monkeypatch, problem):
+        # the grid alone fails on these: beside its best direction the
+        # signed miss does not change sign (39), regula falsi misses z1 by
+        # 1e-3 (54) or ends on an arc that crosses itself (193).  The aimed
+        # arc lands on z1 and is simple
         conn, z0, z1 = _random_problem(problem)
+
+        def no_grid(*args, **kw):
+            raise AssertionError("the launch grid ran")
+        monkeypatch.setattr(polygons, "trace_many", no_grid)
         arc = connect_unique(conn, z0, z1)
         assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
         assert arc.t_end < 2.0
         assert self_intersections(arc) == []
 
 
-def _random_problems(n):
-    """The first n seeded random_connection problems with |z1 - z0| = 1.2,
-    drawn in one pass."""
-    rng = np.random.default_rng(5)
-    for _ in range(n):
-        conn = random_connection(rng)
-        while True:
-            z0 = complex(*rng.normal(0.0, 1.0, 2))
-            if all(abs(z0 - pos) > 0.1 for pos, _ in conn.chart_poles("standard")):
-                break
-        z1 = z0 + 1.2 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        yield conn, z0, z1
-
-
 def _random_problem(k):
-    """The k-th of the seeded problems (``_random_problems``)."""
-    *_, last = _random_problems(k + 1)
+    """The k-th of the seeded problems (``conftest.shooting_problems``)."""
+    *_, last = shooting_problems(k + 1)
     return last
 
 
