@@ -6,6 +6,13 @@ verdict's source: the fall certificate, the pole floor, the tail
 heuristic, the period detector, or another detector.  The last line is the
 audit's summary.
 
+The crossing corpus: the crossing kernel's outputs on the traces of the
+same audit runs, one line per configuration whose verdict is not
+``ConvergesToPole``: the seed and configuration, then the count and the
+sha256 of ``self_intersections(traj)`` and of ``section_crossings(traj,
+_best_section(traj))``, floats by ``repr``.  A change to the kernel that
+claims the same outputs bit for bit keeps every line.
+
 The saddle corpus: ``saddle_connection_search`` on the 19 connections of
 ``conftest.saddle_connections`` at three (n_grid, t_max) settings, one
 line per connection found: the search's index and settings, the start and
@@ -29,11 +36,14 @@ and lists them in its CHANGES.md entry.
 """
 
 import difflib
+import hashlib
 import pathlib
 
 import pytest
 
-from connexion.omega import exclusion_audit, saddle_connection_search
+from connexion.engine import self_intersections
+from connexion.omega import (_best_section, exclusion_audit,
+                             saddle_connection_search, section_crossings)
 
 from conftest import saddle_connections, shooting_runs
 
@@ -53,10 +63,29 @@ def source(verdict) -> str:
     return "other"
 
 
-def corpus(seed: int) -> list:
+def _digest(items) -> str:
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
+def crossing_line(seed: int, config: int, traj) -> str:
+    selfs = [(r.t_i, r.t_j, r.point, r.transversal)
+             for r in self_intersections(traj)]
+    xs = section_crossings(traj, _best_section(traj))
+    return (f"seed={seed} config={config} self={len(selfs)} "
+            f"self_sha={_digest(selfs)} section={len(xs)} "
+            f"section_sha={_digest(xs)}")
+
+
+def corpora(seed: int) -> tuple:
+    """The audit corpus lines of ``seed`` and the crossing corpus lines of
+    the same audit's traces."""
     rep = exclusion_audit(200, seed)
-    return [f"{line} source={source(v)}"
-            for line, v in zip(rep["lines"], rep["verdicts"])] + rep["lines"][-1:]
+    audit = [f"{line} source={source(v)}"
+             for line, v in zip(rep["lines"], rep["verdicts"])] + rep["lines"][-1:]
+    crossings = [crossing_line(seed, k, v.details["traj"])
+                 for k, v in enumerate(rep["verdicts"])
+                 if v.tag != "ConvergesToPole"]
+    return audit, crossings
 
 
 def saddle_corpus() -> list:
@@ -83,17 +112,20 @@ def shooting_line(k: int, outcome, grid: bool) -> str:
             f"t_end={outcome.t_end:.10g} grid={grid}")
 
 
-def moved(name: str, got: list) -> list:
-    """The unified diff, without context, from the checked-in corpus
-    ``name`` to the lines ``got``."""
-    want = (DATA / name).read_text().splitlines()
+def moved(name: str, got: list, prefix: str = "") -> list:
+    """The unified diff, without context, from the lines of the checked-in
+    corpus ``name`` that start with ``prefix`` to the lines ``got``."""
+    want = [line for line in (DATA / name).read_text().splitlines()
+            if line.startswith(prefix)]
     return list(difflib.unified_diff(want, got, name, "computed",
                                      lineterm="", n=0))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_audit_matches_corpus(seed):
-    diff = moved(f"audit_{seed}.txt", corpus(seed))
+    audit, crossings = corpora(seed)
+    diff = (moved(f"audit_{seed}.txt", audit)
+            + moved("crossings.txt", crossings, f"seed={seed} "))
     assert not diff, "\n".join(diff)
 
 
@@ -103,7 +135,10 @@ def test_saddles_match_corpus():
 
 
 if __name__ == "__main__":
-    written = {f"audit_{seed}.txt": corpus(seed) for seed in SEEDS}
+    written = {"crossings.txt": []}
+    for seed in SEEDS:
+        written[f"audit_{seed}.txt"], crossings = corpora(seed)
+        written["crossings.txt"] += crossings
     written["saddles.txt"] = saddle_corpus()
     written["shooting.txt"] = [shooting_line(k, out, grid)
                                for k, _, out, grid in shooting_runs()]
