@@ -50,14 +50,16 @@ state a re-trace to T ends in; the period search refines with it.
 
 ``segment_crossings`` (two polylines) and ``self_intersections`` (one, with
 itself) share one crossing kernel, ``_crossings``, whose work follows the
-number of chord pairs that lie close, not the n m pairs: it groups the
-segments into runs of ``RUN``, keeps the run pairs whose bounding boxes
-overlap, tests the segment boxes only within those, and solves the pairs
-whose boxes overlap for the crossing parameters.  A polyline of at most
-``RUN`` segments (a section, a short trace) is one run, whose box prunes
-little while the run boxes cost a fixed time per polyline, so against one
-both sides take runs of one segment: the run pairs are then the segment
-pairs, n m <= ``RUN`` n box tests.  A scan of a polyline against itself
+number of chord pairs that lie close, not the n m pairs.  It tests bounding
+boxes at three levels: the pairs of runs of ``RUN`` segments, then the pairs
+of quarter runs within the run pairs that overlap, then the segment pairs
+within the quarter pairs that overlap, and solves the segment pairs whose
+boxes overlap.  A polyline of at most ``RUN`` segments (a short trace) is
+one run, whose box prunes little while the run boxes cost a fixed time per
+polyline, so against one both sides take runs of one segment, n m <=
+``RUN`` n box tests.  Against one segment (a section) it builds no box: only
+a chord whose ends do not lie strictly on one side of the segment's line
+can meet it (``_straddling``).  A scan of a polyline against itself
 also drops the run pairs whose chords, from the first of one run to the
 last of the other, turn by less than pi - 1e-3 in principal angles: their
 directions lie in an arc shorter than pi, so each advances along the arc's
@@ -65,8 +67,8 @@ mean by sin(5e-4) of its length or more (a monotone chain, Preparata &
 Shamos 1985), and chords j > i + 1 lie apart.  The margin is far above the
 rounding of 4000 angles; a chord that is not finite, or too short (1e-12
 |p|) for ``_solve``'s rounding of p[j] - p[i], turns by pi.
-Its boolean masks hold at most ``SLICE`` elements each, so no temporary
-grows with the input.
+Its masks hold at most ``SLICE`` elements each, and the side test's
+arrays ``SLICE // 8``, so no temporary grows with the input.
 
 ``tracing`` is the step loop as a generator: it pauses each time t passes a
 time the caller sends and resumes from its own state (z, K, h, chart, budget
@@ -1094,12 +1096,12 @@ class IntersectionRecord:
 
 
 def _boxes(pts, run):
-    """Bounding boxes (x min, x max, y min, y max) of the segments of
-    ``pts``, shape (4, runs, run), and of the runs of ``run`` segments, four
-    arrays of shape (runs,).  NaN boxes pad the last run: they overlap
-    nothing.  The run boxes are fmin and fmax over halves, which skip a NaN,
-    so a non-finite point hides only its own segments; runs of one segment
-    are their segment boxes."""
+    """Bounding boxes (x min, x max, y min, y max) of the runs of ``run``
+    segments of ``pts``, four arrays (runs,), then for ``run`` > 1 of their
+    quarters and segments, shapes (4, runs, 4) and (4, 4 runs, run // 4).
+    NaN boxes pad the last run: they overlap nothing.  Coarser boxes are
+    fmin and fmax over halves, which skip a NaN, so a non-finite point
+    hides only its own segments."""
     n = len(pts) - 1
     x, y = pts.real, pts.imag
     segs = np.full((4, n + -n % run), math.nan)
@@ -1107,17 +1109,39 @@ def _boxes(pts, run):
     np.maximum(x[:-1], x[1:], out=segs[1, :n])
     np.minimum(y[:-1], y[1:], out=segs[2, :n])
     np.maximum(y[:-1], y[1:], out=segs[3, :n])
-    runs = []
+    k = segs.shape[1] // run
+    runs, quarters = [], []
     for f, r in zip((np.fmin, np.fmax) * 2, segs):
-        while len(r) > segs.shape[1] // run:     # run is a power of two
+        while len(r) > k:                   # run is a power of two
+            if len(r) == 4 * k:
+                quarters.append(r)
             r = f(r[0::2], r[1::2])
         runs.append(r)
-    return segs.reshape(4, -1, run), runs
+    return [runs] + ([np.reshape(quarters, (4, k, 4)),
+                      segs.reshape(4, 4 * k, -1)] if run > 1 else [])
 
 
 def _overlap(a, b):
     """Whether the boxes a and b (broadcast) overlap."""
     return (a[0] <= b[1]) & (a[1] >= b[0]) & (a[2] <= b[3]) & (a[3] >= b[2])
+
+
+def _straddling(pts, a, b):
+    """The chords of ``pts``, SLICE // 8 points at a time, whose ends do
+    not both lie on one side of the line ab beyond 2e-12 |b - a| (max |x| +
+    max |y|) over the block, (x, y) = point - a: a margin far above the
+    rounding of ``_solve``'s cross products, so no other chord meets ab."""
+    d, block, out = b - a, SLICE // 8, [np.empty(0, int)]
+    for k0 in range(0, len(pts) - 1, block):
+        x = pts[k0:k0 + block + 1].real - a.real
+        y = pts[k0:k0 + block + 1].imag - a.imag
+        side = x * d.imag
+        side -= y * d.real
+        m = 2e-12 * abs(d) * (np.fmax.reduce(np.abs(x, out=x))
+                              + np.fmax.reduce(np.abs(y, out=y)))
+        pos, neg = side > m, side < -m
+        out.append(np.flatnonzero(~(pos[:-1] & pos[1:] | neg[:-1] & neg[1:])) + k0)
+    return np.concatenate(out)
 
 
 def _solve(p, q, i, j):
@@ -1143,21 +1167,27 @@ def _crossings(p, q, forward):
     # a polyline of at most RUN segments is one run, whose box prunes
     # little: both sides then take runs of one segment (module docstring)
     run = RUN if min(len(p), len(q)) > RUN + 1 else 1
-    pseg, prun = _boxes(p, run)
-    qseg, qrun = (pseg, prun) if forward else _boxes(q, run)
-    # run pairs whose boxes overlap, SLICE run pairs at a time; forward
-    # keeps the upper triangle
-    nq = len(qrun[0])
-    rows = max(1, SLICE // nq)
-    I, J = [], []
-    for r0 in range(0, len(prun[0]), rows):
-        hit = _overlap([x[r0:r0 + rows, None] for x in prun], qrun)
-        if forward:
-            hit &= np.arange(nq) >= np.arange(r0, r0 + len(hit))[:, None]
-        ri, rj = np.nonzero(hit)
-        I.append(ri + r0)
-        J.append(rj)
-    I, J = np.concatenate(I), np.concatenate(J)
+    levels = []
+    if not forward and min(len(p), len(q)) == 2:
+        k = _straddling(p, *q) if len(q) == 2 else _straddling(q, *p)
+        I, J = (k, np.zeros_like(k)) if len(q) == 2 else (np.zeros_like(k), k)
+    else:
+        prun, *pfine = _boxes(p, run)
+        qrun, *qfine = (prun, *pfine) if forward else _boxes(q, run)
+        levels = list(zip(pfine, qfine))
+        # run pairs whose boxes overlap, SLICE run pairs at a time; forward
+        # keeps the upper triangle
+        nq = len(qrun[0])
+        rows = max(1, SLICE // nq)
+        I, J = [], []
+        for r0 in range(0, len(prun[0]), rows):
+            hit = _overlap([x[r0:r0 + rows, None] for x in prun], qrun)
+            if forward:
+                hit &= np.arange(nq) >= np.arange(r0, r0 + len(hit))[:, None]
+            ri, rj = np.nonzero(hit)
+            I.append(ri + r0)
+            J.append(rj)
+        I, J = np.concatenate(I), np.concatenate(J)
     if forward:
         # drop the run pairs whose chords turn by less than pi - 1e-3: they
         # are monotone (module docstring); a degenerate chord turns by pi
@@ -1170,15 +1200,16 @@ def _crossings(p, q, forward):
         last = np.minimum((J + 1) * run, len(d)) - 1
         keep = turned[last] - turned[I * run] >= math.pi - 1e-3
         I, J = I[keep], J[keep]
-    # segment pairs of those runs whose boxes overlap, SLICE pairs at a time;
-    # runs of one segment are already segment pairs
+    # the quarter and then segment pairs of those runs whose boxes overlap,
+    # at most SLICE segment pairs at a time
     step = max(1, SLICE // (run * run))
     for k0 in range(0, len(I), step):
         i, j = I[k0:k0 + step], J[k0:k0 + step]
-        if run > 1:
-            k, ii, jj = np.nonzero(_overlap([x[i, :, None] for x in pseg],
-                                            [x[j, None, :] for x in qseg]))
-            i, j = i[k] * run + ii, j[k] * run + jj
+        for pbox, qbox in levels:
+            w = pbox.shape[2]
+            k, a, b = np.nonzero(_overlap([x[i, :, None] for x in pbox],
+                                          [x[j, None, :] for x in qbox]))
+            i, j = i[k] * w + a, j[k] * w + b
         if forward:
             keep = j > i + 1
             i, j = i[keep], j[keep]
@@ -1196,10 +1227,7 @@ def segment_crossings(p, q):
     ``p[i] + s (p[i+1] - p[i]) = q[j] + u (q[j+1] - q[j])`` with s and u in
     [0, 1], and ``den`` is the cross product of the two directions.
     Parallel pairs (``den == 0``) are never reported.  The filter is
-    output-sensitive: the segments are grouped into runs of ``RUN`` (of one
-    segment where either polyline has at most ``RUN``), only the run pairs
-    whose bounding boxes overlap are expanded, and only the segment pairs of
-    those whose boxes overlap are solved.
+    output-sensitive (module docstring).
     """
     return _crossings(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex),
                       forward=False)
@@ -1219,9 +1247,8 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     """Transversal self-crossings of the sampled trajectory, refined on the
     Hermite interpolant to ~1e-12, the first ``max_count`` in segment order.
     The chords (at most 4000, ``_decimate``) go through the kernel of
-    ``segment_crossings`` once, against themselves, on the upper triangle
-    of run pairs and the segment pairs j > i + 1 of it, skipping the run
-    pairs whose chords turn by less than pi - 1e-3, which cannot meet."""
+    ``segment_crossings`` once, on the pairs j > i + 1 of runs that turn by
+    pi - 1e-3 or more, the only ones that can meet (module docstring)."""
     if len(traj) < 3:
         return []
     pts, ts = _decimate(traj.support_array(), traj.times, 4000)

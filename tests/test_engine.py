@@ -542,6 +542,67 @@ class TestSegmentCrossings:
         assert self_intersections(traj, max_count=2) == full[:2]
 
 
+class TestOneChordSide:
+    """Against a polyline of one chord, such as a section, the kernel
+    solves only the chords whose ends do not both lie strictly on one side
+    of its line: the crossings brute force finds, in either argument order
+    and with the chord either way round, which may round differently."""
+
+    @staticmethod
+    def _agree(pts, a, b):
+        orders = ((pts, [a, b]), ([a, b], pts), (pts, [b, a]), ([b, a], pts))
+        return [TestSegmentCrossings._agree(p, q) for p, q in orders][0]
+
+    def test_points_within_rounding_of_the_line(self):
+        # points on the line through a and b, each moved by an ulp, some
+        # past its ends, between points far off it on either side
+        a, b = 0.3 + 0.1j, 2.1 + 1.3j
+        on = [a + t * (b - a) for t in np.linspace(-0.5, 1.5, 41)]
+        pts = []
+        for k, z in enumerate(on):
+            step = (-1) ** k * math.inf
+            pts += [complex(np.nextafter(z.real, step), z.imag),
+                    complex(z.real, np.nextafter(z.imag, -step)),
+                    z + (3 - 6 * (k % 3 == 0)) * 1j * (b - a)]
+        assert len(self._agree(pts, a, b)) > 20
+
+    def test_vertex_on_the_line(self):
+        # vertices exactly on the real axis: inside the section, at both of
+        # its ends and past them; each crossing is reported on both chords
+        pts = [1 - 1j, 1 + 0j, 1.5 + 1j, 0j, -1j, 2 + 0j, 1j, 3 + 0j, 3 - 1j]
+        got = self._agree(pts, 0j, 2 + 0j)
+        assert [i for i, *_ in got] == [0, 1, 2, 3, 4, 5]
+
+    def test_chord_along_the_line(self):
+        # chord 1 lies on the section's line (den == 0): never reported;
+        # its neighbours meet the section at their ends
+        pts = [0.5 - 1j, 0.5 + 0j, 1.5 + 0j, 1.5 + 1j, 4 + 0j, 5 + 0j]
+        got = self._agree(pts, 0j, 2 + 0j)
+        assert [(i, s) for i, _, s, *_ in got] == [(0, 1.0), (2, 0.0)]
+
+    def test_nan_points(self):
+        # NaN points hide their own chords; a NaN section meets nothing
+        rng = np.random.default_rng(23)
+        pts = [complex(z) for z in rng.normal(0, 1, 400) + 1j * rng.normal(0, 1, 400)]
+        want = self._agree(pts, -1 - 0.5j, 1 + 0.5j)
+        hidden = {7, 150, 151, 399}
+        for k in hidden:
+            pts[k] = complex(math.nan, 0.0)
+        got = self._agree(pts, -1 - 0.5j, 1 + 0.5j)
+        assert got == [g for g in want if not {g[0], g[0] + 1} & hidden]
+        assert len(got) < len(want)
+        assert self._agree(pts, complex(math.nan, math.nan), 1 + 0.5j) == []
+
+    @pytest.mark.parametrize("slice_", [8, 64, 72])
+    def test_crossings_at_block_boundaries(self, monkeypatch, slice_):
+        # a zigzag across the section, every chord crossing it, scanned
+        # SLICE // 8 points at a time: the chords that span two blocks too
+        pts = [complex(0.01 * k, (-1) ** k) for k in range(101)]
+        monkeypatch.setattr(engine, "SLICE", slice_)
+        got = self._agree(pts, -0.5 + 0j, 2 + 0j)
+        assert [i for i, *_ in got] == list(range(100))
+
+
 def _forward_agree(pts):
     """The forward scan of ``pts`` against every pair j > i + 1 of the
     brute-force scan."""
@@ -569,9 +630,10 @@ class TestTurningPrune:
     def test_half_turn_cut_at_pi(self, monkeypatch, short):
         # 3 runs of unit chords: the first nearly straight, the second a
         # U-turn of 3.0 rad, the third nearly straight back.  Runs 0 and 1
-        # turn by pi - short, within the margin of pi, so their 256 segment
-        # boxes are tested; runs 1 and 2 turn by pi - 2e-3 and are dropped,
-        # and so is each run with itself; runs 0 and 2 lie apart
+        # turn by pi - short, within the margin of pi, so their 16 quarter
+        # boxes are tested, and the 16 segment boxes of the one quarter pair
+        # that overlaps, at the U-turn; runs 1 and 2 turn by pi - 2e-3 and
+        # are dropped, and so is each run with itself; runs 0 and 2 lie apart
         R = engine.RUN
         S0, S1, S2 = 0.05, 3.0, 0.05
         turns = ([S0 / (R - 1)] * (R - 1) + [math.pi - short - S0 - S1]
@@ -587,7 +649,7 @@ class TestTurningPrune:
             return mask
         monkeypatch.setattr(engine, "_overlap", overlap)
         assert _forward_agree(pts) == []
-        assert tested == [3 * 3, R * R]
+        assert tested == [3 * 3, 4 * 4, (R // 4) ** 2]
 
     def test_dense_loop_past_a_pole(self):
         # the loop past a rho = -0.9 pole: chords from 1e-9 to 1 long

@@ -32,12 +32,15 @@ it once, to the time at which it reaches its target: wrappers around the
 ``omega`` and ``polygons`` call count the traces they start, one per start
 of a batch.
 
-The crossing kernel tests bounding boxes of runs of segments first and of
-segments only within the run pairs whose boxes overlap, and against a
-polyline of at most ``RUN`` segments, such as a section, the segment boxes
-directly: wrappers around ``engine._overlap`` and ``engine._solve`` count
-the box pairs it tests and the segment pairs it solves, which stay far below
-n m where crossings are few, and at n for a section.  A self-crossing scan
+The crossing kernel tests bounding boxes of runs of segments first, of
+quarter runs only within the run pairs whose boxes overlap, and of segments
+only within the quarter pairs whose boxes overlap; against a polyline of at
+most ``RUN`` segments it tests the segment boxes directly, and against a
+section, one chord, no box at all, only which side of its line each point
+lies on: wrappers around ``engine._overlap`` and ``engine._solve`` count the
+box pairs it tests and the segment pairs it solves, which stay far below
+n m where crossings are few, and at the chords that straddle a section's
+line.  A self-crossing scan
 expands only the run pairs whose chords turn by pi or more.  The scans read a
 trajectory's chords from one array, ``Trajectory.support_array``, and a
 wrapper that keeps the arrays it hands out sees one per classification.
@@ -465,9 +468,11 @@ def test_dense_loop_kernel_work(kernel_work):
                               (rho / (rho + 1.0) * np.log(W)).tolist())])
     assert len(engine.self_intersections(loop)) == 4
     nm = 2999 * 2999
-    # every pair of run boxes (188^2), then the segment boxes only of the
-    # run pairs whose chords turn by pi or more: 7 here, 37,136 box tests
-    # in all against 133,136 without the turning test; the bound allows 16
+    # every pair of run boxes (188^2), then the quarter boxes only of the
+    # run pairs whose chords turn by pi or more (7 here) and the segment
+    # boxes of the quarter pairs that overlap (8): 35,584 box tests in all,
+    # against 37,136 straight from runs to segments and 133,136 without the
+    # turning test; the bound allows 16 run pairs expanded to segments
     runs = -(-2999 // engine.RUN)
     assert kernel_work["tested"] <= runs * runs + 16 * engine.RUN ** 2
     assert 0 < kernel_work["solved"] < nm // 500
@@ -475,25 +480,30 @@ def test_dense_loop_kernel_work(kernel_work):
 
 def test_audit_config_kernel_work(kernel_work):
     # seed-1000 audit draw 98: 675 rows that wander to t = 60 without a
-    # verdict; the self-crossing scan and the section scans together
+    # verdict; the self-crossing scan and the section scans together.  Its
+    # long chords make runs of 16 overlap widely: expanded through quarter
+    # runs this takes 35,449 box tests, straight to segments 130,361
     conn, ic = audit_draws(1000, 99)[98]
     verdict = classify(conn, ic, ClassifyBudget(t_max=60.0, max_steps=60_000,
                                                 max_seconds=None))
     n = len(verdict.details["traj"]) - 1
     assert verdict.tag == "Undetermined" and n == 674
-    assert kernel_work["tested"] < n * n // 2
+    assert kernel_work["tested"] < n * n // 10
     assert 0 < kernel_work["solved"] < n * n // 500
 
 
 def test_section_scan_tests_each_chord_once(kernel_work, circle_conn):
     # a slow log-spiral of the circle connection crosses a radial section
-    # once per turn: one box test per chord, none per run
+    # once per turn, and the section's line twice: no box test, and only
+    # the chords whose ends straddle the line solved
     spiral = trace(circle_conn, (1.0, complex(0.005, 1.0)), 40 * math.pi)
     n = len(spiral) - 1
     xs = omega.section_crossings(spiral, omega.TransversalSection(0.5, 2.0))
     assert len(xs) == 20
-    assert 0 < kernel_work["tested"] <= n
-    assert kernel_work["solved"] < n // 10
+    side = np.sign(spiral.support_array().imag)
+    straddling = np.count_nonzero(side[:-1] * side[1:] <= 0)
+    assert kernel_work["tested"] == 0
+    assert 40 <= kernel_work["solved"] <= straddling < n // 10
 
 
 def test_classify_builds_one_chord_array(monkeypatch):

@@ -13,9 +13,9 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
                        detect_period, ring_domain_probe,
                        saddle_connection_search, trace, transversal_analysis)
 from connexion import errors, omega
-from connexion.engine import (GeodesicState, IntegratorOptions, Trajectory,
-                              TrajectorySample, canonical_K, continue_K,
-                              delta_zeta)
+from connexion.engine import (POLE_FLOOR, GeodesicState, IntegratorOptions,
+                              Trajectory, TrajectorySample, canonical_K,
+                              continue_K, delta_zeta, tracing)
 from connexion.localchart import FALL_ETA, AdaptedChart, pole_chart
 from connexion.omega import (TransversalSection, _best_section,
                              _critical_launch, _foreign_accumulation,
@@ -200,6 +200,36 @@ class TestRingDomain:
         width = abs((c_hat.conjugate() * delta_zeta(conn, (lo, hi))).imag)
         assert rep.width == pytest.approx(width, abs=1e-12)
         assert rep.width == pytest.approx(0.6728555, abs=1e-7)
+
+    def test_leaf_start_at_the_pole_stops_that_side(self, circle_conn,
+                                                    monkeypatch):
+        # a seed circle of radius 0.25 + 5e-7: the fifth inward leaf would
+        # start 5e-7 from the pole at 0, inside POLE_FLOOR, so its start is
+        # refused and that side stops there, after four leaves.  The normal
+        # segment to it ends 5e-7 from the pole, so K continues along it
+        starts = []
+
+        def starting(conn, initial, t_max, opts, _run=omega.tracing):
+            starts.append(initial[0])
+            return _run(conn, initial, t_max, opts)
+        monkeypatch.setattr(omega, "tracing", starting)
+        seed = trace(circle_conn, (0.25 + 5e-7, 1j), 10.0)
+        rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=6)
+        assert [b["stopped"] for b in rep.boundary] == [("pole", 0.25), None]
+        assert rep.n_leaves == 11
+        assert abs(starts[4]) == pytest.approx(5e-7, rel=1e-6)
+        assert abs(starts[4]) < POLE_FLOOR
+
+    def test_paused_period_doubles_its_pause(self, circle_conn):
+        # the unit circle recurs at 2 pi: the pauses at 0.5, 1, 2 and 4
+        # come before it and the pause at 8 after it; a trace that ends at
+        # t = 3, before any recurrence, returns no period and the full trace
+        T, tr = omega._paused_period(tracing(circle_conn, (1.0, 1j), 20.0), 0.5)
+        assert T == pytest.approx(2 * math.pi, abs=1e-9)
+        assert tr.t[-2] < 8.0 <= tr.t[-1] < 20.0
+        T, tr = omega._paused_period(tracing(circle_conn, (1.0, 1j), 3.0), 0.5)
+        assert T is None
+        assert tr.termination == "t_max" and tr.t_end == 3.0
 
     @pytest.mark.parametrize("case", ["inner", "switch", "outer",
                                       "off_canonical"])
