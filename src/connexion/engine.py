@@ -75,10 +75,11 @@ time the caller sends and resumes from its own state (z, K, h, chart, budget
 counters).  A pause clamps no step, so a paused trajectory is a prefix of the
 finished one, switches and events included; ``trace`` runs it without pauses.
 
-``trace_many`` steps the starts of one connection in lockstep numpy lanes,
-each with its own h and chart, on its chart's pole table; only a batch
-split across the charts pads both tables to one width with poles of
-residue 0 far off.  Chord gaps are measured only when a lane passes the
+``trace_many`` steps the starts of one connection in lockstep numpy lanes;
+the saddle search's fan of launches is its one caller.  Each lane has its
+own h and chart and steps on its chart's pole table; only a batch split
+across the charts pads both tables to one width with poles of residue 0
+far off.  Chord gaps are measured only when a lane passes the
 scalar loop's reach screen.  A lane returns to the scalar loop
 (``_stepping``) from its last accepted state when its chord enters a pole
 floor, and once fewer than ``LANES_MIN`` lanes are left, the measured
@@ -859,7 +860,8 @@ def trace_many(conn: FuchsianConnection, starts, t_max: float,
     """``trace`` of each start: in lanes (module docstring), or start by start
     in ``trace``'s loop for fewer than ``LANES_MIN`` starts or a time budget.
     With ``pole_rows_only`` a trace that ends in the lanes (never at a pole)
-    keeps only its start row, termination and events."""
+    keeps only its start row, termination and events.  The saddle search is
+    the package's one caller."""
     opts = opts or IntegratorOptions()
     begun = [_start(conn, s, t_max) for s in starts]
     if len(begun) >= LANES_MIN and opts.max_seconds is None:

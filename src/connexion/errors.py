@@ -101,11 +101,7 @@ class VertexResidueTooLow(ConnexionError):
 
 
 class NotFound(ConnexionError):
-    """Shooting search exhausted its budget without connecting."""
-
-
-class NonSimpleArc(ConnexionError):
-    pass
+    """Shooting search found no simple arc to its target."""
 
 
 # -- classifier ---------------------------------------------------------------

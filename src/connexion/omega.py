@@ -30,10 +30,10 @@ import numpy as np
 from . import errors
 from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
                          build_connection)
-from .engine import (GeodesicState, IntegratorOptions, Trajectory,
-                     _chord_gap, canonical_K, check_start, continue_K,
-                     delta_zeta, metric_density, segment_crossings,
-                     self_intersections, state_at, trace, trace_many, tracing)
+from .engine import (POLE_FLOOR, GeodesicState, IntegratorOptions, Trajectory,
+                     _chord_gap, canonical_K, continue_K, delta_zeta,
+                     metric_density, segment_crossings, self_intersections,
+                     state_at, trace, trace_many, tracing)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -483,13 +483,18 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
     on an angular grid, at 0.05 of its adapted-chart radius, and keep the
     launches that land in another pole's funnel, shortest first.  All
     launches are traced together (``trace_many``), with rows only for those
-    that may land."""
+    that may land; the batch checks each start, and a pole whose launch
+    radius lies within the pole floor gets no launch.  The metric length of
+    the ray from the pole to a launch is taken only for the launches that
+    land."""
     launches = []
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
             continue
         chart = pole_chart(conn, p.location)
-        if chart is None:
+        # the chart's disc holds no other pole: only its own pole's floor
+        # can refuse a launch
+        if chart is None or 0.05 * chart.radius <= POLE_FLOOR:
             continue
         for k in range(n_grid):
             phi = TWO_PI * k / n_grid
@@ -506,7 +511,7 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                    if kk == "pole_approach")
         if (not end.infinite) and abs(end.z - start.z) < 1e-9:
             continue            # returned to its own pole
-        length = tr.s_g[-1] + stub + _end_stub(conn, end, tr)
+        length = tr.s_g[-1] + stub() + _end_stub(conn, end, tr)
         found.append(SaddleConnection(start, end, phi, tr, length))
     return sorted(found, key=lambda sc: sc.length)
 
@@ -527,11 +532,11 @@ def _end_stub(conn, end, tr):
 def _critical_launch(conn, chart, r0, phi):
     """(state, stub): the state on the critical ray with adapted-coordinate
     argument phi at ambient radius r0, moving away from the pole, or None
-    where no trace can start; and the metric length of the ray from the pole
-    to it (``_ray_stub``).  The launch has unit speed in K0 w, with
-    K0 = |rho+1|^(-1/(rho+1)); K0 overflows for rho close to -1, and such a
-    pole gets no launch.  The speed sets how far each launch reaches by
-    t_max, and so which connections the search finds."""
+    where the chart gives no direction; and the function that measures the
+    ray from the pole to it (``_ray_stub``).  The launch has unit speed in
+    K0 w, with K0 = |rho+1|^(-1/(rho+1)); K0 overflows for rho close to -1,
+    and such a pole gets no launch.  The speed sets how far each launch
+    reaches by t_max, and so which connections the search finds."""
     s = chart.rho + 1.0
     try:
         K0 = abs(1.0 / s) ** (1.0 / s)
@@ -551,12 +556,8 @@ def _critical_launch(conn, chart, r0, phi):
     if dw == 0:
         return None
     vw = w / abs(w)                 # outward critical direction in w
-    state = GeodesicState(chart.ambient, u, vw / (K0 * dw))
-    try:
-        check_start(conn, state.chart, u, state.v)
-    except errors.StartAtPole:
-        return None
-    return state, _ray_stub(conn, chart, u, w, dw)
+    return (GeodesicState(chart.ambient, u, vw / (K0 * dw)),
+            lambda: _ray_stub(conn, chart, u, w, dw))
 
 
 def _ray_stub(conn, chart, u, w, dw):

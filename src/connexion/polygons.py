@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .connection import (FuchsianConnection, LoopPath, SpherePoint,
+from .connection import (STANDARD, FuchsianConnection, LoopPath, SpherePoint,
                          winding_number)
 from .engine import (IntegratorOptions, Trajectory, canonical_K, delta_zeta,
-                     metric_density, self_intersections, trace, trace_many)
+                     metric_density, self_intersections, trace)
 from .localchart import AdaptedChart
 
 JUNCTION_TOL = 1e-8
-N_GRID = 72                 # launch directions of connect_unique's fallback
 POLE_GAP_TOL = 0.2
 TWO_PI = 2.0 * math.pi
 
@@ -296,104 +295,76 @@ def _arc_side(rho, za, Wa, zb, Wb, n=128):
 def connect_unique(conn: FuchsianConnection, z0: complex, z1: complex,
                    opts: IntegratorOptions | None = None,
                    miss_tol: float = 1e-7) -> Trajectory:
-    """Shooting search for a simple geodesic arc from z0 to z1.
+    """A simple geodesic arc from z0 to z1, aimed by its homotopy class.
 
-    Aim first.  A geodesic is a straight line in the developing coordinate
-    zeta = int e^K dz, run at the velocity c = v e^K, so the geodesic
-    homotopic to the straight segment [z0, z1] has c parallel to its Delta
-    zeta (``delta_zeta``).  The aimed launch has unit speed in the direction
-    arg(Delta zeta e^(-K(z0))), K canonical at z0, and its trace runs to
-    t_end = |Delta zeta| / metric_density(z0), where it reaches z1.  That arc
-    is returned when it ends within miss_tol max(1, |z1|) of z1 and does not
-    cross itself: where the segment's class holds a simple arc it wins over
-    every other class, also where the grid alone finds another (problems 2
-    and 12 of the tests' seeded random problems).
-
-    The grid runs only when the aim fails: the segment passes within
-    PATH_CLEARANCE of a pole, Delta zeta is 0 or not finite, or the aimed
-    arc misses z1 or crosses itself.  It traces ``N_GRID`` launch directions
-    together (``trace_many``), to t = 8 |z1 - z0| + 8.  The signed miss
-    Im((z - z1) conj(v)) / |v| at a trace's closest approach (z, v) to z1
-    changes sign as the geodesic sweeps across z1.  Regula falsi (Illinois)
-    on it runs over the grid interval beside the best grid direction whose
-    signed miss changes sign, the one whose far end misses less, and finds
-    the launch angle with the smallest miss.  That arc ends at its closest
-    approach.
+    A geodesic is a straight line in the developing coordinate zeta =
+    int e^K dz, run at the velocity c = v e^K, so the geodesic in the class
+    of a path from z0 to z1 has c parallel to the path's Delta zeta
+    (``delta_zeta``), which depends on the class only.  Its launch has unit
+    speed in the direction arg(Delta zeta e^(-K(z0))), K canonical at z0,
+    and its trace runs to t_end = |Delta zeta| / metric_density(z0), where
+    it reaches z1 if the class holds a geodesic.  The classes are aimed one
+    at a time (``_aims``): the straight segment [z0, z1] first, so that
+    where its class holds a simple arc it wins over every other, then the
+    paths that wind round one finite pole by the principal turn from z0 to
+    z1 about it plus or minus 2 pi, in the order of |Delta zeta|, the length
+    of their geodesics.  The first arc that ends within miss_tol max(1,
+    |z1|) of z1 and does not cross itself is returned.  A class whose path
+    passes within PATH_CLEARANCE of a pole, or whose Delta zeta is 0 or not
+    finite, is skipped.  Where no aim lands, NotFound names each class
+    tried and its miss.
     """
     z0, z1 = complex(z0), complex(z1)
     if abs(z0 - z1) < 1e-12:
         raise ValueError("need distinct endpoints")
     opts = opts or IntegratorOptions()
     tol = miss_tol * max(1.0, abs(z1))
-    arc = _aimed_arc(conn, z0, z1, opts, tol)
-    if arc is not None:
-        return arc
-    t_max = 8.0 * abs(z1 - z0) + 8.0
-
-    def closest(tr):
-        """(miss, signed miss, time) at the trace's closest approach to z1."""
-        zs, vs = tr.std_columns()
-        k = int(np.argmin(np.abs(np.asarray(zs) - z1)))
-        # rows can be far apart: the closest approach on the interpolant in
-        # the steps into and out of row k (row k itself if there are none)
-        ts = [tr.nearest_time(j, z1) for j in (k, k + 1) if 0 < j < len(tr)]
-        z, v, t = min(((*tr.interpolate(t), t) for t in ts),
-                      key=lambda c: abs(c[0] - z1),
-                      default=(zs[k], vs[k], tr.t[k]))
-        return abs(z - z1), ((z - z1) * v.conjugate()).imag / abs(v), t
-
-    grid = [closest(tr) for tr in trace_many(
-        conn, [(z0, cmath.exp(1j * TWO_PI * k / N_GRID))
-               for k in range(N_GRID)], t_max, opts)]
-    kb = min(range(N_GRID), key=lambda k: grid[k][0])
-    best = (grid[kb][0], TWO_PI * kb / N_GRID, grid[kb][2])
-    if best[0] > abs(z1 - z0):
-        raise errors.NotFound("no launch direction approaches the target")
-    sides = [j for j in (kb - 1, kb + 1)
-             if grid[kb][1] * grid[j % N_GRID][1] <= 0.0]
-    if not sides:
-        raise errors.NotFound("no sign change beside the best grid direction")
-    j = min(sides, key=lambda j: grid[j % N_GRID][0])
-    a, fa = TWO_PI * kb / N_GRID, grid[kb][1]
-    b, fb = TWO_PI * j / N_GRID, grid[j % N_GRID][1]
-    # b is the latest angle; a is halved when kept twice in a row
-    for _ in range(80):
-        if abs(b - a) < 1e-14:
-            break
-        theta = b - fb * (b - a) / (fb - fa)
-        d, s, t = closest(trace(conn, (z0, cmath.exp(1j * theta)), t_max,
-                                opts))
-        best = min(best, (d, theta, t))
-        if s == 0.0:
-            break
-        if (s < 0.0) == (fb < 0.0):
-            fa *= 0.5
+    arg0, density = canonical_K(conn, z0).imag, metric_density(conn, z0)
+    tried = []
+    for label, dzeta in _aims(conn, z0, z1):
+        if dzeta == 0 or not cmath.isfinite(dzeta):
+            continue
+        heading = cmath.phase(dzeta) - arg0
+        arc = trace(conn, (z0, cmath.exp(1j * heading)), abs(dzeta) / density,
+                    opts)
+        miss = abs(arc.support_std()[-1] - z1)
+        if miss > tol:
+            tried.append(f"{label} misses by {miss:.3g}")
+        elif self_intersections(arc, max_count=1):
+            tried.append(f"{label} crosses itself")
         else:
-            a, fa = b, fb
-        b, fb = theta, s
-    d, theta, t_hit = best
-    if d > tol:
-        raise errors.NotFound(f"best miss distance {d:g} above tolerance")
-    # re-trace to the hit time so the arc ends exactly on a sample
-    arc = trace(conn, (z0, cmath.exp(1j * theta)), t_hit, opts)
-    if self_intersections(arc, max_count=1):
-        raise errors.NonSimpleArc("connecting arc crosses itself")
-    return arc
+            return arc
+    raise errors.NotFound(f"no simple arc ends within {tol:g} of z1: "
+                          + "; ".join(tried))
 
 
-def _aimed_arc(conn, z0, z1, opts, tol):
-    """The arc of the aimed launch (``connect_unique``), or None where the
-    aim fails."""
+def _aims(conn, z0, z1):
+    """(label, Delta zeta) of each class ``connect_unique`` aims in, in its
+    order: "segment" for [z0, z1], then "poleJ:X" for the path that
+    runs straight from z0 to the circle round the j-th finite pole p of
+    radius r, turns X full turns on it and runs straight to z1; a class
+    whose path passes within PATH_CLEARANCE of a pole is left out.  The
+    radius is half the least distance from p to z0, z1 and the other poles,
+    so the disc holds no other pole and Delta zeta is the same at every
+    smaller radius; the circle is a polygon of at most pi/4 per side."""
     try:
-        dzeta = delta_zeta(conn, (z0, z1))
+        yield "segment", delta_zeta(conn, (z0, z1))
     except errors.PathThroughPole:
-        return None
-    if dzeta == 0 or not cmath.isfinite(dzeta):
-        return None
-    heading = cmath.phase(dzeta) - canonical_K(conn, z0).imag
-    arc = trace(conn, (z0, cmath.exp(1j * heading)),
-                abs(dzeta) / metric_density(conn, z0), opts)
-    if (abs(arc.support_std()[-1] - z1) > tol
-            or self_intersections(arc, max_count=1)):
-        return None
-    return arc
+        pass
+    poles = [p for p, _ in conn.chart_poles(STANDARD)]
+    classes = []
+    for j, p in enumerate(poles):
+        r = 0.5 * min([abs(z0 - p), abs(z1 - p)]
+                      + [abs(q - p) for q in poles if q != p])
+        start = cmath.phase(z0 - p)
+        principal = cmath.phase((z1 - p) / (z0 - p))
+        for turn in (principal - TWO_PI, principal + TWO_PI):
+            n = math.ceil(abs(turn) / (math.pi / 4.0))
+            circle = [p + r * cmath.exp(1j * (start + turn * k / n))
+                      for k in range(n + 1)]
+            try:
+                dzeta = delta_zeta(conn, (z0, *circle, z1))
+            except errors.PathThroughPole:
+                continue
+            classes.append((f"pole{j}:{turn / TWO_PI:+.3f}", dzeta))
+    yield from sorted(classes, key=lambda c: abs(c[1]))

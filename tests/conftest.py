@@ -8,8 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from connexion import (GeodesicState, SpherePoint, build_connection, errors,
-                       polygons, trace)
+from connexion import (GeodesicState, SpherePoint, Trajectory,
+                       build_connection, errors, polygons, trace)
 from connexion.localchart import pole_chart
 from connexion.omega import _critical_launch, random_connection
 
@@ -114,24 +114,35 @@ def shooting_problems(n):
         yield conn, z0, z1
 
 
+def record_aims(mp):
+    """Patch ``polygons._aims`` through the MonkeyPatch ``mp`` so that the
+    labels of the classes it yields, the classes ``connect_unique`` aims
+    in, are appended in order to the list returned."""
+    labels = []
+
+    def aims(*args, _aims=polygons._aims):
+        for label, dzeta in _aims(*args):
+            labels.append(label)
+            yield label, dzeta
+    mp.setattr(polygons, "_aims", aims)
+    return labels
+
+
 def shooting_runs(n=240):
     """``connect_unique`` on each of the first n shooting problems: (index,
-    problem, the arc or the ConnexionError raised, whether the launch grid
-    ran).  The grid runs where ``polygons.trace_many`` is called."""
+    problem, the arc or the ConnexionError raised, the label of the class
+    whose aim connected, or None): the last class aimed in before the
+    search returned."""
     with pytest.MonkeyPatch.context() as mp:
-        ran = []
-
-        def grid(*args, _many=polygons.trace_many, **kw):
-            ran.append(True)
-            return _many(*args, **kw)
-        mp.setattr(polygons, "trace_many", grid)
+        aimed = record_aims(mp)
         for k, problem in enumerate(shooting_problems(n)):
-            ran.clear()
+            aimed.clear()
             try:
                 out = polygons.connect_unique(*problem)
             except errors.ConnexionError as exc:
                 out = exc
-            yield k, problem, out, bool(ran)
+            connected = aimed[-1] if isinstance(out, Trajectory) else None
+            yield k, problem, out, connected
 
 
 SWITCH_POLES = [(SpherePoint.of(0.0), -0.5), (SpherePoint.of(1.5 + 0.5j), -0.3),

@@ -23,7 +23,10 @@ length to 10 significant digits.  The lines of one search are sorted by
 The shooting corpus: ``connect_unique`` on the 240 problems of
 ``conftest.shooting_problems``, one line per problem: its index, the
 outcome (the arc's termination, or the class of the error raised), the
-arc's t_end to 10 significant digits, and whether the launch grid ran.
+arc's t_end to 10 significant digits, and the homotopy class whose aim
+connected: ``segment`` for the straight segment's, or ``poleJ:X`` for the
+path that winds X full turns round the J-th finite pole (``-`` where none
+did).
 ``test_polygons.py::TestConnectUnique::test_connects_seeded_problems``
 diffs it in the loop that checks the arcs, so the searches run once.
 
@@ -103,13 +106,14 @@ def saddle_corpus() -> list:
     return lines
 
 
-def shooting_line(k: int, outcome, grid: bool) -> str:
+def shooting_line(k: int, outcome, aim) -> str:
     """The shooting corpus line of problem k: ``outcome`` is the arc or the
-    error ``connect_unique`` raised, ``grid`` whether its grid ran."""
+    error ``connect_unique`` raised, ``aim`` the label of the class whose
+    aim connected (``polygons._aims``), or None."""
     if isinstance(outcome, Exception):
-        return f"problem={k} outcome={type(outcome).__name__} t_end=- grid={grid}"
+        return f"problem={k} outcome={type(outcome).__name__} t_end=- aim=-"
     return (f"problem={k} outcome={outcome.termination} "
-            f"t_end={outcome.t_end:.10g} grid={grid}")
+            f"t_end={outcome.t_end:.10g} aim={aim}")
 
 
 def moved(name: str, got: list, prefix: str = "") -> list:
@@ -140,8 +144,8 @@ if __name__ == "__main__":
         written[f"audit_{seed}.txt"], crossings = corpora(seed)
         written["crossings.txt"] += crossings
     written["saddles.txt"] = saddle_corpus()
-    written["shooting.txt"] = [shooting_line(k, out, grid)
-                               for k, _, out, grid in shooting_runs()]
+    written["shooting.txt"] = [shooting_line(k, out, aim)
+                               for k, _, out, aim in shooting_runs()]
     for name, got in written.items():
         if (DATA / name).exists():
             for line in moved(name, got):

@@ -52,7 +52,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from connexion import (SpherePoint, build_connection, classify, detect_period,
@@ -182,6 +182,8 @@ _COORD = st.floats(min_value=-10.0, max_value=10.0)
                        st.floats(min_value=-3.0, max_value=1.0)),
        side=st.floats(min_value=0.0, max_value=2.0 * math.pi),
        far=st.tuples(_COORD, _COORD))
+@example(a=(0.0, 0.0), length=3.0, heading=0.0, s=0.0, log_d=0.0, side=0.0,
+         far=(0.0, 0.0))
 @settings(max_examples=300, deadline=None)
 def test_pole_pass_sees_every_chord_near_a_pole(a, length, heading, s, log_d,
                                                 side, far):
@@ -201,6 +203,13 @@ def test_pole_pass_sees_every_chord_near_a_pole(a, length, heading, s, log_d,
     # a stage point on the far pole would end the step before the screen
     if engine._chord_gap(a, b, poles[1][0]) <= PATH_CLEARANCE:
         poles = poles[:1]
+    # so does a stage point on the near pole (in the example, the pole at 1
+    # on the chord [0, 3], DOP853's stage c6 = 1/3): the step is not finite
+    try:
+        engine._stepper(len(poles))(poles, a, k1, h)
+        on_stage = False
+    except ValueError:
+        on_stage = True
     measured = []
 
     def recording(poles, z, z1):
@@ -212,8 +221,13 @@ def test_pole_pass_sees_every_chord_near_a_pole(a, length, heading, s, log_d,
         [], 1.0, math.inf)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_pole_gap", recording)
-        with pytest.raises(StopIteration):
+        with pytest.raises(StopIteration) as stop:
             next(run)
+    if on_stage:
+        # the loop refuses the step unmeasured, and its one step is spent
+        assert stop.value.value[0] == "max_steps"
+        assert traj.z == [] and measured == []
+        return
     assert traj.z == [b]
     assert measured == [(a, b)] or engine._pole_gap(poles, a, b) >= POLE_FLOOR
 
@@ -422,7 +436,8 @@ def test_period_and_ring_retrace_nothing(traces, circle_conn, monkeypatch):
 
 @pytest.mark.parametrize("pair", ["flat", "curved"])
 def test_connect_unique_traces(traces, trivial_conn, pair):
-    # one aimed trace, to t = |Delta zeta| / metric_density(z0), and no grid
+    # one aimed trace, to t = |Delta zeta| / metric_density(z0): the
+    # straight segment's class lands, so no other class is aimed
     conn, z0, z1 = {"flat": (trivial_conn, 0j, 2.0 * cmath.exp(0.7j)),
                     "curved": (single_pole(0.5), 1.0, 1j)}[pair]
     connect_unique(conn, z0, z1)

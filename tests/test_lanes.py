@@ -65,7 +65,8 @@ def test_saddle_launches():
 
 @pytest.mark.parametrize("pair", ["flat", "curved"])
 def test_shooting_grids(trivial_conn, pair):
-    # the 72-direction grids of connect_unique, to its horizon
+    # 72-direction fans from two shooting problems' starts, to
+    # t = 8 |z1 - z0| + 8
     conn, z0, z1 = {"flat": (trivial_conn, 0j, 2.0 * cmath.exp(0.7j)),
                     "curved": (single_pole(0.5), 1.0, 1j)}[pair]
     assert_lanes_match(conn, grid(z0), 8.0 * abs(z1 - z0) + 8.0)

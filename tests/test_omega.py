@@ -285,6 +285,23 @@ class TestSaddleConnections:
         # metric length of [-1, 1] under |z-1|^{1/2}|z+1|^{1/2}|dz| is pi/2
         assert abs(seg.length - math.pi / 2.0) < 1e-3
 
+    def test_launch_inside_the_pole_floor_is_dropped(self, monkeypatch):
+        # the poles at +-1e-5 have charts of radius 6.4e-6, so their
+        # launches, 3.2e-7 from the pole, would start inside POLE_FLOOR:
+        # they get none, and only the pole at 3 launches its 8
+        launched = []
+
+        def batch(conn, starts, t_max, _many=omega.trace_many, **kw):
+            launched.extend(s.z for s in starts)
+            return _many(conn, starts, t_max, **kw)
+        monkeypatch.setattr(omega, "trace_many", batch)
+        conn = build_connection([(SpherePoint.of(-1e-5), 0.5),
+                                 (SpherePoint.of(1e-5), 0.5),
+                                 (SpherePoint.of(3.0), 0.2)])
+        saddle_connection_search(conn, n_grid=8, t_max=1.0)
+        assert len(launched) == 8
+        assert all(abs(z - 3.0) < 1.0 for z in launched)
+
     @pytest.mark.parametrize("rho", [0.5, -0.5])
     def test_launch_arclength_is_segment_length(self, rho):
         # a launch starts with K = 0, so |c| is not its metric speed.  On

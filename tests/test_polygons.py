@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from connexion import (GeodesicPolygon, PartTopology, PolygonVertex,
                        check_general_formula, check_p1_formula,
                        self_intersections, trace)
 from connexion import errors, polygons
-from connexion.engine import IntegratorOptions, Trajectory
+from connexion.engine import (IntegratorOptions, Trajectory, canonical_K,
+                              metric_density)
 from connexion.polygons import (connect_unique, measure_internal_angle,
                                 side_from_points, side_from_trajectory)
 
-from conftest import shooting_problems, shooting_runs, single_pole
+from conftest import (record_aims, shooting_problems, shooting_runs,
+                      single_pole)
 from test_corpus import moved, shooting_line
 
 
@@ -133,22 +136,6 @@ class TestConnectUnique:
         with pytest.raises(ValueError):
             connect_unique(trivial_conn, 1.0, 1.0)
 
-    def test_uniqueness_audit(self, monkeypatch):
-        # the aimed arc and the grid's arc are the same (Hausdorff <= 1e-6;
-        # they agree to 3e-10)
-        conn = single_pole(0.5)
-        a = connect_unique(conn, 1.0, 1j)
-        monkeypatch.setattr(polygons, "_aimed_arc", lambda *args: None)
-        b = connect_unique(conn, 1.0, 1j)
-        # compare on the interpolants at matched times, so neither sample
-        # spacing nor chord sagitta contributes to the measured distance
-        t_end = min(a.samples[-1].t, b.samples[-1].t)
-        worst = max(abs(a.interpolate(t)[0] - b.interpolate(t)[0])
-                    for t in np.linspace(0.0, t_end, 2000))
-        worst = max(worst,
-                    abs(a.samples[-1].z_std - b.samples[-1].z_std))
-        assert worst <= 1e-6
-
     @pytest.mark.parametrize("problem", ["flat", "curved"] + list(range(6)))
     def test_matches_golden_section_reference(self, trivial_conn, problem):
         # the arc ends where the golden-section angle search's arc ends, or
@@ -172,54 +159,74 @@ class TestConnectUnique:
             assert new is ref
 
     def test_connects_seeded_problems(self):
-        # the aim connects 233 of the 240 problems: 53, whose segment passes
-        # 0.026 from a pole, and 64 and 76, which the grid alone misses,
-        # among them; the grid connects one more (13).  Every outcome is a
+        # the straight aim connects 233 of the 240 problems: 53, whose
+        # segment passes 0.026 from a pole, and 64 and 76 among them; aims
+        # that wind round one pole connect 13 and 179.  Every outcome is a
         # line of the shooting corpus (test_corpus.py)
-        connected, grid_runs, lines = [], [], []
-        for k, (_, _, z1), arc, grid in shooting_runs():
-            lines.append(shooting_line(k, arc, grid))
-            if grid:
-                grid_runs.append(k)
+        connected, wound, lines = [], [], []
+        for k, (_, _, z1), arc, aim in shooting_runs():
+            lines.append(shooting_line(k, arc, aim))
             if isinstance(arc, errors.NotFound):
                 continue
             assert isinstance(arc, Trajectory), arc
             assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
             assert self_intersections(arc, max_count=1) == []
             connected.append(k)
-        assert len(connected) >= 234
-        assert {13, 53, 64, 76} <= set(connected)
-        assert set(grid_runs) & set(connected) == {13}
+            if aim != "segment":
+                wound.append(k)
+        assert len(connected) >= 235
+        assert {13, 53, 64, 76, 179} <= set(connected)
+        assert wound == [13, 179]
         diff = moved("shooting.txt", lines)
         assert not diff, "\n".join(diff)
 
-    def test_close_pass_needs_no_grid(self, monkeypatch):
+    def test_close_pass_needs_no_grid(self, aimed):
         # problem 53's segment passes 0.026 from a pole: delta_zeta grades
-        # it into pieces, and the aimed arc alone lands on z1
+        # it into pieces, and the straight aim alone lands on z1
         conn, z0, z1 = _random_problem(53)
-
-        def no_grid(*args, **kw):
-            raise AssertionError("the launch grid ran")
-        monkeypatch.setattr(polygons, "trace_many", no_grid)
         arc = connect_unique(conn, z0, z1)
+        assert aimed == ["segment"]
         assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
         assert self_intersections(arc) == []
 
     @pytest.mark.parametrize("problem", [39, 54, 193])
-    def test_aim_needs_no_grid(self, monkeypatch, problem):
-        # the grid alone fails on these: beside its best direction the
-        # signed miss does not change sign (39), regula falsi misses z1 by
-        # 1e-3 (54) or ends on an arc that crosses itself (193).  The aimed
-        # arc lands on z1 and is simple
+    def test_aim_needs_no_grid(self, aimed, problem):
+        # a 72-direction launch grid failed on these: beside its best
+        # direction the signed miss did not change sign (39), regula falsi
+        # missed z1 by 1e-3 (54) or ended on an arc that crosses itself
+        # (193).  The straight aim lands on z1 and is simple
         conn, z0, z1 = _random_problem(problem)
-
-        def no_grid(*args, **kw):
-            raise AssertionError("the launch grid ran")
-        monkeypatch.setattr(polygons, "trace_many", no_grid)
         arc = connect_unique(conn, z0, z1)
+        assert aimed == ["segment"]
         assert abs(arc.support_std()[-1] - z1) <= 1e-7 * max(1.0, abs(z1))
         assert arc.t_end < 2.0
         assert self_intersections(arc) == []
+
+    def test_not_found_names_each_class(self):
+        # problem 40: no aim lands, and the error names every class aimed
+        # in, in the order they were aimed, with the distance by which its
+        # arc misses z1
+        conn, z0, z1 = _random_problem(40)
+        with pytest.raises(errors.NotFound) as err:
+            connect_unique(conn, z0, z1)
+        tried = re.findall(r"(\S+) misses by ([^;]+)", str(err.value))
+        classes = list(polygons._aims(conn, z0, z1))
+        assert [label for label, _ in tried] == [c[0] for c in classes]
+        assert [c[0] for c in classes[:3]] == ["segment", "pole1:+0.622",
+                                               "pole1:-1.378"]
+        assert all(float(miss) > 1e-7 for _, miss in tried)
+        # the segment's miss is that of its aimed arc
+        dzeta = classes[0][1]
+        heading = cmath.phase(dzeta) - canonical_K(conn, z0).imag
+        arc = trace(conn, (z0, cmath.exp(1j * heading)),
+                    abs(dzeta) / metric_density(conn, z0))
+        assert tried[0][1] == f"{abs(arc.support_std()[-1] - z1):.3g}"
+
+
+@pytest.fixture
+def aimed(monkeypatch):
+    """The labels of the classes ``connect_unique`` aims in, in order."""
+    return record_aims(monkeypatch)
 
 
 def _random_problem(k):
@@ -268,7 +275,7 @@ def _ref_connect_unique(conn, z0, z1, n_grid=72, miss_tol=1e-7):
         raise errors.NotFound(f"best miss distance {d:g} above tolerance")
     arc = trace(conn, (z0, cmath.exp(1j * theta)), t_hit)
     if self_intersections(arc, max_count=1):
-        raise errors.NonSimpleArc("connecting arc crosses itself")
+        raise errors.NotFound("connecting arc crosses itself")
     return arc
 
 
