@@ -84,8 +84,10 @@ scalar loop's reach screen.  A lane returns to the scalar loop
 (``_stepping``) from its last accepted state when its chord enters a pole
 floor, and once fewer than ``LANES_MIN`` lanes are left, the measured
 crossover below which the scalar loop is faster (and the least batch that
-uses lanes); with ``pole_rows_only`` only those lanes keep their rows, as
-the others never end at a pole.  numpy rounds complex logarithms and
+uses lanes).  With ``landings``, the saddle search's mode, only those lanes
+keep their rows, as the others never end at a pole, and the scalar loop
+screens the landing discs below, the handed-back state first, so a lane
+lands as a scalar trace does.  numpy rounds complex logarithms and
 divisions otherwise than CPython and the lanes sum the stages in another
 order, so a lane may take other steps than ``trace``: its end state agrees
 to a tolerance, not bit for bit.
@@ -96,6 +98,13 @@ certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
 are then the first samples of the trace without the flag.  The trace fetches
 those poles' charts from the atlas (``localchart.pole_chart``) when it
 starts, and screens each on ``falls_in``'s own disc, 0.9 radius.
+A ``landings`` batch screens the same way each charted residue > -1 pole,
+in the pole's own sphere chart, on the landing certificate's disc
+(``AdaptedChart.lands_in``), 0.5 radius.  A state on the pole's critical
+line that hits it within t_max ends the trace at ``"pole_approach"`` with
+one closed-form last row at ``POLE_FLOOR`` on the ray (``_landing``); no
+further step runs, nor ``_pole_hit``'s bisection, which ends every other
+trace into a pole floor.
 
 The step is generated per pole count, on first use and cached: Python
 source with the coefficients as literals and each stage's pole sum written
@@ -107,17 +116,18 @@ it: the single step (``_stepper``, compiled as ``<dop853 3 poles>``), which
 its bookkeeping: the error scale, the step-size control, the pole and fall
 screens, the row appends and the pauses.  On a step that no pole and no fall
 disc is near it calls nothing but ``log``, ``exp``, ``sqrt`` and ``abs``.
-``_stepping`` is left with the options, the fall discs, the chart switches,
-the pause after a switch and the termination.  The results are
-bit-identical to the textbook form, the Butcher-tableau loop over the
+``_stepping`` is left with the options, the certificate discs, the chart
+switches, the pause after a switch, the landing row and the termination.
+The results are bit-identical to the textbook form, the Butcher-tableau
+loop over the
 stages: each stage point and the solution z + (h*a) k added left to right,
 each slope k1 exp(-dK) with dK summed pole by pole from 0j as in ``_dK``,
 and each error sum added left to right from its first term.  Floating-point
 addition is not associative, so that operation order is the rule an edit to
 the generator must keep; in the loop it covers the bookkeeping too, where
 ``min`` and ``max`` are written as the comparisons that pick the same value,
-the pole screen is the tracer's only reach test, and the fall screen is
-``falls_in``'s own first test, so it skips only states the certificate
+the pole screen is the tracer's only reach test, and the disc screen is
+the certificate's own first test, so it skips only states the certificate
 refuses.
 ``tests/test_engine.py`` checks the step at each pole count against
 ``_tableau_step``, the loop over scipy's DOP853 tableau, the literals
@@ -574,8 +584,9 @@ def _step_loop(n):
     """The step loop of ``_stepping`` on one chart of n poles: the generator
     run(chart, poles, traj, state, t_max, limits, screen, speed, pause),
     with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
-    started) and screen the fall discs, each as (the pole's chart, whether
-    it is in the other sphere chart, its centre, 0.9 of its radius).
+    started) and screen the certificate discs, each as (the pole's chart,
+    whether it is in the other sphere chart, its centre, the disc's radius:
+    0.9 of the chart's for a fall, 0.5 for a landing).
 
     It appends the accepted rows to ``traj`` (s_g once per pause and by the
     caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
@@ -595,7 +606,7 @@ def _step_loop(n):
     3 POLE_FLOOR, where neither gap <= PATH_CLEARANCE nor gap < POLE_FLOOR
     can hold.  ``_certified_fall`` runs only for a disc whose centre the
     state lies within the screen's radius of, in the disc's chart, disc by
-    disc in the order of ``screen``.
+    disc in the order of ``screen``, with the time left to t_max.
     """
     unpack, body = _stage_lines(n)
     near = " or ".join(f"abs(w{j}) <= reach" for j in range(n))
@@ -664,7 +675,8 @@ def _step_loop(n):
         f"            return 'pole_approach', None, {out}",
         "        for fall, other, centre, radius in screen:",
         "            if abs((1.0/z if other else z) - centre) < radius:",
-        "                cert = _certified_fall(fall, other, z, k1)",
+        "                cert = _certified_fall(fall, other, z, k1,",
+        "                                       t_max - t)",
         "                if cert is not None:",
         f"                    return 'pole_certified', cert, {out}",
         "        if err > 0:",
@@ -799,7 +811,7 @@ def check_start(conn: FuchsianConnection, chart: str, z, v):
             raise errors.StartAtPole(f"initial position within pole floor of {pos}")
 
 
-def _stepping(conn, traj, state, t_max, opts, certify=False):
+def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     """The step loop of ``tracing`` from a loop state whose rows ``traj``
     holds: a start from ``_start`` or a lane that ``trace_many`` hands back.
 
@@ -809,23 +821,35 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
     switch, and writes the termination, its event and the rest of the s_g
     column.  A certified trace fetches the chart of each residue < -1 pole
     from the atlas here, once, and screens the pole on ``falls_in``'s own
-    disc, 0.9 radius of its chart; a pole the atlas refuses has no disc."""
+    disc, 0.9 radius of its chart; a pole the atlas refuses has no disc.
+    With ``landings`` it screens each charted residue > -1 pole on
+    ``lands_in``'s disc, 0.5 radius, the given state included: a state that
+    lands ends the trace at the pole floor (``_landing``)."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
     falls = [fall for p in conn.poles if certify and p.residue < -1.0
              if (fall := pole_chart(conn, p.location))]
+    lands = [land for p in conn.poles if landings and p.residue > -1.0
+             if (land := pole_chart(conn, p.location))]
     screens = {c: [(f, f.ambient != c, f.center, 0.9 * f.radius)
-                   for f in falls] for c in (STANDARD, INFINITY)}
+                   for f in falls]
+               + [(f, False, f.center, 0.5 * f.radius)
+                  for f in lands if f.ambient == c]
+               for c in (STANDARD, INFINITY)}
     pause = yield traj
 
-    while True:
+    # a lane may hand back a state that has landed already
+    payload = _screened(screens[chart], z, v, t_max - t) if landings else None
+    end = None if payload is None else "pole_certified"
+    while end is None:
         poles = conn.chart_poles(chart)
         end, payload, t, z, v, K, h, steps, pause = yield from _step_loop(
             len(poles))(chart, poles, traj, (t, z, v, K, h, steps), t_max,
                         limits, screens[chart], speed, pause)
         if end != "chart_switch":
             break
+        end = None
         # keep c = v exp(K) continuous: K_new = K + log(v / v_new)
         K = K + cmath.log(-z ** 2)
         z, v = _invert(z, v)
@@ -836,16 +860,61 @@ def _stepping(conn, traj, state, t_max, opts, certify=False):
             _fill_s_g(traj, speed)
             pause = yield traj
 
+    if end == "pole_certified" and "critical" in payload:
+        end, payload = "pole_approach", _landing(traj, t, z, v, K, payload)
+        t = traj.t[-1]
     # a trace that ran to t_max keeps the termination "t_max"
     if end != "t_max":
         traj.termination = end
-        if end == "pole_approach":
+        if payload is None and end == "pole_approach":
             payload = {"pole": _nearest_pole(conn, chart, z)}
         if payload is not None:
             traj.events.append((t, end, payload))
     _fill_s_g(traj, speed)
     traj.events.append((traj.t[-1], "terminated", {"reason": traj.termination}))
     return traj
+
+
+def _screened(screen, z, v, left):
+    """The first certificate that the state (z, v) passes among the discs of
+    ``screen``, as ``_step_loop`` screens an accepted row, or None."""
+    for chart, other, centre, radius in screen:
+        if abs((1.0 / z if other else z) - centre) < radius:
+            cert = _certified_fall(chart, other, z, v, left)
+            if cert is not None:
+                return cert
+    return None
+
+
+def _landing(traj, t, z, v, K, cert):
+    """Append the last row of a trace whose state (t, z, v, K) lands
+    (``AdaptedChart.lands_in``) in its own chart, and return the event's
+    payload.
+
+    The row is the point of the state's critical ray, arg w = arg w(z), at
+    |u - center| = POLE_FLOOR: Newton's method on its argument from
+    POLE_FLOOR w/|w|, so a ray that is real stays real.  W = w^(rho+1) runs
+    on a straight line, so the row's time is the hit time less
+    |W(row)| / |W'|; in w the velocity is W' / ((rho+1) w^rho), and K keeps
+    c = v exp(K)."""
+    pole = pole_chart(traj.conn, cert["pole"])
+    w, vw = pole.push_state(z, v)
+    ray = w / abs(w)
+    zeta = POLE_FLOOR * ray
+    for _ in range(8):
+        wf, dwf = pole.to_w(pole.center + zeta), pole.dw(pole.center + zeta)
+        err = cmath.phase(wf / ray)
+        if abs(err) < 1e-13:
+            break
+        zeta *= cmath.exp(-1j * err / (zeta * dwf / wf).real)
+    s, shrink = pole.rho + 1.0, abs(wf) / abs(w)
+    vf = vw * shrink ** -pole.rho / dwf
+    traj.t.append(t + cert["dt_hit"] - shrink ** s * abs(w / vw) / s)
+    traj.z.append(pole.center + zeta)
+    traj.v.append(vf)
+    traj.K.append(K + cmath.log(v / vf))
+    return {"pole": cert["pole"], "critical": cert["critical"],
+            "t_hit": t + cert["dt_hit"]}
 
 
 def _fill_s_g(traj, speed):
@@ -856,19 +925,21 @@ def _fill_s_g(traj, speed):
 
 def trace_many(conn: FuchsianConnection, starts, t_max: float,
                opts: IntegratorOptions | None = None, *,
-               pole_rows_only: bool = False) -> list:
+               landings: bool = False) -> list:
     """``trace`` of each start: in lanes (module docstring), or start by start
     in ``trace``'s loop for fewer than ``LANES_MIN`` starts or a time budget.
-    With ``pole_rows_only`` a trace that ends in the lanes (never at a pole)
-    keeps only its start row, termination and events.  The saddle search is
-    the package's one caller."""
+    ``landings`` is the saddle search's mode (module docstring): a trace
+    that ends in the lanes (never at a pole) keeps only its start row,
+    termination and events, and the others may land in closed form.  The
+    saddle search is the package's one caller."""
     opts = opts or IntegratorOptions()
     begun = [_start(conn, s, t_max) for s in starts]
     if len(begun) >= LANES_MIN and opts.max_seconds is None:
-        states = _lanes(conn, begun, t_max, opts.max_steps, pole_rows_only)
+        states = _lanes(conn, begun, t_max, opts.max_steps, landings)
         begun = [(traj, st) for (traj, _), st in zip(begun, states)]
     return [traj if state is None
-            else _run_out(_stepping(conn, traj, state, t_max, opts))
+            else _run_out(_stepping(conn, traj, state, t_max, opts,
+                                    landings=landings))
             for traj, state in begun]
 
 
@@ -1050,13 +1121,18 @@ def state_at(traj: Trajectory, T: float):
     return (z1, v1) if chart == STANDARD else _invert(z1, v1)
 
 
-def _certified_fall(chart, other, z, v):
-    """Payload of the fall certificate of the adapted chart ``chart`` for
-    the state (z, v), or None; ``other`` says the pole's chart is not the
-    state's.  ``falls_in`` passes only within 0.9 radius of the chart's
-    centre, so the step loop calls this only there."""
+def _certified_fall(chart, other, z, v, left):
+    """Payload of the certificate of the adapted chart ``chart`` for the
+    state (z, v), or None: the fall certificate of a residue < -1 pole, else
+    the landing certificate, for a hit within the time ``left`` of the
+    trace; ``other`` says the pole's chart is not the state's.  ``falls_in``
+    passes only within 0.9 radius of the chart's centre and ``lands_in``
+    within 0.5, so the step loop calls this only there."""
     u, vu = _invert(z, v) if other else (z, v)
-    cert = chart.falls_in(u, vu)
+    if chart.rho < -1.0:
+        cert = chart.falls_in(u, vu)
+    elif (cert := chart.lands_in(u, vu)) and cert["dt_hit"] > left:
+        cert = None
     return {"pole": chart.pole, **cert} if cert else None
 
 

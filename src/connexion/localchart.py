@@ -11,7 +11,8 @@ the geodesics have the closed form
 
 so W = w^{rho+1} moves on a straight line.  For rho > -1 all the local
 metric geometry (critical rays, chart diameter, crossing predicates) is
-explicit.  For rho < -1 the pole sits at |W| = infinity: a geodesic whose
+explicit, and a geodesic moving inward on a critical ray reaches the pole
+at a known time (``AdaptedChart.lands_in``).  For rho < -1 the pole sits at |W| = infinity: a geodesic whose
 W-line has passed its closest approach to 0 has |w| decreasing from then on,
 so once it is inside the chart it stays there and tends to the pole
 (``AdaptedChart.falls_in``).  The adapted coordinate is constructed as a
@@ -134,6 +135,29 @@ class AdaptedChart:
         if abs(w) < self.w_in and q.real < -FALL_ETA * abs(q):
             return {"abs_w": (abs(w), self.w_in),
                     "descent": (q.real / abs(q), -FALL_ETA)}
+        return None
+
+    def lands_in(self, u: complex, v: complex):
+        """Landing certificate of a rho > -1 chart for the ambient state
+        (u, v).
+
+        W = w^(rho+1) moves on the line W + W' t, W' = (rho+1) W w'/w, which
+        passes the pole at the distance tau = |W| |sin arg(w'/w)|.  The state
+        passes when it lies within 0.5 radius, where the series holds to
+        rounding, moves inward, Re(w'/w) < 0, and tau <= CRITICAL_TOL |W|:
+        it runs along a critical ray into the pole.  Returns the figure next
+        to its threshold and the time to the pole, the closest approach of
+        the W-line, ``{"critical": (tau/|W|, CRITICAL_TOL), "dt_hit":
+        -Re(w'/w) / ((rho+1) |w'/w|^2)}``, or None.
+        """
+        if not abs(u - self.center) < 0.5 * self.radius:
+            return None
+        w, dw = self.push_state(u, v)
+        q = dw / w
+        tau = abs(q.imag) / abs(q)
+        if q.real < 0.0 and tau <= CRITICAL_TOL:
+            return {"critical": (tau, CRITICAL_TOL),
+                    "dt_hit": -q.real / ((self.rho + 1.0) * abs(q) ** 2)}
         return None
 
 

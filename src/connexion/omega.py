@@ -80,22 +80,26 @@ def detect_period(traj: Trajectory):
     RECURRENCE_TOL.
 
     A row is a candidate when the chord into it passes within 0.05 scale of
-    z0, however far apart the rows are.  Each candidate starts at the time
-    where the interpolant comes nearest z0 (``Trajectory.nearest_time``),
-    and is refined with states one partial integrator step past the stored
-    row before the candidate time (``engine.state_at``), which carry the
-    step's accuracy rather than the dense output's.
+    z0, however far apart the rows are, from the chord out of the first row
+    farther than that from z0 on (every chord if no row is): until then the
+    trace has not left z0, and a refinement there finds only T <= 1e-6.
+    Each candidate starts at the time where the interpolant comes nearest
+    z0 (``Trajectory.nearest_time``), and is refined with states one
+    partial integrator step past the stored row before the candidate time
+    (``engine.state_at``), which carry the step's accuracy rather than the
+    dense output's.
     """
     zs, vs = traj.std_columns()
     z0, v0 = zs[0], vs[0]
     vh0 = v0 / abs(v0)
-    scale = max(abs(z0), 1.0)
+    near = 0.05 * max(abs(z0), 1.0)
+    away = next((k for k in range(1, len(zs)) if abs(zs[k] - z0) > near), 0)
     window = 0.0
-    for k in range(1, len(traj)):
+    for k in range(away + 1, len(traj)):
         t = traj.t[k]
         if t < 1e-6 or t <= window:
             continue
-        if _chord_gap(zs[k - 1], zs[k], z0) > 0.05 * scale:
+        if _chord_gap(zs[k - 1], zs[k], z0) > near:
             continue
         T = _refine_period(traj, traj.nearest_time(k, z0), z0, vh0)
         if T is not None:
@@ -348,10 +352,11 @@ def _best_section(traj: Trajectory):
     sample, normal to the local velocity."""
     pts = traj.support_array()
     # the sample whose neighborhood is visited most often, the last on ties;
-    # counted 8,192 distances (or one row) at a time, to keep temporaries small
+    # counted 4,096 distances (or one row) at a time: a block of 64 KB stays
+    # below glibc's 128 KB mmap threshold, so it is not mapped on each call
     stride = max(1, pts.size // 400)
     sub = pts[::stride]
-    block = max(1, 8_192 // pts.size)
+    block = max(1, 4_096 // pts.size)
     counts = np.concatenate([
         np.count_nonzero(np.abs(pts - sub[j:j + block, None]) < 0.2, axis=1)
         for j in range(0, sub.size, block)])
@@ -482,11 +487,15 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
     """Launch reversed critical rays from each finite pole with residue > -1
     on an angular grid, at 0.05 of its adapted-chart radius, and keep the
     launches that land in another pole's funnel, shortest first.  All
-    launches are traced together (``trace_many``), with rows only for those
-    that may land; the batch checks each start, and a pole whose launch
-    radius lies within the pole floor gets no launch.  The metric length of
-    the ray from the pole to a launch is taken only for the launches that
-    land."""
+    launches are traced together (``trace_many`` with ``landings``), with
+    rows only for those that may land; the batch checks each start, and a
+    pole whose launch radius lies within the pole floor gets no launch.  A
+    launch lands when it reaches the pole floor, in closed form where a
+    state within half the radius of a charted residue > -1 pole's chart runs
+    on its critical line (``AdaptedChart.lands_in``) and hits it within
+    t_max: its last row is then on the critical ray, POLE_FLOOR from the
+    pole.  The metric length of the ray from the pole to a launch is taken
+    only for the launches that land."""
     launches = []
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
@@ -503,7 +512,7 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                 launches.append((p.location, phi, *launch))
     found = []
     trajs = trace_many(conn, [launch[2] for launch in launches], t_max,
-                       pole_rows_only=True)
+                       landings=True)
     for (start, phi, _, stub), tr in zip(launches, trajs):
         if tr.termination != "pole_approach":
             continue

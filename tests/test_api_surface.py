@@ -5,7 +5,7 @@ exported class and of a plain class's constructor, and every dataclass field
 with a default, is a value a caller may vary and tests and the bench must
 then cover.  The list below is the whole census: a new option shows up as an
 edit to it.  Functions the package does not export, such as
-``engine.trace_many`` and its ``pole_rows_only``, are outside it.
+``engine.trace_many`` and its ``landings``, are outside it.
 """
 
 import dataclasses

@@ -1282,9 +1282,9 @@ class TestStepLoop:
         conn = build_connection(TWOGON)
         handed = []
 
-        def stepping(conn, traj, state, *args, _run=engine._stepping):
+        def stepping(conn, traj, state, *args, _run=engine._stepping, **kw):
             handed.append((_clone(traj), state, args))
-            return _run(conn, traj, state, *args)
+            return _run(conn, traj, state, *args, **kw)
         monkeypatch.setattr(engine, "_stepping", stepping)
         engine.trace_many(conn, saddle_launches(conn), 10.0)
         monkeypatch.undo()

@@ -24,6 +24,10 @@ once per connection: wrappers around ``engine._stepper`` and
 ``engine._step_loop`` see at most one of each per pole count over 40
 classifications, and none on a second pass.
 
+The saddle search lands its launches on the end pole's critical line in
+closed form: a wrapper around ``engine._pole_hit`` sees no call on the
+two-gon.
+
 The period search refines a recurrence time by partial steps from the
 stored rows, the ring probe stops each leaf trace at its first recurrence,
 and the shooting search aims one launch along the developing map and traces
@@ -64,7 +68,7 @@ from connexion.localchart import pole_chart
 from connexion.omega import ClassifyBudget, ring_domain_probe
 from connexion.polygons import connect_unique
 
-from conftest import SWITCH_POLES, audit_draws, hexed, single_pole
+from conftest import SWITCH_POLES, TWOGON, audit_draws, hexed, single_pole
 
 
 @pytest.fixture
@@ -296,9 +300,9 @@ def test_classify_checks_falls_only_within_reach(monkeypatch):
     # bit
     checked = []
 
-    def counting(chart, other, z, v, _fall=engine._certified_fall):
+    def counting(chart, other, z, v, left, _fall=engine._certified_fall):
         checked.append((z, chart.pole))
-        return _fall(chart, other, z, v)
+        return _fall(chart, other, z, v, left)
     monkeypatch.setattr(engine, "_certified_fall", counting)
     budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
     draws = audit_draws(0, 40)
@@ -323,6 +327,26 @@ def test_classify_checks_falls_only_within_reach(monkeypatch):
         assert 0 < tried < rows / 2 and certified > 0
         tries.append(tried)
     assert tries[1] == tries[0]
+
+
+def test_saddle_search_lands_without_a_pole_hit(monkeypatch):
+    # the two-gon's two connections land on the end pole's critical line in
+    # closed form: no bisection into the pole floor, and one last row on
+    # the real ray, POLE_FLOOR from the pole
+    hits = []
+
+    def counting(*args, _hit=engine._pole_hit):
+        hits.append(args)
+        return _hit(*args)
+    monkeypatch.setattr(engine, "_pole_hit", counting)
+    found = omega.saddle_connection_search(build_connection(TWOGON), 64, 10.0)
+    assert hits == [] and len(found) == 2
+    for s in found:
+        t, kind, payload = s.trajectory.events[-2]
+        assert kind == "pole_approach" and "critical" in payload
+        last = s.trajectory.z[-1]
+        assert abs(last.imag) <= 1e-15
+        assert abs(last - s.end_pole.z) == pytest.approx(POLE_FLOOR, rel=1e-12)
 
 
 def test_verify_saddles_builds_each_chart_once(chart_builds):

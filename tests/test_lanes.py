@@ -139,9 +139,9 @@ def test_lanes_hand_back_to_the_scalar_loop(monkeypatch):
     conn = build_connection(TWOGON)
     handed = []
 
-    def stepping(conn, traj, state, *args, _run=engine._stepping):
+    def stepping(conn, traj, state, *args, _run=engine._stepping, **kw):
         handed.append(state[0])
-        return _run(conn, traj, state, *args)
+        return _run(conn, traj, state, *args, **kw)
     monkeypatch.setattr(engine, "_stepping", stepping)
     lanes = trace_many(conn, saddle_launches(conn), 10.0)
     hits = sum(tr.termination == "pole_approach" for tr in lanes)
@@ -153,24 +153,35 @@ def rows(traj):
     return hexed((traj.t, traj.z, traj.v, traj.K, traj.s_g, traj.switches))
 
 
+def keep_every_row(mp):
+    """Patch ``engine._lanes`` through the MonkeyPatch ``mp`` so that a
+    ``landings`` batch keeps the rows of every lane."""
+    def lanes(conn, begun, t_max, max_steps, rows_only, _run=engine._lanes):
+        return _run(conn, begun, t_max, max_steps, False)
+    mp.setattr(engine, "_lanes", lanes)
+
+
 @pytest.mark.parametrize("case", ["floor", "switches"])
 def test_pole_rows_only_keeps_the_handed_back_rows(monkeypatch, case):
-    # with pole_rows_only the lanes that finish in the batch keep only their
+    # in a landings batch the lanes that finish in the batch keep only their
     # start row; every trace keeps its termination and events, and the ones
-    # handed back to the scalar loop keep every row, bit for bit
+    # handed back to the scalar loop keep every row, bit for bit, against
+    # the same batch with every lane's rows kept
     conn, starts = {
         "floor": (TWOGON, [(x / 10.0, sign) for x in range(-7, 8, 2)
                            for sign in (1.0, -1.0)] + grid(0.3 + 0.4j, 16)),
         "switches": (SWITCH_POLES, grid(3.0, 32))}[case]
     conn = build_connection(conn)
-    full = trace_many(conn, starts, 30.0)
+    with monkeypatch.context() as mp:
+        keep_every_row(mp)
+        full = trace_many(conn, starts, 30.0, landings=True)
     handed = []
 
-    def stepping(conn, traj, state, *args, _run=engine._stepping):
+    def stepping(conn, traj, state, *args, _run=engine._stepping, **kw):
         handed.append(traj)
-        return _run(conn, traj, state, *args)
+        return _run(conn, traj, state, *args, **kw)
     monkeypatch.setattr(engine, "_stepping", stepping)
-    lean = trace_many(conn, starts, 30.0, pole_rows_only=True)
+    lean = trace_many(conn, starts, 30.0, landings=True)
     assert 0 < len(handed) < len(lean)
     for got, ref in zip(lean, full):
         assert got.termination == ref.termination
@@ -197,9 +208,47 @@ def test_saddle_search_keeps_the_same_connections(monkeypatch):
                        s.trajectory.t, s.trajectory.z, s.trajectory.events)
                       for s in omega.saddle_connection_search(conn, 64, 10.0)])
     lean = found()
-
-    def every_row(conn, starts, t_max, *, pole_rows_only):
-        assert pole_rows_only
-        return trace_many(conn, starts, t_max)
-    monkeypatch.setattr(omega, "trace_many", every_row)
+    keep_every_row(monkeypatch)
     assert found() == lean and len(lean) >= 2
+
+
+def test_lanes_and_scalar_loop_land_alike(monkeypatch):
+    # a landings batch checks the state each lane hands back, so the saddle
+    # search lands the same connections with every launch in the scalar
+    # loop, on the same floor rows to rounding
+    conn = build_connection(TWOGON)
+
+    def landed():
+        return [(s.start_pole, s.end_pole, s.launch_angle, s.length,
+                 s.trajectory.z[-1], s.trajectory.events[-2])
+                for s in omega.saddle_connection_search(conn, 64, 10.0)]
+    lanes = landed()
+    monkeypatch.setattr(engine, "LANES_MIN", 10 ** 6)
+    scalar = landed()
+    assert len(lanes) == len(scalar) == 2
+    for a, b in zip(lanes, scalar):
+        assert a[:3] == b[:3]
+        assert a[3] == pytest.approx(b[3], rel=1e-12)
+        assert abs(a[4] - b[4]) <= 1e-15
+        assert "critical" in a[5][2] and "critical" in b[5][2]
+
+
+def test_handed_back_states_are_screened(monkeypatch):
+    # sixteen starts on the two-gon's real axis run along critical rays
+    # into its poles.  Lanes hand some of them back just before a step into
+    # the pole floor; the landing screen of the state handed back lands
+    # them, where the scalar loop's next step would end in _pole_hit
+    conn = build_connection(TWOGON)
+    hits = []
+
+    def counting(*args, _hit=engine._pole_hit):
+        hits.append(args)
+        return _hit(*args)
+    monkeypatch.setattr(engine, "_pole_hit", counting)
+    starts = [(x / 10.0, sign) for x in range(-7, 8, 2) for sign in (1.0, -1.0)]
+    assert len(starts) >= LANES_MIN
+    ends = [tr.events[-2] for tr in trace_many(conn, starts, 30.0,
+                                                landings=True)]
+    assert hits == []
+    assert all(kind == "pole_approach" and "critical" in payload
+               for _, kind, payload in ends)

@@ -15,7 +15,7 @@ from connexion import (DirectionInterval, SpherePoint, build_connection,
                        local_params, must_cross, self_intersection_radius,
                        trace)
 from connexion import errors
-from connexion.localchart import FALL_ETA, _ser_diff, _ser_eval
+from connexion.localchart import CRITICAL_TOL, FALL_ETA, _ser_diff, _ser_eval
 
 from conftest import single_pole
 
@@ -197,6 +197,51 @@ class TestFallCertificate:
         assert first_in < k
         assert cert.termination == "pole_certified"
         assert cert.samples == full.samples[:k + 1]
+
+
+class TestLandingCertificate:
+    """``AdaptedChart.lands_in`` at the pole 1 of the two-gon of residue
+    1/2 at -1 and 1: its chart's series is real, so a state on the real
+    axis moving along it lies exactly on a critical ray."""
+
+    @pytest.fixture(scope="class")
+    def twogon(self):
+        conn = build_connection([(SpherePoint.of(-1.0), 0.5),
+                                 (SpherePoint.of(1.0), 0.5)])
+        return conn, adapted_chart(conn, SpherePoint.of(1.0))
+
+    def test_critical_state_lands_at_the_hit_time(self, twogon):
+        # the hit time is the trace's time to the pole floor, less the
+        # stretch of the ray inside the floor, 1e-9 of it here
+        conn, chart = twogon
+        u = 1.0 - 0.3 * chart.radius
+        cert = chart.lands_in(u, 1.0)
+        assert cert["critical"] == (0.0, CRITICAL_TOL)
+        w, vw = chart.push_state(u, 1.0)
+        assert cert["dt_hit"] == pytest.approx(abs(w / vw) / 1.5, rel=1e-15)
+        end = trace(conn, (u, 1.0), 10.0)
+        assert end.termination == "pole_approach"
+        assert end.t_end == pytest.approx(cert["dt_hit"], rel=1e-8)
+
+    def test_state_off_the_line_does_not_land(self, twogon):
+        # 1e-6 off the critical line is far above CRITICAL_TOL; 1e-10 is
+        # within it, and the figure reads it
+        _, chart = twogon
+        u = 1.0 - 0.3 * chart.radius
+        assert chart.lands_in(u, cmath.exp(1e-6j)) is None
+        tau, tol = chart.lands_in(u, cmath.exp(1e-10j))["critical"]
+        assert tau == pytest.approx(1e-10, rel=1e-3) and tol == CRITICAL_TOL
+
+    def test_outward_state_does_not_land(self, twogon):
+        _, chart = twogon
+        assert chart.lands_in(1.0 - 0.3 * chart.radius, -1.0) is None
+
+    def test_only_within_half_the_radius(self, twogon):
+        # the series holds to rounding only within 0.5 radius: on the
+        # critical ray no landing at 0.6 radius, and one at 0.49
+        _, chart = twogon
+        assert chart.lands_in(1.0 - 0.6 * chart.radius, 1.0) is None
+        assert chart.lands_in(1.0 - 0.49 * chart.radius, 1.0) is not None
 
 
 class TestLocalParams:

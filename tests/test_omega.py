@@ -220,6 +220,28 @@ class TestRingDomain:
         assert abs(starts[4]) == pytest.approx(5e-7, rel=1e-6)
         assert abs(starts[4]) < POLE_FLOOR
 
+    def test_leaf_into_a_pole_and_leaf_past_the_budget_stop(self):
+        # residue -1/2 at -1 and 1 and -1 at infinity: a flat half-infinite
+        # cylinder of circumference 2 pi, folded over the segment [-1, 1].
+        # The leaves are its circles; the seed crosses the imaginary axis at
+        # 0.5i.  Inward, the tenth seed is 0, whose leaf runs along the
+        # real axis into the pole at 1; outward, a leaf launched at unit
+        # speed from iy has the period 2 pi sqrt(1 + y^2), past t_max = 9
+        # from y = 1.05 on.  The width is the metric distance from 0.05i
+        # to i, asinh 1 - asinh 0.05
+        conn = build_connection([(SpherePoint.of(-1.0), -0.5),
+                                 (SpherePoint.of(1.0), -0.5),
+                                 (SpherePoint.inf(), -1.0)])
+        seed = trace(conn, (0.5j, 1.0), 20.0)
+        rep = ring_domain_probe(conn, seed, max_leaves_per_side=12,
+                                budget=ClassifyBudget(t_max=9.0))
+        assert [b["stopped"] for b in rep.boundary] == [("aperiodic", 0.55),
+                                                        ("pole", -0.5)]
+        assert rep.n_leaves == 20
+        assert max(abs(l - 2 * math.pi) for l in rep.leaf_lengths) <= 1e-10
+        assert rep.width == pytest.approx(math.asinh(1.0) - math.asinh(0.05),
+                                          abs=1e-12)
+
     def test_paused_period_doubles_its_pause(self, circle_conn):
         # the unit circle recurs at 2 pi: the pauses at 0.5, 1, 2 and 4
         # come before it and the pause at 8 after it; a trace that ends at
@@ -334,6 +356,25 @@ class TestSaddleConnections:
         # long for rho = 1/2 and sqrt(2e-6) = 1.4e-3 for rho = -1/2
         exact = math.pi / 2.0 if rho > 0 else math.pi
         assert seg.length == pytest.approx(exact, rel=1e-10)
+
+    def test_landing_past_the_horizon_is_refused(self):
+        # residue -0.7 at -1 and 1 leaves -0.6 at infinity: the real rays
+        # out of -1 and 1 reach infinity's floor at t = 28.9187 and the
+        # pole at t = 29.0120.  A landing counts only if the pole is hit
+        # within t_max; short of that the trace steps on to the floor
+        conn = build_connection([(SpherePoint.of(-1.0), -0.7),
+                                 (SpherePoint.of(1.0), -0.7)])
+        ends = {}
+        for t_max in (28.9, 28.95, 29.1):
+            found = saddle_connection_search(conn, n_grid=8, t_max=t_max)
+            ends[t_max] = [s.trajectory.events[-2][2] for s in found
+                           if s.end_pole.infinite]
+        assert ends[28.9] == []
+        assert [sorted(pl) for pl in ends[28.95]] == [["pole"]] * 2
+        assert [sorted(pl) for pl in ends[29.1]] == [["critical", "pole",
+                                                      "t_hit"]] * 2
+        assert all(pl["t_hit"] == pytest.approx(29.011969, abs=1e-6)
+                   for pl in ends[29.1])
 
     def test_near_resonant_pole_is_skipped(self):
         # the launch speed's K0 = |rho+1|^{-1/(rho+1)} overflows at
