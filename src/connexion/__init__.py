@@ -9,7 +9,7 @@ from .engine import (GeodesicState, IntegratorOptions, Trajectory,
                      metric_density, self_intersections, trace,
                      trajectory_to_csv)
 from .localchart import (AdaptedChart, DirectionInterval, LocalGeodesicParams,
-                         adapted_chart, chi, closed_form_path, critical_length,
+                         adapted_chart, closed_form_path, critical_length,
                          diameter_bound, entry_direction, is_critical,
                          local_params, must_cross, self_intersection_radius)
 from .omega import (ClassifyBudget, OmegaVerdict, RingDomainReport,

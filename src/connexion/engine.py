@@ -44,7 +44,8 @@ is converted once.  ``Trajectory.samples`` builds TrajectorySample
 objects on each read, for tests and external callers; the package itself
 never reads it.  ``Trajectory.interpolate`` is the quintic Hermite through z,
 v and z'' = -f(z) v^2 at both rows of a step, so it needs no stored stage
-slopes and works on any trajectory whose rows lie on a geodesic.
+slopes and works on any trajectory whose rows lie on a geodesic, except on
+a landed trace's last step, which it evaluates on the W-line.
 ``state_at`` takes one integrator step from the row before a time T to the
 state a re-trace to T ends in; the period search refines with it.
 
@@ -79,32 +80,28 @@ finished one, switches and events included; ``trace`` runs it without pauses.
 the saddle search's fan of launches is its one caller.  Each lane has its
 own h and chart and steps on its chart's pole table; only a batch split
 across the charts pads both tables to one width with poles of residue 0
-far off.  Chord gaps are measured only when a lane passes the
-scalar loop's reach screen.  A lane returns to the scalar loop
-(``_stepping``) from its last accepted state when its chord enters a pole
-floor, and once fewer than ``LANES_MIN`` lanes are left, the measured
-crossover below which the scalar loop is faster (and the least batch that
-uses lanes).  With ``landings``, the saddle search's mode, only those lanes
-keep their rows, as the others never end at a pole, and the scalar loop
-screens the landing discs below, the handed-back state first, so a lane
-lands as a scalar trace does.  numpy rounds complex logarithms and
-divisions otherwise than CPython and the lanes sum the stages in another
-order, so a lane may take other steps than ``trace``: its end state agrees
-to a tolerance, not bit for bit.
+far off.  Chord gaps are measured only when a lane passes the scalar loop's
+reach screen.  A lane returns to the scalar loop (``_stepping``) from its
+last accepted state when its chord enters a pole floor, and once fewer than
+``LANES_MIN`` lanes are left, the measured crossover below which the scalar
+loop is faster: a smaller batch goes back whole before a step.  With
+``landings``, the saddle search's mode, only those lanes keep their rows,
+as the others never end at a pole, and the scalar loop screens the landing
+discs below, the handed-back state first, so a lane lands as a scalar trace
+does.  numpy rounds complex logarithms and divisions otherwise than CPython
+and the lanes sum the stages in another order, so a lane may take other
+steps than ``trace``: its end state agrees to a tolerance, not bit for bit.
 
-With ``certify=True`` a trace also stops, with termination
-``"pole_certified"``, as soon as an accepted state passes the fall
-certificate of a residue < -1 pole (``AdaptedChart.falls_in``); its samples
-are then the first samples of the trace without the flag.  The trace fetches
-those poles' charts from the atlas (``localchart.pole_chart``) when it
-starts, and screens each on ``falls_in``'s own disc, 0.9 radius.
-A ``landings`` batch screens the same way each charted residue > -1 pole,
-in the pole's own sphere chart, on the landing certificate's disc
-(``AdaptedChart.lands_in``), 0.5 radius.  A state on the pole's critical
-line that hits it within t_max ends the trace at ``"pole_approach"`` with
-one closed-form last row at ``POLE_FLOOR`` on the ray (``_landing``); no
-further step runs, nor ``_pole_hit``'s bisection, which ends every other
-trace into a pole floor.
+The tracer only screens states and appends rows: the local model of a pole
+is its adapted chart's (``AdaptedChart.disc``, ``.certificate``).  With
+``certify=True`` a trace stops, with termination ``"pole_certified"``, once
+an accepted state passes the fall certificate of a residue < -1 pole; its
+samples are the first samples of the trace without the flag.  A
+``landings`` batch screens each charted residue > -1 pole in its own sphere
+chart: a state on its critical line that hits it within t_max ends the
+trace at ``"pole_approach"`` with one last row at ``POLE_FLOOR`` on the ray
+(``AdaptedChart.ray_state``), and neither a further step nor ``_pole_hit``
+runs.
 
 The step is generated per pole count, on first use and cached: Python
 source with the coefficients as literals and each stage's pole sum written
@@ -297,9 +294,10 @@ class Trajectory:
         return self._support
 
     def interpolate(self, t: float):
-        """Quintic-Hermite position and velocity (standard chart) at time t,
-        from z, v and z'' = -f(z) v^2 at both rows, with f the sum of
-        rho / (z - p) over the poles of row i's chart."""
+        """Position and velocity (standard chart) at time t: the quintic
+        Hermite through z, v and z'' = -f(z) v^2 at both rows, with f the
+        sum of rho / (z - p) over the poles of row i's chart, or on a landed
+        trace's last step, its W-line (``AdaptedChart.w_line``)."""
         ts = self.t
         if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
             raise ValueError(f"t={t} outside trajectory span [{ts[0]}, {ts[-1]}]")
@@ -307,15 +305,20 @@ class Trajectory:
         chart = self._chart(i) if self.switches else self.chart0
         z0, v0 = self.z[i], self.v[i]
         z1, v1 = self.z[i + 1], self.v[i + 1]
-        if self.switches and self._chart(i + 1) != chart:
-            z1, v1 = _invert(z1, v1)   # row i+1 follows a chart switch
-        f0 = f1 = 0j
-        for pos, res in self.conn.chart_poles(chart):
-            f0 += res / (z0 - pos)
-            f1 += res / (z1 - pos)
-        h = ts[i + 1] - ts[i]
-        th = (t - ts[i]) / h if h else 0.0
-        z, v = _hermite(z0, v0, -f0 * v0 * v0, z1, v1, -f1 * v1 * v1, h, th)
+        end = self.events[-2:] if i == len(ts) - 2 else ()
+        if end and "critical" in end[0][2]:   # a landed trace's last step
+            z, v = pole_chart(self.conn, end[0][2]["pole"]).w_line(
+                z0, v0, min(t, ts[-1]) - ts[i])
+        else:
+            if self.switches and self._chart(i + 1) != chart:
+                z1, v1 = _invert(z1, v1)   # row i+1 follows a chart switch
+            f0 = f1 = 0j
+            for pos, res in self.conn.chart_poles(chart):
+                f0 += res / (z0 - pos)
+                f1 += res / (z1 - pos)
+            h = ts[i + 1] - ts[i]
+            th = (t - ts[i]) / h if h else 0.0
+            z, v = _hermite(z0, v0, -f0 * v0 * v0, z1, v1, -f1 * v1 * v1, h, th)
         if chart == INFINITY:
             z, v = _invert(z, v)
         return z, v
@@ -585,8 +588,7 @@ def _step_loop(n):
     run(chart, poles, traj, state, t_max, limits, screen, speed, pause),
     with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
     started) and screen the certificate discs, each as (the pole's chart,
-    whether it is in the other sphere chart, its centre, the disc's radius:
-    0.9 of the chart's for a fall, 0.5 for a landing).
+    whether it is in the other sphere chart, its centre, its disc).
 
     It appends the accepted rows to ``traj`` (s_g once per pause and by the
     caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
@@ -819,28 +821,27 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     chart the trace is in; this driver takes the options, switches charts
     with hysteresis (the next row is in the new chart), pauses after a
     switch, and writes the termination, its event and the rest of the s_g
-    column.  A certified trace fetches the chart of each residue < -1 pole
-    from the atlas here, once, and screens the pole on ``falls_in``'s own
-    disc, 0.9 radius of its chart; a pole the atlas refuses has no disc.
-    With ``landings`` it screens each charted residue > -1 pole on
-    ``lands_in``'s disc, 0.5 radius, the given state included: a state that
-    lands ends the trace at the pole floor (``_landing``)."""
+    column.  It fetches the charts it screens from the atlas, once: of each
+    residue < -1 pole if ``certify``, of each residue > -1 pole with
+    ``landings``, which screens the given state too and ends a state that
+    lands at the pole floor (``AdaptedChart.ray_state``)."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
-    falls = [fall for p in conn.poles if certify and p.residue < -1.0
-             if (fall := pole_chart(conn, p.location))]
-    lands = [land for p in conn.poles if landings and p.residue > -1.0
-             if (land := pole_chart(conn, p.location))]
-    screens = {c: [(f, f.ambient != c, f.center, 0.9 * f.radius)
-                   for f in falls]
-               + [(f, False, f.center, 0.5 * f.radius)
-                  for f in lands if f.ambient == c]
+    charts = [f for p in conn.poles if (certify and p.residue < -1.0)
+              or (landings and p.residue > -1.0)
+              if (f := pole_chart(conn, p.location))]
+    # a landing row goes in the state's chart: screen the pole's own only
+    screens = {c: [(f, f.ambient != c, f.center, f.disc) for f in charts
+                   if certify or f.ambient == c]
                for c in (STANDARD, INFINITY)}
     pause = yield traj
 
     # a lane may hand back a state that has landed already
-    payload = _screened(screens[chart], z, v, t_max - t) if landings else None
+    payload = next((cert for f, other, centre, radius in screens[chart]
+                    if landings and abs(z - centre) < radius
+                    if (cert := _certified_fall(f, other, z, v, t_max - t))),
+                   None)
     end = None if payload is None else "pole_certified"
     while end is None:
         poles = conn.chart_poles(chart)
@@ -861,8 +862,14 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
             pause = yield traj
 
     if end == "pole_certified" and "critical" in payload:
-        end, payload = "pole_approach", _landing(traj, t, z, v, K, payload)
-        t = traj.t[-1]
+        dt, u, vf = pole_chart(conn, payload["pole"]).ray_state(z, v,
+                                                                POLE_FLOOR)
+        traj.t.append(t + dt)
+        traj.z.append(u)
+        traj.v.append(vf)
+        traj.K.append(K + cmath.log(v / vf))     # c = v exp(K)
+        payload["t_hit"] = t + payload.pop("dt_hit")
+        end, t = "pole_approach", traj.t[-1]
     # a trace that ran to t_max keeps the termination "t_max"
     if end != "t_max":
         traj.termination = end
@@ -875,72 +882,26 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     return traj
 
 
-def _screened(screen, z, v, left):
-    """The first certificate that the state (z, v) passes among the discs of
-    ``screen``, as ``_step_loop`` screens an accepted row, or None."""
-    for chart, other, centre, radius in screen:
-        if abs((1.0 / z if other else z) - centre) < radius:
-            cert = _certified_fall(chart, other, z, v, left)
-            if cert is not None:
-                return cert
-    return None
-
-
-def _landing(traj, t, z, v, K, cert):
-    """Append the last row of a trace whose state (t, z, v, K) lands
-    (``AdaptedChart.lands_in``) in its own chart, and return the event's
-    payload.
-
-    The row is the point of the state's critical ray, arg w = arg w(z), at
-    |u - center| = POLE_FLOOR: Newton's method on its argument from
-    POLE_FLOOR w/|w|, so a ray that is real stays real.  W = w^(rho+1) runs
-    on a straight line, so the row's time is the hit time less
-    |W(row)| / |W'|; in w the velocity is W' / ((rho+1) w^rho), and K keeps
-    c = v exp(K)."""
-    pole = pole_chart(traj.conn, cert["pole"])
-    w, vw = pole.push_state(z, v)
-    ray = w / abs(w)
-    zeta = POLE_FLOOR * ray
-    for _ in range(8):
-        wf, dwf = pole.to_w(pole.center + zeta), pole.dw(pole.center + zeta)
-        err = cmath.phase(wf / ray)
-        if abs(err) < 1e-13:
-            break
-        zeta *= cmath.exp(-1j * err / (zeta * dwf / wf).real)
-    s, shrink = pole.rho + 1.0, abs(wf) / abs(w)
-    vf = vw * shrink ** -pole.rho / dwf
-    traj.t.append(t + cert["dt_hit"] - shrink ** s * abs(w / vw) / s)
-    traj.z.append(pole.center + zeta)
-    traj.v.append(vf)
-    traj.K.append(K + cmath.log(v / vf))
-    return {"pole": cert["pole"], "critical": cert["critical"],
-            "t_hit": t + cert["dt_hit"]}
-
-
 def _fill_s_g(traj, speed):
     """s_g = speed t on the rows appended since the column was last filled."""
     sg = traj.s_g
     sg += [speed * t for t in traj.t[len(sg):]]
 
 
-def trace_many(conn: FuchsianConnection, starts, t_max: float,
-               opts: IntegratorOptions | None = None, *,
+def trace_many(conn: FuchsianConnection, starts, t_max: float, *,
                landings: bool = False) -> list:
-    """``trace`` of each start: in lanes (module docstring), or start by start
-    in ``trace``'s loop for fewer than ``LANES_MIN`` starts or a time budget.
-    ``landings`` is the saddle search's mode (module docstring): a trace
-    that ends in the lanes (never at a pole) keeps only its start row,
-    termination and events, and the others may land in closed form.  The
-    saddle search is the package's one caller."""
-    opts = opts or IntegratorOptions()
+    """``trace`` of each start, in lanes (module docstring) while at least
+    ``LANES_MIN`` are left, then in ``trace``'s loop.  With ``landings``, the
+    saddle search's mode, a trace that ends in the lanes (never at a pole)
+    keeps only its start row, termination and events, and the others may
+    land in closed form."""
     begun = [_start(conn, s, t_max) for s in starts]
-    if len(begun) >= LANES_MIN and opts.max_seconds is None:
-        states = _lanes(conn, begun, t_max, opts.max_steps, landings)
-        begun = [(traj, st) for (traj, _), st in zip(begun, states)]
+    states = _lanes(conn, begun, t_max, IntegratorOptions().max_steps,
+                    landings)
     return [traj if state is None
-            else _run_out(_stepping(conn, traj, state, t_max, opts,
+            else _run_out(_stepping(conn, traj, state, t_max, None,
                                     landings=landings))
-            for traj, state in begun]
+            for (traj, _), state in zip(begun, states)]
 
 
 def _lanes(conn, begun, t_max, max_steps, pole_rows_only):
@@ -1122,18 +1083,9 @@ def state_at(traj: Trajectory, T: float):
 
 
 def _certified_fall(chart, other, z, v, left):
-    """Payload of the certificate of the adapted chart ``chart`` for the
-    state (z, v), or None: the fall certificate of a residue < -1 pole, else
-    the landing certificate, for a hit within the time ``left`` of the
-    trace; ``other`` says the pole's chart is not the state's.  ``falls_in``
-    passes only within 0.9 radius of the chart's centre and ``lands_in``
-    within 0.5, so the step loop calls this only there."""
-    u, vu = _invert(z, v) if other else (z, v)
-    if chart.rho < -1.0:
-        cert = chart.falls_in(u, vu)
-    elif (cert := chart.lands_in(u, vu)) and cert["dt_hit"] > left:
-        cert = None
-    return {"pole": chart.pole, **cert} if cert else None
+    """``AdaptedChart.certificate`` of the state (z, v), the time ``left`` to
+    t_max; ``other`` says the chart's sphere chart is not the state's."""
+    return chart.certificate(*(_invert(z, v) if other else (z, v)), left)
 
 
 def _nearest_pole(conn, chart, u) -> SpherePoint:

@@ -12,14 +12,18 @@ the geodesics have the closed form
 so W = w^{rho+1} moves on a straight line.  For rho > -1 all the local
 metric geometry (critical rays, chart diameter, crossing predicates) is
 explicit, and a geodesic moving inward on a critical ray reaches the pole
-at a known time (``AdaptedChart.lands_in``).  For rho < -1 the pole sits at |W| = infinity: a geodesic whose
-W-line has passed its closest approach to 0 has |w| decreasing from then on,
-so once it is inside the chart it stays there and tends to the pole
-(``AdaptedChart.falls_in``).  The adapted coordinate is constructed as a
-truncated power series with a constructive radius: the radius is shrunk
-until the pulled-back connection form matches rho dw/w on a test grid.
-A connection's atlas holds its pole charts: ``pole_chart`` builds a chart,
-or records its refusal, on the first request, and every caller reads it.
+at a known time (``AdaptedChart.lands_in``).  For rho < -1 the pole sits at
+|W| = infinity: a geodesic whose W-line has passed its closest approach to
+0 has |w| decreasing from then on, so once inside the chart it tends to the
+pole (``AdaptedChart.falls_in``).  ``AdaptedChart`` holds every use of the
+W-line model: the certificates' disc and entry point (``disc``,
+``certificate``), the one solve for a critical ray's point at an ambient
+distance (``ray_point``), and a critical W-line's state at a point or a
+time (``ray_state``, ``w_line``).  The adapted coordinate is a truncated
+power series with a constructive radius: the radius is shrunk until the
+pulled-back connection form matches rho dw/w on a test grid.  A
+connection's atlas holds its pole charts: ``pole_chart`` builds a chart, or
+records its refusal, on the first request, and every caller reads it.
 """
 
 from __future__ import annotations
@@ -111,24 +115,40 @@ class AdaptedChart:
                 "residual": self.residual}
 
     @cached_property
+    def disc(self) -> float:
+        """Radius of the certificates' disc: 0.9 radius for a fall (rho < -1),
+        where the residual is checked, 0.5 for a landing, where the series
+        holds to rounding."""
+        return (0.9 if self.rho < -1.0 else 0.5) * self.radius
+
+    @cached_property
     def w_in(self) -> float:
-        """Radius of the w-disc inscribed in the image of |zeta| < 0.9
-        radius, the circle the residual is checked on: the minimum of |w|
-        over 64 points of that circle."""
-        zeta = 0.9 * self.radius * np.exp(2j * np.pi * np.arange(64) / 64)
+        """Radius of the w-disc inscribed in the image of the fall disc: the
+        minimum of |w| over 64 points of its circle."""
+        zeta = self.disc * np.exp(2j * np.pi * np.arange(64) / 64)
         return float(np.min(np.abs(zeta * np.polyval(self.series[::-1], zeta))))
+
+    def certificate(self, u: complex, v: complex, left: float):
+        """The certificate of the ambient state (u, v), with the pole: the
+        fall's (``falls_in``) for a residue < -1, else the landing's
+        (``lands_in``) for a hit within the time ``left``; or None."""
+        if self.rho < -1.0:
+            cert = self.falls_in(u, v)
+        elif (cert := self.lands_in(u, v)) and cert["dt_hit"] > left:
+            cert = None
+        return {"pole": self.pole, **cert} if cert else None
 
     def falls_in(self, u: complex, v: complex):
         """Fall certificate of a rho < -1 chart for the ambient state (u, v).
 
-        The state passes when |w| < w_in and Re(w'/w) < -FALL_ETA |w'/w|:
-        it lies in the validated region and |w| decreases, so its W-line is
-        past its closest approach and the geodesic tends to the pole without
-        leaving the disc.  Returns the figures next to their thresholds,
-        ``{"abs_w": (|w|, w_in), "descent": (Re(w'/w)/|w'/w|, -FALL_ETA)}``,
-        or None.  The series is evaluated only within 0.9 radius.
+        The state passes when it lies in the disc, |w| < w_in and
+        Re(w'/w) < -FALL_ETA |w'/w|: it lies in the validated region and |w|
+        decreases, so its W-line is past its closest approach and the
+        geodesic tends to the pole without leaving the disc.  Returns the
+        figures next to their thresholds, ``{"abs_w": (|w|, w_in),
+        "descent": (Re(w'/w)/|w'/w|, -FALL_ETA)}``, or None.
         """
-        if not abs(u - self.center) < 0.9 * self.radius:
+        if not abs(u - self.center) < self.disc:
             return None
         w, dw = self.push_state(u, v)
         q = dw / w
@@ -143,14 +163,13 @@ class AdaptedChart:
 
         W = w^(rho+1) moves on the line W + W' t, W' = (rho+1) W w'/w, which
         passes the pole at the distance tau = |W| |sin arg(w'/w)|.  The state
-        passes when it lies within 0.5 radius, where the series holds to
-        rounding, moves inward, Re(w'/w) < 0, and tau <= CRITICAL_TOL |W|:
-        it runs along a critical ray into the pole.  Returns the figure next
-        to its threshold and the time to the pole, the closest approach of
-        the W-line, ``{"critical": (tau/|W|, CRITICAL_TOL), "dt_hit":
-        -Re(w'/w) / ((rho+1) |w'/w|^2)}``, or None.
+        passes when it lies in the disc, moves inward, Re(w'/w) < 0, and
+        tau <= CRITICAL_TOL |W|: it runs along a critical ray into the
+        pole.  Returns the figure next to its threshold and the time to the
+        pole, the closest approach of the W-line, ``{"critical": (tau/|W|,
+        CRITICAL_TOL), "dt_hit": -Re(w'/w) / ((rho+1) |w'/w|^2)}``, or None.
         """
-        if not abs(u - self.center) < 0.5 * self.radius:
+        if not abs(u - self.center) < self.disc:
             return None
         w, dw = self.push_state(u, v)
         q = dw / w
@@ -159,6 +178,47 @@ class AdaptedChart:
             return {"critical": (tau, CRITICAL_TOL),
                     "dt_hit": -q.real / ((self.rho + 1.0) * abs(q) ** 2)}
         return None
+
+    def ray_point(self, ray: complex, r: float):
+        """(u, w(u), w'(u)) for the point u of the critical ray arg w =
+        arg ray at |u - center| = r: Newton's method on arg(w/ray), with
+        d arg w / d arg(u - center) = Re((u - center) w'/w), from r ray
+        (w/zeta = 1 at the pole), so a real ray stays real; or where w' = 0."""
+        zeta = r * ray
+        for _ in range(30):
+            u = self.center + zeta
+            w, dw = self.to_w(u), self.dw(u)
+            err = cmath.phase(w / ray)
+            if abs(err) < 1e-13 or dw == 0:
+                break
+            zeta *= cmath.exp(-1j * err / (zeta * dw / w).real)
+        return u, w, dw
+
+    def ray_state(self, u: complex, v: complex, r: float):
+        """(dt, u1, v1) for a state (u, v) on a critical ray (``lands_in``):
+        the ray's point u1 at |u1 - center| = r (``ray_point``), the time the
+        state reaches it in and its velocity there.  |W| falls at |W'| =
+        (rho+1) |W w'(u) v / w|, and w' v scales by |w(u1) / w(u)|^-rho."""
+        w, vw = self.push_state(u, v)
+        u1, w1, dw1 = self.ray_point(w / abs(w), r)
+        s, shrink = self.rho + 1.0, abs(w1) / abs(w)
+        return ((1.0 - shrink ** s) * abs(w / vw) / s, u1,
+                vw * shrink ** -self.rho / dw1)
+
+    def w_line(self, u: complex, v: complex, dt: float):
+        """(u1, v1): ``ray_state`` at the distance r whose time is dt, by
+        Newton's method on log r, d log r / dt = Re(v1 / (u1 - center)),
+        from |u - center| scaled as |w| is where |W| has fallen by dt / hit,
+        hit the time to the pole (clamped at its rounding)."""
+        s = self.rho + 1.0
+        hit = abs(self.to_w(u) / (self.dw(u) * v)) / s
+        r = abs(u - self.center) * max(1.0 - dt / hit, 2.0 ** -52) ** (1.0 / s)
+        for _ in range(30):
+            dt1, u1, v1 = self.ray_state(u, v, r)
+            if abs(dt - dt1) <= 1e-15 * hit:
+                break
+            r *= math.exp((dt - dt1) * (v1 / (u1 - self.center)).real)
+        return u1, v1
 
 
 def pole_disc(conn: FuchsianConnection, pole: SpherePoint):
@@ -308,7 +368,8 @@ class DirectionInterval:
 
 
 def local_params(rho: float, r: float, z0: complex, v0: complex) -> LocalGeodesicParams:
-    """Parameters (alpha, a, b) with chi(a t + b) passing through (z0, v0).
+    """Parameters (alpha, a, b) of the closed form z(t) = chi(a t + b) of the
+    module docstring through (z0, v0).
 
     Correctness is defined by the reproduction property
     chi(b) = z0 and a * chi'(b) = v0.
@@ -328,15 +389,6 @@ def local_params(rho: float, r: float, z0: complex, v0: complex) -> LocalGeodesi
     b = a * z0 / (s * v0)           # branch-free; |b| = |z0|^{rho+1} follows
     alpha = (cmath.phase(z0) - cmath.phase(b) / s) % (2.0 * math.pi)
     return LocalGeodesicParams(rho, r, alpha, a, b)
-
-
-def chi(rho: float, alpha: float, r: float, w: complex) -> complex:
-    """The model geodesic map, principal branch."""
-    if rho == -1.0:
-        return r * cmath.exp(1j * complex(w))
-    if w == 0 and rho + 1.0 < 0:
-        raise errors.OutOfDomain("w = 0 with negative exponent")
-    return cmath.exp(1j * alpha) * complex(w) ** (1.0 / (rho + 1.0))
 
 
 def closed_form_path(params: LocalGeodesicParams, ts) -> np.ndarray:

@@ -79,10 +79,9 @@ def detect_period(traj: Trajectory):
     """Smallest recurrence time T with |z(T)-z0| + |vhat(T)-vhat0| below
     RECURRENCE_TOL.
 
-    A row is a candidate when the chord into it passes within 0.05 scale of
-    z0, however far apart the rows are, from the chord out of the first row
-    farther than that from z0 on (every chord if no row is): until then the
-    trace has not left z0, and a refinement there finds only T <= 1e-6.
+    A row is a candidate when the chord into it returns near z0, however far
+    apart the rows are (``_returns``); before the trace has left z0 a
+    refinement finds only T <= 1e-6.
     Each candidate starts at the time where the interpolant comes nearest
     z0 (``Trajectory.nearest_time``), and is refined with states one
     partial integrator step past the stored row before the candidate time
@@ -92,14 +91,10 @@ def detect_period(traj: Trajectory):
     zs, vs = traj.std_columns()
     z0, v0 = zs[0], vs[0]
     vh0 = v0 / abs(v0)
-    near = 0.05 * max(abs(z0), 1.0)
-    away = next((k for k in range(1, len(zs)) if abs(zs[k] - z0) > near), 0)
     window = 0.0
-    for k in range(away + 1, len(traj)):
+    for k in _returns(zs, z0, 1, 0):
         t = traj.t[k]
         if t < 1e-6 or t <= window:
-            continue
-        if _chord_gap(zs[k - 1], zs[k], z0) > near:
             continue
         T = _refine_period(traj, traj.nearest_time(k, z0), z0, vh0)
         if T is not None:
@@ -107,6 +102,18 @@ def detect_period(traj: Trajectory):
         # skip the rest of this close-approach window before trying again
         window = t + 0.1 * t
     return None
+
+
+def _returns(zs, z0, k0, fallback):
+    """The rows k whose chord into them passes within 0.05 max(|z0|, 1) of
+    z0, once the trace has left z0: from the chord out of the first row
+    from k0 on farther than that from z0, or out of row ``fallback`` if no
+    row is."""
+    near = 0.05 * max(abs(z0), 1.0)
+    away = next((k for k in range(k0, len(zs)) if abs(zs[k] - z0) > near),
+                fallback)
+    return (k for k in range(away + 1, len(zs))
+            if _chord_gap(zs[k - 1], zs[k], z0) <= near)
 
 
 def _refine_period(traj: Trajectory, T0: float, z0, vh0):
@@ -315,16 +322,11 @@ def _foreign_accumulation(traj: Trajectory):
     # times never decrease: the tail is the rows from the first t >= start
     k0 = bisect.bisect_left(ts, ts[0] + 0.75 * (ts[-1] - ts[0]))
     zs, vs = traj.std_columns()
-    z_t, n = zs[k0], len(ts)
-    vh = vs[k0] / abs(vs[k0])
-    near = 0.05 * max(abs(z_t), 1.0)
-    # a return: a chord that comes back near z_t once the tail has left it
-    away = next((k for k in range(k0, n) if abs(zs[k] - z_t) > near), n)
+    z_t, vh = zs[k0], vs[k0] / abs(vs[k0])
     best = math.inf
-    for k in range(away + 1, n):
-        if _chord_gap(zs[k - 1], zs[k], z_t) <= near:
-            z, v = traj.interpolate(traj.nearest_time(k, z_t))
-            best = min(best, abs(z - z_t) + abs(v / abs(v) - vh))
+    for k in _returns(zs, z_t, k0, len(ts)):
+        z, v = traj.interpolate(traj.nearest_time(k, z_t))
+        best = min(best, abs(z - z_t) + abs(v / abs(v) - vh))
     if best < 1e-6:
         # tail recurs tightly but the global period detector said no:
         # candidate accumulation on a periodic orbit it never joins
@@ -490,12 +492,10 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
     launches are traced together (``trace_many`` with ``landings``), with
     rows only for those that may land; the batch checks each start, and a
     pole whose launch radius lies within the pole floor gets no launch.  A
-    launch lands when it reaches the pole floor, in closed form where a
-    state within half the radius of a charted residue > -1 pole's chart runs
-    on its critical line (``AdaptedChart.lands_in``) and hits it within
-    t_max: its last row is then on the critical ray, POLE_FLOOR from the
-    pole.  The metric length of the ray from the pole to a launch is taken
-    only for the launches that land."""
+    launch lands when it reaches the pole floor, in closed form where it
+    runs into a charted pole on its critical line within t_max
+    (``AdaptedChart.certificate``).  The metric length of the ray from the
+    pole to a launch is taken only for the launches that land."""
     launches = []
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
@@ -551,17 +551,7 @@ def _critical_launch(conn, chart, r0, phi):
         K0 = abs(1.0 / s) ** (1.0 / s)
     except OverflowError:
         return None
-    # Newton on theta, zeta = r0 e^(i theta), for arg w = phi: d arg w / d
-    # theta = Re(zeta w'/w); w/zeta = 1 at the pole, so start at phi
-    theta = phi
-    for _ in range(30):
-        zeta = r0 * cmath.exp(1j * theta)
-        u = chart.center + zeta
-        w, dw = chart.to_w(u), chart.dw(u)
-        err = (cmath.phase(w) - phi + math.pi) % TWO_PI - math.pi
-        if abs(err) < 1e-13 or dw == 0:
-            break
-        theta -= err / (zeta * dw / w).real
+    u, w, dw = chart.ray_point(cmath.exp(1j * phi), r0)
     if dw == 0:
         return None
     vw = w / abs(w)                 # outward critical direction in w

@@ -73,6 +73,32 @@ class TestBasicTracing:
         traj = trace(single_pole(0.5), (-(engine.H0 * (1 / 5)), 1.0), 1.0)
         assert traj.termination == "pole_approach"
 
+    def test_step_past_the_floor_is_accepted(self, monkeypatch):
+        # residue -1/2 at 0: W = z^(1/2) runs on the line W = t + i tau, so
+        # the geodesic passes 0 at d = tau^2 = 1.0001e-6, bending towards
+        # it.  The step of 0.1 tau across the closest approach has its chord
+        # 9.976e-7 from 0, inside the floor, while the arc, and so every
+        # sub-step _pole_hit probes, stays outside: the step is accepted
+        # whole and the trace runs on
+        tau = math.sqrt(1.0001e-6)
+        h = 0.1 * tau
+        W = -h / 2 + 1j * tau
+        conn = single_pole(-0.5)
+        traj, state = engine._start(conn, (W * W, 2.0 * W), 1.0)
+        hits = []
+
+        def recording(*args, _hit=engine._pole_hit):
+            hits.append(_hit(*args))
+            return hits[-1]
+        monkeypatch.setattr(engine, "_pole_hit", recording)
+        traj = engine._run_out(engine._stepping(
+            conn, traj, state[:5] + (h,) + state[6:], 1.0, None))
+        assert hits[0] is None
+        assert engine._pole_gap(((0j, -0.5),), *traj.z[:2]) < engine.POLE_FLOOR
+        assert traj.t[1] == h and abs(traj.z[1] - W.conjugate() ** 2) < 1e-18
+        assert traj.termination == "t_max"
+        assert min(map(abs, traj.z)) > engine.POLE_FLOOR
+
     def test_passes_close_to_weak_pole(self):
         # the first-same-as-last core keeps c = v exp(K) to rounding while
         # the trace passes 1e-4 from a rho = -1e-6 pole at t ~ 1, and the

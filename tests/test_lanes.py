@@ -14,7 +14,7 @@ import pytest
 
 from connexion import build_connection, first_integral, trace
 from connexion import engine, errors, omega
-from connexion.engine import LANES_MIN, IntegratorOptions, trace_many
+from connexion.engine import LANES_MIN, trace_many
 
 from conftest import SWITCH_POLES, TWOGON, hexed, saddle_launches, single_pole
 
@@ -107,21 +107,21 @@ def scalar_columns(traj):
             traj.events, traj.termination)
 
 
-@pytest.mark.parametrize("opts", [None, IntegratorOptions(max_seconds=60.0)])
-def test_small_or_budgeted_batch_runs_trace(opts):
-    # fewer than LANES_MIN starts, or a wall-clock budget: trace's loop
+def test_small_batch_runs_trace():
+    # fewer than LANES_MIN starts: the lanes hand every one back before a
+    # step, and trace's loop returns trace's columns bit for bit
     conn = build_connection(SWITCH_POLES)
-    n = LANES_MIN - 1 if opts is None else LANES_MIN + 4
-    starts = grid(3.0, n)
-    for start, got in zip(starts, trace_many(conn, starts, 60.0, opts)):
-        assert scalar_columns(got) == scalar_columns(trace(conn, start, 60.0,
-                                                           opts))
+    starts = grid(3.0, LANES_MIN - 1)
+    for start, got in zip(starts, trace_many(conn, starts, 60.0)):
+        assert scalar_columns(got) == scalar_columns(trace(conn, start, 60.0))
 
 
 def test_step_budget_ends_lanes():
+    # every lane reaches the budget in the same round and ends in the lanes
     conn = build_connection(SWITCH_POLES)
-    opts = IntegratorOptions(max_steps=5)
-    for tr in trace_many(conn, grid(3.0, 20), 60.0, opts):
+    begun = [engine._start(conn, s, 60.0) for s in grid(3.0, 20)]
+    assert engine._lanes(conn, begun, 60.0, 5, False) == [None] * 20
+    for tr, _ in begun:
         assert tr.termination == "max_steps" and len(tr) <= 6
 
 

@@ -15,7 +15,7 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
 from connexion import errors, omega
 from connexion.engine import (POLE_FLOOR, GeodesicState, IntegratorOptions,
                               Trajectory, TrajectorySample, canonical_K,
-                              continue_K, delta_zeta, tracing)
+                              continue_K, delta_zeta, trace_many, tracing)
 from connexion.localchart import FALL_ETA, AdaptedChart, pole_chart
 from connexion.omega import (TransversalSection, _best_section,
                              _critical_launch, _foreign_accumulation,
@@ -384,6 +384,48 @@ class TestSaddleConnections:
                                  (SpherePoint.of(1.0), 0.5)])
         sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
         assert all(s.start_pole == SpherePoint.of(1.0) for s in sads)
+
+    def test_landed_step_interpolates_on_its_w_line(self):
+        # a landed trace's last step runs from a row up to half the chart's
+        # radius from the pole to the floor row, where z'' is about 1e6
+        # times larger: the quintic Hermite over it read z = 7.1e7 at the
+        # two-gon's midpoint, for 0.8246.  On the W-line four points of the
+        # step agree with a re-trace
+        conn = build_connection([(SpherePoint.of(-1.0), 0.5),
+                                 (SpherePoint.of(1.0), 0.5)])
+        sads = saddle_connection_search(conn, 64, 10.0)
+        assert len(sads) == 2
+        for sc in sads:
+            tr = sc.trajectory
+            start = GeodesicState(tr.chart0, tr.z[0], tr.v[0], tr.K[0])
+            a, b = tr.t[-2:]
+            for f in (0.2, 0.4, 0.6, 0.8):
+                z, _ = tr.interpolate(a + f * (b - a))
+                ref, _ = trace(conn, start, a + f * (b - a)).std_columns()
+                assert abs(z - ref[-1]) <= 1e-9
+
+    def test_off_axis_landing_places_its_floor_row(self):
+        # residue 1/2 at 0 and -0.3 at 1 + i: the series of the chart at 0
+        # is complex, so on the ray arg w = 0.7 the floor row's first guess,
+        # POLE_FLOOR e^(0.7i), misses the ray by 7e-9.  Newton's method puts
+        # the row on the ray at the floor, where a trace ends that steps
+        # into it
+        conn = build_connection([(SpherePoint.of(0.0), 0.5),
+                                 (SpherePoint.of(1.0 + 1.0j), -0.3)])
+        chart = pole_chart(conn, SpherePoint.of(0.0))
+        ray = cmath.exp(0.7j)
+        assert abs(cmath.phase(chart.to_w(POLE_FLOOR * ray) / ray)) > 1e-13
+        u, _, dw = chart.ray_point(ray, 0.3 * chart.radius)
+        start = GeodesicState("standard", u, -ray / dw)   # inward on the ray
+        landed = trace_many(conn, [start], 10.0, landings=True)[0]
+        assert "critical" in landed.events[-2][2] and len(landed) == 2
+        end = landed.z[-1]
+        assert abs(end) == pytest.approx(POLE_FLOOR, rel=1e-14)
+        assert abs(cmath.phase(chart.to_w(end) / ray)) <= 1e-13
+        ref = trace(conn, start, 10.0)
+        assert ref.termination == "pole_approach"
+        assert abs(end - ref.z[-1]) <= 1e-12
+        assert landed.t_end == pytest.approx(ref.t_end, rel=1e-12)
 
     def test_launch_placement(self, monkeypatch):
         # every launch of the saddle corpus's searches lies on the circle
