@@ -110,9 +110,9 @@ constants and helpers are read when it runs.  Two functions are built from
 it: the single step (``_stepper``, compiled as ``<dop853 3 poles>``), which
 ``_pole_hit`` and ``state_at`` call, and the step loop of one chart
 (``_step_loop``, ``<dop853 loop 3 poles>``), which inlines the step and
-its bookkeeping: the error scale, the step-size control, the pole and fall
-screens, the row appends and the pauses.  On a step that no pole and no fall
-disc is near it calls nothing but ``log``, ``exp``, ``sqrt`` and ``abs``.
+its bookkeeping: the error scale, the step-size control, the pole screen,
+the row appends and the pauses.  On a step that no pole is near, of a trace
+that screens no disc, it calls only ``log``, ``exp``, ``sqrt`` and ``abs``.
 ``_stepping`` is left with the options, the certificate discs, the chart
 switches, the pause after a switch, the landing row and the termination.
 The results are bit-identical to the textbook form, the Butcher-tableau
@@ -606,9 +606,7 @@ def _step_loop(n):
     than 4 POLE_FLOOR from the chord, less the rounding of the distances (a
     few ulps of coordinates < 1e9, far below POLE_FLOOR): more than
     3 POLE_FLOOR, where neither gap <= PATH_CLEARANCE nor gap < POLE_FLOOR
-    can hold.  ``_certified_fall`` runs only for a disc whose centre the
-    state lies within the screen's radius of, in the disc's chart, disc by
-    disc in the order of ``screen``, with the time left to t_max.
+    can hold.  Each accepted row goes through ``_screened``.
     """
     unpack, body = _stage_lines(n)
     near = " or ".join(f"abs(w{j}) <= reach" for j in range(n))
@@ -675,12 +673,9 @@ def _step_loop(n):
         "        Ks.append(K)",
         "        if hit is not None:",
         f"            return 'pole_approach', None, {out}",
-        "        for fall, other, centre, radius in screen:",
-        "            if abs((1.0/z if other else z) - centre) < radius:",
-        "                cert = _certified_fall(fall, other, z, k1,",
-        "                                       t_max - t)",
-        "                if cert is not None:",
-        f"                    return 'pole_certified', cert, {out}",
+        "        cert = screen and _screened(screen, z, k1, t_max - t)",
+        "        if cert:",
+        f"            return 'pole_certified', cert, {out}",
         "        if err > 0:",
         "            f = 0.9*err**-0.125",
         "            f = f if f > 0.2 else 0.2",
@@ -838,10 +833,7 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     pause = yield traj
 
     # a lane may hand back a state that has landed already
-    payload = next((cert for f, other, centre, radius in screens[chart]
-                    if landings and abs(z - centre) < radius
-                    if (cert := _certified_fall(f, other, z, v, t_max - t))),
-                   None)
+    payload = _screened(screens[chart], z, v, t_max - t) if landings else None
     end = None if payload is None else "pole_certified"
     while end is None:
         poles = conn.chart_poles(chart)
@@ -897,7 +889,7 @@ def trace_many(conn: FuchsianConnection, starts, t_max: float, *,
     land in closed form."""
     begun = [_start(conn, s, t_max) for s in starts]
     states = _lanes(conn, begun, t_max, IntegratorOptions().max_steps,
-                    landings)
+                    landings) if begun else []
     return [traj if state is None
             else _run_out(_stepping(conn, traj, state, t_max, None,
                                     landings=landings))
@@ -1080,6 +1072,17 @@ def state_at(traj: Trajectory, T: float):
             and _pole_gap(poles, z, z1) >= POLE_FLOOR):
         return None
     return (z1, v1) if chart == STANDARD else _invert(z1, v1)
+
+
+def _screened(screen, z, v, left):
+    """The first certificate (``_certified_fall``) that the state (z, v)
+    passes among the discs of ``screen`` it lies in, in order, or None."""
+    for chart, other, centre, radius in screen:
+        if abs((1.0 / z if other else z) - centre) < radius:
+            cert = _certified_fall(chart, other, z, v, left)
+            if cert is not None:
+                return cert
+    return None
 
 
 def _certified_fall(chart, other, z, v, left):

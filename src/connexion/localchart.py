@@ -158,8 +158,7 @@ class AdaptedChart:
         return None
 
     def lands_in(self, u: complex, v: complex):
-        """Landing certificate of a rho > -1 chart for the ambient state
-        (u, v).
+        """Landing certificate of a rho > -1 chart for the state (u, v).
 
         W = w^(rho+1) moves on the line W + W' t, W' = (rho+1) W w'/w, which
         passes the pole at the distance tau = |W| |sin arg(w'/w)|.  The state
@@ -206,19 +205,19 @@ class AdaptedChart:
                 vw * shrink ** -self.rho / dw1)
 
     def w_line(self, u: complex, v: complex, dt: float):
-        """(u1, v1): ``ray_state`` at the distance r whose time is dt, by
-        Newton's method on log r, d log r / dt = Re(v1 / (u1 - center)),
-        from |u - center| scaled as |w| is where |W| has fallen by dt / hit,
-        hit the time to the pole (clamped at its rounding)."""
+        """(u1, v1), the state dt after (u, v) on a critical ray: w(u1) =
+        w (1 - dt/hit)^(1/(rho+1)), hit the time to the pole (clamped at its
+        rounding), by Newton's method on w; w' v scales as in ``ray_state``."""
+        w, vw = self.push_state(u, v)
         s = self.rho + 1.0
-        hit = abs(self.to_w(u) / (self.dw(u) * v)) / s
-        r = abs(u - self.center) * max(1.0 - dt / hit, 2.0 ** -52) ** (1.0 / s)
+        shrink = max(1.0 - dt * s * abs(vw / w), 2.0 ** -52) ** (1.0 / s)
+        u1 = self.center + (u - self.center) * shrink
         for _ in range(30):
-            dt1, u1, v1 = self.ray_state(u, v, r)
-            if abs(dt - dt1) <= 1e-15 * hit:
+            step = (self.to_w(u1) - w * shrink) / self.dw(u1)
+            u1 -= step
+            if abs(step) <= 1e-15 * abs(u1 - self.center):
                 break
-            r *= math.exp((dt - dt1) * (v1 / (u1 - self.center)).real)
-        return u1, v1
+        return u1, vw * shrink ** -self.rho / self.dw(u1)
 
 
 def pole_disc(conn: FuchsianConnection, pole: SpherePoint):

@@ -385,6 +385,12 @@ class TestSaddleConnections:
         sads = saddle_connection_search(conn, n_grid=4, t_max=5.0)
         assert all(s.start_pole == SpherePoint.of(1.0) for s in sads)
 
+    def test_search_without_launches_finds_nothing(self, circle_conn):
+        # residue -1 at 0 and at infinity: no pole launches, so the search
+        # traces an empty batch and finds no connection
+        assert saddle_connection_search(circle_conn, 64, 10.0) == []
+        assert trace_many(circle_conn, [], 10.0, landings=True) == []
+
     def test_landed_step_interpolates_on_its_w_line(self):
         # a landed trace's last step runs from a row up to half the chart's
         # radius from the pole to the floor row, where z'' is about 1e6
