@@ -45,7 +45,8 @@ objects on each read, for tests and external callers; the package itself
 never reads it.  ``Trajectory.interpolate`` is the quintic Hermite through z,
 v and z'' = -f(z) v^2 at both rows of a step, so it needs no stored stage
 slopes and works on any trajectory whose rows lie on a geodesic, except on
-a landed trace's last step, which it evaluates on the W-line.
+the first step of a disc exit and the last step of a landed trace, which
+it evaluates on their W-lines.
 ``state_at`` takes one integrator step from the row before a time T to the
 state a re-trace to T ends in; the period search refines with it.
 
@@ -101,7 +102,10 @@ samples are the first samples of the trace without the flag.  A
 chart: a state on its critical line that hits it within t_max ends the
 trace at ``"pole_approach"`` with one last row at ``POLE_FLOOR`` on the ray
 (``AdaptedChart.ray_state``), and neither a further step nor ``_pole_hit``
-runs.
+runs.  The same batch carries each start that leaves one of those discs
+on its critical line to the disc's edge in one row with a ``disc_exit``
+event (``AdaptedChart.leaves``), before the lanes start, so no step of a
+saddle launch lies inside its own pole's disc.
 
 The step is generated per pole count, on first use and cached: Python
 source with the coefficients as literals and each stage's pole sum written
@@ -296,8 +300,11 @@ class Trajectory:
     def interpolate(self, t: float):
         """Position and velocity (standard chart) at time t: the quintic
         Hermite through z, v and z'' = -f(z) v^2 at both rows, with f the
-        sum of rho / (z - p) over the poles of row i's chart, or on a landed
-        trace's last step, its W-line (``AdaptedChart.w_line``)."""
+        sum of rho / (z - p) over the poles of row i's chart.  A step on a
+        critical ray is evaluated on its W-line (``AdaptedChart.w_line``):
+        a disc exit's first step from its launch row, a landed trace's last
+        step from its floor row, so that t - t_end resolves the ray's last
+        stretch where the time left to the pole rounds to 0."""
         ts = self.t
         if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
             raise ValueError(f"t={t} outside trajectory span [{ts[0]}, {ts[-1]}]")
@@ -306,9 +313,14 @@ class Trajectory:
         z0, v0 = self.z[i], self.v[i]
         z1, v1 = self.z[i + 1], self.v[i + 1]
         end = self.events[-2:] if i == len(ts) - 2 else ()
-        if end and "critical" in end[0][2]:   # a landed trace's last step
-            z, v = pole_chart(self.conn, end[0][2]["pole"]).w_line(
-                z0, v0, min(t, ts[-1]) - ts[i])
+        if i == 0 and self.events and self.events[0][1] == "disc_exit":
+            f = pole_chart(self.conn, self.events[0][2]["pole"])
+            z, v = f.w_line(z0, v0, t - ts[0])
+            chart = f.ambient
+        elif end and end[0][1] == "pole_approach" and "critical" in end[0][2]:
+            f = pole_chart(self.conn, end[0][2]["pole"])
+            z, v = f.w_line(z1, v1, min(t, ts[-1]) - ts[-1])
+            chart = f.ambient
         else:
             if self.switches and self._chart(i + 1) != chart:
                 z1, v1 = _invert(z1, v1)   # row i+1 follows a chart switch
@@ -823,13 +835,7 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
-    charts = [f for p in conn.poles if (certify and p.residue < -1.0)
-              or (landings and p.residue > -1.0)
-              if (f := pole_chart(conn, p.location))]
-    # a landing row goes in the state's chart: screen the pole's own only
-    screens = {c: [(f, f.ambient != c, f.center, f.disc) for f in charts
-                   if certify or f.ambient == c]
-               for c in (STANDARD, INFINITY)}
+    screens = _screens(conn, certify, landings)
     pause = yield traj
 
     # a lane may hand back a state that has landed already
@@ -854,12 +860,8 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
             pause = yield traj
 
     if end == "pole_certified" and "critical" in payload:
-        dt, u, vf = pole_chart(conn, payload["pole"]).ray_state(z, v,
-                                                                POLE_FLOOR)
-        traj.t.append(t + dt)
-        traj.z.append(u)
-        traj.v.append(vf)
-        traj.K.append(K + cmath.log(v / vf))     # c = v exp(K)
+        f = pole_chart(conn, payload["pole"])
+        _ray_row(traj, t, v, K, f.ray_state(*f.push_state(z, v), POLE_FLOOR))
         payload["t_hit"] = t + payload.pop("dt_hit")
         end, t = "pole_approach", traj.t[-1]
     # a trace that ran to t_max keeps the termination "t_max"
@@ -874,6 +876,48 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     return traj
 
 
+def _screens(conn, certify, landings):
+    """The certificate discs ``_stepping`` screens, per sphere chart, as
+    (the pole's chart, whether it is in the other sphere chart, its centre,
+    its disc): of each charted residue < -1 pole if ``certify``, of each
+    residue > -1 pole with ``landings``.  A landing row goes in the state's
+    chart, so a landing screens the pole's own sphere chart only."""
+    charts = [f for p in conn.poles if (certify and p.residue < -1.0)
+              or (landings and p.residue > -1.0)
+              if (f := pole_chart(conn, p.location))]
+    return {c: [(f, f.ambient != c, f.center, f.disc) for f in charts
+                if certify or f.ambient == c]
+            for c in (STANDARD, INFINITY)}
+
+
+def _ray_row(traj, t, v, K, edge):
+    """Append and return the row (t, z, v, K) that the state at time t, with
+    velocity v and K, reaches along its critical ray, ``edge`` = (dt, u1,
+    v1) from ``AdaptedChart.ray_state``; K is continued so that c = v exp(K)
+    holds."""
+    dt, u, vf = edge
+    row = t + dt, u, vf, K + cmath.log(v / vf)
+    for col, x in zip((traj.t, traj.z, traj.v, traj.K), row):
+        col.append(x)
+    return row
+
+
+def _disc_exit(screen, traj, state, t_max):
+    """The loop state of a ``_start`` carried out of the disc of ``screen``
+    that it leaves along a critical ray within t_max, in closed form
+    (``AdaptedChart.leaves``): the edge row is appended to ``traj`` with a
+    ``disc_exit`` event that names the pole and records the figure.  The
+    state itself where it leaves no disc so."""
+    t, z, v, K, chart, h, steps, speed = state
+    for f, *_ in screen:
+        if out := f.leaves(z, v, t_max - t):
+            t, z, v, K = _ray_row(traj, t, v, K, out[1])
+            _fill_s_g(traj, speed)
+            traj.events.append((t, "disc_exit", {"pole": f.pole, **out[0]}))
+            return t, z, v, K, chart, h, steps, speed
+    return state
+
+
 def _fill_s_g(traj, speed):
     """s_g = speed t on the rows appended since the column was last filled."""
     sg = traj.s_g
@@ -884,10 +928,15 @@ def trace_many(conn: FuchsianConnection, starts, t_max: float, *,
                landings: bool = False) -> list:
     """``trace`` of each start, in lanes (module docstring) while at least
     ``LANES_MIN`` are left, then in ``trace``'s loop.  With ``landings``, the
-    saddle search's mode, a trace that ends in the lanes (never at a pole)
-    keeps only its start row, termination and events, and the others may
-    land in closed form."""
+    saddle search's mode, a start that leaves a screened disc on its
+    critical line first gets the disc's edge row (``_disc_exit``), a trace
+    that ends in the lanes (never at a pole) keeps only its start row,
+    termination and events, and the others may land in closed form."""
     begun = [_start(conn, s, t_max) for s in starts]
+    if landings:
+        screens = _screens(conn, False, True)
+        begun = [(traj, _disc_exit(screens[state[4]], traj, state, t_max))
+                 for traj, state in begun]
     states = _lanes(conn, begun, t_max, IntegratorOptions().max_steps,
                     landings) if begun else []
     return [traj if state is None
@@ -912,7 +961,8 @@ def _lanes(conn, begun, t_max, max_steps, pole_rows_only):
            for c, tb in enumerate(tables)]
     t, z, v, K, ch, h, steps, speed = map(np.array, zip(*(s for _, s in begun)))
     ch = (ch == INFINITY).astype(int)
-    lane, rows = np.arange(len(begun)), np.ones(len(begun), int)
+    first = np.array([len(traj) for traj, _ in begun])
+    lane, rows = np.arange(len(begun)), first.copy()
     trajs, out = [traj for traj, _ in begun], [None] * len(begun)
     logs = [], [], [], [], []     # lane, t, z, v, K of each accepted row
 
@@ -998,7 +1048,7 @@ def _lanes(conn, begun, t_max, max_steps, pole_rows_only):
     sel = np.flatnonzero(keep[at])
     order = sel[np.argsort(at[sel], kind="stable")]
     kept = np.flatnonzero(keep)
-    ends = np.cumsum(rows[kept] - 1).tolist()
+    ends = np.cumsum(rows[kept] - first[kept]).tolist()
     for k, name in enumerate(("t", "z", "v", "K"), 1):
         col = np.concatenate([[0.0], *logs[k]])[1:][order]
         logs[k].clear()
@@ -1007,7 +1057,10 @@ def _lanes(conn, begun, t_max, max_steps, pole_rows_only):
             if k == 1:
                 trajs[i].s_g.extend((speed[i] * col[lo:hi]).tolist())
     for i in np.flatnonzero(~keep):
-        trajs[i].switches.clear()     # their rows are gone
+        tr = trajs[i]
+        for col in (tr.t, tr.z, tr.v, tr.K, tr.s_g):
+            del col[1:]               # a disc exit's row too
+        tr.switches.clear()           # their rows are gone
     return out
 
 

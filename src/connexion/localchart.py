@@ -11,16 +11,18 @@ the geodesics have the closed form
 
 so W = w^{rho+1} moves on a straight line.  For rho > -1 all the local
 metric geometry (critical rays, chart diameter, crossing predicates) is
-explicit, and a geodesic moving inward on a critical ray reaches the pole
-at a known time (``AdaptedChart.lands_in``).  For rho < -1 the pole sits at
-|W| = infinity: a geodesic whose W-line has passed its closest approach to
-0 has |w| decreasing from then on, so once inside the chart it tends to the
-pole (``AdaptedChart.falls_in``).  ``AdaptedChart`` holds every use of the
-W-line model: the certificates' disc and entry point (``disc``,
-``certificate``), the one solve for a critical ray's point at an ambient
-distance (``ray_point``), and a critical W-line's state at a point or a
-time (``ray_state``, ``w_line``).  The adapted coordinate is a truncated
-power series with a constructive radius: the radius is shrunk until the
+explicit: a geodesic moving inward on a critical ray reaches the pole at a
+known time (``AdaptedChart.lands_in``), and one moving outward leaves the
+certificates' disc at a known time and state (``AdaptedChart.leaves``).
+For rho < -1 the pole sits at |W| = infinity: a geodesic whose W-line has
+passed its closest approach to 0 has |w| decreasing from then on, so once
+inside the chart it tends to the pole (``AdaptedChart.falls_in``).
+``AdaptedChart`` holds every use of the W-line model: the certificates'
+disc and entry points (``disc``, ``certificate``, ``leaves``), the one
+solve for a critical ray's point at an ambient distance (``ray_point``),
+and a critical W-line's state at a point or a time, in either direction
+(``ray_state``, ``w_line``).  The adapted coordinate is a truncated power
+series with a constructive radius: the radius is shrunk until the
 pulled-back connection form matches rho dw/w on a test grid.  A
 connection's atlas holds its pole charts: ``pole_chart`` builds a chart, or
 records its refusal, on the first request, and every caller reads it.
@@ -193,24 +195,44 @@ class AdaptedChart:
             zeta *= cmath.exp(-1j * err / (zeta * dw / w).real)
         return u, w, dw
 
-    def ray_state(self, u: complex, v: complex, r: float):
-        """(dt, u1, v1) for a state (u, v) on a critical ray (``lands_in``):
-        the ray's point u1 at |u1 - center| = r (``ray_point``), the time the
-        state reaches it in and its velocity there.  |W| falls at |W'| =
-        (rho+1) |W w'(u) v / w|, and w' v scales by |w(u1) / w(u)|^-rho."""
+    def leaves(self, u: complex, v: complex, left: float):
+        """Disc exit of a rho > -1 chart for the state (u, v): ``lands_in``
+        mirrored.  The state passes when it lies in the disc, moves outward,
+        Re(w'/w) > 0, with tau <= CRITICAL_TOL |W|, and reaches the disc's
+        edge within the time ``left``.  Returns the figure next to its
+        threshold, ``{"critical": (tau/|W|, CRITICAL_TOL)}``, and the edge
+        state (dt, u1, v1) of ``ray_state``; or None."""
+        if not abs(u - self.center) < self.disc:
+            return None
         w, vw = self.push_state(u, v)
+        q = vw / w
+        tau = abs(q.imag) / abs(q)
+        if q.real > 0.0 and tau <= CRITICAL_TOL:
+            edge = self.ray_state(w, vw, self.disc)
+            if edge[0] < left:
+                return {"critical": (tau, CRITICAL_TOL)}, edge
+        return None
+
+    def ray_state(self, w: complex, vw: complex, r: float):
+        """(dt, u1, v1) for the state (w, w' v) of a point on a critical ray,
+        moving inward or outward (``lands_in``, ``leaves``): the ray's point
+        u1 at |u1 - center| = r (``ray_point``), the time the state reaches
+        it in and its velocity there.  |W| moves at |W'| = (rho+1) |W w' v /
+        w|, and w' v scales by |w(u1) / w(u)|^-rho."""
         u1, w1, dw1 = self.ray_point(w / abs(w), r)
         s, shrink = self.rho + 1.0, abs(w1) / abs(w)
-        return ((1.0 - shrink ** s) * abs(w / vw) / s, u1,
+        return (abs(shrink ** s - 1.0) * abs(w / vw) / s, u1,
                 vw * shrink ** -self.rho / dw1)
 
     def w_line(self, u: complex, v: complex, dt: float):
-        """(u1, v1), the state dt after (u, v) on a critical ray: w(u1) =
-        w (1 - dt/hit)^(1/(rho+1)), hit the time to the pole (clamped at its
-        rounding), by Newton's method on w; w' v scales as in ``ray_state``."""
+        """(u1, v1), the state dt after (u, v) on a critical ray, dt of
+        either sign: W moves on W (1 + (rho+1) (w'v/w) dt), so w(u1) =
+        w |1 + (rho+1) (w'v/w) dt|^(1/(rho+1)), clamped at the rounding of
+        the pole, by Newton's method on w; w' v scales as in
+        ``ray_state``."""
         w, vw = self.push_state(u, v)
         s = self.rho + 1.0
-        shrink = max(1.0 - dt * s * abs(vw / w), 2.0 ** -52) ** (1.0 / s)
+        shrink = max(abs(1.0 + dt * s * vw / w), 2.0 ** -52) ** (1.0 / s)
         u1 = self.center + (u - self.center) * shrink
         for _ in range(30):
             step = (self.to_w(u1) - w * shrink) / self.dw(u1)

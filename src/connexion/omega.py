@@ -491,9 +491,11 @@ def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
     launches that land in another pole's funnel, shortest first.  All
     launches are traced together (``trace_many`` with ``landings``), with
     rows only for those that may land; the batch checks each start, and a
-    pole whose launch radius lies within the pole floor gets no launch.  A
-    launch lands when it reaches the pole floor, in closed form where it
-    runs into a charted pole on its critical line within t_max
+    pole whose launch radius lies within the pole floor gets no launch.
+    Both ends run in closed form: a launch leaves its pole's certificate
+    disc in one row on its critical ray (``AdaptedChart.leaves``), and it
+    lands when it reaches the pole floor, in one row where it runs into a
+    charted pole on its critical line within t_max
     (``AdaptedChart.certificate``).  The metric length of the ray from the
     pole to a launch is taken only for the launches that land."""
     launches = []

@@ -35,12 +35,16 @@ A change that moves any corpus on purpose rewrites them all with
     PYTHONPATH=src python tests/test_corpus.py
 
 which prints the lines it moved, the same diff the test prints on failure,
-and lists them in its CHANGES.md entry.
+and lists them in its CHANGES.md entry.  For the saddle corpus it prints
+the count of lines that moved in ``rows=`` only, then the diff of the lines
+whose connection or length moved, in full (``saddle_review``): a change to
+the tracer's steps moves every row count and would bury the lengths.
 """
 
 import difflib
 import hashlib
 import pathlib
+import re
 
 import pytest
 
@@ -125,6 +129,24 @@ def moved(name: str, got: list, prefix: str = "") -> list:
                                      lineterm="", n=0))
 
 
+def saddle_review(got: list) -> list:
+    """The moves of the saddle corpus to the lines ``got``, for review: a
+    count of the lines that moved in ``rows=`` only, then each line whose
+    connection or length moved, in full, as a diff without context."""
+    want = (DATA / "saddles.txt").read_text().splitlines()
+    keys = [[re.sub(r" rows=\d+", "", line) for line in lines]
+            for lines in (want, got)]
+    rows_only, out = 0, []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, *keys, autojunk=False).get_opcodes():
+        if tag == "equal":
+            rows_only += sum(a != b for a, b in zip(want[i1:i2], got[j1:j2]))
+        else:
+            out += [f"-{line}" for line in want[i1:i2]]
+            out += [f"+{line}" for line in got[j1:j2]]
+    return [f"saddles.txt: {rows_only} lines moved in rows= only", *out]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_audit_matches_corpus(seed):
     audit, crossings = corpora(seed)
@@ -148,6 +170,7 @@ if __name__ == "__main__":
                                for k, _, out, aim in shooting_runs()]
     for name, got in written.items():
         if (DATA / name).exists():
-            for line in moved(name, got):
+            for line in (saddle_review(got) if name == "saddles.txt"
+                         else moved(name, got)):
                 print(line)
         (DATA / name).write_text("\n".join(got) + "\n")

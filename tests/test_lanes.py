@@ -14,7 +14,8 @@ import pytest
 
 from connexion import build_connection, first_integral, trace
 from connexion import engine, errors, omega
-from connexion.engine import LANES_MIN, trace_many
+from connexion.engine import LANES_MIN, GeodesicState, trace_many
+from connexion.localchart import CRITICAL_TOL, pole_chart
 
 from conftest import SWITCH_POLES, TWOGON, hexed, saddle_launches, single_pole
 
@@ -252,3 +253,36 @@ def test_handed_back_states_are_screened(monkeypatch):
     assert hits == []
     assert all(kind == "pole_approach" and "critical" in payload
                for _, kind, payload in ends)
+
+
+def test_critical_launches_leave_their_disc_in_one_row(monkeypatch):
+    # in a landings batch every critical launch of the two-gon gets, before
+    # the lanes start, one closed-form row at its pole's certificate disc
+    # and a disc_exit event naming the pole with the figure
+    conn = build_connection(TWOGON)
+    launches = saddle_launches(conn)
+    keep_every_row(monkeypatch)
+    for start, tr in zip(launches, trace_many(conn, launches, 10.0,
+                                              landings=True)):
+        t, kind, payload = tr.events[0]
+        chart = pole_chart(conn, payload["pole"])
+        assert (kind, t) == ("disc_exit", tr.t[1])
+        assert payload["critical"][0] <= CRITICAL_TOL
+        assert abs(tr.z[1] - chart.center) == pytest.approx(chart.disc,
+                                                            rel=1e-14)
+        assert abs(start.z - chart.center) < chart.disc
+        assert first_integral(tr)[1] <= 1e-12
+
+
+@pytest.mark.parametrize("turn", [cmath.exp(1e-6j), -1.0])
+def test_off_line_or_inward_start_does_not_exit(turn):
+    # a start in the disc whose w'v/w is off the critical line by
+    # tau/|W| = 1e-6 is stepped from its own row; one that moves inward
+    # lands.  Neither gets a row at the disc's edge
+    conn = build_connection(TWOGON)
+    chart = pole_chart(conn, conn.poles[0].location)
+    u, w, dw = chart.ray_point(cmath.exp(1j), 0.05 * chart.radius)
+    start = GeodesicState("standard", u, turn * w / abs(w) / dw)
+    tr = trace_many(conn, [start], 10.0, landings=True)[0]
+    assert all(kind != "disc_exit" for _, kind, _ in tr.events)
+    assert abs(tr.z[1] - chart.center) < 0.1 * chart.radius

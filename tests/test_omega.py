@@ -433,6 +433,110 @@ class TestSaddleConnections:
         assert abs(end - ref.z[-1]) <= 1e-12
         assert landed.t_end == pytest.approx(ref.t_end, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.5, 1.5, 2.5, 4.0])
+    def test_landed_end_interpolates_from_its_floor_row(self, rho):
+        # residue rho at 0 and -0.3 at 1 + i, a state landed on the ray arg
+        # w = 0.7: at rho >= 1.5 the time from the floor row to the pole is
+        # below the rounding of t, and the W-line evaluated forward from
+        # the step's first row read |z| = 7.2e-6 at t_end for rho = 2.5 and
+        # 1.6e-4 for rho = 4, against the floor row's 1e-6.  From the floor
+        # row, t - t_end resolves the ray's last stretch
+        conn = build_connection([(SpherePoint.of(0.0), rho),
+                                 (SpherePoint.of(1.0 + 1.0j), -0.3)])
+        chart = pole_chart(conn, SpherePoint.of(0.0))
+        ray = cmath.exp(0.7j)
+        u, _, dw = chart.ray_point(ray, 0.3 * chart.radius)
+        start = GeodesicState("standard", u, -ray / dw)   # inward on the ray
+        landed = trace_many(conn, [start], 10.0, landings=True)[0]
+        assert "critical" in landed.events[-2][2] and len(landed) == 2
+        z, _ = landed.interpolate(landed.t_end)
+        assert abs(z - landed.z[-1]) <= 1e-12 * abs(landed.z[-1])
+
+    @staticmethod
+    def second_order(conn, z0, v0, t_end):
+        """scipy's DOP853 (rtol 1e-13) on z'' = -f(z) z'^2 from (z0, v0) to
+        t_end: the standard-chart (z, v) there."""
+        from scipy.integrate import solve_ivp
+        poles = conn.chart_poles("standard")
+
+        def rhs(t, y):
+            z, v = complex(y[0], y[1]), complex(y[2], y[3])
+            a = -sum(res / (z - pos) for pos, res in poles) * v * v
+            return [v.real, v.imag, a.real, a.imag]
+        y = solve_ivp(rhs, (0.0, t_end), [z0.real, z0.imag, v0.real, v0.imag],
+                      method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+        return complex(y[0], y[1]), complex(y[2], y[3])
+
+    def test_launch_exits_its_disc_as_a_second_order_solve(self):
+        # the closed-form disc exit of a saddle launch, on the bench two-gon
+        # and two rng-11 connections at three angles on each pole, against
+        # scipy's DOP853 from the launch state to the exit time
+        conns = [build_connection([(SpherePoint.of(-1.0), 0.5),
+                                   (SpherePoint.of(1.0), 0.5)]),
+                 *saddle_connections()[:2]]
+        checked = 0
+        for conn in conns:
+            for p in conn.poles:
+                if p.location.infinite or p.residue <= -1.0:
+                    continue
+                chart = pole_chart(conn, p.location)
+                for phi in (0.0, 2.1, 4.2):
+                    (start, _) = _critical_launch(conn, chart,
+                                                  0.05 * chart.radius, phi)
+                    tr = trace_many(conn, [start], 10.0, landings=True)[0]
+                    assert tr.events[0][:2] == (tr.t[1], "disc_exit")
+                    z, v = self.second_order(conn, start.z, start.v, tr.t[1])
+                    assert abs(tr.z[1] - z) <= 1e-10 * max(1.0, abs(z))
+                    assert abs(tr.v[1] - v) <= 1e-10 * max(1.0, abs(v))
+                    checked += 1
+        assert checked == 18
+
+    def test_first_step_interpolates_on_its_w_line(self):
+        # a disc exit's step runs from 0.05 to 0.5 of the chart's radius in
+        # one row; four points of it agree with a plain trace from the
+        # launch state
+        conn = build_connection([(SpherePoint.of(-1.0), 0.5),
+                                 (SpherePoint.of(1.0), 0.5)])
+        chart = pole_chart(conn, SpherePoint.of(-1.0))
+        for phi in (0.0, 1.0, 2.5):
+            (start, _) = _critical_launch(conn, chart, 0.05 * chart.radius, phi)
+            tr = trace_many(conn, [start], 10.0, landings=True)[0]
+            for f in (0.2, 0.4, 0.6, 0.8):
+                z, v = tr.interpolate(f * tr.t[1])
+                zs, vs = trace(conn, start, f * tr.t[1]).std_columns()
+                assert abs(z - zs[-1]) <= 1e-9 and abs(v - vs[-1]) <= 1e-9
+
+    def test_exit_placement(self, monkeypatch):
+        # every launch of the saddle corpus's searches leaves its disc in
+        # closed form.  The screen takes one evaluation of w and w', and
+        # Newton's method at the disc's edge at most five, 3.8 on average:
+        # 12 and 9.6 calls
+        calls = []
+        for name in ("to_w", "dw"):
+            def counted(self, u, _f=getattr(AdaptedChart, name)):
+                calls.append(name)
+                return _f(self, u)
+            monkeypatch.setattr(AdaptedChart, name, counted)
+        per_exit = []
+        for conn in saddle_connections():
+            for p in conn.poles:
+                if p.location.infinite or p.residue <= -1.0:
+                    continue
+                chart = pole_chart(conn, p.location)
+                for k in range(64):
+                    (state, _) = _critical_launch(conn, chart,
+                                                  0.05 * chart.radius,
+                                                  2.0 * math.pi * k / 64)
+                    calls.clear()
+                    _, (dt, u, _) = chart.leaves(state.z, state.v, math.inf)
+                    per_exit.append(len(calls))
+                    assert dt > 0.0
+                    assert abs(u - chart.center) == pytest.approx(chart.disc,
+                                                                  rel=1e-14)
+        assert len(per_exit) == 2432
+        assert max(per_exit) <= 12
+        assert sum(per_exit) <= 9.6 * len(per_exit)
+
     def test_launch_placement(self, monkeypatch):
         # every launch of the saddle corpus's searches lies on the circle
         # |u - center| = r0 at adapted argument phi.  Newton's method places
