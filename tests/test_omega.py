@@ -506,50 +506,21 @@ class TestSaddleConnections:
                 zs, vs = trace(conn, start, f * tr.t[1]).std_columns()
                 assert abs(z - zs[-1]) <= 1e-9 and abs(v - vs[-1]) <= 1e-9
 
-    def test_exit_placement(self, monkeypatch):
-        # every launch of the saddle corpus's searches leaves its disc in
-        # closed form.  The screen takes one evaluation of w and w', and
-        # Newton's method at the disc's edge at most five, 3.8 on average:
-        # 12 and 9.6 calls
-        calls = []
-        for name in ("to_w", "dw"):
-            def counted(self, u, _f=getattr(AdaptedChart, name)):
-                calls.append(name)
-                return _f(self, u)
-            monkeypatch.setattr(AdaptedChart, name, counted)
-        per_exit = []
-        for conn in saddle_connections():
-            for p in conn.poles:
-                if p.location.infinite or p.residue <= -1.0:
-                    continue
-                chart = pole_chart(conn, p.location)
-                for k in range(64):
-                    (state, _) = _critical_launch(conn, chart,
-                                                  0.05 * chart.radius,
-                                                  2.0 * math.pi * k / 64)
-                    calls.clear()
-                    _, (dt, u, _) = chart.leaves(state.z, state.v, math.inf)
-                    per_exit.append(len(calls))
-                    assert dt > 0.0
-                    assert abs(u - chart.center) == pytest.approx(chart.disc,
-                                                                  rel=1e-14)
-        assert len(per_exit) == 2432
-        assert max(per_exit) <= 12
-        assert sum(per_exit) <= 9.6 * len(per_exit)
-
     def test_launch_placement(self, monkeypatch):
         # every launch of the saddle corpus's searches lies on the circle
         # |u - center| = r0 at adapted argument phi.  Newton's method places
         # it, stub included, in at most four evaluations of w and w', three
         # on average: 8 and 6 calls, against 12 and 10 for the fixed-point
-        # turn it replaced
+        # turn it replaced.  Every launch leaves its disc in closed form:
+        # the screen takes one evaluation, and Newton's method at the
+        # disc's edge at most five, 3.8 on average: 12 and 9.6 calls
         calls = []
         for name in ("to_w", "dw"):
             def counted(self, u, _f=getattr(AdaptedChart, name)):
                 calls.append(name)
                 return _f(self, u)
             monkeypatch.setattr(AdaptedChart, name, counted)
-        per_launch = []
+        per_launch, per_exit = [], []
         for conn in saddle_connections():
             for p in conn.poles:
                 if p.location.infinite or p.residue <= -1.0:
@@ -567,8 +538,17 @@ class TestSaddleConnections:
                     # to 1e-14 and the rounding of u = center + zeta
                     assert (abs(abs(u - chart.center) - r0)
                             <= 1e-14 * r0 + 2.0 ** -52 * abs(u))
+                    calls.clear()
+                    _, (dt, u, _) = chart.leaves(state.z, state.v, math.inf)
+                    per_exit.append(len(calls))
+                    assert dt > 0.0
+                    assert abs(u - chart.center) == pytest.approx(chart.disc,
+                                                                  rel=1e-14)
         assert max(per_launch) <= 8
         assert sum(per_launch) <= 6.2 * len(per_launch)
+        assert len(per_exit) == 2432
+        assert max(per_exit) <= 12
+        assert sum(per_exit) <= 9.6 * len(per_exit)
 
 
 AUDIT_BUDGET = ClassifyBudget(t_max=60.0, max_steps=60_000)
