@@ -103,9 +103,9 @@ chart: a state on its critical line that hits it within t_max ends the
 trace at ``"pole_approach"`` with one last row at ``POLE_FLOOR`` on the ray
 (``AdaptedChart.ray_state``), and neither a further step nor ``_pole_hit``
 runs.  The same batch carries each start that leaves one of those discs
-on its critical line to the disc's edge in one row with a ``disc_exit``
-event (``AdaptedChart.leaves``), before the lanes start, so no step of a
-saddle launch lies inside its own pole's disc.
+on its critical line, and reaches the edge within t_max, to the edge in
+one row with a ``disc_exit`` event (``AdaptedChart.leaves``), before the
+lanes start: such a saddle launch takes no step inside its pole's disc.
 
 The step is generated per pole count, on first use and cached: Python
 source with the coefficients as literals and each stage's pole sum written
