@@ -61,7 +61,7 @@ SCENE_KEYS = {
     "initial": [{"re": math.isfinite, "im": math.isfinite,
                  "v_re": math.isfinite, "v_im": math.isfinite}],
     "t_max": float,
-    "budget": {"t_max": float, "steps": int, "seconds": float},
+    "budget": {"t_max": float, "steps": int},
     "window": {"re": math.isfinite, "im": math.isfinite, "half_width": float,
                "size": int},
     "portrait": {"grid": int},
@@ -230,8 +230,7 @@ def classify_cmd(config_path, budget_steps):
     bcfg = cfg.get("budget", {})
     budget = ClassifyBudget(
         t_max=float(bcfg.get("t_max", 200.0)),
-        max_steps=budget_steps or int(bcfg.get("steps", 1_000_000)),
-        max_seconds=float(bcfg["seconds"]) if "seconds" in bcfg else None)
+        max_steps=budget_steps or int(bcfg.get("steps", 1_000_000)))
     for i, (z, v) in enumerate(initials):
         try:
             verdict = classify(conn, (z, v), budget)

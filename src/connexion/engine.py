@@ -100,11 +100,11 @@ an accepted state passes the fall certificate of a residue < -1 pole; its
 samples are the first samples of the trace without the flag.  A
 ``landings`` batch screens each charted residue > -1 pole in its own sphere
 chart: a state on its critical line that hits it within t_max ends the
-trace at ``"pole_approach"`` with one last row at ``POLE_FLOOR`` on the ray
-(``AdaptedChart.ray_state``), and neither a further step nor ``_pole_hit``
-runs.  The same batch carries each start that leaves one of those discs
-on its critical line, and reaches the edge within t_max, to the edge in
-one row with a ``disc_exit`` event (``AdaptedChart.leaves``), before the
+trace at ``"pole_approach"`` with one last row on the ray at |w| =
+``POLE_FLOOR`` (``AdaptedChart.ray_state``), and neither a further step nor
+``_pole_hit`` runs.  The same batch carries each start that leaves one of
+those discs on its critical line within t_max to |w| = ``AdaptedChart.w_in``
+in one row with a ``disc_exit`` event (``AdaptedChart.leaves``), before the
 lanes start: such a saddle launch takes no step inside its pole's disc.
 
 The step is generated per pole count, on first use and cached: Python
@@ -831,7 +831,7 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
     column.  It fetches the charts it screens from the atlas, once: of each
     residue < -1 pole if ``certify``, of each residue > -1 pole with
     ``landings``, which screens the given state too and ends a state that
-    lands at the pole floor (``AdaptedChart.ray_state``)."""
+    lands on the ray at |w| = POLE_FLOOR (``AdaptedChart.ray_state``)."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
@@ -905,7 +905,7 @@ def _ray_row(traj, t, v, K, edge):
 def _disc_exit(screen, traj, state, t_max):
     """The loop state of a ``_start`` carried out of the disc of ``screen``
     that it leaves along a critical ray within t_max, in closed form
-    (``AdaptedChart.leaves``): the edge row is appended to ``traj`` with a
+    (``AdaptedChart.leaves``): the exit row is appended to ``traj`` with a
     ``disc_exit`` event that names the pole and records the figure.  The
     state itself where it leaves no disc so."""
     t, z, v, K, chart, h, steps, speed = state
@@ -929,7 +929,7 @@ def trace_many(conn: FuchsianConnection, starts, t_max: float, *,
     """``trace`` of each start, in lanes (module docstring) while at least
     ``LANES_MIN`` are left, then in ``trace``'s loop.  With ``landings``, the
     saddle search's mode, a start that leaves a screened disc on its
-    critical line first gets the disc's edge row (``_disc_exit``), a trace
+    critical line first gets the disc's exit row (``_disc_exit``), a trace
     that ends in the lanes (never at a pole) keeps only its start row,
     termination and events, and the others may land in closed form."""
     begun = [_start(conn, s, t_max) for s in starts]

@@ -19,11 +19,11 @@ passed its closest approach to 0 has |w| decreasing from then on, so once
 inside the chart it tends to the pole (``AdaptedChart.falls_in``).
 ``AdaptedChart`` holds every use of the W-line model: the certificates'
 disc and entry points (``disc``, ``certificate``, ``leaves``), the one
-solve for a critical ray's point at an ambient distance (``ray_point``),
-and a critical W-line's state at a point or a time, in either direction
-(``ray_state``, ``w_line``).  The adapted coordinate is a truncated power
-series with a constructive radius: the radius is shrunk until the
-pulled-back connection form matches rho dw/w on a test grid.  A
+solve that places a point by its w (``at_w``), and a critical W-line's
+state at a modulus |w| or a time, in either direction (``ray_state``,
+``w_line``).  The adapted coordinate is a truncated power series with a
+constructive radius: the radius is shrunk until the pulled-back connection
+form matches rho dw/w on a test grid.  A
 connection's atlas holds its pole charts: ``pole_chart`` builds a chart, or
 records its refusal, on the first request, and every caller reads it.
 """
@@ -86,10 +86,6 @@ class AdaptedChart:
     center: complex            # pole coordinate in the ambient chart
     residual: float            # pullback residual achieved at `radius`
 
-    @property
-    def order(self) -> int:
-        return len(self.series) - 1
-
     def w_coeffs(self):
         return (0j,) + self.series
 
@@ -112,10 +108,6 @@ class AdaptedChart:
         """(position, velocity) in the adapted coordinate."""
         return self.to_w(u), self.dw(u) * v
 
-    def report(self) -> dict:
-        return {"radius": self.radius, "order": self.order,
-                "residual": self.residual}
-
     @cached_property
     def disc(self) -> float:
         """Radius of the certificates' disc: 0.9 radius for a fall (rho < -1),
@@ -125,8 +117,10 @@ class AdaptedChart:
 
     @cached_property
     def w_in(self) -> float:
-        """Radius of the w-disc inscribed in the image of the fall disc: the
-        minimum of |w| over 64 points of its circle."""
+        """Radius of the w-disc inscribed in the image of ``disc``, the least
+        |w| of 64 points of its circle: a fall (rho < -1) needs |w| below
+        it, and a disc exit (rho > -1) is placed at it, inside the disc up
+        to that sampling."""
         zeta = self.disc * np.exp(2j * np.pi * np.arange(64) / 64)
         return float(np.min(np.abs(zeta * np.polyval(self.series[::-1], zeta))))
 
@@ -140,6 +134,15 @@ class AdaptedChart:
             cert = None
         return {"pole": self.pole, **cert} if cert else None
 
+    def _inside(self, u: complex, v: complex):
+        """(w, w' v, w' v / w) of the state (u, v) if u lies in the disc,
+        else None: the opening of ``falls_in``, ``lands_in`` and
+        ``leaves``."""
+        if not abs(u - self.center) < self.disc:
+            return None
+        w, vw = self.push_state(u, v)
+        return w, vw, vw / w
+
     def falls_in(self, u: complex, v: complex):
         """Fall certificate of a rho < -1 chart for the ambient state (u, v).
 
@@ -150,10 +153,9 @@ class AdaptedChart:
         figures next to their thresholds, ``{"abs_w": (|w|, w_in),
         "descent": (Re(w'/w)/|w'/w|, -FALL_ETA)}``, or None.
         """
-        if not abs(u - self.center) < self.disc:
+        if (st := self._inside(u, v)) is None:
             return None
-        w, dw = self.push_state(u, v)
-        q = dw / w
+        w, _, q = st
         if abs(w) < self.w_in and q.real < -FALL_ETA * abs(q):
             return {"abs_w": (abs(w), self.w_in),
                     "descent": (q.real / abs(q), -FALL_ETA)}
@@ -170,76 +172,73 @@ class AdaptedChart:
         pole, the closest approach of the W-line, ``{"critical": (tau/|W|,
         CRITICAL_TOL), "dt_hit": -Re(w'/w) / ((rho+1) |w'/w|^2)}``, or None.
         """
-        if not abs(u - self.center) < self.disc:
+        if (st := self._inside(u, v)) is None:
             return None
-        w, dw = self.push_state(u, v)
-        q = dw / w
+        q = st[2]
         tau = abs(q.imag) / abs(q)
         if q.real < 0.0 and tau <= CRITICAL_TOL:
             return {"critical": (tau, CRITICAL_TOL),
                     "dt_hit": -q.real / ((self.rho + 1.0) * abs(q) ** 2)}
         return None
 
-    def ray_point(self, ray: complex, r: float):
-        """(u, w(u), w'(u)) for the point u of the critical ray arg w =
-        arg ray at |u - center| = r: Newton's method on arg(w/ray), with
-        d arg w / d arg(u - center) = Re((u - center) w'/w), from r ray
-        (w/zeta = 1 at the pole), so a real ray stays real; or where w' = 0."""
-        zeta = r * ray
-        for _ in range(30):
-            u = self.center + zeta
-            w, dw = self.to_w(u), self.dw(u)
-            err = cmath.phase(w / ray)
-            if abs(err) < 1e-13 or dw == 0:
-                break
-            zeta *= cmath.exp(-1j * err / (zeta * dw / w).real)
-        return u, w, dw
-
     def leaves(self, u: complex, v: complex, left: float):
         """Disc exit of a rho > -1 chart for the state (u, v): ``lands_in``
-        mirrored.  The state passes when it lies in the disc, moves outward,
-        Re(w'/w) > 0, with tau <= CRITICAL_TOL |W|, and reaches the disc's
-        edge within the time ``left``.  Returns the figure next to its
-        threshold, ``{"critical": (tau/|W|, CRITICAL_TOL)}``, and the edge
-        state (dt, u1, v1) of ``ray_state``; or None."""
-        if not abs(u - self.center) < self.disc:
+        mirrored.  The state passes when it lies in the disc with |w| <
+        w_in, moves outward, Re(w'/w) > 0, with tau <= CRITICAL_TOL |W|,
+        and reaches |w| = w_in within the time ``left``.  Returns the figure
+        next to its threshold, ``{"critical": (tau/|W|, CRITICAL_TOL)}``,
+        and the exit state (dt, u1, v1) of ``ray_state``; or None."""
+        if (st := self._inside(u, v)) is None:
             return None
-        w, vw = self.push_state(u, v)
-        q = vw / w
+        w, vw, q = st
         tau = abs(q.imag) / abs(q)
-        if q.real > 0.0 and tau <= CRITICAL_TOL:
-            edge = self.ray_state(w, vw, self.disc)
+        if abs(w) < self.w_in and q.real > 0.0 and tau <= CRITICAL_TOL:
+            edge = self.ray_state(w, vw, self.w_in)
             if edge[0] < left:
                 return {"critical": (tau, CRITICAL_TOL)}, edge
         return None
 
-    def ray_state(self, w: complex, vw: complex, r: float):
+    def at_w(self, w1: complex):
+        """(u1, w'(u1)) for the ambient point u1 with to_w(u1) = w1: Newton's
+        method on to_w from the series reversed to third order, zeta = w1
+        (1 - k1 w1 + (2 k1^2 - k2) w1^2), until the step is below the
+        rounding of u1, not of u1 - center, which u1 does not resolve where
+        |center| >> |zeta|.  w'(u1) is the last step's, at its iterate."""
+        k1, k2 = self.series[1:3]
+        u1 = self.center + w1 * (1.0 - k1 * w1 + (2.0 * k1 * k1 - k2) * w1 * w1)
+        for _ in range(30):
+            dw = self.dw(u1)
+            step = (self.to_w(u1) - w1) / dw
+            u1 -= step
+            if abs(step) <= 4.0 * 2.0 ** -52 * abs(u1):
+                break
+        return u1, dw
+
+    def ray_state(self, w: complex, vw: complex, m: float):
         """(dt, u1, v1) for the state (w, w' v) of a point on a critical ray,
         moving inward or outward (``lands_in``, ``leaves``): the ray's point
-        u1 at |u1 - center| = r (``ray_point``), the time the state reaches
-        it in and its velocity there.  |W| moves at |W'| = (rho+1) |W w' v /
-        w|, and w' v scales by |w(u1) / w(u)|^-rho."""
-        u1, w1, dw1 = self.ray_point(w / abs(w), r)
-        s, shrink = self.rho + 1.0, abs(w1) / abs(w)
-        return (abs(shrink ** s - 1.0) * abs(w / vw) / s, u1,
-                vw * shrink ** -self.rho / dw1)
+        u1 at |w(u1)| = m, the time the state reaches it in and its velocity
+        there.  |W| moves at |W'| = (rho+1) |W w' v / w|."""
+        s, shrink = self.rho + 1.0, m / abs(w)
+        return (abs(shrink ** s - 1.0) * abs(w / vw) / s,
+                *self._on_ray(w, vw, shrink))
 
     def w_line(self, u: complex, v: complex, dt: float):
         """(u1, v1), the state dt after (u, v) on a critical ray, dt of
         either sign: W moves on W (1 + (rho+1) (w'v/w) dt), so w(u1) =
         w |1 + (rho+1) (w'v/w) dt|^(1/(rho+1)), clamped at the rounding of
-        the pole, by Newton's method on w; w' v scales as in
-        ``ray_state``."""
+        the pole."""
         w, vw = self.push_state(u, v)
         s = self.rho + 1.0
-        shrink = max(abs(1.0 + dt * s * vw / w), 2.0 ** -52) ** (1.0 / s)
-        u1 = self.center + (u - self.center) * shrink
-        for _ in range(30):
-            step = (self.to_w(u1) - w * shrink) / self.dw(u1)
-            u1 -= step
-            if abs(step) <= 1e-15 * abs(u1 - self.center):
-                break
-        return u1, vw * shrink ** -self.rho / self.dw(u1)
+        return self._on_ray(w, vw, max(abs(1.0 + dt * s * vw / w),
+                                       2.0 ** -52) ** (1.0 / s))
+
+    def _on_ray(self, w: complex, vw: complex, shrink: float):
+        """(u1, v1): the point u1 at w(u1) = w shrink (``at_w``) and the
+        velocity there of the state (w, w' v), as w' v scales by
+        shrink^-rho."""
+        u1, dw1 = self.at_w(w * shrink)
+        return u1, vw * shrink ** -self.rho / dw1
 
 
 def pole_disc(conn: FuchsianConnection, pole: SpherePoint):

@@ -487,17 +487,18 @@ class SaddleConnection:
 def saddle_connection_search(conn: FuchsianConnection, n_grid: int = 64,
                              t_max: float = 40.0) -> list:
     """Launch reversed critical rays from each finite pole with residue > -1
-    on an angular grid, at 0.05 of its adapted-chart radius, and keep the
-    launches that land in another pole's funnel, shortest first.  All
+    on an angular grid, at |w| = 0.05 of its adapted-chart radius, and keep
+    the launches that land in another pole's funnel, shortest first.  All
     launches are traced together (``trace_many`` with ``landings``), with
     rows only for those that may land; the batch checks each start, and a
-    pole whose launch radius lies within the pole floor gets no launch.
-    Both ends run in closed form: a launch leaves its pole's certificate
-    disc in one row on its critical ray (``AdaptedChart.leaves``), and it
-    lands when it reaches the pole floor, in one row where it runs into a
-    charted pole on its critical line within t_max
-    (``AdaptedChart.certificate``).  The metric length of the ray from the
-    pole to a launch is taken only for the launches that land."""
+    pole whose launch modulus lies within the pole floor gets no launch.
+    Both ends run in closed form, each row placed by its w: a launch leaves
+    its pole's disc in one row on its ray at |w| = w_in
+    (``AdaptedChart.leaves``), and it lands when it reaches the pole floor,
+    in one row at |w| = POLE_FLOOR where it runs into a charted pole on its
+    critical line within t_max (``AdaptedChart.certificate``).  The metric
+    length of the ray from the pole to a launch is taken only for the
+    launches that land."""
     launches = []
     for p in conn.poles:
         if p.residue <= -1.0 or p.location.infinite:
@@ -541,24 +542,22 @@ def _end_stub(conn, end, tr):
 
 
 def _critical_launch(conn, chart, r0, phi):
-    """(state, stub): the state on the critical ray with adapted-coordinate
-    argument phi at ambient radius r0, moving away from the pole, or None
-    where the chart gives no direction; and the function that measures the
-    ray from the pole to it (``_ray_stub``).  The launch has unit speed in
-    K0 w, with K0 = |rho+1|^(-1/(rho+1)); K0 overflows for rho close to -1,
-    and such a pole gets no launch.  The speed sets how far each launch
-    reaches by t_max, and so which connections the search finds."""
+    """(state, stub): the state at w = r0 e^(i phi) (``AdaptedChart.at_w``),
+    moving away from the pole on that critical ray, and the function that
+    measures the ray from the pole to it (``_ray_stub``); or None.  The
+    launch has unit speed in K0 w, with K0 = |rho+1|^(-1/(rho+1)); K0
+    overflows for rho close to -1, and such a pole gets no launch.  The
+    speed sets how far each launch reaches by t_max, and so which
+    connections the search finds."""
     s = chart.rho + 1.0
     try:
         K0 = abs(1.0 / s) ** (1.0 / s)
     except OverflowError:
         return None
-    u, w, dw = chart.ray_point(cmath.exp(1j * phi), r0)
-    if dw == 0:
-        return None
-    vw = w / abs(w)                 # outward critical direction in w
-    return (GeodesicState(chart.ambient, u, vw / (K0 * dw)),
-            lambda: _ray_stub(conn, chart, u, w, dw))
+    ray = cmath.exp(1j * phi)       # outward critical direction in w
+    u, dw = chart.at_w(r0 * ray)
+    return (GeodesicState(chart.ambient, u, ray / (K0 * dw)),
+            lambda: _ray_stub(conn, chart, u, r0 * ray, dw))
 
 
 def _ray_stub(conn, chart, u, w, dw):

@@ -159,6 +159,7 @@ class TestSceneKeys:
         ("classify", "budget.steps", 0),
         ("classify", "budget.steps", 0.5),
         ("classify", "budget.seconds", 0),
+        ("classify", "budget.seconds", 5.0),
         ("portrait", "portrait.grid", 0),
         ("portrait", "window.half_width", 0),
         ("trace", "window.size", 0),
@@ -235,7 +236,7 @@ class TestSceneKeys:
                    {"inf": True, "residue": -3.0}]},
                "initial": [{"re": 0.0, "im": 0.5, "v_re": 1.0, "v_im": 0.0}],
                "t_max": 30.0, "portrait": {"grid": 5},
-               "budget": {"t_max": 1e-3, "steps": 1, "seconds": 1e-3},
+               "budget": {"t_max": 1e-3, "steps": 1},
                "window": {"re": 0.0, "im": 0.0, "half_width": 3.0, "size": 640}}
         path = write_config(tmp_path, "all.json", cfg)
         r = run("portrait", "--config", path, "--svg", str(tmp_path / "p.svg"))

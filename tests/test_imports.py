@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module, and every
-name a package module binds is used somewhere."""
+"""Every name a package module imports is used in that module, every name
+a package module binds is used somewhere, and every qualified name the
+documents cite resolves."""
 
 import ast
 import collections
+import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -116,3 +119,44 @@ def test_no_dead_module_names():
     readers = [p.read_text(encoding="utf-8")
                for d in READERS for p in sorted((ROOT / d).rglob("*.py"))]
     assert dead_names(package, readers) == []
+
+
+def unresolved_names(text: str, owners: dict) -> list:
+    """Qualified names ``owner.attr`` inside backticks in ``text``, whose
+    owner is a key of ``owners`` (a package module or class), that name no
+    attribute or dataclass field of it."""
+    out = []
+    for span in re.findall(r"`+([^`]+)`+", text):
+        for owner, attr in re.findall(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)",
+                                      span):
+            obj = owners.get(owner)
+            if obj is not None and not (
+                    hasattr(obj, attr)
+                    or attr in getattr(obj, "__dataclass_fields__", {})):
+                out.append(f"{owner}.{attr}")
+    return out
+
+
+def test_unresolved_name_detector():
+    class Chart:
+        at_w = None
+    text = ("`Chart.at_w`, ``Chart.gone``, `|w| =\n  Chart.at_w`, "
+            "`budget.seconds` and Chart.unquoted")
+    assert unresolved_names(text, {"Chart": Chart}) == ["Chart.gone"]
+
+
+def test_documented_names_resolve():
+    # README and the package's docstrings and comments cite the API as
+    # `AdaptedChart.leaves`, `Trajectory.interpolate`, `engine.trace_many`:
+    # each such name is a module or class of the package with that attribute
+    modules = {p.stem: importlib.import_module(f"connexion.{p.stem}")
+               for p in MODULES}
+    owners = dict(modules)
+    for mod in modules.values():
+        owners.update((name, obj) for name, obj in vars(mod).items()
+                      if isinstance(obj, type)
+                      and obj.__module__ == mod.__name__)
+    documents = [ROOT / "README.md", *sorted(PACKAGE.glob("*.py"))]
+    assert [(p.name, name) for p in documents
+            for name in unresolved_names(p.read_text(encoding="utf-8"),
+                                         owners)] == []

@@ -257,8 +257,9 @@ def test_handed_back_states_are_screened(monkeypatch):
 
 def test_critical_launches_leave_their_disc_in_one_row(monkeypatch):
     # in a landings batch every critical launch of the two-gon gets, before
-    # the lanes start, one closed-form row at its pole's certificate disc
-    # and a disc_exit event naming the pole with the figure
+    # the lanes start, one closed-form row on its ray at |w| = w_in, the
+    # w-disc inscribed in its pole's certificate disc, and a disc_exit
+    # event naming the pole with the figure
     conn = build_connection(TWOGON)
     launches = saddle_launches(conn)
     keep_every_row(monkeypatch)
@@ -268,8 +269,9 @@ def test_critical_launches_leave_their_disc_in_one_row(monkeypatch):
         chart = pole_chart(conn, payload["pole"])
         assert (kind, t) == ("disc_exit", tr.t[1])
         assert payload["critical"][0] <= CRITICAL_TOL
-        assert abs(tr.z[1] - chart.center) == pytest.approx(chart.disc,
-                                                            rel=1e-14)
+        w = chart.to_w(start.z)
+        assert chart.to_w(tr.z[1]) == pytest.approx(chart.w_in * w / abs(w),
+                                                    rel=1e-14)
         assert abs(start.z - chart.center) < chart.disc
         assert first_integral(tr)[1] <= 1e-12
 
@@ -278,11 +280,11 @@ def test_critical_launches_leave_their_disc_in_one_row(monkeypatch):
 def test_off_line_or_inward_start_does_not_exit(turn):
     # a start in the disc whose w'v/w is off the critical line by
     # tau/|W| = 1e-6 is stepped from its own row; one that moves inward
-    # lands.  Neither gets a row at the disc's edge
+    # lands.  Neither gets an exit row
     conn = build_connection(TWOGON)
     chart = pole_chart(conn, conn.poles[0].location)
-    u, w, dw = chart.ray_point(cmath.exp(1j), 0.05 * chart.radius)
-    start = GeodesicState("standard", u, turn * w / abs(w) / dw)
+    u, dw = chart.at_w(0.05 * chart.radius * cmath.exp(1j))
+    start = GeodesicState("standard", u, turn * cmath.exp(1j) / dw)
     tr = trace_many(conn, [start], 10.0, landings=True)[0]
     assert all(kind != "disc_exit" for _, kind, _ in tr.events)
     assert abs(tr.z[1] - chart.center) < 0.1 * chart.radius

@@ -15,9 +15,12 @@ from connexion import (DirectionInterval, SpherePoint, build_connection,
                        local_params, must_cross, self_intersection_radius,
                        trace)
 from connexion import errors
-from connexion.localchart import CRITICAL_TOL, FALL_ETA, _ser_diff, _ser_eval
+from connexion.engine import POLE_FLOOR
+from connexion.localchart import (CRITICAL_TOL, DEFAULT_N, FALL_ETA,
+                                  RESIDUAL_TOL, AdaptedChart, _ser_diff,
+                                  _ser_eval, pole_chart)
 
-from conftest import single_pole
+from conftest import saddle_connections, single_pole
 
 
 class TestAdaptedChart:
@@ -58,10 +61,13 @@ class TestAdaptedChart:
         assert all(c == 0 for c in chart.series[1:])
         assert chart.to_w(0.3 - 0.2j) == 0.3 - 0.2j
 
-    def test_report_keys(self):
+    def test_chart_fields(self):
+        # the chart records its radius, its series to order DEFAULT_N and
+        # the residual it passed at that radius
         chart = adapted_chart(single_pole(1.0), SpherePoint.of(0.0))
-        rep = chart.report()
-        assert {"radius", "order", "residual"} <= set(rep)
+        assert chart.radius > 0.0
+        assert len(chart.series) - 1 == DEFAULT_N
+        assert 0.0 <= chart.residual <= RESIDUAL_TOL
 
     def test_residue_below_minus_one_with_second_pole(self):
         conn = build_connection([(SpherePoint.of(0.0), -1.5),
@@ -82,6 +88,38 @@ class TestAdaptedChart:
         # at -1.0028; the chart carries no such constant and builds
         chart = adapted_chart(single_pole(rho), SpherePoint.of(0.0))
         assert chart.residual <= 1e-8
+
+
+def test_at_w_places_each_target(monkeypatch):
+    # on every chart of the saddle corpus, two of them more than ten radii
+    # from the origin, at_w places the launch (|w| = 0.05 radius), the disc
+    # exit (|w| = w_in) and the landing (|w| = POLE_FLOOR) on their w to
+    # 1e-14 relative and the rounding of u = center + zeta, in at most 3, 6
+    # and 1 Newton steps: its start, the series reversed to third order, is
+    # exact to rounding at the floor.  w' comes from the last step's
+    # iterate, within the rounding of u of w'(u)
+    steps = []
+    monkeypatch.setattr(AdaptedChart, "dw", lambda self, u, _f=AdaptedChart.dw:
+                        steps.append(u) or _f(self, u))
+    worst, far = {}, 0
+    for conn in saddle_connections():
+        for p in conn.poles:
+            chart = pole_chart(conn, p.location)
+            if chart is None:
+                continue
+            far += abs(chart.center) > 10.0 * chart.radius
+            for m, most in ((0.05 * chart.radius, 3), (chart.w_in, 6),
+                            (POLE_FLOOR, 1)):
+                for k in range(16):
+                    w1 = m * cmath.exp(2j * math.pi * k / 16)
+                    steps.clear()
+                    u, dw = chart.at_w(w1)
+                    worst[most] = max(worst.get(most, 0), len(steps))
+                    assert abs(chart.dw(u) - dw) <= 1e-13 * abs(dw)
+                    assert (abs(chart.to_w(u) - w1)
+                            <= 1e-14 * m + 2.0 ** -52 * abs(u) * abs(dw))
+    assert far >= 2
+    assert all(n <= most for most, n in worst.items())
 
 
 def two_pole_chart(rho, q, rho_q):
