@@ -18,7 +18,7 @@ import numpy as np
 
 from . import errors
 from .omega import ClassifyBudget, classify, saddle_connection_search
-from .connection import SpherePoint, connection_from_dict
+from .connection import SpherePoint, build_connection, connection_from_dict
 from .engine import (POLE_FLOOR, IntegratorOptions, _gauss_legendre, trace,
                      trajectory_to_csv)
 from .localchart import (closed_form_path, critical_length, local_params,
@@ -117,7 +117,7 @@ def build_scene(cfg: dict):
         try:
             z = complex(float(item["re"]), float(item.get("im", 0.0)))
             v = complex(float(item["v_re"]), float(item.get("v_im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             _config_fail(f"bad initial condition {item!r}: {exc}")
         initials.append((z, v))
     return conn, initials
@@ -305,7 +305,6 @@ def verify(which, config_path, seed):
 
 def _verify_local(seed):
     out = []
-    from .connection import build_connection
     for rho in (-0.5, 0.5, 1.0, 2.5):
         conn = build_connection([(SpherePoint.of(0.0), rho)])
         z0, v0 = 0.4 + 0.1j, 0.3 + 0.7j
@@ -341,7 +340,6 @@ def _verify_teichmuller(seed):
     out.append(("chart-polygon identity x50", worst <= 1e-6,
                 f"max residual {worst:.3g}"))
 
-    from .connection import build_connection
     conn = build_connection([(SpherePoint.of(0.0), -1.0),
                              (SpherePoint.inf(), -1.0)])
     traj = trace(conn, (1.0, 1j), 2.0 * math.pi)
@@ -354,7 +352,6 @@ def _verify_teichmuller(seed):
 
 def _verify_saddles(seed):
     out = []
-    from .connection import build_connection
     conn = build_connection([(SpherePoint.of(-1.0), 0.5),
                              (SpherePoint.of(1.0), 0.5)])
     sads = saddle_connection_search(conn, n_grid=8, t_max=20.0)

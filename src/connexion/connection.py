@@ -67,10 +67,10 @@ class PoleSpec:
 
 @dataclass(frozen=True)
 class LoopPath:
-    """Closed polyline in the finite plane, avoiding all poles."""
+    """Closed polyline in the finite plane, avoiding all poles, oriented by
+    the order of its vertices."""
 
     vertices: tuple
-    positive: bool = True
 
     def __post_init__(self):
         if len(self.vertices) < 3:
@@ -201,7 +201,7 @@ def winding_number(loop: LoopPath, point: complex) -> int:
     k = round(n)
     if abs(n - k) > 1e-6:
         raise errors.LoopThroughPole("argument sum far from an integer multiple of 2*pi")
-    return int(k) if loop.positive else -int(k)
+    return int(k)
 
 
 def monodromy_of_loop(conn: FuchsianConnection, loop: LoopPath) -> complex:

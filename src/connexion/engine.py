@@ -141,6 +141,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
+import itertools
 import math
 import time as _time
 from dataclasses import dataclass
@@ -233,11 +234,10 @@ class Trajectory:
     (a paused ``tracing`` run) gets fresh ones.
     """
 
-    def __init__(self, conn: FuchsianConnection, samples=None, events=None,
-                 termination: str = "t_max"):
+    def __init__(self, conn: FuchsianConnection, samples=None, events=None):
         self.conn = conn
         self.events = [] if events is None else events   # (t, kind, payload)
-        self.termination = termination
+        self.termination = "t_max"
         samples = list(samples or ())
         states = [s.state for s in samples]
         self.t = [s.t for s in samples]
@@ -1338,38 +1338,26 @@ def self_intersections(traj: Trajectory, max_count: int = 64) -> list:
     if len(traj) < 3:
         return []
     pts, ts = _decimate(traj.support_array(), traj.times, 4000)
-    out = []
     hits = _crossings(pts, pts, forward=True)
-    for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
-        t1 = ts[i] + s * (ts[i + 1] - ts[i])
-        t2 = ts[j] + u * (ts[j + 1] - ts[j])
-        rec = _refine_crossing(traj, traj, t1, t2)
-        if rec is None:
-            continue
-        t1, t2, pt, transversal = rec
-        if t2 - t1 < 1e-9:
-            continue
-        out.append(IntersectionRecord(t1, t2, pt, transversal))
-        if len(out) >= max_count:
-            break
-    out.sort(key=lambda r: (r.t_i, r.t_j))
-    return out
+    out = (r for r in _refined(traj, traj, ts, ts, hits) if r.t_j - r.t_i >= 1e-9)
+    return sorted(itertools.islice(out, max_count), key=lambda r: (r.t_i, r.t_j))
 
 
 def cross_intersections(a: Trajectory, b: Trajectory, max_count: int = 64) -> list:
     """Crossings between two trajectories, in segment order."""
-    ta, tb = a.times, b.times
-    out = []
     hits = segment_crossings(a.support_array(), b.support_array())
+    return list(itertools.islice(_refined(a, b, a.times, b.times, hits), max_count))
+
+
+def _refined(a: Trajectory, b: Trajectory, ta, tb, hits):
+    """The crossings of a and b that ``_refine_crossing`` confirms, as
+    IntersectionRecords in the order of ``hits`` (i, j, s, u, ...), the
+    segment i of the times ``ta`` and j of ``tb``."""
     for i, j, s, u in zip(*(x.tolist() for x in hits[:4])):
-        t1 = ta[i] + s * (ta[i + 1] - ta[i])
-        t2 = tb[j] + u * (tb[j + 1] - tb[j])
-        rec = _refine_crossing(a, b, t1, t2)
+        rec = _refine_crossing(a, b, ta[i] + s * (ta[i + 1] - ta[i]),
+                               tb[j] + u * (tb[j + 1] - tb[j]))
         if rec is not None:
-            out.append(IntersectionRecord(*rec))
-            if len(out) >= max_count:
-                break
-    return out
+            yield IntersectionRecord(*rec)
 
 
 def _refine_crossing(ta: Trajectory, tb: Trajectory, t1, t2):

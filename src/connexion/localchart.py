@@ -421,9 +421,8 @@ def closed_form_path(params: LocalGeodesicParams, ts) -> np.ndarray:
     W = params.a * ts + params.b
     if params.rho == -1.0:
         return params.r * np.exp(1j * W)
+    # unwrap keeps the first angle: the principal branch at t = ts[0]
     theta = np.unwrap(np.angle(W))
-    # pin to the principal branch at t = ts[0]
-    theta += np.angle(W[0]) - theta[0]
     s = params.rho + 1.0
     logz = (np.log(np.abs(W)) + 1j * theta) / s
     return np.exp(1j * params.alpha) * np.exp(logz)

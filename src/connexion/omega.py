@@ -583,13 +583,13 @@ def random_connection(rng) -> FuchsianConnection:
                              for l, r in zip(locs, res)])
 
 
-def exclusion_audit(n_configs: int = 200, seed: int = 0,
-                    budget: ClassifyBudget | None = None):
+def exclusion_audit(n_configs: int = 200, seed: int = 0):
     """Classify one trajectory per random real-residue configuration and
     count accumulation-on-foreign-periodic / accumulation-on-saddle-graph
     verdicts among trajectories simple within budget; both counts are
-    expected to be zero; ``verdicts`` lists them in configuration order."""
-    budget = budget or ClassifyBudget(t_max=60.0, max_steps=60_000)
+    expected to be zero; ``verdicts`` lists them in configuration order.
+    Each classify runs to t = 60 or 60,000 steps."""
+    budget = ClassifyBudget(t_max=60.0, max_steps=60_000)
     rng = np.random.default_rng(seed)
     lines = []
     anomalies = []

@@ -69,13 +69,10 @@ def side_from_trajectory(traj: Trajectory) -> Side:
     return Side(tuple(zs), vs[0], vs[-1])
 
 
-def side_from_points(points, t_start=None, t_end=None) -> Side:
+def side_from_points(points) -> Side:
+    """A side along the polyline ``points``, its end chords as tangents."""
     pts = tuple(complex(p) for p in points)
-    if t_start is None:
-        t_start = pts[1] - pts[0]
-    if t_end is None:
-        t_end = pts[-1] - pts[-2]
-    return Side(pts, complex(t_start), complex(t_end))
+    return Side(pts, pts[1] - pts[0], pts[-1] - pts[-2])
 
 
 @dataclass

@@ -22,7 +22,6 @@ SETTABLE = [
     "GeodesicState.k_phase",
     "IntegratorOptions.max_seconds",
     "IntegratorOptions.max_steps",
-    "LoopPath.positive",
     "OmegaVerdict.details",
     "PartTopology.enclosed_residues",
     "PartTopology.genus_filling",
@@ -35,13 +34,11 @@ SETTABLE = [
     "SpherePoint.z",
     "Trajectory(events=)",
     "Trajectory(samples=)",
-    "Trajectory(termination=)",
     "check_p1_formula(charts=)",
     "check_p1_formula(enclosed=)",
     "classify(budget=)",
     "connect_unique(miss_tol=)",
     "connect_unique(opts=)",
-    "exclusion_audit(budget=)",
     "exclusion_audit(n_configs=)",
     "exclusion_audit(seed=)",
     "measure_internal_angle(chart=)",
@@ -51,8 +48,6 @@ SETTABLE = [
     "saddle_connection_search(n_grid=)",
     "saddle_connection_search(t_max=)",
     "self_intersections(max_count=)",
-    "side_from_points(t_end=)",
-    "side_from_points(t_start=)",
     "trace(certify=)",
     "trace(opts=)",
 ]

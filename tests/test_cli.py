@@ -211,6 +211,8 @@ class TestSceneKeys:
         # 1e400 reads as inf
         ("initial", {"re": float("1e400"), "v_re": 0.0, "v_im": 1.0},
          "initial[0].re"),
+        # re and v_re are required
+        ("initial", {"re": 1.0, "im": 0.0, "v_im": 1.0}, "v_re"),
     ])
     def test_list_items_checked(self, scenes_dir, tmp_path, section, item,
                                 named):

@@ -18,7 +18,7 @@ def square_loop(center=0j, half=1.0, positive=True):
     c = complex(center)
     vs = (c + half + half * 1j, c - half + half * 1j,
           c - half - half * 1j, c + half - half * 1j, c + half + half * 1j)
-    return LoopPath(vs, positive=positive)
+    return LoopPath(vs if positive else vs[::-1])
 
 
 class TestResidueSumGate:

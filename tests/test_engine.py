@@ -1229,10 +1229,10 @@ def _reference_fall(conn, falls, chart, z, v):
 
 def _clone(traj):
     """A trajectory with copies of ``traj``'s columns, switches and events."""
-    out = Trajectory(traj.conn, termination=traj.termination)
+    out = Trajectory(traj.conn)
     for name in ("t", "z", "v", "K", "s_g", "switches", "events"):
         setattr(out, name, list(getattr(traj, name)))
-    out.chart0 = traj.chart0
+    out.chart0, out.termination = traj.chart0, traj.termination
     return out
 
 
