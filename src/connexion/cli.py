@@ -202,7 +202,7 @@ def trace_cmd(config_path, out_path, svg_path, budget_steps):
                 _indexed_path(out_path, i)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(trajectory_to_csv(traj))
-        click.echo(f"wrote CSV: {out_path}")
+            click.echo(f"wrote CSV: {path}")
     if svg_path:
         doc = render_scene(conn, trajectories, render_window(cfg))
         with open(svg_path, "w", encoding="utf-8") as fh:

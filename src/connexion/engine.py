@@ -72,11 +72,6 @@ rounding of 4000 angles; a chord that is not finite, or too short (1e-12
 Its masks hold at most ``SLICE`` elements each, and the side test's
 arrays ``SLICE // 8``, so no temporary grows with the input.
 
-``tracing`` is the step loop as a generator: it pauses each time t passes a
-time the caller sends and resumes from its own state (z, K, h, chart, budget
-counters).  A pause clamps no step, so a paused trajectory is a prefix of the
-finished one, switches and events included; ``trace`` runs it without pauses.
-
 ``trace_many`` steps the starts of one connection in lockstep numpy lanes;
 the saddle search's fan of launches is its one caller.  Each lane has its
 own h and chart and steps on its chart's pole table; only a batch split
@@ -114,13 +109,12 @@ constants and helpers are read when it runs.  Two functions are built from
 it: the single step (``_stepper``, compiled as ``<dop853 3 poles>``), which
 ``_pole_hit`` and ``state_at`` call, and the step loop of one chart
 (``_step_loop``, ``<dop853 loop 3 poles>``), which inlines the step and
-its bookkeeping: the error scale, the step-size control, the pole screen,
-the row appends and the pauses.  On a step that no pole is near, of a trace
-that screens no disc, it calls only ``log``, ``exp``, ``sqrt`` and ``abs``.
+its bookkeeping: the error scale, the step-size control, the pole screen
+and the row appends.  On a step that no pole is near, of a trace that
+screens no disc, it calls only ``log``, ``exp``, ``sqrt`` and ``abs``.
 ``_stepping`` is left with the options, the certificate discs, the chart
-switches, the pause after a switch, the landing row and the termination.
-The results are bit-identical to the textbook form, the Butcher-tableau
-loop over the
+switches, the landing row and the termination.  The results are
+bit-identical to the textbook form, the Butcher-tableau loop over the
 stages: each stage point and the solution z + (h*a) k added left to right,
 each slope k1 exp(-dK) with dK summed pole by pole from 0j as in ``_dK``,
 and each error sum added left to right from its first term.  Floating-point
@@ -231,7 +225,7 @@ class Trajectory:
     TrajectorySample into columns, keeping its s_g.  The standard-chart
     columns (``std_columns``) and the array of standard-chart z
     (``support_array``) are cached per row count, so a trajectory that grows
-    (a paused ``tracing`` run) gets fresh ones.
+    gets fresh ones.
     """
 
     def __init__(self, conn: FuchsianConnection, samples=None, events=None):
@@ -596,21 +590,20 @@ def _stepper(n):
 
 @functools.cache
 def _step_loop(n):
-    """The step loop of ``_stepping`` on one chart of n poles: the generator
-    run(chart, poles, traj, state, t_max, limits, screen, speed, pause),
-    with state = (t, z, v, K, h, steps), limits = (max_steps, max_seconds,
-    started) and screen the certificate discs, each as (the pole's chart,
-    whether it is in the other sphere chart, its centre, its disc).
+    """The step loop of ``_stepping`` on one chart of n poles: the function
+    run(chart, poles, traj, state, t_max, limits, screen), with state = (t,
+    z, v, K, h, steps), limits = (max_steps, max_seconds, started) and
+    screen the certificate discs, each as (the pole's chart, whether it is
+    in the other sphere chart, its centre, its disc).
 
-    It appends the accepted rows to ``traj`` (s_g once per pause and by the
-    caller at the end, ``_fill_s_g``), yields ``traj`` each time t passes
-    ``pause`` and takes the next pause from ``send``, and returns (end,
-    payload, t, z, v, K, h, steps, pause) where the trace stops or leaves
-    the chart: end is a termination or "chart_switch", the payload the
-    event's (the pole's is left to the caller).  The step is inlined from
-    ``_stage_lines``; |z1| is taken once per step for the error scale, the
-    finiteness test and the chart exit, and ``min``/``max`` are written as
-    the comparisons that pick the same value.
+    It appends the accepted rows to ``traj`` (s_g is left to the caller,
+    ``_fill_s_g``) and returns (end, payload, t, z, v, K, h, steps) where
+    the trace stops or leaves the chart: end is a termination or
+    "chart_switch", the payload the event's (the pole's is left to the
+    caller).  The step is inlined from ``_stage_lines``; |z1| is taken once
+    per step for the error scale, the finiteness test and the chart exit,
+    and ``min``/``max`` are written as the comparisons that pick the same
+    value.
 
     The pole screen, some |z1 - p_j| <= |z1 - z| + 4 POLE_FLOOR, is the one
     reach test of the tracer: ``_pole_gap`` runs only past it.  Every chord
@@ -622,9 +615,9 @@ def _step_loop(n):
     """
     unpack, body = _stage_lines(n)
     near = " or ".join(f"abs(w{j}) <= reach" for j in range(n))
-    out = "t, z, k1, K, h, steps, pause"
+    out = "t, z, k1, K, h, steps"
     src = [
-        "def run(chart, poles, traj, state, t_max, limits, screen, speed, pause):",
+        "def run(chart, poles, traj, state, t_max, limits, screen):",
         "    t, z, k1, K, h, steps = state",
         f"    {unpack}",
         "    max_steps, max_seconds, started = limits",
@@ -697,9 +690,6 @@ def _step_loop(n):
         "        if az1 > exit_radius:",
         f"            return 'chart_switch', None, {out}",
         "        az = az1",
-        "        if t > pause:",
-        "            _fill_s_g(traj, speed)",
-        "            pause = yield traj",
         f"    return 't_max', None, {out}"]
     return _compiled(src, f"<dop853 loop {n} poles>")
 
@@ -760,32 +750,10 @@ def trace(conn: FuchsianConnection, initial, t_max: float,
 
     ``opts`` sets the budgets; the tolerances are the module constants.
     With ``certify`` the trace ends early once it is certified to fall into
-    a pole of residue < -1.  It runs ``tracing`` without a pause.
+    a pole of residue < -1.
     """
-    return _run_out(tracing(conn, initial, t_max, opts, certify=certify))
-
-
-def _run_out(run):
-    """The trajectory a ``tracing`` run returns when nothing pauses it."""
-    next(run)
-    try:
-        run.send(math.inf)   # no time passes inf: runs to the end
-    except StopIteration as done:
-        return done.value
-
-
-def tracing(conn: FuchsianConnection, initial, t_max: float,
-            opts: IntegratorOptions | None = None, *, certify: bool = False):
-    """``trace`` as a generator that pauses (module docstring): the first
-    ``next`` checks the start and yields the one-row trajectory; each
-    ``send(pause)`` yields the same trajectory once an accepted step takes
-    t past ``pause``, and the generator returns it where ``trace`` ends.
-    The steps run in the loop generated per pole count (``_step_loop``),
-    which yields to the caller directly; every column, s_g included, is
-    complete at each pause.  Time spent paused counts against
-    ``max_seconds``."""
     traj, state = _start(conn, initial, t_max)
-    return (yield from _stepping(conn, traj, state, t_max, opts, certify))
+    return _stepping(conn, traj, state, t_max, opts, certify)
 
 
 def _start(conn: FuchsianConnection, initial, t_max: float):
@@ -821,31 +789,30 @@ def check_start(conn: FuchsianConnection, chart: str, z, v):
 
 
 def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
-    """The step loop of ``tracing`` from a loop state whose rows ``traj``
+    """The step loop of ``trace`` from a loop state whose rows ``traj``
     holds: a start from ``_start`` or a lane that ``trace_many`` hands back.
 
     The steps run in ``_step_loop``, generated per pole count, one call per
     chart the trace is in; this driver takes the options, switches charts
-    with hysteresis (the next row is in the new chart), pauses after a
-    switch, and writes the termination, its event and the rest of the s_g
-    column.  It fetches the charts it screens from the atlas, once: of each
-    residue < -1 pole if ``certify``, of each residue > -1 pole with
+    with hysteresis (the next row is in the new chart), writes the
+    termination, its event and the rest of the s_g column, and returns
+    ``traj``.  It fetches the charts it screens from the atlas, once: of
+    each residue < -1 pole if ``certify``, of each residue > -1 pole with
     ``landings``, which screens the given state too and ends a state that
     lands on the ray at |w| = POLE_FLOOR (``AdaptedChart.ray_state``)."""
     opts = opts or IntegratorOptions()
     t, z, v, K, chart, h, steps, speed = state
     limits = opts.max_steps, opts.max_seconds, _time.monotonic()
     screens = _screens(conn, certify, landings)
-    pause = yield traj
 
     # a lane may hand back a state that has landed already
     payload = _screened(screens[chart], z, v, t_max - t) if landings else None
     end = None if payload is None else "pole_certified"
     while end is None:
         poles = conn.chart_poles(chart)
-        end, payload, t, z, v, K, h, steps, pause = yield from _step_loop(
-            len(poles))(chart, poles, traj, (t, z, v, K, h, steps), t_max,
-                        limits, screens[chart], speed, pause)
+        end, payload, t, z, v, K, h, steps = _step_loop(len(poles))(
+            chart, poles, traj, (t, z, v, K, h, steps), t_max, limits,
+            screens[chart])
         if end != "chart_switch":
             break
         end = None
@@ -855,9 +822,6 @@ def _stepping(conn, traj, state, t_max, opts, certify=False, landings=False):
         chart = INFINITY if chart == STANDARD else STANDARD
         traj.switches.append(len(traj.t))
         traj.events.append((t, "chart_switch", {"to": chart}))
-        if t > pause:
-            _fill_s_g(traj, speed)
-            pause = yield traj
 
     if end == "pole_certified" and "critical" in payload:
         f = pole_chart(conn, payload["pole"])
@@ -940,8 +904,7 @@ def trace_many(conn: FuchsianConnection, starts, t_max: float, *,
     states = _lanes(conn, begun, t_max, IntegratorOptions().max_steps,
                     landings) if begun else []
     return [traj if state is None
-            else _run_out(_stepping(conn, traj, state, t_max, None,
-                                    landings=landings))
+            else _stepping(conn, traj, state, t_max, None, landings=landings)
             for (traj, _), state in zip(begun, states)]
 
 

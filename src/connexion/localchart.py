@@ -117,10 +117,10 @@ class AdaptedChart:
 
     @cached_property
     def w_in(self) -> float:
-        """Radius of the w-disc inscribed in the image of ``disc``, the least
-        |w| of 64 points of its circle: a fall (rho < -1) needs |w| below
-        it, and a disc exit (rho > -1) is placed at it, inside the disc up
-        to that sampling."""
+        """The least |w| of 64 points of the circle of ``disc``, which may
+        exceed the radius inscribed in its image.  A fall (rho < -1) needs
+        |w| below it; a disc exit (rho > -1) is placed at it, and so may lie
+        past the disc's edge (by up to 1.14e-5 of it in the saddle corpus)."""
         zeta = self.disc * np.exp(2j * np.pi * np.arange(64) / 64)
         return float(np.min(np.abs(zeta * np.polyval(self.series[::-1], zeta))))
 
@@ -295,10 +295,7 @@ def adapted_chart(conn: FuchsianConnection, pole: SpherePoint) -> AdaptedChart:
         for m in range(DEFAULT_N + 1):
             f_hol[m] += res * p
             p *= inv
-    F = [0j] * (DEFAULT_N + 1)
-    for m in range(1, DEFAULT_N + 1):
-        F[m] = f_hol[m - 1] / m
-    c = _ser_exp(F)
+    c = _ser_exp([0j] + [f_hol[m - 1] / m for m in range(1, DEFAULT_N + 1)])
 
     # M' (1 + (rho+1) H) = H':  j M_j = j H_j - (rho+1) sum_{m<j} m M_m H_{j-m}
     s = rho + 1.0
@@ -365,6 +362,8 @@ class DirectionInterval:
     beta2: float
 
     def __post_init__(self):
+        if not self.rho > -1.0:
+            raise ValueError("need rho > -1")
         if not 0.0 <= self.beta1 < self.beta2 < 2.0 * math.pi:
             raise ValueError("need 0 <= beta1 < beta2 < 2*pi")
         b1, b2 = self.beta1, self.beta2

@@ -33,7 +33,7 @@ from .connection import (FuchsianConnection, PoleSpec, SpherePoint,
 from .engine import (POLE_FLOOR, GeodesicState, IntegratorOptions, Trajectory,
                      _chord_gap, canonical_K, continue_K, delta_zeta,
                      metric_density, segment_crossings, self_intersections,
-                     state_at, trace, trace_many, tracing)
+                     state_at, trace, trace_many)
 from .localchart import pole_chart
 
 RECURRENCE_TOL = 1e-8
@@ -399,9 +399,9 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
     |Im(conj(c) Delta zeta)| / |c| over the span of the leaves
     (``delta_zeta``).  A ring leaf has the seed leaf's length L0, so a leaf
     launched at unit velocity from ``seed`` has the period tau = L0 /
-    metric_density(seed); its trace stops at its first period
-    (``_paused_period``), and at the latest at ``budget.t_max``, or at 6 tau
-    without a budget."""
+    metric_density(seed).  Each leaf is traced once, to 1.1 tau or to
+    ``budget.t_max`` if that is earlier, and its period is ``detect_period``
+    of that trace."""
     T0 = detect_period(periodic)
     if T0 is None:
         raise errors.SeedNotPeriodic("seed trajectory is not periodic")
@@ -430,10 +430,11 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
             prev, dK = seed, dK + (Kb - Ka)
             speed = metric_density(conn, seed)
             tau = lengths[0] / speed
-            run = tracing(conn, (seed, vh0 * cmath.exp(-1j * dK.imag)),
-                          budget.t_max if budget else 6.0 * tau, opts)
+            horizon = min(1.1 * tau, budget.t_max) if budget else 1.1 * tau
             try:
-                T, tr = _paused_period(run, 1.1 * tau)
+                tr = trace(conn, (seed, vh0 * cmath.exp(-1j * dK.imag)),
+                           horizon, opts)
+                T = detect_period(tr)
                 pole = tr.termination == "pole_approach"
             except errors.StartAtPole:
                 pole = True
@@ -455,22 +456,6 @@ def ring_domain_probe(conn: FuchsianConnection, periodic: Trajectory,
     width = abs((c_hat.conjugate() * span).imag)
     return RingDomainReport(offsets, [lengths[i] for i in order], seeds,
                             width, boundary)
-
-
-def _paused_period(run, pause):
-    """(``detect_period``, trajectory) of the ``tracing`` run, paused at
-    ``pause`` and then at twice the last pause until a period comes before
-    the last row: it then refines on the rows the finished trace has."""
-    next(run)
-    try:
-        while True:
-            tr = run.send(pause)
-            T = detect_period(tr)
-            if T is not None and T < tr.t[-1]:
-                return T, tr
-            pause *= 2.0
-    except StopIteration as done:
-        return detect_period(done.value), done.value
 
 
 # -- saddle connections --------------------------------------------------------

@@ -67,6 +67,21 @@ class TestTrace:
         assert all(re.fullmatch(r"-?\d+\.\d{6}", tok)
                    for pair in coords.split() for tok in pair.split(","))
 
+    def test_one_csv_per_initial_condition(self, scenes_dir, tmp_path):
+        # two initial conditions: an indexed file each, and each path named
+        cfg = json.loads((scenes_dir / "circle.json").read_text())
+        cfg["initial"] *= 2
+        out = tmp_path / "o.csv"
+        r = run("trace", "--config", write_config(tmp_path, "two.json", cfg),
+                "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        paths = [tmp_path / "o-0.csv", tmp_path / "o-1.csv"]
+        assert not out.exists()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert [line for line in r.stdout.splitlines()
+                if line.startswith("wrote CSV")] == [f"wrote CSV: {p}"
+                                                     for p in paths]
+
     def test_byte_determinism(self, scenes_dir, tmp_path):
         outs = []
         for i in (1, 2):

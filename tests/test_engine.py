@@ -3,6 +3,7 @@ intersections."""
 
 import bisect
 import cmath
+import inspect
 import io
 import math
 import time
@@ -91,8 +92,8 @@ class TestBasicTracing:
             hits.append(_hit(*args))
             return hits[-1]
         monkeypatch.setattr(engine, "_pole_hit", recording)
-        traj = engine._run_out(engine._stepping(
-            conn, traj, state[:5] + (h,) + state[6:], 1.0, None))
+        traj = engine._stepping(conn, traj, state[:5] + (h,) + state[6:], 1.0,
+                                None)
         assert hits[0] is None
         assert engine._pole_gap(((0j, -0.5),), *traj.z[:2]) < engine.POLE_FLOOR
         assert traj.t[1] == h and abs(traj.z[1] - W.conjugate() ** 2) < 1e-18
@@ -1021,7 +1022,7 @@ class TestPartialStep:
             assert engine.state_at(traj, traj.t_end + dt) is None
 
 
-# -- pausing --------------------------------------------------------------------
+# -- growing trajectories ------------------------------------------------------
 
 def _long_traces(column_traces):
     """The benchmark's four long geodesics (unrotated) and a trace that ends
@@ -1047,92 +1048,55 @@ def _record(traj):
             "termination": traj.termination}
 
 
+def _grown(full, counts):
+    """One trajectory that grows through the first n rows of ``full``, for
+    each n of ``counts`` in turn: yields it at each n."""
+    traj = Trajectory(full.conn)
+    traj.chart0 = full.chart0
+    for n in counts:
+        for name in ("t", "z", "v", "K", "s_g"):
+            col = getattr(traj, name)
+            col += getattr(full, name)[len(col):n]
+        traj.switches[:] = [k for k in full.switches if k <= n]
+        yield traj
+
+
 class TestPausedTrace:
-    """``tracing`` paused at seeded times against one ``trace``."""
-
-    @pytest.mark.parametrize("name", ["circle", "three_pole", "selfcross",
-                                      "switch", "certified"])
-    def test_paused_rows_are_a_prefix(self, column_traces, name):
-        conn, start, t_max, certify = _long_traces(column_traces)[name]
-        full = _record(trace(conn, start, t_max, certify=certify))
-        rng = np.random.default_rng(23)
-        # inside the trace: a row follows each pause, so each send yields
-        pauses = sorted(rng.uniform(0.0, full["t"][-2], 6))
-        pauses[1] = pauses[0]   # a pause already passed: one more step
-        run = engine.tracing(conn, start, t_max, certify=certify)
-        assert _record(next(run))["t"] == [0.0]
-        n = 1
-        for pause in pauses:
-            snap = _record(run.send(pause))
-            # the first row past the pause, and at least one step
-            assert len(snap["t"]) == max(n + 1,
-                                         bisect.bisect_right(full["t"], pause) + 1)
-            n = len(snap["t"])
-            for col in ("t", "z", "v", "K", "s_g"):
-                assert snap[col] == full[col][:n]
-            assert snap["chart0"] == full["chart0"]
-            assert snap["switches"] == [k for k in full["switches"] if k <= n]
-            assert snap["events"] == [e for e in full["events"]
-                                      if e[0] <= snap["t"][-1]
-                                      and e[1] != "terminated"]
-        with pytest.raises(StopIteration) as done:
-            run.send(math.inf)
-        assert _record(done.value.value) == full
-        if name == "switch":
-            to = [p["to"] for _, kind, p in full["events"]
-                  if kind == "chart_switch"]
-            assert "infinity" in to and "standard" in to
-        assert full["termination"] == ("pole_certified" if certify else "t_max")
-
-    def test_pause_at_a_chart_switch(self, column_traces):
-        # a pause between the two rows before the first switch is passed by
-        # the step that leaves the chart: the run pauses after the switch
-        conn, start, t_max, _ = _long_traces(column_traces)["switch"]
-        full = _record(trace(conn, start, t_max))
-        k = full["switches"][0]
-        run = engine.tracing(conn, start, t_max)
-        next(run)
-        snap = _record(run.send(0.5 * (full["t"][k - 2] + full["t"][k - 1])))
-        for col in ("t", "z", "v", "K", "s_g"):
-            assert snap[col] == full[col][:k]
-        assert snap["switches"] == [k]
-        assert snap["events"] == [e for e in full["events"]
-                                  if e[0] <= snap["t"][-1]
-                                  and e[1] != "terminated"]
-        assert snap["events"][-1][1] == "chart_switch"
+    """The caches of a ``Trajectory`` read part way, whose columns then
+    grow."""
 
     def test_cached_standard_columns_follow_the_rows(self, column_traces):
         # the switch geodesic has rows in w = 1/z by t = 50: the standard
-        # columns derived at a pause must grow with the trajectory
+        # columns derived at 50 must grow with the trajectory
         conn, start, t_max, _ = _long_traces(column_traces)["switch"]
-        run = engine.tracing(conn, start, t_max)
-        next(run)
-        paused = run.send(50.0)
-        assert paused.switches and len(paused.std_columns()[0]) == len(paused)
-        n = len(paused)
-        run.send(150.0)
-        assert len(paused) > n
-        full = trace(conn, start, t_max).std_columns()
-        assert paused.std_columns() == tuple(c[:len(paused)] for c in full)
+        full = trace(conn, start, t_max)
+        std = full.std_columns()
+        counts = [bisect.bisect_right(full.t, T) + 1 for T in (50.0, 150.0)]
+        grown = _grown(full, counts)
+        traj = next(grown)
+        assert traj.switches and len(traj.std_columns()[0]) == len(traj)
+        n = len(traj)
+        next(grown)
+        assert len(traj) > n
+        assert traj.std_columns() == tuple(c[:len(traj)] for c in std)
 
     def test_cached_array_follows_the_rows(self, column_traces):
-        # the chord array built at a pause must grow with the trajectory, and
-        # a section scan of the paused prefix must see what a trace to the
-        # same time sees
+        # the chord array built at a row count must grow with the
+        # trajectory, and a section scan of the prefix must see what a trace
+        # to the same time sees
         conn, start, t_max, _ = _long_traces(column_traces)["switch"]
         sec = TransversalSection(-3.0 + 0.5j, 3.0 + 0.5j)
-        run = engine.tracing(conn, start, t_max)
-        next(run)
+        full = trace(conn, start, t_max)
         counts = []
-        for pause in (50.0, 100.0, 150.0):
-            paused = run.send(pause)
-            arr = paused.support_array()
-            assert hexed(arr) == hexed(np.array(paused.support_std()))
-            assert paused.support_array() is arr
-            xs = section_crossings(paused, sec)
-            assert xs == section_crossings(trace(conn, start, paused.t[-1]), sec)
+        for traj in _grown(full, [bisect.bisect_right(full.t, T) + 1
+                                  for T in (50.0, 100.0, 150.0)]):
+            arr = traj.support_array()
+            assert hexed(arr) == hexed(np.array(traj.support_std()))
+            assert traj.support_array() is arr
+            xs = section_crossings(traj, sec)
+            assert xs == section_crossings(trace(conn, start, traj.t[-1]), sec)
             counts.append(len(xs))
-        assert paused.switches and 0 < counts[0] < counts[-1]
+        assert traj.switches and 0 < counts[0] < counts[-1]
 
 
 # -- the generated step loop ------------------------------------------------------
@@ -1149,7 +1113,6 @@ def _reference_stepping(conn, traj, state, t_max, opts, certify=False):
     exit_radius = None
     falls = [(p.location, *pole_disc(conn, p.location)) for p in conn.poles
              if certify and p.residue < -1.0]
-    pause = yield traj
 
     while t < t_max:
         if steps >= max_steps:
@@ -1208,8 +1171,6 @@ def _reference_stepping(conn, traj, state, t_max, opts, certify=False):
             traj.switches.append(len(ts))
             traj.events.append((t, "chart_switch", {"to": chart}))
         h *= min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 5.0
-        if t > pause:
-            pause = yield traj
     traj.events.append((ts[-1], "terminated", {"reason": traj.termination}))
     return traj
 
@@ -1240,10 +1201,8 @@ def _assert_loops_agree(conn, traj, state, t_max, opts=None, certify=False):
     """The generated loop and the reference from the same rows and state:
     every column, the switches, the events and the termination, bit for
     bit.  Returns the trajectory."""
-    ref = engine._run_out(_reference_stepping(conn, _clone(traj), state, t_max,
-                                              opts, certify))
-    got = engine._run_out(engine._stepping(conn, traj, state, t_max, opts,
-                                           certify))
+    ref = _reference_stepping(conn, _clone(traj), state, t_max, opts, certify)
+    got = engine._stepping(conn, traj, state, t_max, opts, certify)
     assert hexed(_record(got)) == hexed(_record(ref))
     return got
 
@@ -1281,6 +1240,11 @@ class TestStepLoop:
             traj = _agree_from_start(conn, start, t_max)
             assert traj.termination == "pole_approach"
             assert traj.events[-2][2]["pole"] == SpherePoint.of(0.0)
+
+    def test_loops_are_plain_functions(self):
+        # the driver and the generated loop run to their end and return
+        assert not inspect.isgeneratorfunction(engine._stepping)
+        assert not inspect.isgeneratorfunction(engine._step_loop(3))
 
     def test_flat_plane(self, trivial_conn):
         # the loop of no poles, out past the switch radius into the chart

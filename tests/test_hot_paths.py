@@ -29,10 +29,10 @@ closed form: a wrapper around ``engine._pole_hit`` sees no call on the
 two-gon.
 
 The period search refines a recurrence time by partial steps from the
-stored rows, the ring probe stops each leaf trace at its first recurrence,
-and the shooting search aims one launch along the developing map and traces
-it once, to the time at which it reaches its target: wrappers around the
-``trace``, the pausable ``tracing`` and the lockstep ``trace_many`` that
+stored rows, the ring probe traces each leaf once, to 1.1 times the period
+a ring leaf has, and the shooting search aims one launch along the
+developing map and traces it once, to the time at which it reaches its
+target: wrappers around the ``trace`` and the lockstep ``trace_many`` that
 ``omega`` and ``polygons`` call count the traces they start, one per start
 of a batch.
 
@@ -220,16 +220,14 @@ def test_pole_pass_sees_every_chord_near_a_pole(a, length, heading, s, log_d,
         measured.append((z, z1))
         return math.inf
     traj = Trajectory(None)
-    run = engine._step_loop(len(poles))(
-        "standard", poles, traj, (0.0, a, k1, 0j, h, 0), h, (1, None, 0.0),
-        [], 1.0, math.inf)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_pole_gap", recording)
-        with pytest.raises(StopIteration) as stop:
-            next(run)
+        end = engine._step_loop(len(poles))(
+            "standard", poles, traj, (0.0, a, k1, 0j, h, 0), h,
+            (1, None, 0.0), [])[0]
     if on_stage:
         # the loop refuses the step unmeasured, and its one step is spent
-        assert stop.value.value[0] == "max_steps"
+        assert end == "max_steps"
         assert traj.z == [] and measured == []
         return
     assert traj.z == [b]
@@ -403,11 +401,10 @@ def test_classify_generates_one_step_per_pole_count(generated):
 @pytest.fixture
 def traces(monkeypatch):
     """The t_max of each trace that omega and polygons start, through
-    ``trace``, through the pausable ``tracing`` it runs, or as one start of
-    a ``trace_many`` batch."""
+    ``trace`` or as one start of a ``trace_many`` batch."""
     seen = []
     for mod in (omega, polygons):
-        for name in ("trace", "tracing", "trace_many"):
+        for name in ("trace", "trace_many"):
             if not hasattr(mod, name):
                 continue
 
@@ -421,11 +418,9 @@ def traces(monkeypatch):
 
 
 def test_traces_counts_both_entry_points(traces, circle_conn):
-    run = omega.tracing(circle_conn, (1.0, 1j), 5.0)
-    next(run)
     omega.trace(circle_conn, (1.0, 1j), 3.0)
     polygons.trace(circle_conn, (1.0, 1j), 2.0)
-    assert traces == [5.0, 3.0, 2.0]
+    assert traces == [3.0, 2.0]
 
 
 def test_traces_counts_each_start_of_a_batch(traces, circle_conn):
@@ -446,12 +441,17 @@ def test_period_and_ring_retrace_nothing(traces, circle_conn, monkeypatch):
     budget = ClassifyBudget(t_max=12 * math.pi, max_steps=1_000_000)
     rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=5,
                             budget=budget)
-    # one integration per leaf beside the seed, capped by the budget, and
-    # none after it: each leaf stops short of two of its periods
+    # one integration per leaf beside the seed, to 1.1 times the period of
+    # a ring leaf through its start (the seed's length over the metric
+    # density there), capped by the budget, and none after it: each leaf
+    # stops short of two of its periods
     assert rep.n_leaves == 11
-    assert traces == [budget.t_max] * 10
     leaves = [tr for tr in leaves.values() if tr is not seed]
     assert len(leaves) == 10
+    L0 = rep.leaf_lengths[rep.leaf_offsets.index(0.0)]
+    taus = [L0 / engine.metric_density(circle_conn, leaf.z[0])
+            for leaf in leaves]
+    assert traces == [min(1.1 * tau, budget.t_max) for tau in taus]
     for leaf in leaves:
         period = detect_period(leaf)
         two = trace(circle_conn, (leaf.z[0], leaf.v[0]), 2.0 * period)

@@ -383,6 +383,12 @@ class TestDirectionInterval:
         with pytest.raises(ValueError):
             DirectionInterval(0.5, 1.0, 4.0)
 
+    @pytest.mark.parametrize("rho", [-1.0, -1.5, math.nan])
+    def test_rho_at_or_below_minus_one_refused(self, rho):
+        # pi/(rho+1) is no angle there: refused as critical_length does
+        with pytest.raises(ValueError, match=r"need rho > -1"):
+            DirectionInterval(rho, 1.0, 1.5)
+
 
 class TestEntryDirection:
     def test_direction_of_outgoing_critical_ray(self):

@@ -15,7 +15,8 @@ from connexion import (ClassifyBudget, SpherePoint, build_connection,
 from connexion import errors, omega
 from connexion.engine import (POLE_FLOOR, GeodesicState, IntegratorOptions,
                               Trajectory, TrajectorySample, canonical_K,
-                              continue_K, delta_zeta, trace_many, tracing)
+                              continue_K, delta_zeta, metric_density,
+                              trace_many)
 from connexion.localchart import FALL_ETA, AdaptedChart, pole_chart
 from connexion.omega import (TransversalSection, _best_section,
                              _critical_launch, _foreign_accumulation,
@@ -209,10 +210,10 @@ class TestRingDomain:
         # segment to it ends 5e-7 from the pole, so K continues along it
         starts = []
 
-        def starting(conn, initial, t_max, opts, _run=omega.tracing):
+        def starting(conn, initial, t_max, opts, _run=omega.trace):
             starts.append(initial[0])
             return _run(conn, initial, t_max, opts)
-        monkeypatch.setattr(omega, "tracing", starting)
+        monkeypatch.setattr(omega, "trace", starting)
         seed = trace(circle_conn, (0.25 + 5e-7, 1j), 10.0)
         rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=6)
         assert [b["stopped"] for b in rep.boundary] == [("pole", 0.25), None]
@@ -242,26 +243,16 @@ class TestRingDomain:
         assert rep.width == pytest.approx(math.asinh(1.0) - math.asinh(0.05),
                                           abs=1e-12)
 
-    def test_paused_period_doubles_its_pause(self, circle_conn):
-        # the unit circle recurs at 2 pi: the pauses at 0.5, 1, 2 and 4
-        # come before it and the pause at 8 after it; a trace that ends at
-        # t = 3, before any recurrence, returns no period and the full trace
-        T, tr = omega._paused_period(tracing(circle_conn, (1.0, 1j), 20.0), 0.5)
-        assert T == pytest.approx(2 * math.pi, abs=1e-9)
-        assert tr.t[-2] < 8.0 <= tr.t[-1] < 20.0
-        T, tr = omega._paused_period(tracing(circle_conn, (1.0, 1j), 3.0), 0.5)
-        assert T is None
-        assert tr.termination == "t_max" and tr.t_end == 3.0
-
     @pytest.mark.parametrize("case", ["inner", "switch", "outer",
-                                      "off_canonical"])
-    def test_paused_periods_are_full_horizon_periods(self, circle_conn,
-                                                     monkeypatch, case):
-        # each leaf's period, found on a trace paused near its first
-        # recurrence, is the bits detect_period finds on the trace run to
-        # the same horizon; circles past SWITCH_RADIUS run in w = 1/z
+                                      "off_canonical", "budget"])
+    def test_leaf_periods_are_full_horizon_periods(self, circle_conn,
+                                                   monkeypatch, case):
+        # each leaf's period, found on one trace to 1.1 tau, is the bits
+        # detect_period finds on a trace to the budget's t_max, or to 6 tau
+        # without a budget; circles past SWITCH_RADIUS run in w = 1/z
         rng = np.random.default_rng(17)
         radius = {"inner": rng.uniform(0.5, 2.0),
+                  "budget": rng.uniform(0.5, 2.0),
                   "switch": rng.uniform(9.9, 10.1),
                   "outer": rng.uniform(15.0, 30.0)}.get(case)
         if radius is None:
@@ -272,25 +263,33 @@ class TestRingDomain:
             speed = rng.uniform(0.5, 3.0)
             seed = trace(circle_conn, (z0, 1j * speed * z0),
                          2.5 * 2 * math.pi / speed)
+        budget = (ClassifyBudget(t_max=30.0, max_steps=100_000)
+                  if case == "budget" else None)
         runs, found = [], []
 
-        def starting(conn, initial, t_max, opts, _run=omega.tracing):
+        def recording(conn, initial, t_max, opts, _run=omega.trace):
             runs.append((initial, t_max, opts))
             return _run(conn, initial, t_max, opts)
 
-        def pausing(run, pause, _paused=omega._paused_period):
-            found.append(_paused(run, pause))
-            return found[-1]
-        monkeypatch.setattr(omega, "tracing", starting)
-        monkeypatch.setattr(omega, "_paused_period", pausing)
-        rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=3)
-        assert rep.n_leaves == 7 and len(runs) == len(found) == 6
+        def detecting(traj, _detect=omega.detect_period):
+            found.append((_detect(traj), traj))
+            return found[-1][0]
+        monkeypatch.setattr(omega, "trace", recording)
+        monkeypatch.setattr(omega, "detect_period", detecting)
+        rep = ring_domain_probe(circle_conn, seed, max_leaves_per_side=3,
+                                budget=budget)
+        # the first period found is the seed's
+        assert rep.n_leaves == 7 and len(runs) == len(found) - 1 == 6
+        L0 = rep.leaf_lengths[rep.leaf_offsets.index(0.0)]
         charts = set()
-        for (initial, t_max, opts), (period, paused) in zip(runs, found):
-            full = trace(circle_conn, initial, t_max, opts)
-            assert full.termination == "t_max" and len(paused) < len(full)
+        for (initial, t_max, opts), (period, leaf) in zip(runs, found[1:]):
+            tau = L0 / metric_density(circle_conn, initial[0])
+            assert t_max == 1.1 * tau < (budget.t_max if budget else 6.0 * tau)
+            full = trace(circle_conn, initial,
+                         budget.t_max if budget else 6.0 * tau, opts)
+            assert full.termination == "t_max" and len(leaf) < len(full)
             assert hexed(period) == hexed(detect_period(full))
-            charts.update(paused._chart(k) for k in range(len(paused)))
+            charts.update(leaf._chart(k) for k in range(len(leaf)))
         assert ("infinity" in charts) == (case in ("switch", "outer"))
 
 
